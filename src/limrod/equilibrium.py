@@ -34,7 +34,7 @@ than separate constructors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -302,19 +302,6 @@ def _sample_frames(phi: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray
     return frames
 
 
-def _params_echo(pn: MaterialParams) -> dict:
-    return {
-        "alpha": pn.alpha,
-        "beta": pn.beta,
-        "gamma": pn.gamma,
-        "zeta": pn.zeta,
-        "eta": pn.eta,
-        "iota": pn.iota,
-        "p": pn.p,
-        "ref_length": pn.ref_length,
-    }
-
-
 def _endpoint_state(pn: MaterialParams, loads_row: np.ndarray) -> dict:
     """Loads and strains at s = 0 as flat six-number arrays (wire format)."""
     loads = Loads(*loads_row)
@@ -352,7 +339,7 @@ def trivial_tensile_state(
         "psi0": psi0,
         "phi0": 0.0,
         "grid_h": grid_h,
-        "params": _params_echo(pn),
+        "params": asdict(pn),
         "strains": {"u3": st.u3, "v3": st.v3},
     }
     return EquilibriumState(
@@ -360,6 +347,13 @@ def trivial_tensile_state(
         loads=loads,
         descriptor=descriptor,
     )
+
+
+def _sheared_strains(pn: MaterialParams, theta: float) -> tuple[float, float, float, float]:
+    """(k = v3 - 1, u3, v3, shear amplitude) of the sheared branch at tilt theta."""
+    _, ratio = _branch_constants(pn)
+    k = 1.0 / (ratio - 1.0)
+    return k, -pn.iota * k / pn.beta**2, 1.0 + k, k * ratio * math.tan(theta)
 
 
 def sheared_tensile_state(
@@ -378,11 +372,8 @@ def sheared_tensile_state(
     """
     pn = nondimensionalize(validate(params))
     theta = sheared_angle(pn, thrust)
-    det, ratio = _branch_constants(pn)
-    k = 1.0 / (ratio - 1.0)
-    u3 = -pn.iota * k / pn.beta**2
-    v3 = 1.0 + k
-    amplitude = k * ratio * math.tan(theta)
+    k, u3, v3, amplitude = _sheared_strains(pn, theta)
+    det = pn.twist_stretch_det
     sth, cth = math.sin(theta), math.cos(theta)
 
     # Internal consistency: the saturating factor of the branch loads must
@@ -413,7 +404,7 @@ def sheared_tensile_state(
         "psi0": psi0,
         "phi0": 0.0,
         "grid_h": grid_h,
-        "params": _params_echo(pn),
+        "params": asdict(pn),
         "strains": {"u3": u3, "v3": v3, "v_shear_amplitude": amplitude},
         "identity_residual": identity_residual,
     }
@@ -455,7 +446,7 @@ def pure_twist_state(
         "psi0": psi0,
         "phi0": 0.0,
         "grid_h": grid_h,
-        "params": _params_echo(pn),
+        "params": asdict(pn),
         "strains": {"u3": st.u3, "v3": st.v3},
     }
     return EquilibriumState(
@@ -520,7 +511,7 @@ def helical_state(
         "psi0": psi0,
         "phi0": 0.0,
         "grid_h": grid_h,
-        "params": _params_echo(pn),
+        "params": asdict(pn),
         "strains": {
             "u3": u3,
             "v3": v3,
@@ -603,7 +594,7 @@ def state_from_configuration(params: MaterialParams, config: Configuration) -> E
     descriptor = {
         "family": "reconstructed",
         "grid_h": h,
-        "params": _params_echo(pn),
+        "params": asdict(pn),
     }
     return EquilibriumState(configuration=config, loads=loads, descriptor=descriptor)
 
@@ -630,7 +621,6 @@ def branch_sweep(
     if count < 2:
         raise ValueError(f"need at least 2 sweep points, got {count!r}")
     thresh = shear_threshold(pn)
-    det, ratio = _branch_constants(pn)
     points: list[BranchPoint] = []
     for thrust in np.linspace(n_min, n_max, count):
         thrust = float(thrust)
@@ -646,14 +636,13 @@ def branch_sweep(
         )
         if not isinstance(thresh, NoBifurcation) and thrust > thresh:
             theta = sheared_angle(pn, thrust)
-            k = 1.0 / (ratio - 1.0)
-            amplitude = k * ratio * math.tan(theta)
+            _, u3, v3, amplitude = _sheared_strains(pn, theta)
             sth, cth = math.sin(theta), math.cos(theta)
             points.append(
                 BranchPoint(
                     N=thrust,
                     theta=theta,
-                    strains=Strains(0.0, 0.0, -pn.iota * k / pn.beta**2, -amplitude, 0.0, 1.0 + k),
+                    strains=Strains(0.0, 0.0, u3, -amplitude, 0.0, v3),
                     loads=Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth),
                     branch="sheared",
                 )

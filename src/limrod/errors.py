@@ -22,6 +22,10 @@ class StrainOutOfRange(RodModelError):
     """Strain state lies outside the constitutive domain (quadratic form >= 1)."""
 
 
+class LoadOutOfRange(RodModelError):
+    """Loads whose dual quadratic form Q* is NaN or overflows."""
+
+
 class NonOrthonormalFrame(RodModelError):
     """A director frame fails orthonormality beyond tolerance."""
 

@@ -39,6 +39,7 @@ __all__ = [
     "validate",
     "nondimensionalize",
     "orientation_weak_ok",
+    "orientation_strong_bound",
     "orientation_strong_ok",
     "load_params",
 ]
@@ -141,17 +142,20 @@ def orientation_weak_ok(params: MaterialParams) -> bool:
     return 1.0 + params.iota**2 / params.beta**2 < params.eta**2
 
 
+def orientation_strong_bound(params: MaterialParams) -> float:
+    """Radius bound alpha * (1 - beta/sqrt(beta^2*eta^2 - iota^2)) of the
+    strong orientation predicate; nonpositive whenever the weak one fails."""
+    validate(params)
+    return params.alpha * (1.0 - params.beta / math.sqrt(params.twist_stretch_det))
+
+
 def orientation_strong_ok(params: MaterialParams, cross_section_radius: float) -> bool:
     """True iff a circular cross section of the given radius cannot locally
-    self-penetrate at any admissible strain state.
-
-    Requires cross_section_radius < alpha * (1 - beta/sqrt(beta^2*eta^2 - iota^2));
-    the right side is nonpositive whenever the weak predicate fails.
-    """
-    validate(params)
+    self-penetrate at any admissible strain state: iff it is below
+    ``orientation_strong_bound``."""
+    bound = orientation_strong_bound(params)
     if not cross_section_radius > 0.0:
         raise ValueError(f"cross_section_radius must be > 0, got {cross_section_radius!r}")
-    bound = params.alpha * (1.0 - params.beta / math.sqrt(params.twist_stretch_det))
     return cross_section_radius < bound
 
 

@@ -1,18 +1,28 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+import limrod
 from limrod import (
+    LoadOutOfRange,
     Loads,
     MaterialParams,
     StrainOutOfRange,
     Strains,
     complementary_energy,
+    load_params,
     load_quad_form,
     loads_from_strains,
     stored_energy,
+    stored_energy_hessian,
     strain_bounds,
     strain_quad_form,
     strains_from_loads,
@@ -257,6 +267,102 @@ class TestEnergies:
             expected = loads_from_strains(params, strains).as_array()
             scale = 1.0 + np.abs(expected).max()
             assert np.abs(grad - expected).max() < 1e-6 * scale
+
+
+class TestBetaEnergies:
+    """Energies for every p from the incomplete-beta reduction, against
+    40-digit mpmath references evaluated at the exact float Q and Q*."""
+
+    P_OFF_GRID = (0.25, 0.5, 0.7, 0.9, 1.5, 3.0, 4.0, 7.0, 12.0, 100.0)
+    Q_GRID = [10.0**e for e in range(-12, 0)] + [0.5, 0.9, 0.99] + [
+        1.0 - 10.0**-e for e in range(3, 13)
+    ]
+    QSTAR_GRID = [10.0**e for e in range(-12, 301, 8)] + [2.0, 1e300]
+
+    @staticmethod
+    def ref_stored(q, p, gamma=1.0):
+        with mpmath.workdps(40):
+            q, p = mpmath.mpf(q), mpmath.mpf(p)
+            return gamma * mpmath.betainc(2 / p, 1 - 1 / p, 0, q ** (p / 2)) / p
+
+    @staticmethod
+    def ref_complementary(qstar, p, gamma=1.0):
+        # 1 - Q^{p/2} = (gamma F)^p falls to about (gamma^2/Q*)^{p/2}; for
+        # p < 1, where B diverges at 1, carry that many more digits. For
+        # p > 1, Q^{p/2} may round to 1, where B is finite.
+        extra = p / 2 * math.log10(qstar / gamma**2) if p < 1 and qstar > gamma**2 else 0
+        with mpmath.workdps(40 + int(extra)):
+            qs, p = mpmath.mpf(qstar), mpmath.mpf(p)
+            f = (mpmath.mpf(gamma) ** p + qs ** (p / 2)) ** (-1 / p)
+            x = min(mpmath.mpf(1), (f * f * qs) ** (p / 2))
+            return f * qs - gamma * mpmath.betainc(2 / p, 1 - 1 / p, 0, x) / p
+
+    @pytest.mark.parametrize("p", P_OFF_GRID)
+    def test_stored_against_mpmath(self, p):
+        params = mk(gamma=2.5, p=p)
+        for q in self.Q_GRID:
+            st = Strains(0, 0, math.sqrt(q), 0, 0, 1)
+            ref = self.ref_stored(strain_quad_form(params, st), p, 2.5)
+            assert abs(stored_energy(params, st) - ref) <= 1e-13 * ref, (p, q)
+
+    @pytest.mark.parametrize("p", P_OFF_GRID)
+    def test_complementary_against_mpmath(self, p):
+        params = mk(gamma=2.5, p=p)
+        for qstar in self.QSTAR_GRID:
+            loads = Loads(0, 0, 0, 0, 0, math.sqrt(qstar))
+            ref = self.ref_complementary(load_quad_form(params, loads), p, 2.5)
+            assert abs(complementary_energy(params, loads) - ref) <= 1e-13 * ref, (p, qstar)
+
+    def test_complementary_against_defining_integral(self):
+        # independent of the Legendre identity that both the code and the
+        # reference above rely on
+        for p, qstar in ((0.7, 3.0), (3.0, 50.0), (7.0, 0.2)):
+            with mpmath.workdps(40):
+                direct = mpmath.quad(
+                    lambda t: (1 + t ** (mpmath.mpf(p) / 2)) ** (-1 / mpmath.mpf(p)) / 2,
+                    [0, 1, qstar],
+                )
+            value = complementary_energy(mk(p=p), Loads(0, 0, 0, 0, 0, math.sqrt(qstar)))
+            assert abs(value - direct) <= 1e-13 * direct
+
+    def test_small_strain_p7_state(self):
+        # 1 - Q^{p/2} rounds to 1 here; the quadrature sliver rule used to
+        # raise ZeroDivisionError on it
+        params = replace(load_params(Path(__file__).parents[1] / "params" / "demo.json"), p=7.0, iota=0.3)
+        loads = Loads(1.6e-3, 1.3e-3, -8e-4, -2.2e-3, -2.4e-4, -4.7e-4)
+        st = strains_from_loads(params, loads)
+        ref = self.ref_stored(strain_quad_form(params, st), 7.0)
+        assert abs(stored_energy(params, st) - ref) <= 1e-13 * ref
+        work = float(np.dot(loads.as_array(), st.as_array() - [0, 0, 0, 0, 0, 1]))
+        fenchel = stored_energy(params, st) + complementary_energy(params, loads) - work
+        assert abs(fenchel) <= 1e-13 * work
+
+    @pytest.mark.parametrize("p", (1.5, 3.0, 7.0))
+    def test_complementary_finite_at_huge_loads(self, p):
+        assert complementary_energy(mk(p=p), Loads(0, 0, 0, 0, 0, 1e150)) == pytest.approx(
+            1e150, rel=1e-15
+        )
+
+    def test_nan_strains_raise(self):
+        st = Strains(math.nan, 0, 0, 0, 0, 1)
+        for fn in (loads_from_strains, stored_energy, stored_energy_hessian):
+            with pytest.raises(StrainOutOfRange):
+                fn(mk(p=3.0), st)
+
+    @pytest.mark.parametrize("p", (2.0, 3.0))
+    def test_nonfinite_load_form_raises(self, p):
+        with pytest.raises(LoadOutOfRange):
+            complementary_energy(mk(p=p), Loads(math.nan, 0, 0, 0, 0, 0))
+        with pytest.raises(LoadOutOfRange):
+            complementary_energy(mk(p=p), Loads(0, 0, 0, 0, 0, 1e200))  # Q* overflows
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, limrod; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = dict(os.environ, PYTHONPATH=str(Path(limrod.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestStrainBounds:
