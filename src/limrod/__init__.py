@@ -13,6 +13,7 @@ from .constitutive import (
     complementary_energy,
     load_quad_form,
     loads_from_strains,
+    loads_from_strains_batch,
     stored_energy,
     stored_energy_hessian,
     strain_bounds,

@@ -70,8 +70,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     c = args.components
     if args.direction == "forward":
         loads = Loads(*c)
-        print(f"Qstar = {_fmt(load_quad_form(params, loads))}")
         st = strains_from_loads(params, loads)
+        print(f"Qstar = {_fmt(load_quad_form(params, loads))}")
         for name in ("u1", "u2", "u3", "v1", "v2", "v3"):
             print(f"{name} = {_fmt(getattr(st, name))}")
     else:

@@ -54,6 +54,7 @@ __all__ = [
     "strains_from_loads",
     "strains_from_loads_batch",
     "loads_from_strains",
+    "loads_from_strains_batch",
     "stored_energy",
     "complementary_energy",
     "stored_energy_hessian",
@@ -176,11 +177,21 @@ def _one_minus_qp(q: float, p: float) -> float:
     return 1.0 - q ** (0.5 * p)
 
 
+def _inverse_factor(params: MaterialParams, q: float) -> float:
+    """G = gamma (1 - Q^{p/2})^{-1/p} of the inverse map, in ``math`` floats
+    for the scalar and the batch path alike."""
+    return params.gamma * _one_minus_qp(q, params.p) ** (-1.0 / params.p)
+
+
+def _strain_domain_error(q: float) -> StrainOutOfRange:
+    return StrainOutOfRange(f"Q(u, v) = {q!r}" + (" >= 1" if q >= 1.0 else ""))
+
+
 def _domain_q(params: MaterialParams, strains: Strains) -> float:
     """Q of a strain state, which must lie in the domain Q < 1 (NaN does not)."""
     q = strain_quad_form(params, strains)
     if not q < 1.0:
-        raise StrainOutOfRange(f"Q(u, v) = {q!r}" + (" >= 1" if q >= 1.0 else ""))
+        raise _strain_domain_error(q)
     return q
 
 
@@ -214,12 +225,13 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     Q(u, v) < 1 with every component strictly inside its limiting bound,
     at float level: deep in saturation, where rounding alone would park
     the state on the boundary, the deviation is projected inward by a few
-    parts in 1e15.
+    parts in 1e15. Raises LoadOutOfRange for a NaN or infinite component.
     """
     validate(params)
-    dev = _forward_dev(
-        params, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3
-    )
+    values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    if not all(map(math.isfinite, values)):
+        raise LoadOutOfRange(f"loads are not all finite: {Loads.from_array(values)}")
+    dev = _forward_dev(params, *values)
     margin = _interior_margin(params)
     for _ in range(4):
         dv3 = (1.0 + dev[5]) - 1.0
@@ -309,7 +321,7 @@ def loads_from_strains(params: MaterialParams, strains: Strains) -> Loads:
         n3   = G (iota u3 + eta^2 (v3 - 1))
     """
     q = _domain_q(params, strains)
-    G = params.gamma * _one_minus_qp(q, params.p) ** (-1.0 / params.p)
+    G = _inverse_factor(params, q)
     dv3 = strains.v3 - 1.0
     return Loads(
         m1=G * params.alpha**2 * strains.u1,
@@ -319,6 +331,38 @@ def loads_from_strains(params: MaterialParams, strains: Strains) -> Loads:
         n2=G * params.zeta**2 * strains.v2,
         n3=G * (params.iota * strains.u3 + params.eta**2 * dv3),
     )
+
+
+def loads_from_strains_batch(params: MaterialParams, strains: np.ndarray) -> np.ndarray:
+    """Vectorized inverse map for sampled strain fields.
+
+    ``strains`` has shape (n, 6) with columns (u1, u2, u3, v1, v2, v3); the
+    result has shape (n, 6) with columns (m1, m2, m3, n1, n2, n3). Bit for
+    bit equal to ``loads_from_strains`` row by row: Q is the same array
+    arithmetic, and G comes from the scalar path's ``math`` helper one row
+    at a time (numpy's vector log, expm1 and power round differently).
+    Raises StrainOutOfRange, with the scalar message, for the first row
+    outside Q < 1.
+    """
+    validate(params)
+    strains = np.asarray(strains, dtype=float)
+    if strains.ndim != 2 or strains.shape[1] != 6:
+        raise ValueError(f"strains must have shape (n, 6), got {strains.shape}")
+    u1, u2, u3, v1, v2, v3 = strains.T
+    dv3 = v3 - 1.0
+    q = _strain_form(params, u1, u2, u3, v1, v2, dv3)
+    outside = ~(q < 1.0)
+    if outside.any():
+        raise _strain_domain_error(float(q[outside.argmax()]))
+    G = np.fromiter((_inverse_factor(params, x) for x in q.tolist()), float, len(q))
+    loads = np.empty_like(strains)
+    loads[:, 0] = G * params.alpha**2 * u1
+    loads[:, 1] = G * params.alpha**2 * u2
+    loads[:, 2] = G * (params.beta**2 * u3 + params.iota * dv3)
+    loads[:, 3] = G * params.zeta**2 * v1
+    loads[:, 4] = G * params.zeta**2 * v2
+    loads[:, 5] = G * (params.iota * u3 + params.eta**2 * dv3)
+    return loads
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -40,15 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import Loads, Strains, loads_from_strains, strains_from_loads
-from .errors import BelowThreshold, DegenerateCouple, NoBifurcationError
-from .kinematics import (
-    Configuration,
-    EulerAngles,
-    _derivative,
-    darboux_components,
-    directors_from_euler,
-)
+from .constitutive import Loads, Strains, loads_from_strains_batch, strains_from_loads
+from .errors import BelowThreshold, DegenerateCouple, LoadOutOfRange, NoBifurcationError
+from .kinematics import Configuration, _derivative, _euler_directors, darboux_components
 from .material import MaterialParams, nondimensionalize, validate
 
 __all__ = [
@@ -293,15 +287,6 @@ def _grid(grid_h: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _sample_frames(phi: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
-    frames = np.empty((len(psi), 3, 3))
-    for i in range(len(psi)):
-        frames[i] = directors_from_euler(
-            EulerAngles(float(phi[i]), theta, float(psi[i]))
-        ).matrix()
-    return frames
-
-
 def _endpoint_state(pn: MaterialParams, loads_row: np.ndarray) -> dict:
     """Loads and strains at s = 0 as flat six-number arrays (wire format)."""
     loads = Loads(*loads_row)
@@ -326,7 +311,7 @@ def trivial_tensile_state(
     st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust))
     s = _grid(grid_h)
     psi = st.u3 * s + psi0
-    frames = _sample_frames(np.zeros_like(s), 0.0, psi)
+    frames = _euler_directors(np.zeros_like(s), 0.0, psi)
     points = np.zeros((len(s), 3))
     points[:, 2] = st.v3 * s
     loads = np.zeros((len(s), 6))
@@ -389,7 +374,7 @@ def sheared_tensile_state(
 
     s = _grid(grid_h)
     psi = u3 * s + psi0
-    frames = _sample_frames(np.zeros_like(s), theta, psi)
+    frames = _euler_directors(np.zeros_like(s), theta, psi)
     points = np.zeros((len(s), 3))
     points[:, 2] = (amplitude * sth + v3 * cth) * s
     loads = np.zeros((len(s), 6))
@@ -433,7 +418,7 @@ def pure_twist_state(
     st = strains_from_loads(pn, Loads(0.0, 0.0, twist_couple, 0.0, 0.0, 0.0))
     s = _grid(grid_h)
     psi = st.u3 * s + psi0
-    frames = _sample_frames(np.zeros_like(s), theta, psi)
+    frames = _euler_directors(np.zeros_like(s), theta, psi)
     d3 = np.array([math.sin(theta), 0.0, math.cos(theta)])
     points = st.v3 * np.outer(s, d3)
     loads = np.zeros((len(s), 6))
@@ -473,6 +458,8 @@ def helical_state(
     an achiral rod).
     """
     pn = nondimensionalize(validate(params))
+    if not math.isfinite(bend_couple):
+        raise LoadOutOfRange(f"bend couple M1 = {bend_couple!r} is not finite")
     if bend_couple == 0.0:
         raise DegenerateCouple("helical family needs M1 != 0; use pure_twist_state")
     if not 0.0 < theta <= 0.5 * math.pi:
@@ -491,7 +478,7 @@ def helical_state(
     s = _grid(grid_h)
     phi = dphi * s
     psi = dpsi * s + psi0
-    frames = _sample_frames(phi, theta, psi)
+    frames = _euler_directors(phi, theta, psi)
     radius = v3 * sth / dphi
     pitch_rate = v3 * cth
     points = np.empty((len(s), 3))
@@ -577,9 +564,11 @@ def state_from_configuration(params: MaterialParams, config: Configuration) -> E
     """Recover an equilibrium state from bare geometry.
 
     Strains come from difference stencils (tangent components in the
-    director frame plus the Darboux components), loads then follow from
-    the constitutive inverse map; raises StrainOutOfRange if the geometry
-    is constitutively impossible. The derived loads carry the O(h^2)
+    director frame plus the Darboux components) as one (n, 6) array, and
+    ``loads_from_strains_batch`` maps them to loads in one call, bit for
+    bit as the scalar inverse map would row by row. Raises
+    StrainOutOfRange, naming Q of the first bad sample, if the geometry is
+    constitutively impossible. The derived loads carry the O(h^2)
     discretization error of the stencils.
     """
     pn = nondimensionalize(validate(params))
@@ -587,10 +576,7 @@ def state_from_configuration(params: MaterialParams, config: Configuration) -> E
     dr = _derivative(config.points, h)
     v = np.einsum("ni,nki->nk", dr, config.directors)
     u = darboux_components(config.directors, h)
-    loads = np.empty((len(config.s), 6))
-    for i in range(len(config.s)):
-        st = Strains(u[i, 0], u[i, 1], u[i, 2], v[i, 0], v[i, 1], v[i, 2])
-        loads[i] = loads_from_strains(pn, st).as_array()
+    loads = loads_from_strains_batch(pn, np.concatenate([u, v], axis=1))
     descriptor = {
         "family": "reconstructed",
         "grid_h": h,

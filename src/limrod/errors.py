@@ -23,7 +23,8 @@ class StrainOutOfRange(RodModelError):
 
 
 class LoadOutOfRange(RodModelError):
-    """Loads whose dual quadratic form Q* is NaN or overflows."""
+    """Loads with a NaN or infinite component, or whose dual quadratic form
+    Q* is NaN or overflows."""
 
 
 class NonOrthonormalFrame(RodModelError):

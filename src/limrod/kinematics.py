@@ -23,6 +23,7 @@ six left-hand sides, which vanish identically on an exact solution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +59,8 @@ G3 = np.array([0.0, 0.0, 1.0])
 _ORTHO_TOL = 1e-8
 
 CSV_HEADER = "s,rx,ry,rz,d1x,d1y,d1z,d2x,d2y,d2z,d3x,d3y,d3z"
+_CSV_ROW = ",".join(["%.17g"] * 13) + "\n"  # same bytes as f"{x:.17g}"
+_CSV_CHUNK = 1024  # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,12 @@ class EulerAngles:
     psi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
+        _check_theta(self.theta)
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
 
 
 @dataclass(frozen=True)
@@ -88,10 +95,11 @@ class Frame:
                 raise ValueError(f"{name} must be a 3-vector")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        # written "not <=" so that NaN fails the tolerance
         m = self.matrix()
-        if np.abs(m @ m.T - np.eye(3)).max() > _ORTHO_TOL:
+        if not np.abs(m @ m.T - np.eye(3)).max() <= _ORTHO_TOL:
             raise NonOrthonormalFrame("directors are not orthonormal")
-        if np.abs(np.cross(self.d1, self.d2) - self.d3).max() > _ORTHO_TOL:
+        if not np.abs(np.cross(self.d1, self.d2) - self.d3).max() <= _ORTHO_TOL:
             raise NonOrthonormalFrame("frame is not right-handed")
 
     def matrix(self) -> np.ndarray:
@@ -99,15 +107,29 @@ class Frame:
         return np.vstack([self.d1, self.d2, self.d3])
 
 
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` over a 1-D array. numpy's vector loops may round
+    differently from libm, so this keeps array and scalar callers bit-equal."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+def _euler_directors(phi: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
+    """Directors at the angles (phi[i], theta, psi[i]): shape (n, 3, 3),
+    ``out[i, k]`` = d_{k+1}. The only copy of the chart's formula."""
+    _check_theta(theta)
+    sphi, cphi = _libm(math.sin, phi), _libm(math.cos, phi)
+    spsi, cpsi = _libm(math.sin, psi)[:, None], _libm(math.cos, psi)[:, None]
+    sth, cth = math.sin(theta), math.cos(theta)
+    d3 = np.stack([sth * cphi, sth * sphi, np.full_like(cphi, cth)], axis=1)
+    e2 = np.stack([-sphi, cphi, np.zeros_like(cphi)], axis=1)
+    e1 = np.stack([cth * cphi, cth * sphi, np.full_like(cphi, -sth)], axis=1)
+    return np.stack([cpsi * e1 + spsi * e2, -spsi * e1 + cpsi * e2, d3], axis=1)
+
+
 def directors_from_euler(angles: EulerAngles) -> Frame:
     """Director frame of an Euler-angle triple."""
-    sphi, cphi = math.sin(angles.phi), math.cos(angles.phi)
-    sth, cth = math.sin(angles.theta), math.cos(angles.theta)
-    spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
-    d3 = np.array([sth * cphi, sth * sphi, cth])
-    e2 = np.array([-sphi, cphi, 0.0])
-    e1 = np.array([cth * cphi, cth * sphi, -sth])
-    return Frame(d1=cpsi * e1 + spsi * e2, d2=-spsi * e1 + cpsi * e2, d3=d3)
+    d = _euler_directors(np.array([angles.phi]), angles.theta, np.array([angles.psi]))[0]
+    return Frame(d1=d[0], d2=d[1], d3=d[2])
 
 
 @dataclass(frozen=True)
@@ -131,18 +153,21 @@ class Configuration:
             raise ValueError("need at least two samples")
         if pts.shape != (n, 3) or dirs.shape != (n, 3, 3):
             raise ValueError("inconsistent sample array shapes")
-        if abs(s[0]) > 1e-9 or abs(s[-1] - 1.0) > 1e-9:
+        if not (np.isfinite(s).all() and np.isfinite(pts).all()):
+            raise ValueError("arclength and centerline samples must be finite")
+        # every tolerance test is written "not <=" so that NaN fails it
+        if not (abs(s[0]) <= 1e-9 and abs(s[-1] - 1.0) <= 1e-9):
             raise ValueError("arclength parameter must run from 0 to 1")
         steps = np.diff(s)
-        if steps.min() <= 0.0:
+        if not steps.min() > 0.0:
             raise ValueError("arclength parameter must be strictly increasing")
         h = 1.0 / (n - 1)
-        if np.abs(steps - h).max() > 1e-9 * max(1.0, h):
+        if not np.abs(steps - h).max() <= 1e-9 * max(1.0, h):
             raise ValueError("samples must be uniformly spaced")
         gram = np.einsum("nij,nkj->nik", dirs, dirs)
-        if np.abs(gram - np.eye(3)).max() > _ORTHO_TOL:
+        if not np.abs(gram - np.eye(3)).max() <= _ORTHO_TOL:
             raise NonOrthonormalFrame("a sampled frame is not orthonormal")
-        if np.abs(np.cross(dirs[:, 0], dirs[:, 1]) - dirs[:, 2]).max() > _ORTHO_TOL:
+        if not np.abs(np.cross(dirs[:, 0], dirs[:, 1]) - dirs[:, 2]).max() <= _ORTHO_TOL:
             raise NonOrthonormalFrame("a sampled frame is not right-handed")
         for name, arr in (("s", s), ("points", pts), ("directors", dirs)):
             arr = arr.copy()
@@ -196,7 +221,7 @@ def darboux_components(frames: Sequence[Frame] | np.ndarray, h: float) -> np.nda
     if dirs.ndim != 3 or dirs.shape[1:] != (3, 3) or dirs.shape[0] < 3:
         raise ValueError("need at least three frame samples of shape (3, 3)")
     gram = np.einsum("nij,nkj->nik", dirs, dirs)
-    if np.abs(gram - np.eye(3)).max() > _ORTHO_TOL:
+    if not np.abs(gram - np.eye(3)).max() <= _ORTHO_TOL:  # NaN fails too
         raise NonOrthonormalFrame("frame samples are not orthonormal")
     rates = _derivative(dirs, h)
     u = 0.5 * np.cross(dirs, rates).sum(axis=1)
@@ -357,21 +382,81 @@ def reconstruct(
 
 
 def write_configuration_csv(config: Configuration, path: str | Path) -> None:
-    """Write samples as CSV, 17 significant digits (byte-stable, round-trip safe)."""
-    lines = [CSV_HEADER]
-    for i in range(len(config.s)):
-        row = [config.s[i], *config.points[i], *config.directors[i].ravel()]
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write samples as CSV, 17 significant digits (byte-stable, round-trip safe).
+
+    One row per sample: s, the centerline point, then d1, d2, d3. Rows are
+    formatted ``_CSV_CHUNK`` at a time with ``%.17g`` on Python floats,
+    which gives the same bytes as ``f"{x:.17g}"``, and written through one
+    open handle, so the whole file never sits in memory.
+    """
+    n = len(config.s)
+    data = np.column_stack([config.s, config.points, config.directors.reshape(n, 9)])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, n, _CSV_CHUNK):
+            chunk = data[start : start + _CSV_CHUNK]
+            fh.write((_CSV_ROW * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_configuration_csv(path: str | Path) -> Configuration:
-    """Parse a configuration CSV; raises ValueError on malformed input."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise ValueError("bad or missing configuration CSV header")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    """Parse a configuration CSV; raises ValueError on malformed input.
+
+    Blank lines may precede the header or trail the last row; every other
+    line after the header has 13 finite numbers, and there are at least two.
+    A well-formed file goes through numpy's C parser in one pass. Any file
+    that parser does not accept as is is read again line by line, which
+    either accepts it too or raises a ValueError naming the first bad line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        data = _load_samples(fh)
+        if data is None:
+            fh.seek(0)
+            data = _parse_samples(fh)
+    return Configuration(
+        s=data[:, 0],
+        points=data[:, 1:4],
+        directors=data[:, 4:13].reshape(-1, 3, 3),
+    )
+
+
+def _load_samples(fh) -> np.ndarray | None:
+    """The sample rows of a well-formed file, or None if any doubt remains."""
+    if fh.readline() != CSV_HEADER + "\n":
+        return None
+    lines = itertools.takewhile(str.strip, fh)  # stops at the first blank line
+    first = next(lines, None)
+    if first is None:  # loadtxt would warn about an empty input
+        return None
+    try:
+        data = np.loadtxt(
+            itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if any(map(str.strip, fh)):  # a row after a blank line
+        return None
+    if data.shape[0] < 2 or data.shape[1] != 13 or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _parse_samples(fh) -> np.ndarray:
+    """Line-by-line parse that names the first bad line."""
+    rows: list[list[float]] = []
+    header = False
+    blank = None  # first blank line since the last row
+    for ln, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            blank = blank or ln
+            continue
+        if not header:
+            if line.strip() != CSV_HEADER:
+                break
+            header, blank = True, None
+            continue
+        if blank is not None:  # a blank line between rows: one empty column
+            raise ValueError(f"line {blank}: expected 13 columns, got 1")
         parts = line.split(",")
         if len(parts) != 13:
             raise ValueError(f"line {ln}: expected 13 columns, got {len(parts)}")
@@ -382,11 +467,8 @@ def read_configuration_csv(path: str | Path) -> Configuration:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"line {ln}: non-finite value")
         rows.append(vals)
+    if not header:
+        raise ValueError("bad or missing configuration CSV header")
     if len(rows) < 2:
         raise ValueError("configuration CSV needs at least two samples")
-    data = np.array(rows)
-    return Configuration(
-        s=data[:, 0],
-        points=data[:, 1:4],
-        directors=data[:, 4:13].reshape(-1, 3, 3),
-    )
+    return np.array(rows)

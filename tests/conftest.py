@@ -94,3 +94,32 @@ def random_loads(
 def demo_params() -> MaterialParams:
     """Bifurcating reference set used throughout the closed-form examples."""
     return MaterialParams(alpha=1.0, beta=1.0, gamma=1.0, zeta=1.0, eta=2.0, iota=0.0, p=2.0)
+
+
+MALFORMED_CSV_KINDS = (
+    "column count", "non-numeric", "nan", "inf", "blank interior line", "comment line",
+    "header only", "one row", "bad header",
+)
+
+
+def malformed_csv_variants(good: str) -> dict[str, tuple[str, str]]:
+    """Malformed variants of a good configuration CSV (at least seven data
+    rows): kind -> (text, regex the reader's ValueError must match). Data
+    row 5 sits on line 6 of the file."""
+    lines = good.splitlines()
+    row = lines[5].split(",")
+
+    def with_line6(new):
+        return "\n".join([*lines[:5], new, *lines[6:]]) + "\n"
+
+    return {
+        "column count": (with_line6(",".join(row[:12])), r"^line 6: expected 13 columns, got 12$"),
+        "non-numeric": (with_line6(",".join(["x", *row[1:]])), r"^line 6: could not convert"),
+        "nan": (with_line6(",".join([row[0], "nan", *row[2:]])), r"^line 6: non-finite value$"),
+        "inf": (with_line6(",".join([*row[:12], "-inf"])), r"^line 6: non-finite value$"),
+        "blank interior line": (with_line6(""), r"^line 6: expected 13 columns, got 1$"),
+        "comment line": (with_line6("#" + lines[5]), r"^line 6: could not convert"),
+        "header only": (lines[0] + "\n", r"needs at least two samples"),
+        "one row": ("\n".join(lines[:2]) + "\n", r"needs at least two samples"),
+        "bad header": ("\n".join(["s,x,y", *lines[1:]]) + "\n", r"header"),
+    }

@@ -1,10 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from limrod.cli import main
+
+from conftest import MALFORMED_CSV_KINDS, malformed_csv_variants
 
 DEMO = {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "zeta": 1.0, "eta": 2.0, "iota": 0.0, "p": 2.0}
 
@@ -81,6 +84,13 @@ class TestEval:
         back = parse_report(capsys.readouterr().out)
         for key, expected in zip(("m1", "m2", "m3", "n1", "n2", "n3"), loads):
             assert back[key] == pytest.approx(float(expected), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_forward_non_finite_exits_1(self, demo_file, capsys, value):
+        assert main(["eval", demo_file, "forward", value, "0", "0", "0", "0", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"LoadOutOfRange: loads are not all finite: Loads(m1={value}," in captured.err
 
     def test_inverse_out_of_range_exits_1(self, demo_file, capsys):
         # v3 beyond its bound: |v3-1| >= beta/sqrt(det) = 1/2
@@ -211,3 +221,39 @@ class TestStateAndCheck:
                          "--grid-h", "0.002", "--out", str(out)]) == 0
             outs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestNonFiniteStates:
+    """Each command once built a CSV of NaN rows and exited 0."""
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--family", "twist", "--m3", "nan"], "LoadOutOfRange"),
+            (["--family", "helix", "--m1", "nan", "--theta", "0.5"], "LoadOutOfRange"),
+            (["--family", "trivial", "--n-thrust", "nan"], "LoadOutOfRange"),
+            (["--family", "trivial", "--n-thrust", "1", "--psi0", "nan"], "NonOrthonormalFrame"),
+        ],
+        ids=["twist m3", "helix m1", "trivial thrust", "trivial psi0"],
+    )
+    def test_state_exits_1_and_writes_nothing(self, demo_file, tmp_path, capsys, args, error):
+        out = tmp_path / "nan.csv"
+        assert main(["state", demo_file, *args, "--grid-h", "0.01", "--out", str(out)]) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+class TestCheckMalformedCsv:
+    @pytest.mark.parametrize("kind", MALFORMED_CSV_KINDS)
+    def test_exits_2(self, demo_file, tmp_path, capsys, kind):
+        good = tmp_path / "good.csv"
+        assert main(["state", demo_file, "--family", "twist", "--m3", "1.0",
+                     "--grid-h", "0.01", "--out", str(good)]) == 0
+        text, match = malformed_csv_variants(good.read_text())[kind]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["check", str(bad), demo_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(match, err[len("error: "):].rstrip("\n"))

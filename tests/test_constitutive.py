@@ -21,6 +21,7 @@ from limrod import (
     load_params,
     load_quad_form,
     loads_from_strains,
+    loads_from_strains_batch,
     stored_energy,
     stored_energy_hessian,
     strain_bounds,
@@ -174,6 +175,64 @@ class TestInverseMap:
             back_l = loads_from_strains(params, strains_from_loads(params, loads))
             scale = 1.0 + np.abs(loads.as_array()).max()
             assert np.abs(back_l.as_array() - loads.as_array()).max() < 1e-10 * scale
+
+
+class TestInverseBatch:
+    """``loads_from_strains_batch`` against the scalar map, bit for bit."""
+
+    @staticmethod
+    def strain_rows(rng, params, n):
+        rows = [Strains.reference().as_array()]
+        for i in range(n):
+            if i % 3 == 0:
+                q = 1.0 - 1e-12 * rng.uniform(0.05, 1.0)  # right at the boundary
+            else:
+                q = rng.uniform(0.0, 1.0)
+            rows.append(random_strains(rng, params, q).as_array())
+        return np.array(rows)
+
+    @pytest.mark.parametrize("p", (*P_GRID, 1.5, 7.0))
+    def test_rows_equal_scalar_map(self, p):
+        rng = np.random.default_rng(int(p * 10) + 1)
+        for _ in range(10):
+            params = random_params(rng, p=p, normalized=False)
+            rows = self.strain_rows(rng, params, 60)
+            q = np.array([strain_quad_form(params, Strains(*r)) for r in rows])
+            assert q.max() < 1.0 and (1.0 - q < 1e-12).sum() >= 20
+            batch = loads_from_strains_batch(params, rows)
+            for row, got in zip(rows, batch):
+                want = loads_from_strains(params, Strains(*row)).as_array()
+                assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+    @pytest.mark.parametrize("bad", [[0.0, 0, 0, 0, 0, 1.6], [2.0, 0, 0, 0, 0, 1], [math.nan] * 6])
+    def test_first_bad_row_raises_scalar_message(self, bad):
+        params = mk(eta=2.0)
+        rows = np.tile(Strains(0.1, 0, 0.2, 0, 0.05, 1.1).as_array(), (12, 1))
+        rows[7] = bad
+        rows[9] = [5.0, 0, 0, 0, 0, 1]  # a later bad row is not the one reported
+        with pytest.raises(StrainOutOfRange) as scalar:
+            loads_from_strains(params, Strains(*bad))
+        with pytest.raises(StrainOutOfRange) as batch:
+            loads_from_strains_batch(params, rows)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            loads_from_strains_batch(mk(), np.zeros((3, 5)))
+
+    def test_exported(self):
+        assert limrod.loads_from_strains_batch is loads_from_strains_batch
+
+
+class TestNonFiniteLoads:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(6))
+    def test_forward_map_rejects(self, index, value):
+        comps = [0.3, -0.2, 0.5, 0.1, 0.0, 1.25]
+        comps[index] = value
+        name = ("m1", "m2", "m3", "n1", "n2", "n3")[index]
+        with pytest.raises(LoadOutOfRange, match=f"not all finite: Loads\\(.*{name}={value!r}"):
+            strains_from_loads(mk(eta=2.0), Loads(*comps))
 
 
 class TestEnergies:

@@ -9,10 +9,13 @@ from limrod import (
     DegenerateCouple,
     EulerAngles,
     FrameLoads,
+    LoadOutOfRange,
     Loads,
     MaterialParams,
     NoBifurcation,
     NoBifurcationError,
+    NonOrthonormalFrame,
+    StrainOutOfRange,
     Strains,
     branch_sweep,
     check_balance,
@@ -495,6 +498,56 @@ class TestGeometryPipeline:
         derived = state_from_configuration(demo_params, state.configuration)
         interior = slice(2, -2)
         assert np.abs(derived.loads[interior] - state.loads[interior]).max() < 1e-4
+
+    def test_recovered_loads_equal_scalar_map_per_sample(self):
+        from limrod import darboux_components
+        from limrod.kinematics import _derivative
+
+        params = MaterialParams(1.0, 1.0, 1, 1.0, 2.0, 0.5, 3)
+        cfg = helical_state(params, 2.0, theta=0.4, psi0=0.7, grid_h=2e-3).configuration
+        derived = state_from_configuration(params, cfg)
+        u = darboux_components(cfg.directors, cfg.h)
+        v = np.einsum("ni,nki->nk", _derivative(cfg.points, cfg.h), cfg.directors)
+        for i in range(len(cfg.s)):
+            st = Strains(*u[i], *v[i])
+            assert derived.loads[i].tobytes() == loads_from_strains(params, st).as_array().tobytes()
+
+    def test_impossible_geometry_raises(self, demo_params):
+        state = trivial_tensile_state(demo_params, 1.0, grid_h=0.01)
+        cfg = state.configuration
+        stretched = type(cfg)(s=cfg.s, points=cfg.points * 3.0, directors=cfg.directors)
+        with pytest.raises(StrainOutOfRange, match=r"^Q\(u, v\) = .* >= 1$"):
+            state_from_configuration(demo_params, stretched)
+
+
+class TestNonFiniteInputs:
+    """States never carry NaN: each constructor raises a RodModelError."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_helix_bend_couple(self, demo_params, value):
+        with pytest.raises(LoadOutOfRange, match="^bend couple M1 = "):
+            helical_state(demo_params, value, theta=0.5, grid_h=0.01)
+
+    def test_trivial_thrust(self, demo_params):
+        with pytest.raises(LoadOutOfRange):
+            trivial_tensile_state(demo_params, math.nan, grid_h=0.01)
+
+    def test_twist_couple(self, demo_params):
+        with pytest.raises(LoadOutOfRange):
+            pure_twist_state(demo_params, math.nan, grid_h=0.01)
+
+    @pytest.mark.parametrize("build", [
+        lambda p: trivial_tensile_state(p, 1.0, psi0=math.nan, grid_h=0.01),
+        lambda p: pure_twist_state(p, 1.0, theta=0.3, psi0=math.nan, grid_h=0.01),
+    ])
+    def test_phase(self, demo_params, build):
+        with pytest.raises(NonOrthonormalFrame):
+            build(demo_params)
+
+    @pytest.mark.parametrize("theta", [-0.1, 3.5, math.nan])
+    def test_twist_theta_outside_chart(self, demo_params, theta):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            pure_twist_state(demo_params, 1.0, theta=theta, grid_h=0.01)
 
 
 class TestBodyLoads:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limrod import (
     Configuration,
@@ -21,8 +23,44 @@ from limrod import (
     strains_from_loads,
     write_configuration_csv,
 )
+from limrod.kinematics import CSV_HEADER, _CSV_CHUNK, _euler_directors
+
+from conftest import MALFORMED_CSV_KINDS, malformed_csv_variants
 
 G1, G2, G3 = np.eye(3)
+
+
+def reference_directors(phi, theta, psi) -> np.ndarray:
+    """The per-sample Euler -> directors chart, one scalar frame at a time."""
+    frames = []
+    for ph, ps in zip(phi, psi):
+        sphi, cphi = math.sin(ph), math.cos(ph)
+        sth, cth = math.sin(theta), math.cos(theta)
+        spsi, cpsi = math.sin(ps), math.cos(ps)
+        d3 = np.array([sth * cphi, sth * sphi, cth])
+        e2 = np.array([-sphi, cphi, 0.0])
+        e1 = np.array([cth * cphi, cth * sphi, -sth])
+        frames.append(np.vstack([cpsi * e1 + spsi * e2, -spsi * e1 + cpsi * e2, d3]))
+    return np.stack(frames)
+
+
+def bit_equal(a, b) -> bool:
+    """Equal bit for bit, so -0.0 differs from 0.0 (the CSV prints "-0")."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_csv(config) -> bytes:
+    """Configuration CSV bytes written one f-string at a time."""
+    lines = [CSV_HEADER]
+    for i in range(len(config.s)):
+        row = [config.s[i], *config.points[i], *config.directors[i].ravel()]
+        lines.append(",".join(f"{x:.17g}" for x in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+angles = st.floats(-1e4, 1e4, allow_nan=False)
+thetas = st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi]), st.floats(0.0, math.pi))
 
 
 class TestDirectorsFromEuler:
@@ -78,6 +116,42 @@ class TestDirectorsFromEuler:
         with pytest.raises(NonOrthonormalFrame):
             # left-handed
             Frame(d1=G1, d2=G2, d3=-G3)
+
+
+class TestEulerKernel:
+    """The array chart against the per-sample loop, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(angles, angles), min_size=1, max_size=40), thetas)
+    def test_array_kernel_matches_loop(self, pairs, theta):
+        phi, psi = (np.array(v) for v in zip(*pairs))
+        assert bit_equal(_euler_directors(phi, theta, psi), reference_directors(phi, theta, psi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(angles, thetas, angles)
+    def test_frame_wrapper_matches_loop(self, phi, theta, psi):
+        frame = directors_from_euler(EulerAngles(phi, theta, psi))
+        assert bit_equal(frame.matrix(), reference_directors([phi], theta, [psi])[0])
+
+    def test_signed_zeros_kept(self):
+        # theta = 0 and phi = 0 give -0.0 entries that the CSV prints as "-0"
+        out = _euler_directors(np.zeros(3), 0.0, np.array([0.0, 2.0, -2.0]))
+        assert np.signbit(out).any()
+        assert bit_equal(out, reference_directors(np.zeros(3), 0.0, [0.0, 2.0, -2.0]))
+
+    @pytest.mark.parametrize("theta", [-0.1, 3.2, math.nan])
+    def test_theta_range_enforced(self, theta):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            _euler_directors(np.zeros(2), theta, np.zeros(2))
+
+    def test_nan_angles_fail_validation(self):
+        with pytest.raises(NonOrthonormalFrame):
+            directors_from_euler(EulerAngles(0.0, 0.5, math.nan))
+        dirs = _euler_directors(np.zeros(3), 0.5, np.array([0.0, math.nan, 0.0]))
+        with pytest.raises(NonOrthonormalFrame):
+            Configuration(s=np.linspace(0, 1, 3), points=np.zeros((3, 3)), directors=dirs)
+        with pytest.raises(NonOrthonormalFrame):
+            darboux_components(dirs, 0.5)
 
 
 class TestDarboux:
@@ -288,6 +362,67 @@ class TestConfigurationCsv:
         truncated.write_text("\n".join(lines[:3])[:-7] + "\n")
         with pytest.raises(ValueError):
             read_configuration_csv(truncated)
+
+    def make_wide_config(self, n=2 * _CSV_CHUNK + 7):
+        rng = np.random.default_rng(3)
+        s = np.linspace(0.0, 1.0, n)
+        points = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-300, 300, (n, 3))
+        points[:6, 0] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3, -2.2250738585072014e-308]
+        points[_CSV_CHUNK - 1 : _CSV_CHUNK + 1] = -0.0
+        dirs = _euler_directors(rng.uniform(-7, 7, n), 0.0, rng.uniform(-7, 7, n))
+        return Configuration(s=s, points=points, directors=dirs)
+
+    def test_writer_matches_reference_bytes(self, tmp_path):
+        # 17-digit values, signed zeros, the subnormal minimum and the float
+        # maximum, across chunk boundaries
+        cfg = self.make_wide_config()
+        path = tmp_path / "wide.csv"
+        write_configuration_csv(cfg, path)
+        assert path.read_bytes() == reference_csv(cfg)
+        assert b",-0," in path.read_bytes()
+
+    def test_wide_round_trip_is_exact(self, tmp_path):
+        cfg = self.make_wide_config()
+        path = tmp_path / "wide.csv"
+        write_configuration_csv(cfg, path)
+        back = read_configuration_csv(path)
+        for name in ("s", "points", "directors"):
+            assert bit_equal(getattr(back, name), getattr(cfg, name))
+
+    @pytest.mark.parametrize("kind", MALFORMED_CSV_KINDS)
+    def test_reader_names_the_bad_line(self, tmp_path, kind):
+        good = tmp_path / "good.csv"
+        write_configuration_csv(self.make_config(), good)
+        text, match = malformed_csv_variants(good.read_text())[kind]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_configuration_csv(bad)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda t: t + "\n\n", lambda t: t.replace("\n", "\r\n"), lambda t: t.rstrip("\n"),
+         lambda t: "\n" + t],
+        ids=["trailing blank lines", "crlf", "no final newline", "leading blank line"],
+    )
+    def test_reader_accepts_benign_layouts(self, tmp_path, edit):
+        cfg = self.make_config()
+        good = tmp_path / "good.csv"
+        write_configuration_csv(cfg, good)
+        odd = tmp_path / "odd.csv"
+        odd.write_bytes(edit(good.read_text()).encode("utf-8"))
+        back = read_configuration_csv(odd)
+        assert np.array_equal(back.points, cfg.points)
+        assert np.array_equal(back.directors, cfg.directors)
+
+    @pytest.mark.parametrize("field", ["s", "points"])
+    def test_configuration_rejects_non_finite_samples(self, field):
+        arrays = {"s": np.linspace(0, 1, 4), "points": np.zeros((4, 3)),
+                  "directors": np.tile(np.eye(3), (4, 1, 1))}
+        arrays[field] = arrays[field].copy()
+        arrays[field][2] = math.nan
+        with pytest.raises(ValueError):
+            Configuration(**arrays)
 
     def test_validation_catches_nonuniform_grid(self):
         s = np.array([0.0, 0.3, 1.0])
