@@ -43,6 +43,7 @@ from .equilibrium import (
     write_branch_csv,
 )
 from .errors import (
+    AngleOutOfRange,
     BelowThreshold,
     DefinitenessViolation,
     DegenerateCouple,

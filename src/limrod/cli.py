@@ -76,8 +76,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"{name} = {_fmt(getattr(st, name))}")
     else:
         st = Strains(*c)
-        print(f"Q = {_fmt(strain_quad_form(params, st))}")
         loads = loads_from_strains(params, st)
+        print(f"Q = {_fmt(strain_quad_form(params, st))}")
         for name in ("m1", "m2", "m3", "n1", "n2", "n3"):
             print(f"{name} = {_fmt(getattr(loads, name))}")
     return 0

@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
+_BATCH_BLOCK = 8192  # rows per pass of the batch forward map
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,10 @@ def load_quad_form(params: MaterialParams, loads: Loads) -> float:
     return _load_form(params, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
 
 
-def _compliance(params: MaterialParams, qstar: float) -> float:
-    """Saturating factor F = (gamma^p + Q*^{p/2})^{-1/p}, factored about the
-    larger of gamma and Q*^{1/2} so that no power overflows."""
-    g, rt, p = params.gamma, math.sqrt(qstar), params.p
+def _compliance(params: MaterialParams, rt: float) -> float:
+    """Saturating factor F = (gamma^p + Q*^{p/2})^{-1/p} at rt = Q*^{1/2},
+    factored about the larger of gamma and rt so that no power overflows."""
+    g, p = params.gamma, params.p
     if rt <= g:
         return (1.0 + (rt / g) ** p) ** (-1.0 / p) / g
     return (1.0 + (g / rt) ** p) ** (-1.0 / p) / rt
@@ -210,6 +211,19 @@ def _interior_margin(params: MaterialParams) -> float:
     return 64.0 * _EPS * (1.0 + weight + grad)
 
 
+def _nonfinite_loads(values) -> LoadOutOfRange:
+    return LoadOutOfRange(f"loads are not all finite: {Loads.from_array(values)}")
+
+
+def _pow2_scale(values) -> float:
+    """2^-e, with e the binary exponent of max |value| when that exceeds 1,
+    else 1. Every scaled value then lies below 1 in magnitude, up to the
+    float64 maximum; the power of two is exact, and so is the product save
+    for underflow, which is the correct limit."""
+    c = max(map(abs, values))
+    return math.ldexp(1.0, -math.frexp(c)[1]) if c > 1.0 else 1.0
+
+
 def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     """Forward constitutive map; total on all finite loads.
 
@@ -220,18 +234,21 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
         v_mu   = F n_mu / zeta^2
         v3 - 1 = F (-iota m3 + beta^2 n3) / det
 
-    Loads are prescaled by an exact power of two, so Q*^{p/2} never
-    overflows however large the components. The output satisfies
-    Q(u, v) < 1 with every component strictly inside its limiting bound,
-    at float level: deep in saturation, where rounding alone would park
-    the state on the boundary, the deviation is projected inward by a few
-    parts in 1e15. Raises LoadOutOfRange for a NaN or infinite component.
+    Loads and gamma are prescaled by an exact power of two, so Q*^{p/2}
+    never overflows, up to the float64 maximum in every component. The
+    output satisfies Q(u, v) < 1 with every component strictly inside its
+    limiting bound, at float level: deep in saturation, where rounding
+    alone would park the state on the boundary, the deviation is projected
+    inward by a few parts in 1e15. Raises LoadOutOfRange for a NaN or
+    infinite component.
     """
     validate(params)
     values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
     if not all(map(math.isfinite, values)):
-        raise LoadOutOfRange(f"loads are not all finite: {Loads.from_array(values)}")
-    dev = _forward_dev(params, *values)
+        raise _nonfinite_loads(values)
+    k = _pow2_scale(values)
+    m1, m2, m3, n1, n2, n3 = values
+    dev = _forward_dev(params, params.gamma * k, m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k)
     margin = _interior_margin(params)
     for _ in range(4):
         dv3 = (1.0 + dev[5]) - 1.0
@@ -249,16 +266,13 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     )
 
 
-def _forward_dev(params: MaterialParams, m1, m2, m3, n1, n2, n3) -> np.ndarray:
+def _forward_dev(params: MaterialParams, g, m1, m2, m3, n1, n2, n3) -> np.ndarray:
+    """Strain deviation (u, v - e3) of loads scaled by a power of two, with
+    g = gamma times that power. Floats give shape (6,), arrays of n rows
+    (6, n)."""
     p = params.p
-    c = max(1.0, abs(m1), abs(m2), abs(m3), abs(n1), abs(n2), abs(n3))
-    if c > 1.0:
-        # power-of-two scaling is exact, so this only rewrites the exponents;
-        # gamma/c may underflow for astronomic loads, which is the correct limit
-        c = math.ldexp(1.0, math.frexp(c)[1])
-        m1, m2, m3, n1, n2, n3 = m1 / c, m2 / c, m3 / c, n1 / c, n2 / c, n3 / c
     qs = _load_form(params, m1, m2, m3, n1, n2, n3)
-    f = ((params.gamma / c) ** p + qs ** (0.5 * p)) ** (-1.0 / p)
+    f = (g**p + qs ** (0.5 * p)) ** (-1.0 / p)
     det = params.twist_stretch_det
     return np.array(
         [
@@ -272,42 +286,57 @@ def _forward_dev(params: MaterialParams, m1, m2, m3, n1, n2, n3) -> np.ndarray:
     )
 
 
+def _project_inward(params: MaterialParams, dev: np.ndarray) -> None:
+    """The scalar map's inward projection on the columns of ``dev`` (6, n):
+    Q once over all columns, then re-evaluated and rescaled on the
+    saturated columns only, up to four times."""
+    margin = _interior_margin(params)
+    sub, rows = dev, None
+    for _ in range(4):
+        q = _strain_form(params, *sub[:5], (1.0 + sub[5]) - 1.0)
+        hit = np.flatnonzero(q > 1.0 - margin)
+        if not hit.size:
+            return
+        rows = hit if rows is None else rows[hit]
+        sub = sub[:, hit] * np.sqrt((1.0 - 2.0 * margin) / q[hit])
+        dev[:, rows] = sub
+
+
 def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.ndarray:
     """Vectorized forward map for load sweeps.
 
     ``loads`` has shape (n, 6) with columns (m1, m2, m3, n1, n2, n3); the
     result has shape (n, 6) with columns (u1, u2, u3, v1, v2, v3).
     Matches ``strains_from_loads`` row by row up to a few ulps (vectorized
-    powers round differently from libm).
+    powers round differently from libm); total up to the float64 maximum.
+
+    Rows are mapped ``_BATCH_BLOCK`` at a time, column by column, so each
+    block's temporaries stay in cache; the inward projection re-evaluates
+    only the saturated rows. Per row the arithmetic is that of a single
+    whole-array pass, so the output equals that pass bit for bit (the
+    tests keep it as the reference). Raises ValueError for any other
+    shape, and LoadOutOfRange, with the scalar map's message, for the
+    first row with a NaN or infinite component.
     """
     validate(params)
     loads = np.asarray(loads, dtype=float)
-    p = params.p
-    det = params.twist_stretch_det
-    c = np.maximum(1.0, np.abs(loads).max(axis=1))
-    _, exponents = np.frexp(c)
-    c = np.ldexp(1.0, np.where(c > 1.0, exponents, 0))
-    m1, m2, m3, n1, n2, n3 = (loads / c[:, None]).T
-    qs = _load_form(params, m1, m2, m3, n1, n2, n3)
-    f = ((params.gamma / c) ** p + qs ** (0.5 * p)) ** (-1.0 / p)
-    dev = np.empty_like(loads)
-    dev[:, 0] = f * m1 / params.alpha**2
-    dev[:, 1] = f * m2 / params.alpha**2
-    dev[:, 2] = f * (params.eta**2 * m3 - params.iota * n3) / det
-    dev[:, 3] = f * n1 / params.zeta**2
-    dev[:, 4] = f * n2 / params.zeta**2
-    dev[:, 5] = f * (-params.iota * m3 + params.beta**2 * n3) / det
-    margin = _interior_margin(params)
-    for _ in range(4):
-        dv3 = (1.0 + dev[:, 5]) - 1.0
-        q = _strain_form(params, dev[:, 0], dev[:, 1], dev[:, 2], dev[:, 3], dev[:, 4], dv3)
-        saturated = q > 1.0 - margin
-        if not saturated.any():
-            break
-        scale = np.sqrt((1.0 - 2.0 * margin) / q[saturated])
-        dev[saturated] *= scale[:, None]
-    dev[:, 5] += 1.0
-    return dev
+    if loads.ndim != 2 or loads.shape[1] != 6:
+        raise ValueError(f"loads must have shape (n, 6), got {loads.shape}")
+    out = np.empty(loads.shape)
+    for start in range(0, len(loads), _BATCH_BLOCK):
+        cols = loads[start : start + _BATCH_BLOCK].T
+        c = np.abs(cols[0])
+        for col in cols[1:]:
+            np.maximum(c, np.abs(col), out=c)
+        finite = c < math.inf  # NaN propagates through np.maximum
+        if not finite.all():
+            raise _nonfinite_loads(loads[start + int(finite.argmin())])
+        k = np.ldexp(1.0, -np.where(c > 1.0, np.frexp(c)[1], 0))  # _pow2_scale per row
+        dev = _forward_dev(params, params.gamma * k, *(cols * k))
+        _project_inward(params, dev)
+        dev[5] += 1.0
+        out[start : start + len(c)] = dev.T
+    return out
 
 
 def loads_from_strains(params: MaterialParams, strains: Strains) -> Loads:
@@ -433,6 +462,14 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
     return _stored_beta(params, q, _one_minus_qp(q, p))
 
 
+def _load_root(params: MaterialParams, loads: Loads) -> float:
+    """sqrt(Q*) of power-of-two prescaled loads: finite wherever sqrt(Q*)
+    is, also where Q* itself overflows; inf beyond, NaN for NaN loads."""
+    values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    k = _pow2_scale(values)
+    return math.sqrt(_load_form(params, *(x * k for x in values))) / k
+
+
 def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     """Complementary energy W* = (1/2) * integral_0^{Q*} (gamma^p + t^{p/2})^{-1/p} dt.
 
@@ -440,20 +477,27 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     by -1). Closed forms for p = 1 and p = 2; otherwise the Legendre identity
     W* = F Q* - W(F^2 Q*), with 1 - Q^{p/2} = (gamma F)^p passed to W exactly.
     Against 40-digit mpmath the relative error is below 1e-14 for p in
-    [0.05, 100] and Q* up to 1e300. Raises LoadOutOfRange if Q* is NaN or inf.
+    [0.05, 100] and Q* up to 1e300. Where Q* overflows but sqrt(Q*) does not
+    (finite loads above about 1e154), the same formulas are written in
+    sqrt(Q*) of the prescaled loads. Raises LoadOutOfRange if that is NaN
+    or infinite.
     """
     qstar = load_quad_form(params, loads)
-    if not qstar < math.inf:
+    far = not qstar < math.inf  # inf, or inf - inf = NaN in the iota term
+    rt = _load_root(params, loads) if far else math.sqrt(qstar)
+    if not rt < math.inf:
         raise LoadOutOfRange(f"Q*(m, n) = {qstar!r} is not finite")
     if qstar == 0.0:
         return 0.0
     g, p = params.gamma, params.p
     if p == 2.0:
-        return math.sqrt(g**2 + qstar) - g
+        return (math.hypot(g, rt) if far else math.sqrt(g**2 + qstar)) - g
     if p == 1.0:
-        rt = math.sqrt(qstar)
         return rt - g * math.log1p(rt / g)
-    f = _compliance(params, qstar)
+    f = _compliance(params, rt)
+    if far:
+        fr = f * rt
+        return fr * rt - _stored_beta(params, fr * fr, (g * f) ** p)
     work = f * qstar
     return work - _stored_beta(params, work * f, (g * f) ** p)
 

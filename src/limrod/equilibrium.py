@@ -41,7 +41,13 @@ from typing import Callable
 import numpy as np
 
 from .constitutive import Loads, Strains, loads_from_strains_batch, strains_from_loads
-from .errors import BelowThreshold, DegenerateCouple, LoadOutOfRange, NoBifurcationError
+from .errors import (
+    AngleOutOfRange,
+    BelowThreshold,
+    DegenerateCouple,
+    LoadOutOfRange,
+    NoBifurcationError,
+)
 from .kinematics import Configuration, _derivative, _euler_directors, darboux_components
 from .material import MaterialParams, nondimensionalize, validate
 
@@ -287,6 +293,15 @@ def _grid(grid_h: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
+def _phase(rate: float, s: np.ndarray, psi0: float) -> np.ndarray:
+    """Cross-section phase rate * s + psi0 along the grid. An infinite psi0
+    would fail inside libm's sine; a NaN one gives non-finite frames or
+    loads, which the configuration and the forward map reject."""
+    if math.isinf(psi0):
+        raise AngleOutOfRange(f"psi0 must be finite, got {psi0!r}")
+    return rate * s + psi0
+
+
 def _endpoint_state(pn: MaterialParams, loads_row: np.ndarray) -> dict:
     """Loads and strains at s = 0 as flat six-number arrays (wire format)."""
     loads = Loads(*loads_row)
@@ -310,7 +325,7 @@ def trivial_tensile_state(
     pn = nondimensionalize(validate(params))
     st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust))
     s = _grid(grid_h)
-    psi = st.u3 * s + psi0
+    psi = _phase(st.u3, s, psi0)
     frames = _euler_directors(np.zeros_like(s), 0.0, psi)
     points = np.zeros((len(s), 3))
     points[:, 2] = st.v3 * s
@@ -373,7 +388,7 @@ def sheared_tensile_state(
         )
 
     s = _grid(grid_h)
-    psi = u3 * s + psi0
+    psi = _phase(u3, s, psi0)
     frames = _euler_directors(np.zeros_like(s), theta, psi)
     points = np.zeros((len(s), 3))
     points[:, 2] = (amplitude * sth + v3 * cth) * s
@@ -417,7 +432,7 @@ def pure_twist_state(
     pn = nondimensionalize(validate(params))
     st = strains_from_loads(pn, Loads(0.0, 0.0, twist_couple, 0.0, 0.0, 0.0))
     s = _grid(grid_h)
-    psi = st.u3 * s + psi0
+    psi = _phase(st.u3, s, psi0)
     frames = _euler_directors(np.zeros_like(s), theta, psi)
     d3 = np.array([math.sin(theta), 0.0, math.cos(theta)])
     points = st.v3 * np.outer(s, d3)
@@ -477,7 +492,7 @@ def helical_state(
 
     s = _grid(grid_h)
     phi = dphi * s
-    psi = dpsi * s + psi0
+    psi = _phase(dpsi, s, psi0)
     frames = _euler_directors(phi, theta, psi)
     radius = v3 * sth / dphi
     pitch_rate = v3 * cth

@@ -24,7 +24,13 @@ class StrainOutOfRange(RodModelError):
 
 class LoadOutOfRange(RodModelError):
     """Loads with a NaN or infinite component, or whose dual quadratic form
-    Q* is NaN or overflows."""
+    Q* is NaN or has an overflowing square root."""
+
+
+class AngleOutOfRange(RodModelError, ValueError):
+    """An Euler angle outside the chart: theta not in [0, pi], or an
+    infinite cross-section phase. Also a ValueError, so that callers
+    catching the chart's ValueError still catch it."""
 
 
 class NonOrthonormalFrame(RodModelError):

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constitutive import Loads, Strains, _compliance, load_quad_form
-from .errors import NonOrthonormalFrame
+from .errors import AngleOutOfRange, NonOrthonormalFrame
 from .material import MaterialParams, nondimensionalize, validate
 
 __all__ = [
@@ -77,7 +77,7 @@ class EulerAngles:
 
 def _check_theta(theta: float) -> None:
     if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+        raise AngleOutOfRange(f"theta must lie in [0, pi], got {theta!r}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ def shear_factors(params: MaterialParams, loads: Loads) -> tuple[float, float]:
     """Scalar factors (u_factor, v_factor) in the normalized gauge such that
     u_mu = u_factor * m_mu and v_mu = v_factor * n_mu."""
     pn = nondimensionalize(validate(params))
-    f = _compliance(pn, load_quad_form(pn, loads))
+    f = _compliance(pn, math.sqrt(load_quad_form(pn, loads)))
     return f / pn.alpha**2, f / pn.zeta**2
 
 
@@ -311,7 +311,7 @@ def reduced_residual(
     # Q* only involves psi-rotation invariants, so the {e_k} components can
     # stand in for director components directly.
     director_loads = Loads(loads.M1, loads.M2, loads.M3, loads.N1, loads.N2, loads.N3)
-    f = _compliance(pn, load_quad_form(pn, director_loads))
+    f = _compliance(pn, math.sqrt(load_quad_form(pn, director_loads)))
     u_fac = f / pn.alpha**2
     v_fac = f / pn.zeta**2
     u3 = f * (pn.eta**2 * loads.M3 - pn.iota * loads.N * cth) / pn.twist_stretch_det

@@ -95,7 +95,9 @@ class TestEval:
     def test_inverse_out_of_range_exits_1(self, demo_file, capsys):
         # v3 beyond its bound: |v3-1| >= beta/sqrt(det) = 1/2
         assert main(["eval", demo_file, "inverse", "0", "0", "0", "0", "0", "1.6"]) == 1
-        assert "StrainOutOfRange" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # Q is printed only once the map succeeds
+        assert "StrainOutOfRange" in captured.err
 
 
 class TestBranch:
@@ -240,6 +242,29 @@ class TestNonFiniteStates:
         out = tmp_path / "nan.csv"
         assert main(["state", demo_file, *args, "--grid-h", "0.01", "--out", str(out)]) == 1
         assert error in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+class TestChartErrors:
+    """Angles outside the Euler chart once exited 2, the code for I/O errors."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--family", "twist", "--m3", "1", "--theta", "4"], "theta must lie in"),
+            (["--family", "twist", "--m3", "1", "--theta", "nan"], "theta must lie in"),
+            (["--family", "trivial", "--n-thrust", "1", "--psi0", "inf"], "psi0 must be finite"),
+            (["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0=-inf"],
+             "psi0 must be finite"),
+        ],
+        ids=["theta=4", "theta=nan", "trivial psi0=inf", "helix psi0=-inf"],
+    )
+    def test_state_exits_1_and_writes_nothing(self, demo_file, tmp_path, capsys, args, message):
+        out = tmp_path / "bad.csv"
+        assert main(["state", demo_file, *args, "--grid-h", "0.01", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"AngleOutOfRange: {message}" in captured.err
         assert not out.exists() and not out.with_suffix(".json").exists()
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 
 import limrod
@@ -30,6 +32,7 @@ from limrod import (
     strains_from_loads_batch,
     symmetry_transform,
 )
+from limrod.constitutive import _BATCH_BLOCK, _interior_margin, _load_form, _strain_form
 
 from conftest import (
     P_GRID,
@@ -139,6 +142,99 @@ class TestForwardMap:
         assert out[0, 5] - 1 == pytest.approx(0.5, rel=1e-10)  # beta/sqrt(det) = 1/2
 
 
+def unblocked_forward_batch(params, loads):
+    """The batch forward map as whole-array passes, with the inward
+    projection re-evaluated over every row: the reference that the blocked
+    map must equal bit for bit on finite rows below 2^1023."""
+    loads = np.asarray(loads, dtype=float)
+    p = params.p
+    det = params.twist_stretch_det
+    c = np.maximum(1.0, np.abs(loads).max(axis=1))
+    _, exponents = np.frexp(c)
+    c = np.ldexp(1.0, np.where(c > 1.0, exponents, 0))
+    m1, m2, m3, n1, n2, n3 = (loads / c[:, None]).T
+    qs = _load_form(params, m1, m2, m3, n1, n2, n3)
+    f = ((params.gamma / c) ** p + qs ** (0.5 * p)) ** (-1.0 / p)
+    dev = np.empty_like(loads)
+    dev[:, 0] = f * m1 / params.alpha**2
+    dev[:, 1] = f * m2 / params.alpha**2
+    dev[:, 2] = f * (params.eta**2 * m3 - params.iota * n3) / det
+    dev[:, 3] = f * n1 / params.zeta**2
+    dev[:, 4] = f * n2 / params.zeta**2
+    dev[:, 5] = f * (-params.iota * m3 + params.beta**2 * n3) / det
+    margin = _interior_margin(params)
+    for _ in range(4):
+        dv3 = (1.0 + dev[:, 5]) - 1.0
+        q = _strain_form(params, dev[:, 0], dev[:, 1], dev[:, 2], dev[:, 3], dev[:, 4], dv3)
+        saturated = q > 1.0 - margin
+        if not saturated.any():
+            break
+        scale = np.sqrt((1.0 - 2.0 * margin) / q[saturated])
+        dev[saturated] *= scale[:, None]
+    dev[:, 5] += 1.0
+    return dev
+
+
+P_BATCH = (1.0, 1.5, 2.0, 3.0, 4.0, 7.0)
+B = _BATCH_BLOCK
+
+
+class TestForwardBatchBlocks:
+    """The blocked batch map against the unblocked reference, bit for bit
+    (int64 views, so -0.0 != 0.0), and its range up to the float64 maximum."""
+
+    @staticmethod
+    def load_rows(rng, n):
+        loads = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(n, 1))
+        zeros = rng.random((n, 6)) < 0.05
+        loads[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+        # saturated rows, Q* up to about 1e300, in the first and the last block
+        for block in {0, (n - 1) // B} if n else ():
+            lo, hi = block * B, min(n, block * B + B)
+            rows = np.unique([lo, hi - 1, *rng.integers(lo, hi, size=20)])
+            loads[rows] *= 10.0 ** rng.uniform(20.0, 150.0, size=(len(rows), 1))
+        return loads
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=hst.sampled_from(P_BATCH),
+        n=hst.sampled_from((0, 1, B - 1, B, B + 1, 3 * B + 17)),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_equals_unblocked_bit_for_bit(self, p, n, seed):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, p=p, normalized=False)
+        loads = self.load_rows(rng, n)
+        want = unblocked_forward_batch(params, loads)
+        got = strains_from_loads_batch(params, loads)
+        assert got.shape == (n, 6)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if n:  # the projection fired in the first and the last row
+            dev = got[[0, -1]] - [0, 0, 0, 0, 0, 1]
+            q = _strain_form(params, *dev.T)
+            assert (q < 1.0).all() and (q > 1.0 - 4.0 * _interior_margin(params)).all()
+
+    @pytest.mark.parametrize("p", P_BATCH)
+    def test_total_up_to_float_max(self, p):
+        params = mk(eta=2.0, iota=0.5, zeta=0.7, p=p)
+        rows = [[sys.float_info.max] * 6, [sys.float_info.max, -sys.float_info.max] * 3]
+        for slot in range(6):
+            for value in (sys.float_info.max, -sys.float_info.max, 2.0**1023):
+                row = [0.3, -0.2, 0.5, 0.1, 0.0, 1.25]
+                row[slot] = value
+                rows.append(row)
+        batch = strains_from_loads_batch(params, rows)
+        for row, got in zip(rows, batch):
+            for strains in (strains_from_loads(params, Loads(*row)), Strains(*got)):
+                assert all(map(math.isfinite, strains.as_array())), row
+                assert strain_quad_form(params, strains) < 1.0, row
+
+    def test_shape_checked(self):
+        for bad in (np.zeros((3, 5)), np.zeros(6), np.zeros((2, 3, 6))):
+            with pytest.raises(ValueError, match=r"^loads must have shape \(n, 6\), got "):
+                strains_from_loads_batch(mk(), bad)
+
+
 class TestInverseMap:
     def test_reference_unloaded(self):
         assert loads_from_strains(mk(eta=2.0, iota=0.5), REF) == Loads.zero()
@@ -233,6 +329,20 @@ class TestNonFiniteLoads:
         name = ("m1", "m2", "m3", "n1", "n2", "n3")[index]
         with pytest.raises(LoadOutOfRange, match=f"not all finite: Loads\\(.*{name}={value!r}"):
             strains_from_loads(mk(eta=2.0), Loads(*comps))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("row", [0, B + 3])
+    def test_batch_raises_scalar_message_for_first_bad_row(self, row, index, value):
+        params = mk(eta=2.0)
+        rows = np.tile([0.3, -0.2, 0.5, 0.1, 0.0, 1.25], (2 * B + 5, 1))
+        rows[row, index] = value
+        rows[row + 7] = math.nan  # a later bad row is not the one reported
+        with pytest.raises(LoadOutOfRange) as scalar:
+            strains_from_loads(params, Loads(*rows[row]))
+        with pytest.raises(LoadOutOfRange) as batch:
+            strains_from_loads_batch(params, rows)
+        assert str(batch.value) == str(scalar.value)
 
 
 class TestEnergies:
@@ -412,8 +522,26 @@ class TestBetaEnergies:
     def test_nonfinite_load_form_raises(self, p):
         with pytest.raises(LoadOutOfRange):
             complementary_energy(mk(p=p), Loads(math.nan, 0, 0, 0, 0, 0))
-        with pytest.raises(LoadOutOfRange):
-            complementary_energy(mk(p=p), Loads(0, 0, 0, 0, 0, 1e200))  # Q* overflows
+        with pytest.raises(LoadOutOfRange):  # sqrt(Q*), and so W*, overflows
+            complementary_energy(mk(p=p), Loads(*[sys.float_info.max] * 6))
+
+    @pytest.mark.parametrize("p", (1.0, 2.0, 1.5, 3.0, 7.0))
+    def test_complementary_where_qstar_overflows(self, p):
+        # Q* is inf, or NaN from inf - inf in the coupled term; sqrt(Q*) is finite
+        cases = [(mk(gamma=2.5, p=p), Loads(0, 0, 0, 0, 0, n3)) for n3 in (1e160, 1e250, 1e300)]
+        cases.append((mk(gamma=2.5, eta=2.0, iota=0.5, p=p), Loads(0, 0, 1e200, 0, 0, 1e200)))
+        for params, loads in cases:
+            assert not load_quad_form(params, loads) < math.inf
+            with mpmath.workdps(40):
+                m3, n3 = mpmath.mpf(loads.m3), mpmath.mpf(loads.n3)
+                qstar = (params.eta**2 * m3**2 + n3**2 - 2 * params.iota * m3 * n3) / (
+                    params.eta**2 - mpmath.mpf(params.iota) ** 2
+                )
+                if p == 1.0:  # B(x; 2, 0) diverges at x = 1, which x rounds to
+                    ref = mpmath.sqrt(qstar) - 2.5 * mpmath.log1p(mpmath.sqrt(qstar) / 2.5)
+                else:
+                    ref = self.ref_complementary(qstar, p, 2.5)
+            assert abs(complementary_energy(params, loads) - ref) <= 1e-13 * ref, (p, loads)
 
     def test_import_loads_no_scipy(self):
         code = "import sys, limrod; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

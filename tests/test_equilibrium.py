@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from limrod import (
+    AngleOutOfRange,
     BelowThreshold,
     BranchPoint,
     DegenerateCouple,
@@ -548,6 +549,18 @@ class TestNonFiniteInputs:
     def test_twist_theta_outside_chart(self, demo_params, theta):
         with pytest.raises(ValueError, match="theta must lie in"):
             pure_twist_state(demo_params, 1.0, theta=theta, grid_h=0.01)
+
+    @pytest.mark.parametrize("psi0", [math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda p, psi0: trivial_tensile_state(p, 1.0, psi0=psi0, grid_h=0.01),
+        lambda p, psi0: sheared_tensile_state(p, 2.0, psi0=psi0, grid_h=0.01),
+        lambda p, psi0: pure_twist_state(p, 1.0, theta=0.3, psi0=psi0, grid_h=0.01),
+        lambda p, psi0: helical_state(p, 1.0, theta=0.5, psi0=psi0, grid_h=0.01),
+    ], ids=["trivial", "sheared", "twist", "helix"])
+    def test_infinite_phase(self, demo_params, build, psi0):
+        # once libm's "math domain error" from the sine of the phase
+        with pytest.raises(AngleOutOfRange, match="^psi0 must be finite"):
+            build(demo_params, psi0)
 
 
 class TestBodyLoads:

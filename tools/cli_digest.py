@@ -61,6 +61,7 @@ BAD_STATES = [
     ("helix m1=inf", ["--family", "helix", "--m1", "inf", "--theta", "0.5"]),
     ("twist theta=nan", ["--family", "twist", "--m3", "1", "--theta", "nan"]),
     ("twist theta=4", ["--family", "twist", "--m3", "1", "--theta", "4"]),
+    ("helix psi0=inf", ["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0", "inf"]),
     ("sheared below threshold", ["--family", "sheared", "--n-thrust", "1.0"]),
 ]
 
