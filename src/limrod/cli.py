@@ -211,9 +211,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _negative_numbers_as_values(argv: list[str]) -> list[str]:
+    """argparse reads a token such as -1e300 or -inf as an option flag. No
+    option of this CLI looks like a number, so such a token is always a
+    value: after an option it is attached as --option=value, and as a
+    positional it gets a leading space, which float() ignores and which
+    no option flag starts with."""
+    out: list[str] = []
+    for token in argv:
+        if token.startswith("-") and _is_number(token):
+            if out and out[-1].startswith("--") and "=" not in out[-1]:
+                out[-1] += "=" + token
+                continue
+            token = " " + token
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_negative_numbers_as_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except RodModelError as exc:

@@ -294,21 +294,28 @@ def _grid(grid_h: float) -> np.ndarray:
 
 
 def _phase(rate: float, s: np.ndarray, psi0: float) -> np.ndarray:
-    """Cross-section phase rate * s + psi0 along the grid. An infinite psi0
-    would fail inside libm's sine; a NaN one gives non-finite frames or
-    loads, which the configuration and the forward map reject."""
-    if math.isinf(psi0):
+    """Cross-section phase rate * s + psi0 along the grid. A psi0 that is
+    not finite has no frame: libm's sine fails on inf and returns NaN."""
+    if not math.isfinite(psi0):
         raise AngleOutOfRange(f"psi0 must be finite, got {psi0!r}")
     return rate * s + psi0
 
 
-def _endpoint_state(pn: MaterialParams, loads_row: np.ndarray) -> dict:
-    """Loads and strains at s = 0 as flat six-number arrays (wire format)."""
-    loads = Loads(*loads_row)
-    return {
-        "loads0": loads.as_array().tolist(),
-        "strains0": strains_from_loads(pn, loads).as_array().tolist(),
-    }
+def _family_state(
+    pn: MaterialParams, s: np.ndarray, frames: np.ndarray, points: np.ndarray,
+    loads: np.ndarray, **descriptor,
+) -> EquilibriumState:
+    """A family's sampled state. The descriptor gains the keys every family
+    shares: phi0, the params, and the loads and strains at s = 0 as flat
+    six-number arrays (wire format)."""
+    loads0 = Loads(*loads[0])
+    descriptor.update(
+        loads0=loads0.as_array().tolist(),
+        strains0=strains_from_loads(pn, loads0).as_array().tolist(),
+        phi0=0.0,
+        params=asdict(pn),
+    )
+    return EquilibriumState(Configuration(s=s, points=points, directors=frames), loads, descriptor)
 
 
 def trivial_tensile_state(
@@ -331,21 +338,9 @@ def trivial_tensile_state(
     points[:, 2] = st.v3 * s
     loads = np.zeros((len(s), 6))
     loads[:, 5] = thrust
-    descriptor = {
-        "family": "trivial",
-        **_endpoint_state(pn, loads[0]),
-        "thrust": thrust,
-        "theta": 0.0,
-        "psi0": psi0,
-        "phi0": 0.0,
-        "grid_h": grid_h,
-        "params": asdict(pn),
-        "strains": {"u3": st.u3, "v3": st.v3},
-    }
-    return EquilibriumState(
-        configuration=Configuration(s=s, points=points, directors=frames),
-        loads=loads,
-        descriptor=descriptor,
+    return _family_state(
+        pn, s, frames, points, loads, family="trivial", thrust=thrust, theta=0.0, psi0=psi0,
+        grid_h=grid_h, strains={"u3": st.u3, "v3": st.v3},
     )
 
 
@@ -378,10 +373,19 @@ def sheared_tensile_state(
 
     # Internal consistency: the saturating factor of the branch loads must
     # match its closed form det/(beta^2 N cos(theta)) * k.
-    qstar = thrust**2 * (sth**2 / pn.zeta**2 + pn.beta**2 * cth**2 / det)
-    f_direct = (1.0 + qstar ** (0.5 * pn.p)) ** (-1.0 / pn.p)
-    f_branch = det / (pn.beta**2 * thrust * cth) * k
-    identity_residual = abs(f_direct - f_branch) / f_branch
+    try:
+        qp = (thrust**2 * (sth**2 / pn.zeta**2 + pn.beta**2 * cth**2 / det)) ** (0.5 * pn.p)
+    except OverflowError:
+        qp = math.inf
+    if math.isfinite(qp):  # Q*^{p/2}
+        f_direct = (1.0 + qp) ** (-1.0 / pn.p)
+        f_branch = det / (pn.beta**2 * thrust * cth) * k
+        identity_residual = abs(f_direct - f_branch) / f_branch
+    else:
+        # beyond the float range, the same ratio is v3 - 1 of the prescaled
+        # forward map over k
+        st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth))
+        identity_residual = abs((st.v3 - 1.0) - k) / k
     if identity_residual > 1e-8:
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"
@@ -396,22 +400,10 @@ def sheared_tensile_state(
     loads[:, 3] = -thrust * sth * np.cos(psi)
     loads[:, 4] = thrust * sth * np.sin(psi)
     loads[:, 5] = thrust * cth
-    descriptor = {
-        "family": "sheared",
-        **_endpoint_state(pn, loads[0]),
-        "thrust": thrust,
-        "theta": theta,
-        "psi0": psi0,
-        "phi0": 0.0,
-        "grid_h": grid_h,
-        "params": asdict(pn),
-        "strains": {"u3": u3, "v3": v3, "v_shear_amplitude": amplitude},
-        "identity_residual": identity_residual,
-    }
-    return EquilibriumState(
-        configuration=Configuration(s=s, points=points, directors=frames),
-        loads=loads,
-        descriptor=descriptor,
+    return _family_state(
+        pn, s, frames, points, loads, family="sheared", thrust=thrust, theta=theta, psi0=psi0,
+        grid_h=grid_h, strains={"u3": u3, "v3": v3, "v_shear_amplitude": amplitude},
+        identity_residual=identity_residual,
     )
 
 
@@ -438,21 +430,9 @@ def pure_twist_state(
     points = st.v3 * np.outer(s, d3)
     loads = np.zeros((len(s), 6))
     loads[:, 2] = twist_couple
-    descriptor = {
-        "family": "twist",
-        **_endpoint_state(pn, loads[0]),
-        "twist_couple": twist_couple,
-        "theta": theta,
-        "psi0": psi0,
-        "phi0": 0.0,
-        "grid_h": grid_h,
-        "params": asdict(pn),
-        "strains": {"u3": st.u3, "v3": st.v3},
-    }
-    return EquilibriumState(
-        configuration=Configuration(s=s, points=points, directors=frames),
-        loads=loads,
-        descriptor=descriptor,
+    return _family_state(
+        pn, s, frames, points, loads, family="twist", twist_couple=twist_couple, theta=theta,
+        psi0=psi0, grid_h=grid_h, strains={"u3": st.u3, "v3": st.v3},
     )
 
 
@@ -483,11 +463,22 @@ def helical_state(
     sth, cth = math.sin(theta), math.cos(theta)
     cot = 0.0 if theta == 0.5 * math.pi else cth / sth
     m3 = -bend_couple * cot
-    qstar = bend_couple**2 * (1.0 / pn.alpha**2 + pn.eta**2 * cot**2 / det)
-    f = (1.0 + qstar ** (0.5 * pn.p)) ** (-1.0 / pn.p)
-    u3 = -f * pn.eta**2 * bend_couple * cot / det
-    v3 = 1.0 + f * pn.iota * bend_couple * cot / det
-    dphi = -f * bend_couple / (pn.alpha**2 * sth)
+    try:
+        qp = (bend_couple**2 * (1.0 / pn.alpha**2 + pn.eta**2 * cot**2 / det)) ** (0.5 * pn.p)
+    except OverflowError:
+        qp = math.inf
+    if math.isfinite(qp):  # Q*^{p/2}
+        f = (1.0 + qp) ** (-1.0 / pn.p)
+        amplitude = f * bend_couple / pn.alpha**2
+        u3 = -f * pn.eta**2 * bend_couple * cot / det
+        v3 = 1.0 + f * pn.iota * bend_couple * cot / det
+        dphi = -f * bend_couple / (pn.alpha**2 * sth)
+    else:
+        # beyond the float range, the prescaled forward map at the psi = 0
+        # loads, which rejects an infinite M3
+        st = strains_from_loads(pn, Loads(bend_couple, 0.0, m3, 0.0, 0.0, 0.0))
+        amplitude, u3, v3 = st.u1, st.u3, st.v3
+        dphi = -amplitude / sth
     dpsi = u3 - cth * dphi
 
     s = _grid(grid_h)
@@ -504,31 +495,12 @@ def helical_state(
     loads[:, 0] = bend_couple * np.cos(psi)
     loads[:, 1] = -bend_couple * np.sin(psi)
     loads[:, 2] = m3
-    descriptor = {
-        "family": "helix",
-        **_endpoint_state(pn, loads[0]),
-        "bend_couple": bend_couple,
-        "twist_couple": m3,
-        "theta": theta,
-        "psi0": psi0,
-        "phi0": 0.0,
-        "grid_h": grid_h,
-        "params": asdict(pn),
-        "strains": {
-            "u3": u3,
-            "v3": v3,
-            "u_flexure_amplitude": f * bend_couple / pn.alpha**2,
-        },
-        "phi_rate": dphi,
-        "psi_rate": dpsi,
-        "helix_radius": radius,
-        "helix_pitch_rate": pitch_rate,
-        "pitch_per_turn": 2.0 * math.pi * abs(pitch_rate / dphi),
-    }
-    return EquilibriumState(
-        configuration=Configuration(s=s, points=points, directors=frames),
-        loads=loads,
-        descriptor=descriptor,
+    return _family_state(
+        pn, s, frames, points, loads, family="helix", bend_couple=bend_couple, twist_couple=m3,
+        theta=theta, psi0=psi0, grid_h=grid_h,
+        strains={"u3": u3, "v3": v3, "u_flexure_amplitude": amplitude},
+        phi_rate=dphi, psi_rate=dpsi, helix_radius=radius, helix_pitch_rate=pitch_rate,
+        pitch_per_turn=2.0 * math.pi * abs(pitch_rate / dphi),
     )
 
 

@@ -350,7 +350,8 @@ def test_criterion_9_equilibrium_residuals():
             print(f"  {name}: residuals " + " ".join(f"{x:.2e}" for x in seq)
                   + f" ({checked} signal-dominated halvings at order >= 1.9)")
 
-        # helix radius and pitch, measured on fourth-order integrator output
+        # helix radius and pitch, measured on the order-4 Magnus integrator's
+        # output (the psi-rotating strains of this chiral helix are not constant)
         state = lr.helical_state(chiral, 1.2, theta=0.9, grid_h=1e-2)
         radius = state.descriptor["helix_radius"]
         pitch_rate = state.descriptor["helix_pitch_rate"]

@@ -85,12 +85,20 @@ class TestEval:
         for key, expected in zip(("m1", "m2", "m3", "n1", "n2", "n3"), loads):
             assert back[key] == pytest.approx(float(expected), rel=1e-10, abs=1e-12)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_forward_non_finite_exits_1(self, demo_file, capsys, value):
         assert main(["eval", demo_file, "forward", value, "0", "0", "0", "0", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"LoadOutOfRange: loads are not all finite: Loads(m1={value}," in captured.err
+
+    @pytest.mark.parametrize("value", ["-1e300", "-1.5e-3"])
+    def test_negative_scientific_component(self, demo_file, capsys, value):
+        # argparse alone takes these for option flags and exits 2
+        assert main(["eval", demo_file, "forward", "0", "0", "0", "0", "0", value]) == 0
+        captured = capsys.readouterr()
+        assert parse_report(captured.out)["v3"] < 1.0
+        assert captured.err == ""
 
     def test_inverse_out_of_range_exits_1(self, demo_file, capsys):
         # v3 beyond its bound: |v3-1| >= beta/sqrt(det) = 1/2
@@ -234,7 +242,7 @@ class TestNonFiniteStates:
             (["--family", "twist", "--m3", "nan"], "LoadOutOfRange"),
             (["--family", "helix", "--m1", "nan", "--theta", "0.5"], "LoadOutOfRange"),
             (["--family", "trivial", "--n-thrust", "nan"], "LoadOutOfRange"),
-            (["--family", "trivial", "--n-thrust", "1", "--psi0", "nan"], "NonOrthonormalFrame"),
+            (["--family", "trivial", "--n-thrust", "1", "--psi0", "nan"], "AngleOutOfRange"),
         ],
         ids=["twist m3", "helix m1", "trivial thrust", "trivial psi0"],
     )
@@ -256,8 +264,13 @@ class TestChartErrors:
             (["--family", "trivial", "--n-thrust", "1", "--psi0", "inf"], "psi0 must be finite"),
             (["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0=-inf"],
              "psi0 must be finite"),
+            (["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0", "-inf"],
+             "psi0 must be finite"),
+            (["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0", "nan"],
+             "psi0 must be finite"),
         ],
-        ids=["theta=4", "theta=nan", "trivial psi0=inf", "helix psi0=-inf"],
+        ids=["theta=4", "theta=nan", "trivial psi0=inf", "helix psi0=-inf",
+             "helix psi0 -inf", "helix psi0=nan"],
     )
     def test_state_exits_1_and_writes_nothing(self, demo_file, tmp_path, capsys, args, message):
         out = tmp_path / "bad.csv"

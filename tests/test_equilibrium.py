@@ -15,7 +15,6 @@ from limrod import (
     MaterialParams,
     NoBifurcation,
     NoBifurcationError,
-    NonOrthonormalFrame,
     StrainOutOfRange,
     Strains,
     branch_sweep,
@@ -540,9 +539,12 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("build", [
         lambda p: trivial_tensile_state(p, 1.0, psi0=math.nan, grid_h=0.01),
         lambda p: pure_twist_state(p, 1.0, theta=0.3, psi0=math.nan, grid_h=0.01),
+        lambda p: sheared_tensile_state(p, 2.0, psi0=math.nan, grid_h=0.01),
+        lambda p: helical_state(p, 1.0, theta=0.5, psi0=math.nan, grid_h=0.01),
     ])
     def test_phase(self, demo_params, build):
-        with pytest.raises(NonOrthonormalFrame):
+        # once NonOrthonormalFrame or LoadOutOfRange, from the NaN frames
+        with pytest.raises(AngleOutOfRange, match="^psi0 must be finite, got nan"):
             build(demo_params)
 
     @pytest.mark.parametrize("theta", [-0.1, 3.5, math.nan])
@@ -561,6 +563,35 @@ class TestNonFiniteInputs:
         # once libm's "math domain error" from the sine of the phase
         with pytest.raises(AngleOutOfRange, match="^psi0 must be finite"):
             build(demo_params, psi0)
+
+
+class TestLoadsBeyondOverflow:
+    """Loads whose Q*^{p/2} overflows once raised a raw OverflowError."""
+
+    @pytest.mark.parametrize("couple", [1e200, -1e300])
+    def test_helix(self, demo_params, couple):
+        state = helical_state(demo_params, couple, theta=0.5, grid_h=0.01)
+        strains = state.descriptor["strains"]
+        # deep in saturation: the strains of a large finite-Q* couple, up to
+        # the forward map's inward projection (about 1e-13 here)
+        near = helical_state(demo_params, math.copysign(1e150, couple), theta=0.5, grid_h=0.01)
+        for key, value in near.descriptor["strains"].items():
+            assert strains[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
+        st = strains_from_loads(demo_params, Loads.from_array(state.descriptor["loads0"]))
+        assert (strains["u_flexure_amplitude"], strains["u3"]) == (st.u1, st.u3)
+
+    def test_helix_infinite_twist_couple(self, demo_params):
+        # M3 = -M1 cot(theta) overflows
+        with pytest.raises(LoadOutOfRange, match="^loads are not all finite"):
+            helical_state(demo_params, 1e200, theta=1e-200, grid_h=0.01)
+
+    @pytest.mark.parametrize("thrust", [1e200, 1.7976931348623157e308])
+    def test_sheared(self, demo_params, thrust):
+        state = sheared_tensile_state(demo_params, thrust, grid_h=0.01)
+        assert state.descriptor["identity_residual"] < 1e-12
+        assert state.descriptor["theta"] == pytest.approx(
+            sheared_angle_limit(demo_params), rel=1e-12
+        )
 
 
 class TestBodyLoads:

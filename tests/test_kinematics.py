@@ -16,6 +16,7 @@ from limrod import (
     darboux_components,
     directors_from_euler,
     frame_loads,
+    helical_state,
     read_configuration_csv,
     reconstruct,
     shear_factors,
@@ -282,7 +283,7 @@ class TestReconstruct:
         def field(s):
             return Strains(0, 0, c, 0, 0, 1)
 
-        errs = []
+        # a constant field has a constant Magnus generator: exact steps
         for h in (0.02, 0.01):
             cfg = reconstruct(field, np.zeros(3), Frame(G1, G2, G3), grid_h=h)
             worst = 0.0
@@ -290,8 +291,42 @@ class TestReconstruct:
                 expected = directors_from_euler(EulerAngles(0.0, 0.0, c * si)).matrix()
                 worst = max(worst, np.abs(cfg.directors[i] - expected).max())
             np.testing.assert_allclose(cfg.points[-1], [0, 0, 1], atol=1e-12)
-            errs.append(worst)
+            assert worst <= 1e-13
+
+    def test_fourth_order_on_varying_field(self):
+        def field(s):
+            return Strains(
+                0.5 * math.sin(3 * s), 0.4 * math.cos(2 * s), 0.8, 0.05, -0.02, 1.1
+            )
+
+        start = Frame(G1, G2, G3)
+        ref = reconstruct(field, np.zeros(3), start, grid_h=1.0 / 1280)
+        errs = []
+        for n in (20, 40):
+            cfg = reconstruct(field, np.zeros(3), start, grid_h=1.0 / n)
+            k = 1280 // n
+            errs.append(max(np.abs(cfg.points - ref.points[::k]).max(),
+                            np.abs(cfg.directors - ref.directors[::k]).max()))
+        assert errs[0] < 1e-7
         assert errs[0] / errs[1] > 11.0  # fourth order
+
+    def test_helical_state_rebuilt_exactly(self):
+        # an achiral rod with eta^2 = det/alpha^2 has psi' = 0 (to rounding),
+        # so its helix has constant strains: exact even at h = 0.1
+        state = helical_state(
+            MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.0, 2.0), 1.2, theta=0.9, grid_h=0.1
+        )
+        d = state.descriptor
+        amp, u3, v3 = (d["strains"][k] for k in ("u_flexure_amplitude", "u3", "v3"))
+
+        def field(s):
+            psi = d["psi_rate"] * s
+            return Strains(amp * math.cos(psi), -amp * math.sin(psi), u3, 0.0, 0.0, v3)
+
+        cfg = state.configuration
+        rebuilt = reconstruct(field, cfg.points[0], cfg.frame(0), grid_h=0.1)
+        assert np.abs(rebuilt.points - cfg.points).max() <= 1e-13
+        assert np.abs(rebuilt.directors - cfg.directors).max() <= 1e-13
 
     def test_frames_stay_orthonormal(self):
         def field(s):

@@ -12,8 +12,9 @@ that print the same lines behave the same on these commands, byte for byte.
 
 The commands are the five state families on ``params/demo.json`` and
 ``params/dna.json`` at h = 1e-4, each followed by ``check``; ``validate``,
-``eval`` and ``branch``; and error cases: non-finite inputs, out-of-range
-inputs and malformed configuration CSVs handed to ``check``.
+``eval`` and ``branch``; loads whose Q*^{p/2} overflows, and a negative
+number in scientific notation; and error cases: non-finite inputs,
+out-of-range inputs and malformed configuration CSVs handed to ``check``.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -62,6 +63,8 @@ BAD_STATES = [
     ("twist theta=nan", ["--family", "twist", "--m3", "1", "--theta", "nan"]),
     ("twist theta=4", ["--family", "twist", "--m3", "1", "--theta", "4"]),
     ("helix psi0=inf", ["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0", "inf"]),
+    ("helix psi0 -inf", ["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0", "-inf"]),
+    ("helix psi0=nan", ["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0", "nan"]),
     ("sheared below threshold", ["--family", "sheared", "--n-thrust", "1.0"]),
 ]
 
@@ -141,6 +144,15 @@ def commands(params_dir: Path, tmp: Path):
     yield "eval forward inf", ["eval", demo, "forward", "0", "0", "0", "0", "0", "inf"], [], None
     yield "eval inverse out of range", [
         "eval", demo, "inverse", "0", "0", "0", "0", "0", "1.6"], [], None
+    yield "eval forward -1e300", [
+        "eval", demo, "forward", "0", "0", "0", "0", "0", "-1e300"], [], None
+    for label, args in (
+        ("helix m1=1e200", ["--family", "helix", "--m1", "1e200", "--theta", "0.5"]),
+        ("sheared N=1e200", ["--family", "sheared", "--n-thrust", "1e200"]),
+    ):
+        out = tmp / f"{label.split()[0]}-overflow.csv"
+        yield f"state {label}", ["state", demo, *args, "--grid-h", "0.01", "--out", str(out)], [
+            out, out.with_suffix(".json")], None
     for i, (label, args) in enumerate(BAD_STATES):
         out = tmp / f"bad-{i}.csv"
         yield f"state {label}", ["state", demo, *args, "--grid-h", "0.01", "--out", str(out)], [
