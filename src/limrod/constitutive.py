@@ -160,15 +160,6 @@ def load_quad_form(params: MaterialParams, loads: Loads) -> float:
     return _load_form(params, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
 
 
-def _compliance(params: MaterialParams, rt: float) -> float:
-    """Saturating factor F = (gamma^p + Q*^{p/2})^{-1/p} at rt = Q*^{1/2},
-    factored about the larger of gamma and rt so that no power overflows."""
-    g, p = params.gamma, params.p
-    if rt <= g:
-        return (1.0 + (rt / g) ** p) ** (-1.0 / p) / g
-    return (1.0 + (g / rt) ** p) ** (-1.0 / p) / rt
-
-
 def _one_minus_qp(q: float, p: float) -> float:
     """1 - Q^{p/2}, evaluated without cancellation loss near Q = 1."""
     if q <= 0.0:
@@ -224,6 +215,43 @@ def _pow2_scale(values) -> float:
     return math.ldexp(1.0, -math.frexp(c)[1]) if c > 1.0 else 1.0
 
 
+def _factor(p: float, gp, qstar):
+    """The saturating factor F = (gamma^p + Q*^{p/2})^{-1/p} of the forward
+    map from gp = gamma^p, on floats or arrays: the one place F is written.
+    The sheared branch function calls it with gp = N^-p (gamma = 1/N)."""
+    return (gp + qstar ** (0.5 * p)) ** (-1.0 / p)
+
+
+def _saturating_factor(p: float, g, qstar):
+    """F at gamma = g, or 0 (F's limit at Q* = inf, the sign to prescale)
+    where a power leaves the float range. ``qstar`` may be a function that
+    forms Q*, so that a float ``**`` overflowing there is caught too."""
+    try:
+        return _factor(p, g**p, qstar() if callable(qstar) else qstar)
+    except OverflowError:  # a float power; numpy's inf makes F 0 by itself
+        return 0.0
+
+
+def _scaled_factor(p: float, g, qstar: float) -> float:
+    """F(g, Q*) = c F(c g, c^2 Q*), evaluated at the power of two c that
+    brings max(g, sqrt(Q*)) into [1/2, 1): there F's powers see operands of
+    order 1, so F keeps full accuracy, and none of them can overflow."""
+    c = math.ldexp(1.0, -math.frexp(max(g, math.sqrt(qstar)))[1])
+    return _factor(p, (g * c) ** p, qstar * c * c) * c
+
+
+def _load_scale(params: MaterialParams, loads: Loads):
+    """(Q*, k): Q* of the loads times k^2 for a power of two k, 1 where Q* is
+    finite. Where it overflows (inf, or inf - inf = NaN) the loads are
+    prescaled, so that sqrt(Q*)/k stays finite wherever sqrt(Q*) is."""
+    qstar = _load_form(params, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    if qstar < math.inf:
+        return qstar, 1.0
+    values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    k = _pow2_scale(values)
+    return _load_form(params, *(x * k for x in values)), k
+
+
 def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     """Forward constitutive map; total on all finite loads.
 
@@ -234,13 +262,13 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
         v_mu   = F n_mu / zeta^2
         v3 - 1 = F (-iota m3 + beta^2 n3) / det
 
-    Loads and gamma are prescaled by an exact power of two, so Q*^{p/2}
-    never overflows, up to the float64 maximum in every component. The
-    output satisfies Q(u, v) < 1 with every component strictly inside its
-    limiting bound, at float level: deep in saturation, where rounding
-    alone would park the state on the boundary, the deviation is projected
-    inward by a few parts in 1e15. Raises LoadOutOfRange for a NaN or
-    infinite component.
+    Loads and gamma are prescaled by an exact power of two k, so Q*^{p/2}
+    never overflows, up to the float64 maximum in every component; where
+    (gamma k)^p would, gamma joins the scale. The output satisfies
+    Q(u, v) < 1 with every component strictly inside its limiting bound,
+    at float level: deep in saturation, where rounding alone would park
+    the state on the boundary, the deviation is projected inward by a few
+    parts in 1e15. Raises LoadOutOfRange for a NaN or infinite component.
     """
     validate(params)
     values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
@@ -248,7 +276,15 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
         raise _nonfinite_loads(values)
     k = _pow2_scale(values)
     m1, m2, m3, n1, n2, n3 = values
-    dev = _forward_dev(params, params.gamma * k, m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k)
+    m1, m2, m3, n1, n2, n3 = m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k
+    qstar = _load_form(params, m1, m2, m3, n1, n2, n3)
+    f = _saturating_factor(params.p, params.gamma * k, qstar)
+    if not f > 0.0:  # (gamma k)^p overflowed: gamma joins the scale
+        k = _pow2_scale((params.gamma, *values))
+        m1, m2, m3, n1, n2, n3 = (x * k for x in values)
+        qstar = _load_form(params, m1, m2, m3, n1, n2, n3)
+        f = _saturating_factor(params.p, params.gamma * k, qstar)
+    dev = _forward_dev(params, f, m1, m2, m3, n1, n2, n3)
     margin = _interior_margin(params)
     for _ in range(4):
         dv3 = (1.0 + dev[5]) - 1.0
@@ -266,13 +302,10 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     )
 
 
-def _forward_dev(params: MaterialParams, g, m1, m2, m3, n1, n2, n3) -> np.ndarray:
+def _forward_dev(params: MaterialParams, f, m1, m2, m3, n1, n2, n3) -> np.ndarray:
     """Strain deviation (u, v - e3) of loads scaled by a power of two, with
-    g = gamma times that power. Floats give shape (6,), arrays of n rows
-    (6, n)."""
-    p = params.p
-    qs = _load_form(params, m1, m2, m3, n1, n2, n3)
-    f = (g**p + qs ** (0.5 * p)) ** (-1.0 / p)
+    f the saturating factor at that scale. Floats give shape (6,), arrays
+    of n rows (6, n)."""
     det = params.twist_stretch_det
     return np.array(
         [
@@ -323,6 +356,7 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     if loads.ndim != 2 or loads.shape[1] != 6:
         raise ValueError(f"loads must have shape (n, 6), got {loads.shape}")
     out = np.empty(loads.shape)
+    p, gamma = params.p, params.gamma
     for start in range(0, len(loads), _BATCH_BLOCK):
         cols = loads[start : start + _BATCH_BLOCK].T
         c = np.abs(cols[0])
@@ -332,7 +366,15 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
         if not finite.all():
             raise _nonfinite_loads(loads[start + int(finite.argmin())])
         k = np.ldexp(1.0, -np.where(c > 1.0, np.frexp(c)[1], 0))  # _pow2_scale per row
-        dev = _forward_dev(params, params.gamma * k, *(cols * k))
+        scaled = cols * k
+        with np.errstate(over="ignore"):  # only a (gamma k)^p, rescaled below
+            f = _saturating_factor(p, gamma * k, _load_form(params, *scaled))
+        if not (f > 0.0).all():  # rows whose (gamma k)^p overflowed: gamma joins the scale
+            over = np.flatnonzero(~(f > 0.0))
+            k = np.ldexp(1.0, -np.frexp(np.maximum(c[over], gamma))[1])
+            scaled[:, over] = cols[:, over] * k
+            f[over] = _saturating_factor(p, gamma * k, _load_form(params, *scaled[:, over]))
+        dev = _forward_dev(params, f, *scaled)
         _project_inward(params, dev)
         dev[5] += 1.0
         out[start : start + len(c)] = dev.T
@@ -462,14 +504,6 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
     return _stored_beta(params, q, _one_minus_qp(q, p))
 
 
-def _load_root(params: MaterialParams, loads: Loads) -> float:
-    """sqrt(Q*) of power-of-two prescaled loads: finite wherever sqrt(Q*)
-    is, also where Q* itself overflows; inf beyond, NaN for NaN loads."""
-    values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
-    k = _pow2_scale(values)
-    return math.sqrt(_load_form(params, *(x * k for x in values))) / k
-
-
 def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     """Complementary energy W* = (1/2) * integral_0^{Q*} (gamma^p + t^{p/2})^{-1/p} dt.
 
@@ -477,29 +511,26 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     by -1). Closed forms for p = 1 and p = 2; otherwise the Legendre identity
     W* = F Q* - W(F^2 Q*), with 1 - Q^{p/2} = (gamma F)^p passed to W exactly.
     Against 40-digit mpmath the relative error is below 1e-14 for p in
-    [0.05, 100] and Q* up to 1e300. Where Q* overflows but sqrt(Q*) does not
-    (finite loads above about 1e154), the same formulas are written in
-    sqrt(Q*) of the prescaled loads. Raises LoadOutOfRange if that is NaN
-    or infinite.
+    [0.05, 100] and Q* up to 1e300. The formulas run at the power-of-two
+    scale k of ``_load_scale``, W*(gamma, Q*) = W*(k gamma, k^2 Q*)/k, so W*
+    is finite wherever sqrt(Q*) is, and F comes from ``_scaled_factor``.
+    Raises LoadOutOfRange if sqrt(Q*) is NaN or infinite.
     """
-    qstar = load_quad_form(params, loads)
-    far = not qstar < math.inf  # inf, or inf - inf = NaN in the iota term
-    rt = _load_root(params, loads) if far else math.sqrt(qstar)
-    if not rt < math.inf:
-        raise LoadOutOfRange(f"Q*(m, n) = {qstar!r} is not finite")
+    validate(params)
+    qstar, k = _load_scale(params, loads)
+    rt = math.sqrt(qstar)
+    if not rt / k < math.inf:
+        raise LoadOutOfRange(f"sqrt Q*(m, n) = {rt / k!r} is not finite")
     if qstar == 0.0:
         return 0.0
-    g, p = params.gamma, params.p
+    g, p = params.gamma * k, params.p
     if p == 2.0:
-        return (math.hypot(g, rt) if far else math.sqrt(g**2 + qstar)) - g
+        return (math.sqrt(g**2 + qstar) - g) / k
     if p == 1.0:
-        return rt - g * math.log1p(rt / g)
-    f = _compliance(params, rt)
-    if far:
-        fr = f * rt
-        return fr * rt - _stored_beta(params, fr * fr, (g * f) ** p)
+        return (rt - g * math.log1p(rt / g)) / k
+    f = _scaled_factor(p, g, qstar)
     work = f * qstar
-    return work - _stored_beta(params, work * f, (g * f) ** p)
+    return work / k - _stored_beta(params, work * f, (g * f) ** p)
 
 
 def _form_matrix(params: MaterialParams) -> np.ndarray:

@@ -40,7 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import Loads, Strains, loads_from_strains_batch, strains_from_loads
+from .constitutive import Loads, Strains, _factor, _saturating_factor
+from .constitutive import loads_from_strains_batch, strains_from_loads
 from .errors import (
     AngleOutOfRange,
     BelowThreshold,
@@ -160,12 +161,10 @@ class BalanceReport:
 # bifurcation threshold and sheared angle
 
 
-def _branch_constants(pn: MaterialParams) -> tuple[float, float]:
-    """(det, ratio) with det = beta^2 eta^2 - iota^2 and
-    ratio = det / (beta^2 zeta^2), the moduli ratio governing the sheared
-    branch; its dilatation is 1/(ratio - 1)."""
-    det = pn.twist_stretch_det
-    return det, det / (pn.beta**2 * pn.zeta**2)
+def _branch_ratio(pn: MaterialParams) -> float:
+    """ratio = det / (beta^2 zeta^2), with det = beta^2 eta^2 - iota^2: the
+    moduli ratio governing the sheared branch; its dilatation is 1/(ratio - 1)."""
+    return pn.twist_stretch_det / (pn.beta**2 * pn.zeta**2)
 
 
 def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
@@ -181,7 +180,7 @@ def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
     with det = beta^2 eta^2 - iota^2 and ratio = det/(beta^2 zeta^2).
     """
     pn = nondimensionalize(validate(params))
-    det, ratio = _branch_constants(pn)
+    det, ratio = pn.twist_stretch_det, _branch_ratio(pn)
     if not ratio > 1.0:
         return NoBifurcation(
             condition="dilatation-positivity",
@@ -213,10 +212,10 @@ def _require_threshold(pn: MaterialParams) -> float:
 
 def _branch_fn(pn: MaterialParams, thrust: float, x: float) -> float:
     """Monotone function f_N(cos theta) whose unique root gives the sheared
-    angle; strictly increasing on [0, 1]."""
-    det, _ = _branch_constants(pn)
+    angle; strictly increasing on [0, 1]: F at gamma = 1/N, Q* = g, times x."""
+    det = pn.twist_stretch_det
     g = (1.0 - x * x) / pn.zeta**2 + pn.beta**2 * x * x / det
-    return (thrust**-pn.p + g ** (0.5 * pn.p)) ** (-1.0 / pn.p) * pn.beta**2 * x / det
+    return _factor(pn.p, thrust**-pn.p, g) * pn.beta**2 * x / det
 
 
 def sheared_angle(params: MaterialParams, thrust: float) -> float:
@@ -231,7 +230,7 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     thresh = _require_threshold(pn)
     if not thrust > thresh:
         raise BelowThreshold(f"thrust {thrust!r} <= threshold {thresh!r}")
-    _, ratio = _branch_constants(pn)
+    ratio = _branch_ratio(pn)
     target = 1.0 / (ratio - 1.0)
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_TOL:
@@ -286,36 +285,41 @@ def thrust_strain_limits(params: MaterialParams) -> ThrustLimits:
 # state constructors
 
 
-def _grid(grid_h: float) -> np.ndarray:
+def _family_state(
+    pn: MaterialParams, grid_h: float, theta: float, psi0: float, rates: tuple[float, float],
+    e_loads: tuple[float, ...], centerline: Callable, **descriptor,
+) -> EquilibriumState:
+    """A family's sampled state around its closed form: directors at the
+    Euler angles (phi' s, theta, psi' s + psi0), rates = (phi', psi'),
+    points ``centerline(s, phi)``, and the loads e_loads = (M1, M3, N1, N3)
+    held in the {e_k} basis (M2 = N2 = 0), M1 and N1 turned by psi into
+    director-frame columns (a zero one leaves them +0). The descriptor
+    gains the keys every family shares: theta, psi0, grid_h, phi0, the
+    params, and the loads and strains at s = 0 as flat six-number arrays."""
     if not 0.0 < grid_h <= 0.1:
         raise ValueError(f"grid_h must lie in (0, 0.1], got {grid_h!r}")
     n = max(2, round(1.0 / grid_h))
-    return np.linspace(0.0, 1.0, n + 1)
-
-
-def _phase(rate: float, s: np.ndarray, psi0: float) -> np.ndarray:
-    """Cross-section phase rate * s + psi0 along the grid. A psi0 that is
-    not finite has no frame: libm's sine fails on inf and returns NaN."""
-    if not math.isfinite(psi0):
+    s = np.linspace(0.0, 1.0, n + 1)
+    if not math.isfinite(psi0):  # no frame: libm's sine fails on inf, returns NaN
         raise AngleOutOfRange(f"psi0 must be finite, got {psi0!r}")
-    return rate * s + psi0
-
-
-def _family_state(
-    pn: MaterialParams, s: np.ndarray, frames: np.ndarray, points: np.ndarray,
-    loads: np.ndarray, **descriptor,
-) -> EquilibriumState:
-    """A family's sampled state. The descriptor gains the keys every family
-    shares: phi0, the params, and the loads and strains at s = 0 as flat
-    six-number arrays (wire format)."""
+    phi, psi = rates[0] * s, rates[1] * s + psi0
+    frames = _euler_directors(phi, theta, psi)
+    loads = np.zeros((len(s), 6))
+    m1, loads[:, 2], n1, loads[:, 5] = e_loads
+    for col, value in ((0, m1), (3, n1)):
+        if value:
+            loads[:, col] = value * np.cos(psi)
+            loads[:, col + 1] = -value * np.sin(psi)
     loads0 = Loads(*loads[0])
     descriptor.update(
+        theta=theta, psi0=psi0, grid_h=grid_h,
         loads0=loads0.as_array().tolist(),
         strains0=strains_from_loads(pn, loads0).as_array().tolist(),
         phi0=0.0,
         params=asdict(pn),
     )
-    return EquilibriumState(Configuration(s=s, points=points, directors=frames), loads, descriptor)
+    configuration = Configuration(s=s, points=centerline(s, phi), directors=frames)
+    return EquilibriumState(configuration, loads, descriptor)
 
 
 def trivial_tensile_state(
@@ -331,22 +335,16 @@ def trivial_tensile_state(
     """
     pn = nondimensionalize(validate(params))
     st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust))
-    s = _grid(grid_h)
-    psi = _phase(st.u3, s, psi0)
-    frames = _euler_directors(np.zeros_like(s), 0.0, psi)
-    points = np.zeros((len(s), 3))
-    points[:, 2] = st.v3 * s
-    loads = np.zeros((len(s), 6))
-    loads[:, 5] = thrust
     return _family_state(
-        pn, s, frames, points, loads, family="trivial", thrust=thrust, theta=0.0, psi0=psi0,
-        grid_h=grid_h, strains={"u3": st.u3, "v3": st.v3},
+        pn, grid_h, 0.0, psi0, (0.0, st.u3), (0.0, 0.0, 0.0, thrust),
+        lambda s, phi: np.outer(s, (0.0, 0.0, st.v3)),
+        family="trivial", thrust=thrust, strains={"u3": st.u3, "v3": st.v3},
     )
 
 
 def _sheared_strains(pn: MaterialParams, theta: float) -> tuple[float, float, float, float]:
     """(k = v3 - 1, u3, v3, shear amplitude) of the sheared branch at tilt theta."""
-    _, ratio = _branch_constants(pn)
+    ratio = _branch_ratio(pn)
     k = 1.0 / (ratio - 1.0)
     return k, -pn.iota * k / pn.beta**2, 1.0 + k, k * ratio * math.tan(theta)
 
@@ -373,12 +371,10 @@ def sheared_tensile_state(
 
     # Internal consistency: the saturating factor of the branch loads must
     # match its closed form det/(beta^2 N cos(theta)) * k.
-    try:
-        qp = (thrust**2 * (sth**2 / pn.zeta**2 + pn.beta**2 * cth**2 / det)) ** (0.5 * pn.p)
-    except OverflowError:
-        qp = math.inf
-    if math.isfinite(qp):  # Q*^{p/2}
-        f_direct = (1.0 + qp) ** (-1.0 / pn.p)
+    f_direct = _saturating_factor(
+        pn.p, 1.0, lambda: thrust**2 * (sth**2 / pn.zeta**2 + pn.beta**2 * cth**2 / det)
+    )
+    if f_direct > 0.0:
         f_branch = det / (pn.beta**2 * thrust * cth) * k
         identity_residual = abs(f_direct - f_branch) / f_branch
     else:
@@ -390,20 +386,11 @@ def sheared_tensile_state(
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"
         )
-
-    s = _grid(grid_h)
-    psi = _phase(u3, s, psi0)
-    frames = _euler_directors(np.zeros_like(s), theta, psi)
-    points = np.zeros((len(s), 3))
-    points[:, 2] = (amplitude * sth + v3 * cth) * s
-    loads = np.zeros((len(s), 6))
-    loads[:, 3] = -thrust * sth * np.cos(psi)
-    loads[:, 4] = thrust * sth * np.sin(psi)
-    loads[:, 5] = thrust * cth
     return _family_state(
-        pn, s, frames, points, loads, family="sheared", thrust=thrust, theta=theta, psi0=psi0,
-        grid_h=grid_h, strains={"u3": u3, "v3": v3, "v_shear_amplitude": amplitude},
-        identity_residual=identity_residual,
+        pn, grid_h, theta, psi0, (0.0, u3), (0.0, 0.0, -thrust * sth, thrust * cth),
+        lambda s, phi: np.outer(s, (0.0, 0.0, amplitude * sth + v3 * cth)),
+        family="sheared", thrust=thrust, identity_residual=identity_residual,
+        strains={"u3": u3, "v3": v3, "v_shear_amplitude": amplitude},
     )
 
 
@@ -423,16 +410,11 @@ def pure_twist_state(
     """
     pn = nondimensionalize(validate(params))
     st = strains_from_loads(pn, Loads(0.0, 0.0, twist_couple, 0.0, 0.0, 0.0))
-    s = _grid(grid_h)
-    psi = _phase(st.u3, s, psi0)
-    frames = _euler_directors(np.zeros_like(s), theta, psi)
     d3 = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    points = st.v3 * np.outer(s, d3)
-    loads = np.zeros((len(s), 6))
-    loads[:, 2] = twist_couple
     return _family_state(
-        pn, s, frames, points, loads, family="twist", twist_couple=twist_couple, theta=theta,
-        psi0=psi0, grid_h=grid_h, strains={"u3": st.u3, "v3": st.v3},
+        pn, grid_h, theta, psi0, (0.0, st.u3), (0.0, twist_couple, 0.0, 0.0),
+        lambda s, phi: st.v3 * np.outer(s, d3),
+        family="twist", twist_couple=twist_couple, strains={"u3": st.u3, "v3": st.v3},
     )
 
 
@@ -463,12 +445,10 @@ def helical_state(
     sth, cth = math.sin(theta), math.cos(theta)
     cot = 0.0 if theta == 0.5 * math.pi else cth / sth
     m3 = -bend_couple * cot
-    try:
-        qp = (bend_couple**2 * (1.0 / pn.alpha**2 + pn.eta**2 * cot**2 / det)) ** (0.5 * pn.p)
-    except OverflowError:
-        qp = math.inf
-    if math.isfinite(qp):  # Q*^{p/2}
-        f = (1.0 + qp) ** (-1.0 / pn.p)
+    f = _saturating_factor(
+        pn.p, 1.0, lambda: bend_couple**2 * (1.0 / pn.alpha**2 + pn.eta**2 * cot**2 / det)
+    )
+    if f > 0.0:
         amplitude = f * bend_couple / pn.alpha**2
         u3 = -f * pn.eta**2 * bend_couple * cot / det
         v3 = 1.0 + f * pn.iota * bend_couple * cot / det
@@ -480,24 +460,14 @@ def helical_state(
         amplitude, u3, v3 = st.u1, st.u3, st.v3
         dphi = -amplitude / sth
     dpsi = u3 - cth * dphi
-
-    s = _grid(grid_h)
-    phi = dphi * s
-    psi = _phase(dpsi, s, psi0)
-    frames = _euler_directors(phi, theta, psi)
     radius = v3 * sth / dphi
     pitch_rate = v3 * cth
-    points = np.empty((len(s), 3))
-    points[:, 0] = radius * np.sin(phi)
-    points[:, 1] = radius * (1.0 - np.cos(phi))
-    points[:, 2] = pitch_rate * s
-    loads = np.zeros((len(s), 6))
-    loads[:, 0] = bend_couple * np.cos(psi)
-    loads[:, 1] = -bend_couple * np.sin(psi)
-    loads[:, 2] = m3
     return _family_state(
-        pn, s, frames, points, loads, family="helix", bend_couple=bend_couple, twist_couple=m3,
-        theta=theta, psi0=psi0, grid_h=grid_h,
+        pn, grid_h, theta, psi0, (dphi, dpsi), (bend_couple, m3, 0.0, 0.0),
+        lambda s, phi: np.column_stack(
+            [radius * np.sin(phi), radius * (1.0 - np.cos(phi)), pitch_rate * s]
+        ),
+        family="helix", bend_couple=bend_couple, twist_couple=m3,
         strains={"u3": u3, "v3": v3, "u_flexure_amplitude": amplitude},
         phi_rate=dphi, psi_rate=dpsi, helix_radius=radius, helix_pitch_rate=pitch_rate,
         pitch_per_turn=2.0 * math.pi * abs(pitch_rate / dphi),
@@ -506,10 +476,6 @@ def helical_state(
 
 # ---------------------------------------------------------------------------
 # balance verification
-
-
-def _fd(values: np.ndarray, h: float) -> np.ndarray:
-    return (values[2:] - values[:-2]) / (2.0 * h)
 
 
 def check_balance(
@@ -529,9 +495,9 @@ def check_balance(
     if len(cfg.s) < 5:
         raise ValueError("need at least five samples to evaluate residuals")
     n_vec, m_vec = state.spatial_loads()
-    dn = _fd(n_vec, h)
-    dm = _fd(m_vec, h)
-    dr = _fd(cfg.points, h)
+    dn = _derivative(n_vec, h)[1:-1]
+    dm = _derivative(m_vec, h)[1:-1]
+    dr = _derivative(cfg.points, h)[1:-1]
     s_mid = cfg.s[1:-1]
     f = np.zeros_like(dn)
     l = np.zeros_like(dm)

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _compliance, load_quad_form
+from .constitutive import Loads, Strains, _load_scale, _scaled_factor
 from .errors import AngleOutOfRange, NonOrthonormalFrame
 from .material import MaterialParams, nondimensionalize, validate
 
@@ -201,24 +201,24 @@ class FrameLoads:
 
 def _derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order d/ds along axis 0: central interior, one-sided ends."""
+    if len(values) < 3:
+        raise ValueError(f"difference stencils need at least three samples, got {len(values)}")
     d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    np.subtract(values[2:], values[:-2], out=d[1:-1])  # in place: no temporaries
+    d[1:-1] /= 2.0 * h
     d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
     d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return d
 
 
-def darboux_components(frames: Sequence[Frame] | np.ndarray, h: float) -> np.ndarray:
-    """Darboux vector components (u . d_k) of a sampled frame field.
+def darboux_components(frames: np.ndarray, h: float) -> np.ndarray:
+    """Darboux vector components (u . d_k) of frames sampled (n, 3, 3).
 
     Uses u = (1/2) sum_k d_k x d_k' with second-order difference stencils,
     so the result carries an O(h^2) discretization error. Returns shape
     (n, 3). Raises NonOrthonormalFrame if any sample fails the tolerance.
     """
-    if isinstance(frames, np.ndarray):
-        dirs = np.asarray(frames, dtype=float)
-    else:
-        dirs = np.stack([f.matrix() for f in frames])
+    dirs = np.asarray(frames, dtype=float)
     if dirs.ndim != 3 or dirs.shape[1:] != (3, 3) or dirs.shape[0] < 3:
         raise ValueError("need at least three frame samples of shape (3, 3)")
     gram = np.einsum("nij,nkj->nik", dirs, dirs)
@@ -275,9 +275,11 @@ def frame_loads(loads: Loads, angles: EulerAngles, thrust: float) -> FrameLoads:
 
 def shear_factors(params: MaterialParams, loads: Loads) -> tuple[float, float]:
     """Scalar factors (u_factor, v_factor) in the normalized gauge such that
-    u_mu = u_factor * m_mu and v_mu = v_factor * n_mu."""
+    u_mu = u_factor * m_mu and v_mu = v_factor * n_mu: the saturating factor
+    F over alpha^2 and zeta^2, positive and finite for every finite load."""
     pn = nondimensionalize(validate(params))
-    f = _compliance(pn, math.sqrt(load_quad_form(pn, loads)))
+    qstar, k = _load_scale(pn, loads)
+    f = _scaled_factor(pn.p, k, qstar) * k
     return f / pn.alpha**2, f / pn.zeta**2
 
 
@@ -312,9 +314,8 @@ def reduced_residual(
     # Q* only involves psi-rotation invariants, so the {e_k} components can
     # stand in for director components directly.
     director_loads = Loads(loads.M1, loads.M2, loads.M3, loads.N1, loads.N2, loads.N3)
-    f = _compliance(pn, math.sqrt(load_quad_form(pn, director_loads)))
-    u_fac = f / pn.alpha**2
-    v_fac = f / pn.zeta**2
+    u_fac, v_fac = shear_factors(pn, director_loads)
+    f = u_fac * pn.alpha**2
     u3 = f * (pn.eta**2 * loads.M3 - pn.iota * loads.N * cth) / pn.twist_stretch_det
     return np.array(
         [
@@ -325,7 +326,7 @@ def reduced_residual(
             dM2
             + (loads.M1 * cth + loads.M3 * sth) * dphi
             - loads.N * v3 * sth
-            + loads.N**2 * v_fac * cth * sth,
+            + loads.N * v_fac * loads.N * cth * sth,
             dM3,
         ]
     )

@@ -100,6 +100,15 @@ class TestEval:
         assert parse_report(captured.out)["v3"] < 1.0
         assert captured.err == ""
 
+    def test_forward_with_gamma_power_beyond_float_range(self, tmp_path, capsys):
+        # validate accepts gamma = 1e16 with p = 20; g**p once raised a raw
+        # OverflowError here
+        path = write_params(tmp_path, gamma=1e16, p=20.0)
+        assert main(["eval", path, "forward", "0", "0", "0", "0", "0", "1"]) == 0
+        assert parse_report(capsys.readouterr().out)["v3"] == 1.0  # 1 + 2.5e-17
+        assert main(["eval", path, "forward", "1", "0", "0", "0", "0", "1"]) == 0
+        assert parse_report(capsys.readouterr().out)["u1"] == pytest.approx(1e-16, rel=1e-14)
+
     def test_inverse_out_of_range_exits_1(self, demo_file, capsys):
         # v3 beyond its bound: |v3-1| >= beta/sqrt(det) = 1/2
         assert main(["eval", demo_file, "inverse", "0", "0", "0", "0", "0", "1.6"]) == 1
@@ -282,6 +291,18 @@ class TestChartErrors:
 
 
 class TestCheckMalformedCsv:
+    def test_two_samples_exit_2(self, demo_file, tmp_path, capsys):
+        # well formed, but the difference stencils need three samples; this
+        # once escaped as an IndexError
+        path = tmp_path / "two.csv"
+        path.write_text(
+            "s,rx,ry,rz,d1x,d1y,d1z,d2x,d2y,d2z,d3x,d3y,d3z\n"
+            "0,0,0,0,1,0,0,0,1,0,0,0,1\n1,0,0,1,1,0,0,0,1,0,0,0,1\n"
+        )
+        assert main(["check", str(path), demo_file]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: difference stencils need at least three samples, got 2\n"
+
     @pytest.mark.parametrize("kind", MALFORMED_CSV_KINDS)
     def test_exits_2(self, demo_file, tmp_path, capsys, kind):
         good = tmp_path / "good.csv"

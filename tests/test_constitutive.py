@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,6 +234,62 @@ class TestForwardBatchBlocks:
         for bad in (np.zeros((3, 5)), np.zeros(6), np.zeros((2, 3, 6))):
             with pytest.raises(ValueError, match=r"^loads must have shape \(n, 6\), got "):
                 strains_from_loads_batch(mk(), bad)
+
+
+class TestGammaPowerOverflow:
+    """gamma^p beyond the float range, which ``validate`` accepts (gamma =
+    1e16 with p = 20): the scalar map once raised OverflowError, and the
+    batch map returned u = 0 with a RuntimeWarning."""
+
+    PARAMS = mk(gamma=1e16, eta=2.0, iota=0.5, p=20.0)
+    ROWS = [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.3, -0.2, 0.5, 0.1, 0.0, 1.25],
+        [0.0, 0.0, 1e10, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1e20],
+        [1e300, 0.0, 0.0, 0.0, 0.0, -1e300],
+    ]
+    FITS = [False, False, True, True, True]  # (gamma k)^p finite at the loads' own scale k
+
+    def reference_dev(self, row):
+        """Strain deviation (u, v - e3) in 40 digits, before any projection."""
+        prm = self.PARAMS
+        with mpmath.workdps(40):
+            m1, m2, m3, n1, n2, n3 = map(mpmath.mpf, row)
+            det = mpmath.mpf(prm.beta) ** 2 * prm.eta**2 - mpmath.mpf(prm.iota) ** 2
+            qstar = (m1**2 + m2**2) / prm.alpha**2 + (n1**2 + n2**2) / prm.zeta**2 + (
+                prm.eta**2 * m3**2 + prm.beta**2 * n3**2 - 2 * prm.iota * m3 * n3
+            ) / det
+            f = (mpmath.mpf(prm.gamma) ** prm.p + qstar ** (prm.p / 2)) ** (-1 / prm.p)
+            dev = [m1, m2, (prm.eta**2 * m3 - prm.iota * n3) / det, n1, n2,
+                   (-prm.iota * m3 + prm.beta**2 * n3) / det]
+            return np.array([float(f * x) for x in dev])
+
+    def test_scalar_against_mpmath(self):
+        for row in self.ROWS:
+            dev = strains_from_loads(self.PARAMS, Loads(*row)).as_array() - [0, 0, 0, 0, 0, 1]
+            ref = self.reference_dev(row)
+            # saturated rows carry the inward projection, about 1e-13 here
+            np.testing.assert_allclose(dev[:5], ref[:5], rtol=1e-12, atol=1e-300)
+            assert abs(dev[5] - ref[5]) <= 2.3e-16 + 1e-12 * abs(ref[5])  # v3 = 1 + (v3 - 1)
+
+    def test_batch_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = strains_from_loads_batch(self.PARAMS, self.ROWS)
+        for row, got in zip(self.ROWS, out):
+            st = strains_from_loads(self.PARAMS, Loads(*row))
+            np.testing.assert_allclose(got, st.as_array(), rtol=1e-12, atol=1e-300)
+        # rows whose (gamma k)^p fits keep the bits of the plain formula
+        with np.errstate(over="ignore"):
+            want = unblocked_forward_batch(self.PARAMS, self.ROWS)
+        assert np.array_equal(out[self.FITS].view(np.int64), want[self.FITS].view(np.int64))
+
+    def test_complementary_energy(self):
+        # Q* = n3^2 beta^2/det is far below gamma^2, so W* = Q*/(2 gamma) to
+        # first order
+        w = complementary_energy(self.PARAMS, Loads(0, 0, 0, 0, 0, 1))
+        assert w == pytest.approx(1.0 / 3.75 / 2e16, rel=1e-15)
 
 
 class TestInverseMap:

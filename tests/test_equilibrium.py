@@ -593,6 +593,20 @@ class TestLoadsBeyondOverflow:
             sheared_angle_limit(demo_params), rel=1e-12
         )
 
+    @pytest.mark.parametrize("thrust", [1e200, 1e300])
+    def test_reduced_residual_of_sheared_state(self, demo_params, thrust):
+        # N^2 overflowed as a float power; the shear factor's Q* overflows too
+        state = sheared_tensile_state(demo_params, thrust, grid_h=0.01)
+        theta, u3 = state.descriptor["theta"], state.descriptor["strains"]["u3"]
+        sth, cth = math.sin(theta), math.cos(theta)
+        fl = FrameLoads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth, thrust)
+        res = reduced_residual(
+            demo_params, EulerAngles(0.0, theta, 0.0), (0.0, 0.0, u3), fl, (0.0, 0.0, 0.0),
+            state.descriptor["strains"]["v3"],
+        )
+        assert np.isfinite(res).all()
+        assert np.abs(res).max() <= 1e-12 * thrust
+
 
 class TestBodyLoads:
     def test_body_force_enters_force_residual(self, demo_params):

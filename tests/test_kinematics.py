@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,16 +256,38 @@ class TestShearFactors:
         assert v_fac == pytest.approx(0.125, rel=1e-14)
 
     def test_consistent_with_forward_map(self):
+        # scales from 1e160 up make Q* overflow (inf, or inf - inf = NaN
+        # for a chiral set), while the forward map and sqrt(Q*) stay finite
         from conftest import random_params
 
         rng = np.random.default_rng(41)
         for _ in range(100):
             params = random_params(rng)
-            loads = Loads(*rng.standard_normal(6))
-            u_fac, v_fac = shear_factors(params, loads)
-            st = strains_from_loads(params, loads)
-            assert u_fac * loads.m1 == pytest.approx(st.u1, rel=1e-12, abs=1e-15)
-            assert v_fac * loads.n2 == pytest.approx(st.v2, rel=1e-12, abs=1e-15)
+            base = rng.standard_normal(6)
+            for scale in (1.0, 1e160, 1e200, 1e300):
+                loads = Loads(*(base * scale).tolist())
+                u_fac, v_fac = shear_factors(params, loads)
+                st = strains_from_loads(params, loads)
+                assert u_fac * loads.m1 == pytest.approx(st.u1, rel=1e-12, abs=1e-15)
+                assert v_fac * loads.n2 == pytest.approx(st.v2, rel=1e-12, abs=1e-15)
+
+    def test_where_qstar_overflows(self):
+        demo = MaterialParams(alpha=1, beta=1, gamma=1, zeta=1, eta=2, iota=0, p=2)
+        # Q* = n3^2 beta^2/det = 1e400/4, so F = 1/sqrt(Q*) = 2e-200
+        for factor in shear_factors(demo, Loads(0, 0, 0, 0, 0, 1e200)):
+            assert factor == pytest.approx(2e-200, rel=1e-15)
+        # Q* = 2.5e199 is finite, Q*^{p/2} is not
+        p4 = MaterialParams(alpha=1, beta=1, gamma=1, zeta=1, eta=2, iota=0, p=4)
+        for factor in shear_factors(p4, Loads(0, 0, 0, 0, 0, 1e100)):
+            assert factor == pytest.approx(2e-100, rel=1e-15)
+        # chiral: eta^2 m3^2 + n3^2 - 2 iota m3 n3 is inf - inf in floats
+        chiral = MaterialParams(alpha=1, beta=1, gamma=1, zeta=1, eta=2, iota=0.5, p=2)
+        with mpmath.workdps(30):
+            x = mpmath.mpf(1e200)
+            qstar = (4 * x**2 + x**2 - 2 * 0.5 * x * x) / (4 - mpmath.mpf(0.5) ** 2)
+            f = (1 + qstar) ** -0.5
+        for factor in shear_factors(chiral, Loads(0, 0, 1e200, 0, 0, 1e200)):
+            assert factor == pytest.approx(float(f), rel=1e-14)
 
 
 class TestReconstruct:

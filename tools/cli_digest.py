@@ -10,11 +10,14 @@ the command writes (the state CSV and its JSON sidecar, the branch table),
 with the temporary directory's path replaced by ``<tmp>``. Two checkouts
 that print the same lines behave the same on these commands, byte for byte.
 
-The commands are the five state families on ``params/demo.json`` and
-``params/dna.json`` at h = 1e-4, each followed by ``check``; ``validate``,
-``eval`` and ``branch``; loads whose Q*^{p/2} overflows, and a negative
-number in scientific notation; and error cases: non-finite inputs,
-out-of-range inputs and malformed configuration CSVs handed to ``check``.
+The commands are the five state families at h = 1e-4, each followed by
+``check``, with ``validate``, ``eval`` and ``branch``, on three materials:
+``params/demo.json``, ``params/dna.json`` and a chiral p = 1.5 variant of
+demo (iota = 0.3, shear threshold about 2.32) that the tool writes into
+its temporary directory. Then loads whose Q*^{p/2} overflows, and a
+negative number in scientific notation; and error cases: non-finite
+inputs, out-of-range inputs and malformed or too short configuration CSVs
+handed to ``check``.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -33,6 +36,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -51,7 +55,11 @@ PIPELINES = [
     ("helix", ["--m1", "1.0", "--theta", "0.9", "--psi0", "0.3"]),
     ("helix", ["--m1", "2.1700775699987633", "--theta", "0.1864463687459803"]),
     ("bend", ["--m1", "1.0", "--psi0", "0.3"]),
+    ("sheared", ["--n-thrust", "3.0"]),  # above the chiral material's threshold
 ]
+
+# the chiral material: params/demo.json with these entries replaced
+CHIRAL = {"iota": 0.3, "p": 1.5}
 
 # (label, state arguments): each should exit non-zero and write nothing
 BAD_STATES = [
@@ -95,6 +103,7 @@ BAD_CSVS = {
     "crlf": lambda ls: "\r\n".join(ls) + "\r\n",
     "no final newline": lambda ls: "\n".join(ls),
     "leading blank": lambda ls: "\n" + "\n".join(ls) + "\n",
+    "two rows": lambda ls: "\n".join([ls[0], ls[1], ls[-1]]) + "\n",  # s = 0 and 1
 }
 
 
@@ -118,7 +127,9 @@ def run(argv: list[str], tmp: Path, outputs: list[Path]) -> bytes:
 def commands(params_dir: Path, tmp: Path):
     """Yield (label, argv, output paths, set-up callable or None) per command."""
     demo, dna = str(params_dir / "demo.json"), str(params_dir / "dna.json")
-    for name, params in (("demo", demo), ("dna", dna)):
+    chiral = tmp / "chiral.json"
+    chiral.write_text(json.dumps({**json.loads(Path(demo).read_text()), **CHIRAL}))
+    for name, params in (("demo", demo), ("dna", dna), ("chiral", str(chiral))):
         yield f"validate {name}", ["validate", params], [], None
         for direction, comps in (
             ("forward", ["0.3", "-0.2", "0.5", "0.1", "0.0", "1.25"]),
