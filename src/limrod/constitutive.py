@@ -43,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import LoadOutOfRange, StrainOutOfRange
-from .material import MaterialParams, validate
+from .material import MaterialParams, _constants, _Constants
 
 __all__ = [
     "Strains",
@@ -124,40 +124,48 @@ class StrainBounds(tuple):
     dilatation = property(lambda self: self[3])
 
 
-def _strain_form(params: MaterialParams, u1, u2, u3, v1, v2, dv3):
-    # shared by the scalar/batch paths so both see bit-identical values
+def _strain_form(c: _Constants, u1, u2, u3, v1, v2, dv3):
+    """Q on the deviation (u, v - e3), on floats or arrays alike: the scalar
+    and the batch maps share it, so both see the same bits."""
     return (
-        params.alpha**2 * (u1 * u1 + u2 * u2)
-        + params.beta**2 * (u3 * u3)
-        + params.zeta**2 * (v1 * v1 + v2 * v2)
-        + params.eta**2 * (dv3 * dv3)
-        + 2.0 * params.iota * u3 * dv3
+        c.a2 * (u1 * u1 + u2 * u2)
+        + c.b2 * (u3 * u3)
+        + c.z2 * (v1 * v1 + v2 * v2)
+        + c.e2 * (dv3 * dv3)
+        + 2.0 * c.iota * u3 * dv3
     )
 
 
-def _load_form(params: MaterialParams, m1, m2, m3, n1, n2, n3):
-    det = params.twist_stretch_det
+def _form_apply(c: _Constants, s, u1, u2, u3, v1, v2, dv3):
+    """s M (u, v - e3), M the form matrix of Q, on floats or arrays: both
+    inverse maps (s = G) and the Hessian's gradient (s = 1, exact) share it."""
     return (
-        (m1 * m1 + m2 * m2) / params.alpha**2
-        + (n1 * n1 + n2 * n2) / params.zeta**2
-        + (params.eta**2 * (m3 * m3) + params.beta**2 * (n3 * n3) - 2.0 * params.iota * m3 * n3)
-        / det
+        s * c.a2 * u1, s * c.a2 * u2, s * (c.b2 * u3 + c.iota * dv3),
+        s * c.z2 * v1, s * c.z2 * v2, s * (c.iota * u3 + c.e2 * dv3),
+    )
+
+
+def _load_form(c: _Constants, m1, m2, m3, n1, n2, n3):
+    return (
+        (m1 * m1 + m2 * m2) / c.a2
+        + (n1 * n1 + n2 * n2) / c.z2
+        + (c.e2 * (m3 * m3) + c.b2 * (n3 * n3) - 2.0 * c.iota * m3 * n3) / c.det
     )
 
 
 def strain_quad_form(params: MaterialParams, strains: Strains) -> float:
     """Quadratic form Q on the strain deviation from the reference state."""
-    validate(params)
     return _strain_form(
-        params, strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
+        _constants(params),
+        strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0,
     )
 
 
 def load_quad_form(params: MaterialParams, loads: Loads) -> float:
     """Dual quadratic form Q* on the loads; overflows to inf (rather than
     raising) for load magnitudes beyond roughly 1e150."""
-    validate(params)
-    return _load_form(params, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    c = _constants(params)
+    return _load_form(c, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
 
 
 def _one_minus_qp(q: float, p: float) -> float:
@@ -169,37 +177,25 @@ def _one_minus_qp(q: float, p: float) -> float:
     return 1.0 - q ** (0.5 * p)
 
 
-def _inverse_factor(params: MaterialParams, q: float) -> float:
+def _inverse_factor(gamma: float, p: float, q: float) -> float:
     """G = gamma (1 - Q^{p/2})^{-1/p} of the inverse map, in ``math`` floats
-    for the scalar and the batch path alike."""
-    return params.gamma * _one_minus_qp(q, params.p) ** (-1.0 / params.p)
+    for the scalar and the batch path alike. It takes gamma and p as floats,
+    which the batch path reads from the record once rather than per row."""
+    return gamma * _one_minus_qp(q, p) ** (-1.0 / p)
 
 
 def _strain_domain_error(q: float) -> StrainOutOfRange:
     return StrainOutOfRange(f"Q(u, v) = {q!r}" + (" >= 1" if q >= 1.0 else ""))
 
 
-def _domain_q(params: MaterialParams, strains: Strains) -> float:
+def _domain_q(c: _Constants, strains: Strains) -> float:
     """Q of a strain state, which must lie in the domain Q < 1 (NaN does not)."""
-    q = strain_quad_form(params, strains)
+    q = _strain_form(
+        c, strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
+    )
     if not q < 1.0:
         raise _strain_domain_error(q)
     return q
-
-
-def _interior_margin(params: MaterialParams) -> float:
-    """Width of the boundary band inside which forward-map outputs get
-    projected inward. Must dominate the float wobble of re-evaluating Q on
-    the stored state, which scales with the form weights and the size of
-    the limiting bounds."""
-    root = math.sqrt(params.twist_stretch_det)
-    b_dil = params.beta / root
-    b_twist = params.eta / root
-    grad = (params.eta**2 * b_dil + abs(params.iota) * b_twist) * (1.0 + b_dil)
-    weight = max(
-        params.alpha**2, params.beta**2, params.zeta**2, params.eta**2, abs(params.iota)
-    )
-    return 64.0 * _EPS * (1.0 + weight + grad)
 
 
 def _nonfinite_loads(values) -> LoadOutOfRange:
@@ -240,16 +236,16 @@ def _scaled_factor(p: float, g, qstar: float) -> float:
     return _factor(p, (g * c) ** p, qstar * c * c) * c
 
 
-def _load_scale(params: MaterialParams, loads: Loads):
+def _load_scale(c: _Constants, loads: Loads):
     """(Q*, k): Q* of the loads times k^2 for a power of two k, 1 where Q* is
     finite. Where it overflows (inf, or inf - inf = NaN) the loads are
     prescaled, so that sqrt(Q*)/k stays finite wherever sqrt(Q*) is."""
-    qstar = _load_form(params, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    qstar = _load_form(c, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
     if qstar < math.inf:
         return qstar, 1.0
     values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
     k = _pow2_scale(values)
-    return _load_form(params, *(x * k for x in values)), k
+    return _load_form(c, *(x * k for x in values)), k
 
 
 def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
@@ -270,63 +266,54 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     the state on the boundary, the deviation is projected inward by a few
     parts in 1e15. Raises LoadOutOfRange for a NaN or infinite component.
     """
-    validate(params)
+    c = _constants(params)
     values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
     if not all(map(math.isfinite, values)):
         raise _nonfinite_loads(values)
     k = _pow2_scale(values)
     m1, m2, m3, n1, n2, n3 = values
     m1, m2, m3, n1, n2, n3 = m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k
-    qstar = _load_form(params, m1, m2, m3, n1, n2, n3)
-    f = _saturating_factor(params.p, params.gamma * k, qstar)
+    qstar = _load_form(c, m1, m2, m3, n1, n2, n3)
+    f = _saturating_factor(c.p, c.gamma * k, qstar)
     if not f > 0.0:  # (gamma k)^p overflowed: gamma joins the scale
-        k = _pow2_scale((params.gamma, *values))
+        k = _pow2_scale((c.gamma, *values))
         m1, m2, m3, n1, n2, n3 = (x * k for x in values)
-        qstar = _load_form(params, m1, m2, m3, n1, n2, n3)
-        f = _saturating_factor(params.p, params.gamma * k, qstar)
-    dev = _forward_dev(params, f, m1, m2, m3, n1, n2, n3)
-    margin = _interior_margin(params)
-    for _ in range(4):
-        dv3 = (1.0 + dev[5]) - 1.0
-        q = _strain_form(params, dev[0], dev[1], dev[2], dev[3], dev[4], dv3)
+        qstar = _load_form(c, m1, m2, m3, n1, n2, n3)
+        f = _saturating_factor(c.p, c.gamma * k, qstar)
+    u1, u2, u3, v1, v2, dv = _forward_dev(c, f, m1, m2, m3, n1, n2, n3)
+    margin = c.margin
+    for _ in range(4):  # the steps of _project_inward, on floats
+        q = _strain_form(c, u1, u2, u3, v1, v2, (1.0 + dv) - 1.0)
         if q <= 1.0 - margin:
             break
-        dev *= math.sqrt((1.0 - 2.0 * margin) / q)
-    return Strains(
-        u1=float(dev[0]),
-        u2=float(dev[1]),
-        u3=float(dev[2]),
-        v1=float(dev[3]),
-        v2=float(dev[4]),
-        v3=float(1.0 + dev[5]),
+        r = math.sqrt((1.0 - 2.0 * margin) / q)
+        u1, u2, u3, v1, v2, dv = u1 * r, u2 * r, u3 * r, v1 * r, v2 * r, dv * r
+    # float(): loads given as numpy scalars still give float strains
+    return Strains(float(u1), float(u2), float(u3), float(v1), float(v2), float(1.0 + dv))
+
+
+def _forward_dev(c: _Constants, f, m1, m2, m3, n1, n2, n3) -> tuple:
+    """The six components of the strain deviation (u, v - e3) of loads
+    scaled by a power of two, with f the saturating factor at that scale:
+    floats, or arrays of n rows."""
+    return (
+        f * m1 / c.a2,
+        f * m2 / c.a2,
+        f * (c.e2 * m3 - c.iota * n3) / c.det,
+        f * n1 / c.z2,
+        f * n2 / c.z2,
+        f * (-c.iota * m3 + c.b2 * n3) / c.det,
     )
 
 
-def _forward_dev(params: MaterialParams, f, m1, m2, m3, n1, n2, n3) -> np.ndarray:
-    """Strain deviation (u, v - e3) of loads scaled by a power of two, with
-    f the saturating factor at that scale. Floats give shape (6,), arrays
-    of n rows (6, n)."""
-    det = params.twist_stretch_det
-    return np.array(
-        [
-            f * m1 / params.alpha**2,
-            f * m2 / params.alpha**2,
-            f * (params.eta**2 * m3 - params.iota * n3) / det,
-            f * n1 / params.zeta**2,
-            f * n2 / params.zeta**2,
-            f * (-params.iota * m3 + params.beta**2 * n3) / det,
-        ]
-    )
-
-
-def _project_inward(params: MaterialParams, dev: np.ndarray) -> None:
+def _project_inward(c: _Constants, dev: np.ndarray) -> None:
     """The scalar map's inward projection on the columns of ``dev`` (6, n):
     Q once over all columns, then re-evaluated and rescaled on the
     saturated columns only, up to four times."""
-    margin = _interior_margin(params)
+    margin = c.margin
     sub, rows = dev, None
     for _ in range(4):
-        q = _strain_form(params, *sub[:5], (1.0 + sub[5]) - 1.0)
+        q = _strain_form(c, *sub[:5], (1.0 + sub[5]) - 1.0)
         hit = np.flatnonzero(q > 1.0 - margin)
         if not hit.size:
             return
@@ -351,33 +338,33 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     shape, and LoadOutOfRange, with the scalar map's message, for the
     first row with a NaN or infinite component.
     """
-    validate(params)
+    c = _constants(params)
     loads = np.asarray(loads, dtype=float)
     if loads.ndim != 2 or loads.shape[1] != 6:
         raise ValueError(f"loads must have shape (n, 6), got {loads.shape}")
     out = np.empty(loads.shape)
-    p, gamma = params.p, params.gamma
+    p, gamma = c.p, c.gamma
     for start in range(0, len(loads), _BATCH_BLOCK):
         cols = loads[start : start + _BATCH_BLOCK].T
-        c = np.abs(cols[0])
+        top = np.abs(cols[0])
         for col in cols[1:]:
-            np.maximum(c, np.abs(col), out=c)
-        finite = c < math.inf  # NaN propagates through np.maximum
+            np.maximum(top, np.abs(col), out=top)
+        finite = top < math.inf  # NaN propagates through np.maximum
         if not finite.all():
             raise _nonfinite_loads(loads[start + int(finite.argmin())])
-        k = np.ldexp(1.0, -np.where(c > 1.0, np.frexp(c)[1], 0))  # _pow2_scale per row
+        k = np.ldexp(1.0, -np.where(top > 1.0, np.frexp(top)[1], 0))  # _pow2_scale per row
         scaled = cols * k
         with np.errstate(over="ignore"):  # only a (gamma k)^p, rescaled below
-            f = _saturating_factor(p, gamma * k, _load_form(params, *scaled))
+            f = _saturating_factor(p, gamma * k, _load_form(c, *scaled))
         if not (f > 0.0).all():  # rows whose (gamma k)^p overflowed: gamma joins the scale
             over = np.flatnonzero(~(f > 0.0))
-            k = np.ldexp(1.0, -np.frexp(np.maximum(c[over], gamma))[1])
+            k = np.ldexp(1.0, -np.frexp(np.maximum(top[over], gamma))[1])
             scaled[:, over] = cols[:, over] * k
-            f[over] = _saturating_factor(p, gamma * k, _load_form(params, *scaled[:, over]))
-        dev = _forward_dev(params, f, *scaled)
-        _project_inward(params, dev)
+            f[over] = _saturating_factor(p, gamma * k, _load_form(c, *scaled[:, over]))
+        dev = np.array(_forward_dev(c, f, *scaled))
+        _project_inward(c, dev)
         dev[5] += 1.0
-        out[start : start + len(c)] = dev.T
+        out[start : start + len(top)] = dev.T
     return out
 
 
@@ -391,17 +378,11 @@ def loads_from_strains(params: MaterialParams, strains: Strains) -> Loads:
         n_mu = G zeta^2 v_mu
         n3   = G (iota u3 + eta^2 (v3 - 1))
     """
-    q = _domain_q(params, strains)
-    G = _inverse_factor(params, q)
-    dv3 = strains.v3 - 1.0
-    return Loads(
-        m1=G * params.alpha**2 * strains.u1,
-        m2=G * params.alpha**2 * strains.u2,
-        m3=G * (params.beta**2 * strains.u3 + params.iota * dv3),
-        n1=G * params.zeta**2 * strains.v1,
-        n2=G * params.zeta**2 * strains.v2,
-        n3=G * (params.iota * strains.u3 + params.eta**2 * dv3),
-    )
+    c = _constants(params)
+    G = _inverse_factor(c.gamma, c.p, _domain_q(c, strains))
+    return Loads(*_form_apply(
+        c, G, strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
+    ))
 
 
 def loads_from_strains_batch(params: MaterialParams, strains: np.ndarray) -> np.ndarray:
@@ -415,25 +396,19 @@ def loads_from_strains_batch(params: MaterialParams, strains: np.ndarray) -> np.
     Raises StrainOutOfRange, with the scalar message, for the first row
     outside Q < 1.
     """
-    validate(params)
+    c = _constants(params)
     strains = np.asarray(strains, dtype=float)
     if strains.ndim != 2 or strains.shape[1] != 6:
         raise ValueError(f"strains must have shape (n, 6), got {strains.shape}")
     u1, u2, u3, v1, v2, v3 = strains.T
     dv3 = v3 - 1.0
-    q = _strain_form(params, u1, u2, u3, v1, v2, dv3)
+    q = _strain_form(c, u1, u2, u3, v1, v2, dv3)
     outside = ~(q < 1.0)
     if outside.any():
         raise _strain_domain_error(float(q[outside.argmax()]))
-    G = np.fromiter((_inverse_factor(params, x) for x in q.tolist()), float, len(q))
-    loads = np.empty_like(strains)
-    loads[:, 0] = G * params.alpha**2 * u1
-    loads[:, 1] = G * params.alpha**2 * u2
-    loads[:, 2] = G * (params.beta**2 * u3 + params.iota * dv3)
-    loads[:, 3] = G * params.zeta**2 * v1
-    loads[:, 4] = G * params.zeta**2 * v2
-    loads[:, 5] = G * (params.iota * u3 + params.eta**2 * dv3)
-    return loads
+    gamma, p = c.gamma, c.p
+    G = np.fromiter((_inverse_factor(gamma, p, x) for x in q.tolist()), float, len(q))
+    return np.stack(_form_apply(c, G, u1, u2, u3, v1, v2, dv3), axis=1)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -477,10 +452,10 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
         k += 1
 
 
-def _stored_beta(params: MaterialParams, q: float, s: float) -> float:
+def _stored_beta(c: _Constants, q: float, s: float) -> float:
     """W = (gamma/p) B(Q^{p/2}; 2/p, 1 - 1/p), given Q and s = 1 - Q^{p/2}."""
-    p = params.p
-    return params.gamma / p * _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, q, s)
+    p = c.p
+    return c.gamma / p * _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, q, s)
 
 
 def stored_energy(params: MaterialParams, strains: Strains) -> float:
@@ -492,55 +467,67 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
     Against 40-digit mpmath the relative error is below 1e-14 for p in
     [0.25, 100] (1e-13 down to p = 0.05) and Q up to 1 - 1e-12.
     """
-    q = _domain_q(params, strains)
+    c = _constants(params)
+    q = _domain_q(c, strains)
     if q == 0.0:
         return 0.0
-    g, p = params.gamma, params.p
+    g, p = c.gamma, c.p
     if p == 2.0:
         return g * (1.0 - math.sqrt(1.0 - q))
     if p == 1.0:
         rt = math.sqrt(q)
         return g * (-rt - math.log1p(-rt))
-    return _stored_beta(params, q, _one_minus_qp(q, p))
+    return _stored_beta(c, q, _one_minus_qp(q, p))
 
 
 def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     """Complementary energy W* = (1/2) * integral_0^{Q*} (gamma^p + t^{p/2})^{-1/p} dt.
 
     Its load gradient reproduces the forward map (with the v3 slot shifted
-    by -1). Closed forms for p = 1 and p = 2; otherwise the Legendre identity
-    W* = F Q* - W(F^2 Q*), with 1 - Q^{p/2} = (gamma F)^p passed to W exactly.
-    Against 40-digit mpmath the relative error is below 1e-14 for p in
-    [0.05, 100] and Q* up to 1e300. The formulas run at the power-of-two
-    scale k of ``_load_scale``, W*(gamma, Q*) = W*(k gamma, k^2 Q*)/k, so W*
-    is finite wherever sqrt(Q*) is, and F comes from ``_scaled_factor``.
+    by -1). Closed forms for p = 1 and p = 2, free of cancellation where
+    Q* << gamma^2 (within 2e-16 of 50-digit mpmath there); otherwise the
+    Legendre identity W* = F Q* - W(F^2 Q*), with 1 - Q^{p/2} = (gamma F)^p
+    passed to W exactly. Against 40-digit mpmath the relative error is
+    below 1e-14 for p in [0.05, 100] and Q* up to 1e300. The formulas run
+    at the power-of-two scale k of ``_load_scale``, W*(gamma, Q*) =
+    W*(k gamma, k^2 Q*)/k, so W* is finite wherever sqrt(Q*) is, and F
+    comes from ``_scaled_factor``.
     Raises LoadOutOfRange if sqrt(Q*) is NaN or infinite.
     """
-    validate(params)
-    qstar, k = _load_scale(params, loads)
+    c = _constants(params)
+    qstar, k = _load_scale(c, loads)
     rt = math.sqrt(qstar)
     if not rt / k < math.inf:
         raise LoadOutOfRange(f"sqrt Q*(m, n) = {rt / k!r} is not finite")
     if qstar == 0.0:
         return 0.0
-    g, p = params.gamma * k, params.p
-    if p == 2.0:
-        return (math.sqrt(g**2 + qstar) - g) / k
-    if p == 1.0:
-        return (rt - g * math.log1p(rt / g)) / k
+    g, p = c.gamma * k, c.p
+    if p == 2.0:  # sqrt(g^2 + Q*) - g, which cancels where Q* << g^2; halved,
+        # so that the sum stays finite for g up to the float maximum
+        return qstar / (math.hypot(0.5 * g, 0.5 * rt) + 0.5 * g) * 0.5 / k
+    if p == 1.0:  # rt - g log(1 + x), x = rt/g, which cancels below x = 1/2
+        x = rt / g
+        if x > 0.5:  # where x overflows, g log(1 + x) is below an ulp of rt
+            return (rt - g * math.log1p(x) if x < math.inf else rt) / k
+        # there rt (x - 2 y^2 S)/(2 + x), the series of x - log(1 + x) in
+        # y = x/(2 + x), with S = sum_j y^2j/(2j + 3) and y^2 <= 1/25
+        y2, total, term, d = (x / (2.0 + x)) ** 2, 0.0, 1.0, 3.0
+        while term > _EPS:
+            total, term, d = total + term / d, term * y2, d + 2.0
+        return rt * (x - 2.0 * y2 * total) / (2.0 + x) / k
     f = _scaled_factor(p, g, qstar)
     work = f * qstar
-    return work / k - _stored_beta(params, work * f, (g * f) ** p)
+    return work / k - _stored_beta(c, work * f, (g * f) ** p)
 
 
-def _form_matrix(params: MaterialParams) -> np.ndarray:
-    """Constant symmetric matrix of Q as a form on (u, v - e3)."""
+def _form_matrix(c: _Constants) -> np.ndarray:
+    """Constant symmetric matrix of Q as a form on (u, v - e3), built anew."""
     m = np.zeros((6, 6))
-    m[0, 0] = m[1, 1] = params.alpha**2
-    m[2, 2] = params.beta**2
-    m[3, 3] = m[4, 4] = params.zeta**2
-    m[5, 5] = params.eta**2
-    m[2, 5] = m[5, 2] = params.iota
+    m[0, 0] = m[1, 1] = c.a2
+    m[2, 2] = c.b2
+    m[3, 3] = m[4, 4] = c.z2
+    m[5, 5] = c.e2
+    m[2, 5] = m[5, 2] = c.iota
     return m
 
 
@@ -556,22 +543,22 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
     vanishes (for any p > 0), so the reference-state value is gamma * M;
     that limit is returned exactly for Q < 1e-14.
     """
-    q = _domain_q(params, strains)
-    m = _form_matrix(params)
+    c = _constants(params)
+    q = _domain_q(c, strains)
+    m = _form_matrix(c)
     if q < 1e-14:
-        return params.gamma * m
-    p = params.p
-    dev = strains.as_array()
-    dev[5] -= 1.0
-    w = m @ dev
+        return c.gamma * m
+    p = c.p
+    w = np.array(_form_apply(
+        c, 1.0, strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
+    ))
     s = _one_minus_qp(q, p)
-    return params.gamma * s ** (-1.0 / p - 1.0) * (s * m + q ** (0.5 * p - 1.0) * np.outer(w, w))
+    return c.gamma * s ** (-1.0 / p - 1.0) * (s * m + q ** (0.5 * p - 1.0) * (w[:, None] * w))
 
 
 def strain_bounds(params: MaterialParams) -> StrainBounds:
     """Open bounds that forward-map outputs can approach but never attain."""
-    validate(params)
-    root = math.sqrt(params.twist_stretch_det)
+    root = math.sqrt(_constants(params).det)
     return StrainBounds(
         flexure=1.0 / params.alpha,
         twist=params.eta / root,

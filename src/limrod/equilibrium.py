@@ -50,7 +50,7 @@ from .errors import (
     NoBifurcationError,
 )
 from .kinematics import Configuration, _derivative, _euler_directors, darboux_components
-from .material import MaterialParams, nondimensionalize, validate
+from .material import MaterialParams, _constants, _Constants, nondimensionalize, validate
 
 __all__ = [
     "NoBifurcation",
@@ -161,10 +161,10 @@ class BalanceReport:
 # bifurcation threshold and sheared angle
 
 
-def _branch_ratio(pn: MaterialParams) -> float:
+def _branch_ratio(c: _Constants) -> float:
     """ratio = det / (beta^2 zeta^2), with det = beta^2 eta^2 - iota^2: the
     moduli ratio governing the sheared branch; its dilatation is 1/(ratio - 1)."""
-    return pn.twist_stretch_det / (pn.beta**2 * pn.zeta**2)
+    return c.det / (c.b2 * c.z2)
 
 
 def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
@@ -180,7 +180,8 @@ def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
     with det = beta^2 eta^2 - iota^2 and ratio = det/(beta^2 zeta^2).
     """
     pn = nondimensionalize(validate(params))
-    det, ratio = pn.twist_stretch_det, _branch_ratio(pn)
+    c = _constants(pn)
+    det, ratio = c.det, _branch_ratio(c)
     if not ratio > 1.0:
         return NoBifurcation(
             condition="dilatation-positivity",
@@ -189,7 +190,7 @@ def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
                 f"eta^2 > zeta^2 + iota^2/beta^2 (ratio = {ratio!r})"
             ),
         )
-    inv_np = (ratio - 1.0) ** pn.p * (pn.beta**2 / det) ** pn.p - (
+    inv_np = (ratio - 1.0) ** pn.p * (c.b2 / det) ** pn.p - (
         pn.beta / math.sqrt(det)
     ) ** pn.p
     if not inv_np > 0.0:
@@ -210,12 +211,11 @@ def _require_threshold(pn: MaterialParams) -> float:
     return thresh
 
 
-def _branch_fn(pn: MaterialParams, thrust: float, x: float) -> float:
+def _branch_fn(c: _Constants, thrust: float, x: float) -> float:
     """Monotone function f_N(cos theta) whose unique root gives the sheared
     angle; strictly increasing on [0, 1]: F at gamma = 1/N, Q* = g, times x."""
-    det = pn.twist_stretch_det
-    g = (1.0 - x * x) / pn.zeta**2 + pn.beta**2 * x * x / det
-    return _factor(pn.p, thrust**-pn.p, g) * pn.beta**2 * x / det
+    g = (1.0 - x * x) / c.z2 + c.b2 * x * x / c.det
+    return _factor(c.p, thrust**-c.p, g) * c.b2 * x / c.det
 
 
 def sheared_angle(params: MaterialParams, thrust: float) -> float:
@@ -230,12 +230,12 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     thresh = _require_threshold(pn)
     if not thrust > thresh:
         raise BelowThreshold(f"thrust {thrust!r} <= threshold {thresh!r}")
-    ratio = _branch_ratio(pn)
-    target = 1.0 / (ratio - 1.0)
+    c = _constants(pn)
+    target = 1.0 / (_branch_ratio(c) - 1.0)
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if _branch_fn(pn, thrust, mid) < target:
+        if _branch_fn(c, thrust, mid) < target:
             lo = mid
         else:
             hi = mid
@@ -342,11 +342,11 @@ def trivial_tensile_state(
     )
 
 
-def _sheared_strains(pn: MaterialParams, theta: float) -> tuple[float, float, float, float]:
+def _sheared_strains(c: _Constants, theta: float) -> tuple[float, float, float, float]:
     """(k = v3 - 1, u3, v3, shear amplitude) of the sheared branch at tilt theta."""
-    ratio = _branch_ratio(pn)
+    ratio = _branch_ratio(c)
     k = 1.0 / (ratio - 1.0)
-    return k, -pn.iota * k / pn.beta**2, 1.0 + k, k * ratio * math.tan(theta)
+    return k, -c.iota * k / c.b2, 1.0 + k, k * ratio * math.tan(theta)
 
 
 def sheared_tensile_state(
@@ -365,17 +365,17 @@ def sheared_tensile_state(
     """
     pn = nondimensionalize(validate(params))
     theta = sheared_angle(pn, thrust)
-    k, u3, v3, amplitude = _sheared_strains(pn, theta)
-    det = pn.twist_stretch_det
+    c = _constants(pn)
+    k, u3, v3, amplitude = _sheared_strains(c, theta)
     sth, cth = math.sin(theta), math.cos(theta)
 
     # Internal consistency: the saturating factor of the branch loads must
     # match its closed form det/(beta^2 N cos(theta)) * k.
     f_direct = _saturating_factor(
-        pn.p, 1.0, lambda: thrust**2 * (sth**2 / pn.zeta**2 + pn.beta**2 * cth**2 / det)
+        c.p, 1.0, lambda: thrust**2 * (sth**2 / c.z2 + c.b2 * cth**2 / c.det)
     )
     if f_direct > 0.0:
-        f_branch = det / (pn.beta**2 * thrust * cth) * k
+        f_branch = c.det / (c.b2 * thrust * cth) * k
         identity_residual = abs(f_direct - f_branch) / f_branch
     else:
         # beyond the float range, the same ratio is v3 - 1 of the prescaled
@@ -432,7 +432,8 @@ def helical_state(
     a = v3 sin(theta)/phi' and axial rate b = v3 cos(theta); at
     theta = pi/2 the couple is M1 e1 alone and the centerline closes into
     a circle of radius |a| traversed in pure bending (u3 = 0, v3 = 1 for
-    an achiral rod).
+    an achiral rod). Raises DegenerateCouple for M1 = 0, or for an M1 so
+    small that the radius overflows.
     """
     pn = nondimensionalize(validate(params))
     if not math.isfinite(bend_couple):
@@ -441,18 +442,18 @@ def helical_state(
         raise DegenerateCouple("helical family needs M1 != 0; use pure_twist_state")
     if not 0.0 < theta <= 0.5 * math.pi:
         raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
-    det = pn.twist_stretch_det
+    c = _constants(pn)
     sth, cth = math.sin(theta), math.cos(theta)
     cot = 0.0 if theta == 0.5 * math.pi else cth / sth
     m3 = -bend_couple * cot
     f = _saturating_factor(
-        pn.p, 1.0, lambda: bend_couple**2 * (1.0 / pn.alpha**2 + pn.eta**2 * cot**2 / det)
+        c.p, 1.0, lambda: bend_couple**2 * (1.0 / c.a2 + c.e2 * cot**2 / c.det)
     )
     if f > 0.0:
-        amplitude = f * bend_couple / pn.alpha**2
-        u3 = -f * pn.eta**2 * bend_couple * cot / det
-        v3 = 1.0 + f * pn.iota * bend_couple * cot / det
-        dphi = -f * bend_couple / (pn.alpha**2 * sth)
+        amplitude = f * bend_couple / c.a2
+        u3 = -f * c.e2 * bend_couple * cot / c.det
+        v3 = 1.0 + f * c.iota * bend_couple * cot / c.det
+        dphi = -f * bend_couple / (c.a2 * sth)
     else:
         # beyond the float range, the prescaled forward map at the psi = 0
         # loads, which rejects an infinite M3
@@ -460,7 +461,9 @@ def helical_state(
         amplitude, u3, v3 = st.u1, st.u3, st.v3
         dphi = -amplitude / sth
     dpsi = u3 - cth * dphi
-    radius = v3 * sth / dphi
+    radius = v3 * sth / dphi if dphi else math.inf
+    if not abs(radius) < math.inf:
+        raise DegenerateCouple(f"bend couple M1 = {bend_couple!r} is too small: radius overflows")
     pitch_rate = v3 * cth
     return _family_state(
         pn, grid_h, theta, psi0, (dphi, dpsi), (bend_couple, m3, 0.0, 0.0),
@@ -575,7 +578,7 @@ def branch_sweep(
         )
         if not isinstance(thresh, NoBifurcation) and thrust > thresh:
             theta = sheared_angle(pn, thrust)
-            _, u3, v3, amplitude = _sheared_strains(pn, theta)
+            _, u3, v3, amplitude = _sheared_strains(_constants(pn), theta)
             sth, cth = math.sin(theta), math.cos(theta)
             points.append(
                 BranchPoint(

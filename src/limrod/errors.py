@@ -50,4 +50,5 @@ class NoBifurcationError(RodModelError):
 
 
 class DegenerateCouple(RodModelError):
-    """The helical family needs a nonzero transverse couple component."""
+    """The helical family needs a nonzero transverse couple component, large
+    enough that the helix radius is finite."""

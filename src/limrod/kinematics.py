@@ -34,7 +34,7 @@ import numpy as np
 
 from .constitutive import Loads, Strains, _load_scale, _scaled_factor
 from .errors import AngleOutOfRange, NonOrthonormalFrame
-from .material import MaterialParams, nondimensionalize, validate
+from .material import MaterialParams, _constants, nondimensionalize, validate
 
 __all__ = [
     "EulerAngles",
@@ -277,10 +277,10 @@ def shear_factors(params: MaterialParams, loads: Loads) -> tuple[float, float]:
     """Scalar factors (u_factor, v_factor) in the normalized gauge such that
     u_mu = u_factor * m_mu and v_mu = v_factor * n_mu: the saturating factor
     F over alpha^2 and zeta^2, positive and finite for every finite load."""
-    pn = nondimensionalize(validate(params))
-    qstar, k = _load_scale(pn, loads)
-    f = _scaled_factor(pn.p, k, qstar) * k
-    return f / pn.alpha**2, f / pn.zeta**2
+    c = _constants(nondimensionalize(validate(params)))
+    qstar, k = _load_scale(c, loads)
+    f = _scaled_factor(c.p, k, qstar) * k
+    return f / c.a2, f / c.z2
 
 
 def reduced_residual(
@@ -308,6 +308,7 @@ def reduced_residual(
     load state.
     """
     pn = nondimensionalize(validate(params))
+    c = _constants(pn)
     dphi, dtheta, dpsi = angle_rates
     dM1, dM2, dM3 = load_rates
     sth, cth = math.sin(angles.theta), math.cos(angles.theta)
@@ -315,8 +316,8 @@ def reduced_residual(
     # stand in for director components directly.
     director_loads = Loads(loads.M1, loads.M2, loads.M3, loads.N1, loads.N2, loads.N3)
     u_fac, v_fac = shear_factors(pn, director_loads)
-    f = u_fac * pn.alpha**2
-    u3 = f * (pn.eta**2 * loads.M3 - pn.iota * loads.N * cth) / pn.twist_stretch_det
+    f = u_fac * c.a2
+    u3 = f * (c.e2 * loads.M3 - c.iota * loads.N * cth) / c.det
     return np.array(
         [
             sth * dphi + u_fac * loads.M1,

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DefinitenessViolation, NonPositiveParameter
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _POSITIVE_FIELDS = ("alpha", "beta", "gamma", "zeta", "eta", "p", "ref_length")
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,11 @@ class MaterialParams:
             twist_stretch=g * self.iota,
         )
 
+    def __getstate__(self) -> dict:
+        # pickles and copies carry the fields only, not the memoised record or
+        # normalised twin: each builds its own, never one from another version
+        return {name: value for name, value in self.__dict__.items() if name[0] != "_"}
+
 
 @dataclass(frozen=True)
 class DerivedModuli:
@@ -90,13 +97,18 @@ class DerivedModuli:
     twist_stretch: float
 
 
-def validate(params: MaterialParams) -> MaterialParams:
-    """Check admissibility and return the parameter set unchanged.
+# a parameter set's validated constants as the kernels read them: squares,
+# det = beta^2 eta^2 - iota^2 and the forward map's projection margin
+_Constants = namedtuple("_Constants", "p gamma iota a2 b2 z2 e2 det margin")
 
-    Raises NonPositiveParameter if any of alpha, beta, gamma, zeta, eta, p,
-    ref_length fails strict positivity (iota may take any finite sign), and
-    DefinitenessViolation if beta^2*eta^2 - iota^2 <= 0.
-    """
+
+def _constants(params: MaterialParams) -> _Constants:
+    """The set's constants, checked and computed on first use and kept in
+    the instance's ``__dict__``; an inadmissible set raises here on every
+    call, and nothing is kept for it."""
+    record = params.__dict__.get("_constants")
+    if record is not None:
+        return record
     for name in _POSITIVE_FIELDS:
         value = getattr(params, name)
         if not (math.isfinite(value) and value > 0.0):
@@ -108,6 +120,32 @@ def validate(params: MaterialParams) -> MaterialParams:
         raise DefinitenessViolation(
             f"beta^2*eta^2 - iota^2 = {det!r} must be > 0"
         )
+    a2, b2, z2, e2 = params.alpha**2, params.beta**2, params.zeta**2, params.eta**2
+    # The forward map projects outputs inward from a band of this width below
+    # Q = 1. It must dominate the float wobble of re-evaluating Q on the
+    # stored state, which scales with the form weights and the limiting bounds.
+    root = math.sqrt(det)
+    b_dil = params.beta / root
+    grad = (e2 * b_dil + abs(params.iota) * (params.eta / root)) * (1.0 + b_dil)
+    margin = 64.0 * _EPS * (1.0 + max(a2, b2, z2, e2, abs(params.iota)) + grad)
+    record = _Constants(params.p, params.gamma, params.iota, a2, b2, z2, e2, det, margin)
+    params.__dict__["_constants"] = record
+    return record
+
+
+def validate(params: MaterialParams) -> MaterialParams:
+    """Check admissibility and return the parameter set unchanged.
+
+    Raises NonPositiveParameter if any of alpha, beta, gamma, zeta, eta, p,
+    ref_length fails strict positivity (iota may take any finite sign), and
+    DefinitenessViolation if beta^2*eta^2 - iota^2 <= 0.
+
+    The first check that passes memoises the set's derived constants in the
+    instance's ``__dict__`` for every kernel to read; fields, ==, hash, repr,
+    asdict and pickles are unaffected, copies and ``replace`` build their
+    own, and an inadmissible set memoises nothing and raises on every call.
+    """
+    _constants(params)
     return params
 
 
@@ -115,20 +153,20 @@ def nondimensionalize(params: MaterialParams) -> MaterialParams:
     """Rescale to the gauge ref_length = 1, gamma = 1.
 
     Lengths (alpha, beta, iota) are divided by ref_length; gamma by itself.
-    zeta, eta and p are dimensionless and unchanged. Idempotent.
+    zeta, eta and p are dimensionless and unchanged. Idempotent. The
+    rescaled set is built once per instance and kept in its ``__dict__``,
+    as the constants are, so that it memoises its own record.
     """
     validate(params)
     if params.is_normalized:
         return params
-    L = params.ref_length
-    return replace(
-        params,
-        alpha=params.alpha / L,
-        beta=params.beta / L,
-        iota=params.iota / L,
-        gamma=1.0,
-        ref_length=1.0,
-    )
+    twin = params.__dict__.get("_normalized")
+    if twin is None:
+        L = params.ref_length  # fields alpha, beta, gamma, zeta, eta, iota, p
+        twin = params.__dict__["_normalized"] = MaterialParams(
+            params.alpha / L, params.beta / L, 1.0, params.zeta, params.eta, params.iota / L, params.p
+        )
+    return twin
 
 
 def orientation_weak_ok(params: MaterialParams) -> bool:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,21 @@ class TestNonFiniteStates:
         out = tmp_path / "nan.csv"
         assert main(["state", demo_file, *args, "--grid-h", "0.01", "--out", str(out)]) == 1
         assert error in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+class TestSubnormalHelixCouple:
+    def test_state_exits_1_and_writes_nothing(self, demo_file, tmp_path, capsys):
+        # the helix radius overflows: once a RuntimeWarning and exit 2
+        out = tmp_path / "x.csv"
+        argv = ["state", demo_file, "--family", "helix", "--m1", "5e-324", "--theta", "0.5",
+                "--grid-h", "0.05", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DegenerateCouple: bend couple M1 = 5e-324 is too small" in captured.err
         assert not out.exists() and not out.with_suffix(".json").exists()
 
 

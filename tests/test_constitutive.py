@@ -33,7 +33,8 @@ from limrod import (
     strains_from_loads_batch,
     symmetry_transform,
 )
-from limrod.constitutive import _BATCH_BLOCK, _interior_margin, _load_form, _strain_form
+from limrod.constitutive import _BATCH_BLOCK, _load_form, _strain_form
+from limrod.material import _constants
 
 from conftest import (
     P_GRID,
@@ -154,7 +155,7 @@ def unblocked_forward_batch(params, loads):
     _, exponents = np.frexp(c)
     c = np.ldexp(1.0, np.where(c > 1.0, exponents, 0))
     m1, m2, m3, n1, n2, n3 = (loads / c[:, None]).T
-    qs = _load_form(params, m1, m2, m3, n1, n2, n3)
+    qs = _load_form(_constants(params), m1, m2, m3, n1, n2, n3)
     f = ((params.gamma / c) ** p + qs ** (0.5 * p)) ** (-1.0 / p)
     dev = np.empty_like(loads)
     dev[:, 0] = f * m1 / params.alpha**2
@@ -163,10 +164,12 @@ def unblocked_forward_batch(params, loads):
     dev[:, 3] = f * n1 / params.zeta**2
     dev[:, 4] = f * n2 / params.zeta**2
     dev[:, 5] = f * (-params.iota * m3 + params.beta**2 * n3) / det
-    margin = _interior_margin(params)
+    margin = _constants(params).margin
     for _ in range(4):
         dv3 = (1.0 + dev[:, 5]) - 1.0
-        q = _strain_form(params, dev[:, 0], dev[:, 1], dev[:, 2], dev[:, 3], dev[:, 4], dv3)
+        q = _strain_form(
+            _constants(params), dev[:, 0], dev[:, 1], dev[:, 2], dev[:, 3], dev[:, 4], dv3
+        )
         saturated = q > 1.0 - margin
         if not saturated.any():
             break
@@ -212,8 +215,8 @@ class TestForwardBatchBlocks:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if n:  # the projection fired in the first and the last row
             dev = got[[0, -1]] - [0, 0, 0, 0, 0, 1]
-            q = _strain_form(params, *dev.T)
-            assert (q < 1.0).all() and (q > 1.0 - 4.0 * _interior_margin(params)).all()
+            q = _strain_form(_constants(params), *dev.T)
+            assert (q < 1.0).all() and (q > 1.0 - 4.0 * _constants(params).margin).all()
 
     @pytest.mark.parametrize("p", P_BATCH)
     def test_total_up_to_float_max(self, p):
@@ -599,6 +602,28 @@ class TestBetaEnergies:
                 else:
                     ref = self.ref_complementary(qstar, p, 2.5)
             assert abs(complementary_energy(params, loads) - ref) <= 1e-13 * ref, (p, loads)
+
+    @pytest.mark.parametrize("p", (1.0, 2.0))
+    @pytest.mark.parametrize("gamma", (1.0, 1e200, sys.float_info.max))
+    @pytest.mark.parametrize("n3", (1e-8, 1e-5, 0.7, 3e4))
+    def test_closed_forms_against_defining_integral(self, p, gamma, n3):
+        # sqrt(g^2 + Q*) - g (p = 2) and rt - g log1p(rt/g) (p = 1) cancel
+        # where Q* << g^2: p = 2 once returned 0.0 at n3 = 1e-8, and raised
+        # OverflowError from g**2 at gamma = 1e200; hypot(g, rt) + g overflowed
+        # at gamma = max, where loads near 1e149 keep W* ~ Q*/(2 gamma) normal
+        params = mk(gamma=gamma, p=p)
+        loads = Loads(0, 0, 0, 0, 0, n3 * 1e149 if gamma > 1e300 else n3)
+        with mpmath.workdps(50):  # on [0, 1], so that quad's absolute tolerance is relative
+            g, qstar = mpmath.mpf(gamma), mpmath.mpf(load_quad_form(params, loads))
+            shape = mpmath.quad(lambda u: (1 + (qstar * u / g**2) ** (p / 2)) ** (-1 / p), [0, 1])
+            ref = qstar / (2 * g) * shape
+        assert abs(complementary_energy(params, loads) - ref) <= 2e-16 * ref
+
+    def test_p1_where_load_over_gamma_overflows(self):
+        # rt/g overflows at unit scale: g log1p(rt/g) was inf and W* -inf
+        loads = Loads(sys.float_info.max, 0, 0, 0, 0, 0)
+        value = complementary_energy(mk(gamma=1e-3, p=1.0), loads)
+        assert value == pytest.approx(sys.float_info.max, rel=1e-15)
 
     def test_import_loads_no_scipy(self):
         code = "import sys, limrod; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from limrod import (
     write_branch_csv,
 )
 from limrod.equilibrium import _branch_fn
+from limrod.material import _constants
 
 from conftest import random_params
 
@@ -116,7 +118,7 @@ class TestShearedAngle:
             thresh = shear_threshold(params)
             thrust = thresh * rng.uniform(1.1, 10.0)
             xs = np.linspace(0.0, 1.0, 101)
-            vals = [_branch_fn(params, thrust, float(x)) for x in xs]
+            vals = [_branch_fn(_constants(params), thrust, float(x)) for x in xs]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_random_sets_continuity_and_monotone_growth(self):
@@ -297,6 +299,20 @@ class TestHelicalFamily:
             helical_state(demo_params, 0.0, theta=0.5)
         with pytest.raises(ValueError):
             helical_state(demo_params, 1.0, theta=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])  # dphi is -1e-323, or underflows to -0
+    @pytest.mark.parametrize("couple", [5e-324, -1e-310])
+    def test_subnormal_couple(self, demo_params, alpha, couple):
+        # the radius v3 sin(theta)/phi' overflowed: a numpy RuntimeWarning and
+        # a ValueError (or ZeroDivisionError) from the non-finite centerline
+        params = MaterialParams(alpha, 1, 1, 1, 2, 0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCouple, match=f"^bend couple M1 = {couple!r} is too"):
+                helical_state(params, couple, theta=0.5, grid_h=0.05)
+            state = helical_state(params, 1e-300, theta=0.5, grid_h=0.05)
+        radius = state.descriptor["helix_radius"]
+        assert radius == pytest.approx(-math.sin(0.5) ** 2 * alpha**2 * 1e300, rel=1e-12)
 
     def test_circle_radius_and_curvature(self):
         params = MaterialParams(1, 1, 1, 1, 1, 0, 2)

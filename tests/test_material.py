@@ -1,19 +1,31 @@
+import copy
 import json
 import math
+import pickle
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from limrod import (
     DefinitenessViolation,
+    Loads,
     MaterialParams,
     NonPositiveParameter,
+    Strains,
+    complementary_energy,
     load_params,
+    loads_from_strains,
     nondimensionalize,
     orientation_strong_ok,
     orientation_weak_ok,
+    shear_factors,
+    stored_energy_hessian,
+    strain_bounds,
+    strains_from_loads,
     validate,
 )
+from limrod.material import _constants
 
 from conftest import random_params
 
@@ -58,6 +70,108 @@ class TestValidate:
                 with pytest.raises(DefinitenessViolation):
                     validate(params)
         assert checked_invalid > 20
+
+
+class TestConstantsMemo:
+    """Each parameter set's validated constants are computed once and kept
+    in the instance; the contract is that nothing else about the instance
+    changes."""
+
+    LOADS = Loads(0.3, -0.2, 0.5, 0.1, 0.0, 1.25)
+    NONPOSITIVE = "material parameter '{}' must be > 0, got {!r}"
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (dict(alpha=-1.0), NonPositiveParameter, NONPOSITIVE.format("alpha", -1.0)),
+        (dict(gamma=math.nan), NonPositiveParameter, NONPOSITIVE.format("gamma", math.nan)),
+        (dict(iota=math.inf), NonPositiveParameter, NONPOSITIVE.format("iota", math.inf)),
+        (dict(iota=1.5), DefinitenessViolation, "beta^2*eta^2 - iota^2 = -1.25 must be > 0"),
+    ])
+    def test_inadmissible_set_raises_on_every_call(self, bad, error, message):
+        params = mk(**bad)  # constructs without error
+        calls = [
+            lambda: validate(params),
+            lambda: strains_from_loads(params, self.LOADS),
+            lambda: complementary_energy(params, self.LOADS),
+            lambda: loads_from_strains(params, Strains.reference()),
+            lambda: stored_energy_hessian(params, Strains.reference()),
+            lambda: strain_bounds(params),
+        ]
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(error) as exc:
+                    call()
+                assert str(exc.value) == message
+        assert "_constants" not in vars(params)
+
+    def test_record_holds_the_checked_constants(self):
+        params = mk(alpha=2.0, beta=3.0, gamma=5.0, zeta=0.5, eta=2.0, iota=-0.4, p=1.5)
+        c = _constants(params)
+        assert c is _constants(params) and vars(params)["_constants"] is c
+        assert (c.p, c.gamma, c.iota) == (1.5, 5.0, -0.4)
+        assert (c.a2, c.b2, c.z2, c.e2) == (4.0, 9.0, 0.25, 4.0)
+        assert c.det == params.twist_stretch_det
+        assert 0.0 < c.margin < 1e-12
+        with pytest.raises(AttributeError):  # the record cannot be changed in place
+            c.gamma = 1.0
+
+    def test_dataclass_behaviour_unchanged(self):
+        used, fresh = mk(eta=2.0, iota=0.5), mk(eta=2.0, iota=0.5)
+        before = pickle.dumps(used)
+        strains_from_loads(used, self.LOADS)
+        assert "_constants" in vars(used) and "_constants" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and asdict(used) == asdict(fresh)
+        assert pickle.dumps(used) == before == pickle.dumps(fresh)
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_build_their_own_record(self, clone):
+        params = mk(eta=2.0, iota=0.5, p=3.0)
+        want = strains_from_loads(params, self.LOADS)
+        twin = clone(params)
+        assert twin == params and "_constants" not in vars(twin)
+        assert strains_from_loads(twin, self.LOADS) == want
+        assert _constants(twin) == _constants(params)
+
+    def test_replace_gets_a_fresh_record(self):
+        params = mk(eta=2.0, iota=0.5)
+        validate(params)
+        other = replace(params, gamma=2.0, iota=-0.5)
+        assert "_constants" not in vars(other)
+        assert (_constants(other).gamma, _constants(other).iota) == (2.0, -0.5)
+        assert strains_from_loads(other, self.LOADS) == strains_from_loads(
+            mk(eta=2.0, iota=-0.5, gamma=2.0), self.LOADS
+        )
+        bad = replace(params, eta=0.25)  # det = 1/16 - 1/4 < 0
+        with pytest.raises(DefinitenessViolation):
+            strains_from_loads(bad, self.LOADS)
+
+    def test_normalised_twin_is_kept(self):
+        params = mk(alpha=2.0, gamma=5.0, eta=2.0, iota=0.5, ref_length=2.0)
+        before = pickle.dumps(params)
+        twin = nondimensionalize(params)
+        assert nondimensionalize(params) is twin and vars(params)["_normalized"] is twin
+        assert twin == mk(alpha=1.0, beta=0.5, eta=2.0, iota=0.25)
+        assert _constants(twin) == _constants(mk(alpha=1.0, beta=0.5, eta=2.0, iota=0.25))
+        assert pickle.dumps(params) == before  # neither the twin nor a record is pickled
+        assert "_normalized" not in vars(copy.deepcopy(params))
+        assert shear_factors(params, self.LOADS) == shear_factors(copy.copy(params), self.LOADS)
+
+    def test_inadmissible_twin_raises_on_every_call(self):
+        params = mk(alpha=5e-324, ref_length=4.0)  # admissible, but alpha/L underflows to 0
+        for _ in range(2):
+            with pytest.raises(NonPositiveParameter, match="'alpha' must be > 0, got 0.0"):
+                shear_factors(params, self.LOADS)
+        assert "_constants" not in vars(nondimensionalize(params))
+
+    def test_returned_arrays_are_not_shared(self):
+        params = mk(gamma=2.0, eta=2.0, iota=0.5)
+        for st in (Strains.reference(), Strains(0.1, 0.0, 0.2, 0.0, 0.1, 1.1)):
+            first = stored_energy_hessian(params, st)
+            want = first.copy()
+            first[:] = np.nan
+            assert np.array_equal(stored_energy_hessian(params, st), want)
 
 
 class TestNondimensionalize:

@@ -1,0 +1,223 @@
+"""Digest the results of the ``limrod`` library functions on seeded inputs.
+
+Calls each library function below on a fixed, seeded set of materials and
+inputs and prints one line per function:
+
+    <sha256>  <label>
+
+A function's digest covers, case by case, its arguments and either its
+result (floats by ``repr``, which round-trips exactly, arrays by the
+SHA-256 of their bytes) or the type and message of the exception it
+raised, together with any warning it emitted. Two checkouts that print
+the same line compute the same bits for that function on these inputs.
+
+The functions are the forward and inverse maps (scalar and batch), the
+stored and complementary energies, the stored-energy Hessian, the four
+state constructors (trivial, sheared, twist, helix), ``sheared_angle``
+and ``branch_sweep``. The materials are ``params/demo.json``,
+``params/dna.json``, gamma = 1e200 sets for p in {1, 2, 3}, gamma = the
+float64 maximum sets for p in {1, 2}, random sets with p in {1, 2} or
+drawn from [0.25, 8], chiral in nine cases out of ten and with gamma from
+1e-3 to 1e3 or, one in ten, beyond 1e10 or below 1e-10, and
+rejection-sampled sets with a sheared branch. Loads run from
+subnormal to the float64 maximum, zeros included; strains reach Q up to
+1 - 1e-12. Inadmissible sets and out-of-domain inputs record their errors.
+
+Run it from the repository root with the package to test on the path, and
+compare two checkouts with diff:
+
+    PYTHONPATH=src python tools/lib_digest.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python tools/lib_digest.py > old.txt
+    diff old.txt new.txt
+
+``--show LABEL`` prints the case records of the functions whose label
+contains LABEL instead of digests; diffing two such outputs lists the
+cases that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+import limrod as lr
+
+ROOT = Path(__file__).resolve().parent.parent
+GRID_H = 0.05  # constructor grids: 21 samples
+FLOAT_MAX = sys.float_info.max
+SEED = 7  # both checkouts must draw the same inputs
+
+
+def fmt(value) -> str:
+    """Exact, compact text of a result."""
+    if isinstance(value, np.ndarray):
+        digest = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()[:16]
+        return f"array{value.shape}:{digest}"
+    if isinstance(value, (lr.Strains, lr.Loads, lr.MaterialParams)):
+        return repr(value)
+    if isinstance(value, lr.EquilibriumState):
+        cfg = value.configuration
+        parts = [fmt(cfg.s), fmt(cfg.points), fmt(cfg.directors), fmt(value.loads)]
+        return " ".join(parts) + " " + repr(sorted(value.descriptor.items()))
+    if isinstance(value, tuple):
+        return "(" + ", ".join(fmt(v) for v in value) + ")"
+    if isinstance(value, list):
+        return "[" + ", ".join(fmt(v) for v in value) + "]"
+    return repr(value)
+
+
+def call(fn, *args) -> tuple[str, object]:
+    """(record, result or None) of one call: its result or exception, and
+    its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+            text = fmt(result)
+        except Exception as exc:  # an exception is part of the behaviour
+            result, text = None, f"raised {type(exc).__name__}: {exc}"
+    for w in caught:
+        text += f" [warning {w.category.__name__}: {w.message}]"
+    return text, result
+
+
+def random_material(rng: np.random.Generator, p: float | None = None) -> lr.MaterialParams:
+    alpha, beta, zeta, eta = (float(x) for x in 10.0 ** rng.uniform(-0.5, 0.5, size=4))
+    if p is None:
+        p = float(rng.choice([1.0, 2.0, round(float(rng.uniform(0.25, 8.0)), 3)]))
+    pick = rng.uniform()
+    exponent = rng.uniform(10.0, 300.0) if pick < 0.05 else (
+        -rng.uniform(10.0, 300.0) if pick < 0.1 else rng.uniform(-3.0, 3.0))
+    iota = float(rng.uniform(-0.95, 0.95)) * beta * eta if rng.uniform() < 0.9 else 0.0
+    ref = 1.0 if rng.uniform() < 0.5 else float(10.0 ** rng.uniform(-1.0, 1.0))
+    return lr.MaterialParams(alpha, beta, float(10.0**exponent), zeta, eta, iota, p, ref)
+
+
+def bifurcating_material(rng: np.random.Generator) -> tuple[lr.MaterialParams, float]:
+    while True:
+        alpha, beta = (float(x) for x in 10.0 ** rng.uniform(-0.5, 0.5, size=2))
+        zeta, eta = float(10.0 ** rng.uniform(-0.5, 0.3)), float(10.0 ** rng.uniform(-0.3, 0.7))
+        iota = float(rng.uniform(-0.5, 0.5)) * beta * eta if rng.uniform() < 0.9 else 0.0
+        p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
+        params = lr.MaterialParams(alpha, beta, 1.0, zeta, eta, iota, p)
+        thresh = lr.shear_threshold(params)
+        if not isinstance(thresh, lr.NoBifurcation):
+            return params, thresh
+
+
+def load_rows(rng: np.random.Generator) -> np.ndarray:
+    """Load rows from subnormal to the float maximum, zeros included."""
+    rows = []
+    for lo, hi in ((-3.0, 3.0), (-12.0, -4.0), (100.0, 300.0), (-320.0, -300.0)):
+        row = np.sign(rng.uniform(-1.0, 1.0, 6)) * 10.0 ** rng.uniform(lo, hi, 6)
+        row[rng.uniform(size=6) < 0.3] = 0.0
+        rows.append(row)
+    rows.append([0.0, 0.0, 0.0, 0.0, 0.0, 1e-8])
+    rows.append([0.0, 0.0, 0.0, 0.0, 0.0, 1e-5])
+    rows.append([0.0, 0.0, float(rng.uniform(-2.0, 2.0)), 0.0, 0.0, 0.0])
+    rows.append([FLOAT_MAX, -FLOAT_MAX, 0.0, 0.0, FLOAT_MAX, 0.0])
+    rows.append([0.0] * 6)
+    return np.array(rows, dtype=float)
+
+
+def strain_rows(rng: np.random.Generator, params: lr.MaterialParams, forward) -> list:
+    """The forward map's outputs, and random deviations scaled to Q from
+    1e-16 to 1 - 1e-12 and just beyond 1."""
+    out = [st for st in forward if isinstance(st, lr.Strains)]
+    try:
+        targets = [1e-16, 1e-6, 0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-12, 1.5]
+        for target in targets:
+            dev = rng.normal(size=6)
+            dev[rng.uniform(size=6) < 0.3] = 0.0
+            dev[2] = dev[2] or 1.0
+            st = lr.Strains.from_array([*dev[:5], 1.0 + dev[5]])
+            scale = math.sqrt(target / lr.strain_quad_form(params, st))
+            out.append(lr.Strains.from_array([*(dev[:5] * scale), 1.0 + dev[5] * scale]))
+    except lr.RodModelError:  # inadmissible set: the maps record the error
+        out.append(lr.Strains(0.01, 0.0, -0.02, 0.0, 0.03, 1.01))
+    return out
+
+
+def materials(rng: np.random.Generator) -> list:
+    params_files = [lr.load_params(ROOT / "params" / f"{name}.json") for name in ("demo", "dna")]
+    huge_gamma = [lr.MaterialParams(1.0, 1.0, 1e200, 1.0, 1.0, 0.0, p) for p in (1.0, 2.0, 3.0)]
+    chiral_huge = [lr.MaterialParams(1.3, 0.8, 1e200, 0.7, 2.0, 0.5, p) for p in (1.0, 2.0)]
+    inadmissible = [
+        lr.MaterialParams(-1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 2.0),
+        lr.MaterialParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0),
+        lr.MaterialParams(1.0, 1.0, math.nan, 1.0, 1.0, 0.0, 1.0),
+        lr.MaterialParams(1.0, 1.0, 1.0, 1.0, 1.0, math.inf, 1.5),
+    ]
+    randoms = [random_material(rng) for _ in range(1000)]
+    max_gamma = [lr.MaterialParams(1.0, 1.0, FLOAT_MAX, 1.0, 1.0, 0.0, p) for p in (1.0, 2.0)]
+    return params_files + huge_gamma + chiral_huge + inadmissible + randoms + max_gamma
+
+
+def digest_records() -> dict[str, list[str]]:
+    rng = np.random.default_rng(SEED)
+    rec: dict[str, list[str]] = {}
+
+    def add(label: str, fn, *args) -> object:
+        text, result = call(fn, *args)
+        rec.setdefault(label, []).append(f"{fmt(args)} -> {text}")
+        return result
+
+    for params in materials(rng):
+        rows = load_rows(rng)
+        loads = [lr.Loads.from_array(row) for row in rows]
+        forward = [add("strains_from_loads", lr.strains_from_loads, params, ld) for ld in loads]
+        # numpy scalars in, floats out
+        add("strains_from_loads", lr.strains_from_loads, params, lr.Loads(*rows[0]))
+        add("strains_from_loads_batch", lr.strains_from_loads_batch, params, rows)
+        for ld in loads:
+            add("complementary_energy", lr.complementary_energy, params, ld)
+        strains = strain_rows(rng, params, forward)
+        for st in strains:
+            add("loads_from_strains", lr.loads_from_strains, params, st)
+            add("stored_energy", lr.stored_energy, params, st)
+            add("stored_energy_hessian", lr.stored_energy_hessian, params, st)
+        inside = [st for st in strains if isinstance(st, lr.Strains)]
+        add("loads_from_strains_batch", lr.loads_from_strains_batch, params,
+            np.array([[st.u1, st.u2, st.u3, st.v1, st.v2, st.v3] for st in inside]))
+
+        signs = np.sign(rng.uniform(-1.0, 1.0, 2))
+        thrust, couple = (float(x) for x in signs * 10.0 ** rng.uniform(-3.0, 3.0, 2))
+        theta, psi0 = float(rng.uniform(0.01, 0.5 * math.pi)), float(rng.uniform(-3.0, 3.0))
+        add("trivial_tensile_state", lr.trivial_tensile_state, params, thrust, psi0, GRID_H)
+        add("pure_twist_state", lr.pure_twist_state, params, couple, theta, psi0, GRID_H)
+        for m1 in (couple, 1e200, 5e-324, -1e-310):
+            add("helical_state", lr.helical_state, params, m1, theta, psi0, GRID_H)
+
+    for _ in range(150):
+        params, thresh = bifurcating_material(rng)
+        thrusts = [thresh * (1.0 + float(x)) for x in 10.0 ** rng.uniform(-6.0, 2.0, 3)]
+        for thrust in thrusts + [1e200, 0.5 * thresh]:
+            add("sheared_angle", lr.sheared_angle, params, thrust)
+            add("sheared_tensile_state", lr.sheared_tensile_state, params, thrust,
+                float(rng.uniform(-3.0, 3.0)), GRID_H)
+        add("branch_sweep", lr.branch_sweep, params, -thresh, 3.0 * thresh, 21)
+    return rec
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--show", metavar="LABEL", help="print case records of matching functions")
+    args = parser.parse_args()
+    for label, lines in digest_records().items():
+        if args.show is None:
+            body = "\n".join(lines).encode("utf-8")
+            print(f"{hashlib.sha256(body).hexdigest()}  {label} ({len(lines)} cases)")
+        elif args.show in label:
+            print(f"== {label}")
+            print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
