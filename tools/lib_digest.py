@@ -12,16 +12,20 @@ raised, together with any warning it emitted. Two checkouts that print
 the same line compute the same bits for that function on these inputs.
 
 The functions are the forward and inverse maps (scalar and batch), the
-stored and complementary energies, the stored-energy Hessian, the four
-state constructors (trivial, sheared, twist, helix), ``sheared_angle``
-and ``branch_sweep``. The materials are ``params/demo.json``,
+stored and complementary energies, the stored-energy Hessian,
+``strain_bounds``, ``shear_factors`` and ``reduced_residual``, the four
+state constructors (trivial, sheared, twist, helix), the branch
+quantities (``shear_threshold``, ``sheared_angle``, ``sheared_angle_p2``,
+``sheared_angle_limit``, ``thrust_strain_limits``) and ``branch_sweep``. The materials are ``params/demo.json``,
 ``params/dna.json``, gamma = 1e200 sets for p in {1, 2, 3}, gamma = the
 float64 maximum sets for p in {1, 2}, random sets with p in {1, 2} or
 drawn from [0.25, 8], chiral in nine cases out of ten and with gamma from
 1e-3 to 1e3 or, one in ten, beyond 1e10 or below 1e-10, and
 rejection-sampled sets with a sheared branch. Loads run from
 subnormal to the float64 maximum, zeros included; strains reach Q up to
-1 - 1e-12. Inadmissible sets and out-of-domain inputs record their errors.
+1 - 1e-12. ``shear_factors`` and ``reduced_residual`` also get NaN and
+infinite loads and an infinite thrust. Inadmissible sets and
+out-of-domain inputs record their errors.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -52,6 +56,12 @@ ROOT = Path(__file__).resolve().parent.parent
 GRID_H = 0.05  # constructor grids: 21 samples
 FLOAT_MAX = sys.float_info.max
 SEED = 7  # both checkouts must draw the same inputs
+NAN, INF = math.nan, math.inf
+NONFINITE_LOADS = [
+    lr.Loads(NAN, 0.0, 0.0, 0.0, 0.0, 1.0),
+    lr.Loads(0.0, 0.0, 0.0, 0.0, 0.0, INF),
+    lr.Loads(0.0, 0.0, -INF, 0.0, 0.0, 1.0),
+]
 
 
 def fmt(value) -> str:
@@ -159,6 +169,31 @@ def materials(rng: np.random.Generator) -> list:
     return params_files + huge_gamma + chiral_huge + inadmissible + randoms + max_gamma
 
 
+def add_branch_quantities(add, params: lr.MaterialParams, thrusts: list) -> None:
+    """The threshold, the closed-form and limit angles and the trivial
+    branch's limits: no draw from the generator, so the other cases see
+    the same inputs as without them."""
+    add("shear_threshold", lr.shear_threshold, params)
+    add("sheared_angle_limit", lr.sheared_angle_limit, params)
+    add("thrust_strain_limits", lr.thrust_strain_limits, params)
+    for thrust in thrusts:
+        add("sheared_angle_p2", lr.sheared_angle_p2, params, thrust)
+
+
+def add_reduced_residuals(add, params, loads, thrust, couple, theta, psi0) -> None:
+    """reduced_residual on loads turned into the {e_k} basis, on NaN and
+    infinite loads, and on an infinite thrust, with or without infinite
+    force components; rates and v3 come from the drawn values."""
+    angles = lr.EulerAngles(0.5 * couple, theta, psi0)
+    rates, load_rates, v3 = (couple, 0.5 * theta, psi0), (0.1 * couple, -0.2, 0.3), 1.0 + 1e-3 * thrust
+    cases = [lr.frame_loads(ld, angles, thrust) for ld in [loads] + NONFINITE_LOADS]
+    cases.append(lr.frame_loads(loads, angles, INF))
+    cases.append(lr.FrameLoads(0.5, -0.25, couple, -thrust * math.sin(theta), 0.0,
+                               thrust * math.cos(theta), INF))
+    for fl in cases:
+        add("reduced_residual", lr.reduced_residual, params, angles, rates, fl, load_rates, v3)
+
+
 def digest_records() -> dict[str, list[str]]:
     rng = np.random.default_rng(SEED)
     rec: dict[str, list[str]] = {}
@@ -190,6 +225,11 @@ def digest_records() -> dict[str, list[str]]:
         thrust, couple = (float(x) for x in signs * 10.0 ** rng.uniform(-3.0, 3.0, 2))
         theta, psi0 = float(rng.uniform(0.01, 0.5 * math.pi)), float(rng.uniform(-3.0, 3.0))
         add("trivial_tensile_state", lr.trivial_tensile_state, params, thrust, psi0, GRID_H)
+        add_branch_quantities(add, params, [thrust])
+        add("strain_bounds", lr.strain_bounds, params)
+        for ld in loads + NONFINITE_LOADS:
+            add("shear_factors", lr.shear_factors, params, ld)
+        add_reduced_residuals(add, params, loads[0], thrust, couple, theta, psi0)
         add("pure_twist_state", lr.pure_twist_state, params, couple, theta, psi0, GRID_H)
         for m1 in (couple, 1e200, 5e-324, -1e-310):
             add("helical_state", lr.helical_state, params, m1, theta, psi0, GRID_H)
@@ -197,6 +237,7 @@ def digest_records() -> dict[str, list[str]]:
     for _ in range(150):
         params, thresh = bifurcating_material(rng)
         thrusts = [thresh * (1.0 + float(x)) for x in 10.0 ** rng.uniform(-6.0, 2.0, 3)]
+        add_branch_quantities(add, params, thrusts + [1e200, 0.5 * thresh, INF, NAN])
         for thrust in thrusts + [1e200, 0.5 * thresh]:
             add("sheared_angle", lr.sheared_angle, params, thrust)
             add("sheared_tensile_state", lr.sheared_tensile_state, params, thrust,
