@@ -95,17 +95,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
     else:
         payload = {
             "no_bifurcation": str(verdict) if verdict is not None else None,
-            "points": [
-                {
-                    "N": pt.N,
-                    "theta": pt.theta,
-                    "u3": pt.strains.u3,
-                    "v3": pt.strains.v3,
-                    "v_shear_amplitude": math.hypot(pt.strains.v1, pt.strains.v2),
-                    "branch": pt.branch,
-                }
-                for pt in points
-            ],
+            "points": [equilibrium._branch_row(pt) for pt in points],
         }
         Path(args.out).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

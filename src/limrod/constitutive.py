@@ -37,8 +37,8 @@ field order above (``as_array``/``from_array``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,20 @@ _EPS = math.ulp(1.0)
 _BATCH_BLOCK = 8192  # rows per pass of the batch forward map
 
 
+class _SixVector:
+    """The wire form Strains and Loads share: their six fields, in order."""
+
+    def as_array(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)])
+
+    @classmethod
+    def from_array(cls, a: Iterable[float]):
+        x1, x2, x3, x4, x5, x6 = (float(x) for x in a)
+        return cls(x1, x2, x3, x4, x5, x6)
+
+
 @dataclass(frozen=True)
-class Strains:
+class Strains(_SixVector):
     u1: float
     u2: float
     u3: float
@@ -75,21 +87,13 @@ class Strains:
     v2: float
     v3: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u1, self.u2, self.u3, self.v1, self.v2, self.v3])
-
-    @classmethod
-    def from_array(cls, a: Iterable[float]) -> "Strains":
-        u1, u2, u3, v1, v2, v3 = (float(x) for x in a)
-        return cls(u1, u2, u3, v1, v2, v3)
-
     @classmethod
     def reference(cls) -> "Strains":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
-class Loads:
+class Loads(_SixVector):
     m1: float
     m2: float
     m3: float
@@ -97,31 +101,18 @@ class Loads:
     n2: float
     n3: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m1, self.m2, self.m3, self.n1, self.n2, self.n3])
-
-    @classmethod
-    def from_array(cls, a: Iterable[float]) -> "Loads":
-        m1, m2, m3, n1, n2, n3 = (float(x) for x in a)
-        return cls(m1, m2, m3, n1, n2, n3)
-
     @classmethod
     def zero(cls) -> "Loads":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-class StrainBounds(tuple):
+class StrainBounds(NamedTuple):
     """Open upper bounds on (u1^2+u2^2)^{1/2}, |u3|, (v1^2+v2^2)^{1/2}, |v3-1|."""
 
-    __slots__ = ()
-
-    def __new__(cls, flexure, twist, shear, dilatation):
-        return super().__new__(cls, (flexure, twist, shear, dilatation))
-
-    flexure = property(lambda self: self[0])
-    twist = property(lambda self: self[1])
-    shear = property(lambda self: self[2])
-    dilatation = property(lambda self: self[3])
+    flexure: float
+    twist: float
+    shear: float
+    dilatation: float
 
 
 def _strain_form(c: _Constants, u1, u2, u3, v1, v2, dv3):
@@ -452,6 +443,16 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
         k += 1
 
 
+def _log1p_series(x: float) -> float:
+    """s(x) with x - log(1 + x) = x s(x)/(2 + x), free of cancellation for
+    |x| <= 1/2: s = x - 2 y^2 S, the series in y = x/(2 + x) with
+    S = sum_j y^2j/(2j + 3) and y^2 <= 1/9."""
+    y2, total, term, d = (x / (2.0 + x)) ** 2, 0.0, 1.0, 3.0
+    while term > _EPS:
+        total, term, d = total + term / d, term * y2, d + 2.0
+    return x - 2.0 * y2 * total
+
+
 def _stored_beta(c: _Constants, q: float, s: float) -> float:
     """W = (gamma/p) B(Q^{p/2}; 2/p, 1 - 1/p), given Q and s = 1 - Q^{p/2}."""
     p = c.p
@@ -462,7 +463,9 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
     """Stored energy W = (gamma/2) * integral_0^Q (1 - t^{p/2})^{-1/p} dt.
 
     Zero at the reference state; its strain gradient is ``loads_from_strains``.
-    Closed forms for p = 1 and p = 2; otherwise the exact reduction
+    Closed forms for p = 2, gamma Q/(1 + sqrt(1 - Q)), and p = 1,
+    gamma (x - log(1 + x)) at x = -sqrt(Q), both free of cancellation at
+    small Q; otherwise the exact reduction
     W = (gamma/p) B(Q^{p/2}; 2/p, 1 - 1/p) to an incomplete beta function.
     Against 40-digit mpmath the relative error is below 1e-14 for p in
     [0.25, 100] (1e-13 down to p = 0.05) and Q up to 1 - 1e-12.
@@ -473,10 +476,12 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
         return 0.0
     g, p = c.gamma, c.p
     if p == 2.0:
-        return g * (1.0 - math.sqrt(1.0 - q))
+        return g * q / (1.0 + math.sqrt(1.0 - q))
     if p == 1.0:
         rt = math.sqrt(q)
-        return g * (-rt - math.log1p(-rt))
+        if rt > 0.5:
+            return g * (-rt - math.log1p(-rt))
+        return g * -rt * _log1p_series(-rt) / (2.0 - rt)
     return _stored_beta(c, q, _one_minus_qp(q, p))
 
 
@@ -509,12 +514,8 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
         x = rt / g
         if x > 0.5:  # where x overflows, g log(1 + x) is below an ulp of rt
             return (rt - g * math.log1p(x) if x < math.inf else rt) / k
-        # there rt (x - 2 y^2 S)/(2 + x), the series of x - log(1 + x) in
-        # y = x/(2 + x), with S = sum_j y^2j/(2j + 3) and y^2 <= 1/25
-        y2, total, term, d = (x / (2.0 + x)) ** 2, 0.0, 1.0, 3.0
-        while term > _EPS:
-            total, term, d = total + term / d, term * y2, d + 2.0
-        return rt * (x - 2.0 * y2 * total) / (2.0 + x) / k
+        # there g x s(x)/(2 + x) = rt s(x)/(2 + x)
+        return rt * _log1p_series(x) / (2.0 + x) / k
     f = _scaled_factor(p, g, qstar)
     work = f * qstar
     return work / k - _stored_beta(c, work * f, (g * f) ** p)

@@ -34,6 +34,7 @@ than separate constructors.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -50,7 +51,7 @@ from .errors import (
     NoBifurcationError,
 )
 from .kinematics import Configuration, _derivative, _euler_directors, darboux_components
-from .material import MaterialParams, _constants, _Constants, nondimensionalize, validate
+from .material import MaterialParams, _constants, _Constants, nondimensionalize
 
 __all__ = [
     "NoBifurcation",
@@ -161,10 +162,38 @@ class BalanceReport:
 # bifurcation threshold and sheared angle
 
 
-def _branch_ratio(c: _Constants) -> float:
-    """ratio = det / (beta^2 zeta^2), with det = beta^2 eta^2 - iota^2: the
-    moduli ratio governing the sheared branch; its dilatation is 1/(ratio - 1)."""
-    return c.det / (c.b2 * c.z2)
+# A normalised set's sheared branch: what does not depend on N, built once
+# from the set's record. thresh is the threshold thrust or the NoBifurcation
+# verdict, ratio = det/(beta^2 zeta^2), k = v3 - 1 = 1/(ratio - 1) is also the
+# bisection's target, and u3 = -iota k/beta^2; k, u3 and v3 are NaN where
+# there is no branch.
+_Branch = namedtuple("_Branch", "c thresh ratio k u3 v3", defaults=(math.nan,) * 3)
+
+
+def _branch(pn: MaterialParams) -> _Branch:
+    c = _constants(pn)
+    det, ratio = c.det, c.det / (c.b2 * c.z2)
+    if not ratio > 1.0:
+        return _Branch(c, NoBifurcation(
+            condition="dilatation-positivity",
+            detail=(
+                "sheared-branch dilatation is not positive: requires "
+                f"eta^2 > zeta^2 + iota^2/beta^2 (ratio = {ratio!r})"
+            ),
+        ), ratio)
+    inv_np = (ratio - 1.0) ** pn.p * (c.b2 / det) ** pn.p - (
+        pn.beta / math.sqrt(det)
+    ) ** pn.p
+    if not inv_np > 0.0:
+        return _Branch(c, NoBifurcation(
+            condition="dilatation-limit",
+            detail=(
+                "sheared-branch dilatation would exceed its limiting value: "
+                f"requires 1/(ratio - 1) < beta/sqrt(det) (gap = {inv_np!r})"
+            ),
+        ), ratio)
+    k = 1.0 / (ratio - 1.0)
+    return _Branch(c, inv_np ** (-1.0 / pn.p), ratio, k, -c.iota * k / c.b2, 1.0 + k)
 
 
 def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
@@ -179,36 +208,18 @@ def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
 
     with det = beta^2 eta^2 - iota^2 and ratio = det/(beta^2 zeta^2).
     """
-    pn = nondimensionalize(validate(params))
-    c = _constants(pn)
-    det, ratio = c.det, _branch_ratio(c)
-    if not ratio > 1.0:
-        return NoBifurcation(
-            condition="dilatation-positivity",
-            detail=(
-                "sheared-branch dilatation is not positive: requires "
-                f"eta^2 > zeta^2 + iota^2/beta^2 (ratio = {ratio!r})"
-            ),
-        )
-    inv_np = (ratio - 1.0) ** pn.p * (c.b2 / det) ** pn.p - (
-        pn.beta / math.sqrt(det)
-    ) ** pn.p
-    if not inv_np > 0.0:
-        return NoBifurcation(
-            condition="dilatation-limit",
-            detail=(
-                "sheared-branch dilatation would exceed its limiting value: "
-                f"requires 1/(ratio - 1) < beta/sqrt(det) (gap = {inv_np!r})"
-            ),
-        )
-    return inv_np ** (-1.0 / pn.p)
+    return _branch(nondimensionalize(params)).thresh
 
 
-def _require_threshold(pn: MaterialParams) -> float:
-    thresh = shear_threshold(pn)
-    if isinstance(thresh, NoBifurcation):
-        raise NoBifurcationError(str(thresh))
-    return thresh
+def _sheared_branch(pn: MaterialParams, thrust: float | None = None) -> _Branch:
+    """The branch record of a set that has a sheared branch, lying below
+    ``thrust`` when one is given: else NoBifurcationError, or BelowThreshold."""
+    branch = _branch(pn)
+    if isinstance(branch.thresh, NoBifurcation):
+        raise NoBifurcationError(str(branch.thresh))
+    if thrust is not None and not thrust > branch.thresh:
+        raise BelowThreshold(f"thrust {thrust!r} <= threshold {branch.thresh!r}")
+    return branch
 
 
 def _branch_fn(c: _Constants, thrust: float, x: float) -> float:
@@ -216,6 +227,21 @@ def _branch_fn(c: _Constants, thrust: float, x: float) -> float:
     angle; strictly increasing on [0, 1]: F at gamma = 1/N, Q* = g, times x."""
     g = (1.0 - x * x) / c.z2 + c.b2 * x * x / c.det
     return _factor(c.p, thrust**-c.p, g) * c.b2 * x / c.det
+
+
+def _sheared_tilt(branch: _Branch, thrust: float) -> tuple[float, float]:
+    """theta(N), by bisection on cos(theta) in [0, 1] for f_N(cos theta) = k,
+    and there the shear strains' amplitude k ratio tan(theta)."""
+    c, target = branch.c, branch.k
+    lo, hi = 0.0, 1.0
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if _branch_fn(c, thrust, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    theta = math.acos(0.5 * (lo + hi))
+    return theta, target * branch.ratio * math.tan(theta)
 
 
 def sheared_angle(params: MaterialParams, thrust: float) -> float:
@@ -226,20 +252,13 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     Raises BelowThreshold for N <= threshold and NoBifurcationError when
     the material admits no sheared branch at all.
     """
-    pn = nondimensionalize(validate(params))
-    thresh = _require_threshold(pn)
-    if not thrust > thresh:
-        raise BelowThreshold(f"thrust {thrust!r} <= threshold {thresh!r}")
-    c = _constants(pn)
-    target = 1.0 / (_branch_ratio(c) - 1.0)
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _branch_fn(c, thrust, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return math.acos(0.5 * (lo + hi))
+    return _sheared_tilt(_sheared_branch(nondimensionalize(params), thrust), thrust)[0]
+
+
+def _angle_factor(c: _Constants) -> float:
+    """[A^2 + A]^{-1/2} with A = 1/zeta^2 - beta^2/det."""
+    a = 1.0 / c.z2 - c.b2 / c.det
+    return (a * a + a) ** -0.5
 
 
 def sheared_angle_p2(params: MaterialParams, thrust: float) -> float:
@@ -248,30 +267,24 @@ def sheared_angle_p2(params: MaterialParams, thrust: float) -> float:
         cos theta = [A^2 + A]^{-1/2} (1/N^2 + 1/zeta^2)^{1/2},
         A = 1/zeta^2 - beta^2/det.
     """
-    pn = nondimensionalize(validate(params))
+    pn = nondimensionalize(params)
     if pn.p != 2.0:
         raise ValueError("closed form requires p = 2")
-    thresh = _require_threshold(pn)
-    if not thrust > thresh:
-        raise BelowThreshold(f"thrust {thrust!r} <= threshold {thresh!r}")
-    a = 1.0 / pn.zeta**2 - pn.beta**2 / pn.twist_stretch_det
-    c = (a * a + a) ** -0.5 * math.sqrt(thrust**-2 + pn.zeta**-2)
-    return math.acos(c)
+    factor = _angle_factor(_sheared_branch(pn, thrust).c)
+    return math.acos(factor * math.sqrt(thrust**-2 + pn.zeta**-2))
 
 
 def sheared_angle_limit(params: MaterialParams) -> float:
     """Limit of the sheared angle as the thrust grows unbounded:
     arccos{ [A^2 + A]^{-1/2} / zeta } with A = 1/zeta^2 - beta^2/det."""
-    pn = nondimensionalize(validate(params))
-    _require_threshold(pn)
-    a = 1.0 / pn.zeta**2 - pn.beta**2 / pn.twist_stretch_det
-    return math.acos((a * a + a) ** -0.5 / pn.zeta)
+    pn = nondimensionalize(params)
+    return math.acos(_angle_factor(_sheared_branch(pn).c) / pn.zeta)
 
 
 def thrust_strain_limits(params: MaterialParams) -> ThrustLimits:
     """Limiting twist and stretch deviation on the trivial branch as
     N -> +inf / -inf."""
-    pn = nondimensionalize(validate(params))
+    pn = nondimensionalize(params)
     root = math.sqrt(pn.twist_stretch_det)
     return ThrustLimits(
         u3_tension=-pn.iota / (pn.beta * root),
@@ -333,20 +346,13 @@ def trivial_tensile_state(
     The strains are constant, given by the forward map at pure tension;
     the directors spin about g3 at the constitutive twist rate u3.
     """
-    pn = nondimensionalize(validate(params))
+    pn = nondimensionalize(params)
     st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust))
     return _family_state(
         pn, grid_h, 0.0, psi0, (0.0, st.u3), (0.0, 0.0, 0.0, thrust),
         lambda s, phi: np.outer(s, (0.0, 0.0, st.v3)),
         family="trivial", thrust=thrust, strains={"u3": st.u3, "v3": st.v3},
     )
-
-
-def _sheared_strains(c: _Constants, theta: float) -> tuple[float, float, float, float]:
-    """(k = v3 - 1, u3, v3, shear amplitude) of the sheared branch at tilt theta."""
-    ratio = _branch_ratio(c)
-    k = 1.0 / (ratio - 1.0)
-    return k, -c.iota * k / c.b2, 1.0 + k, k * ratio * math.tan(theta)
 
 
 def sheared_tensile_state(
@@ -363,10 +369,10 @@ def sheared_tensile_state(
     (v3 - 1) * ratio * tan(theta) at phase u3 s + psi0. The centerline
     stays parallel to g3 while d3 tilts by theta.
     """
-    pn = nondimensionalize(validate(params))
-    theta = sheared_angle(pn, thrust)
-    c = _constants(pn)
-    k, u3, v3, amplitude = _sheared_strains(c, theta)
+    pn = nondimensionalize(params)
+    branch = _sheared_branch(pn, thrust)
+    theta, amplitude = _sheared_tilt(branch, thrust)
+    c, k, u3, v3 = branch.c, branch.k, branch.u3, branch.v3
     sth, cth = math.sin(theta), math.cos(theta)
 
     # Internal consistency: the saturating factor of the branch loads must
@@ -408,7 +414,7 @@ def pure_twist_state(
     spin at the constitutive twist rate. A chiral rod changes length:
     sign(v3 - 1) = sign(-iota * M3), the Poynting effect.
     """
-    pn = nondimensionalize(validate(params))
+    pn = nondimensionalize(params)
     st = strains_from_loads(pn, Loads(0.0, 0.0, twist_couple, 0.0, 0.0, 0.0))
     d3 = np.array([math.sin(theta), 0.0, math.cos(theta)])
     return _family_state(
@@ -435,7 +441,7 @@ def helical_state(
     an achiral rod). Raises DegenerateCouple for M1 = 0, or for an M1 so
     small that the radius overflows.
     """
-    pn = nondimensionalize(validate(params))
+    pn = nondimensionalize(params)
     if not math.isfinite(bend_couple):
         raise LoadOutOfRange(f"bend couple M1 = {bend_couple!r} is not finite")
     if bend_couple == 0.0:
@@ -527,7 +533,7 @@ def state_from_configuration(params: MaterialParams, config: Configuration) -> E
     constitutively impossible. The derived loads carry the O(h^2)
     discretization error of the stencils.
     """
-    pn = nondimensionalize(validate(params))
+    pn = nondimensionalize(params)
     h = config.h
     dr = _derivative(config.points, h)
     v = np.einsum("ni,nki->nk", dr, config.directors)
@@ -557,12 +563,12 @@ def branch_sweep(
     verdict; sheared points appear only for thrusts strictly above the
     threshold.
     """
-    pn = nondimensionalize(validate(params))
+    pn = nondimensionalize(params)
     if not n_min < n_max:
         raise ValueError(f"need n_min < n_max, got {n_min!r} >= {n_max!r}")
     if count < 2:
         raise ValueError(f"need at least 2 sweep points, got {count!r}")
-    thresh = shear_threshold(pn)
+    branch = _branch(pn)
     points: list[BranchPoint] = []
     for thrust in np.linspace(n_min, n_max, count):
         thrust = float(thrust)
@@ -576,21 +582,20 @@ def branch_sweep(
                 branch="trivial",
             )
         )
-        if not isinstance(thresh, NoBifurcation) and thrust > thresh:
-            theta = sheared_angle(pn, thrust)
-            _, u3, v3, amplitude = _sheared_strains(_constants(pn), theta)
+        if not isinstance(branch.thresh, NoBifurcation) and thrust > branch.thresh:
+            theta, amplitude = _sheared_tilt(branch, thrust)
             sth, cth = math.sin(theta), math.cos(theta)
             points.append(
                 BranchPoint(
                     N=thrust,
                     theta=theta,
-                    strains=Strains(0.0, 0.0, u3, -amplitude, 0.0, v3),
+                    strains=Strains(0.0, 0.0, branch.u3, -amplitude, 0.0, branch.v3),
                     loads=Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth),
                     branch="sheared",
                 )
             )
     points.sort(key=lambda pt: (pt.N, pt.branch))
-    return points, thresh
+    return points, branch.thresh
 
 
 def write_branch_csv(
@@ -604,7 +609,14 @@ def write_branch_csv(
         lines.append(f"# no bifurcation: {no_bifurcation}")
     lines.append(BRANCH_CSV_HEADER)
     for pt in points:
-        amp = math.hypot(pt.strains.v1, pt.strains.v2)
-        row = [pt.N, pt.theta, pt.strains.u3, pt.strains.v3, amp]
-        lines.append(",".join(f"{x:.17g}" for x in row) + f",{pt.branch}")
+        row = _branch_row(pt).values()
+        lines.append(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _branch_row(pt: BranchPoint) -> dict:
+    """A row of the diagram, keyed by the columns BRANCH_CSV_HEADER names,
+    in its order: the CSV and the JSON table both write it."""
+    amplitude = math.hypot(pt.strains.v1, pt.strains.v2)
+    values = (pt.N, pt.theta, pt.strains.u3, pt.strains.v3, amplitude, pt.branch)
+    return dict(zip(BRANCH_CSV_HEADER.split(","), values))

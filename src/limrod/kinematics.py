@@ -32,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _load_scale, _scaled_factor
-from .errors import AngleOutOfRange, NonOrthonormalFrame
-from .material import MaterialParams, _constants, nondimensionalize, validate
+from .constitutive import Loads, Strains, _load_scale, _nonfinite_loads, _scaled_factor
+from .errors import AngleOutOfRange, LoadOutOfRange, NonOrthonormalFrame
+from .material import MaterialParams, _constants, nondimensionalize
 
 __all__ = [
     "EulerAngles",
@@ -81,6 +81,20 @@ def _check_theta(theta: float) -> None:
         raise AngleOutOfRange(f"theta must lie in [0, pi], got {theta!r}")
 
 
+def _check_frames(dirs: np.ndarray, not_orthonormal: str, not_right_handed: str = "") -> None:
+    """Raise NonOrthonormalFrame, with the message given, if a frame of
+    ``dirs`` (n, 3, 3) fails orthonormality or, where a message for it is
+    given, right-handedness. The tests are written "not <=" so that NaN
+    fails them."""
+    gram = np.einsum("nij,nkj->nik", dirs, dirs)
+    if not np.abs(gram - np.eye(3)).max() <= _ORTHO_TOL:
+        raise NonOrthonormalFrame(not_orthonormal)
+    if not_right_handed and not (
+        np.abs(np.cross(dirs[:, 0], dirs[:, 1]) - dirs[:, 2]).max() <= _ORTHO_TOL
+    ):
+        raise NonOrthonormalFrame(not_right_handed)
+
+
 @dataclass(frozen=True)
 class Frame:
     """Right-handed orthonormal director triple in the fixed basis."""
@@ -96,12 +110,8 @@ class Frame:
                 raise ValueError(f"{name} must be a 3-vector")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        # written "not <=" so that NaN fails the tolerance
-        m = self.matrix()
-        if not np.abs(m @ m.T - np.eye(3)).max() <= _ORTHO_TOL:
-            raise NonOrthonormalFrame("directors are not orthonormal")
-        if not np.abs(np.cross(self.d1, self.d2) - self.d3).max() <= _ORTHO_TOL:
-            raise NonOrthonormalFrame("frame is not right-handed")
+        _check_frames(self.matrix()[None], "directors are not orthonormal",
+                      "frame is not right-handed")
 
     def matrix(self) -> np.ndarray:
         """Rows d1, d2, d3."""
@@ -165,11 +175,8 @@ class Configuration:
         h = 1.0 / (n - 1)
         if not np.abs(steps - h).max() <= 1e-9 * max(1.0, h):
             raise ValueError("samples must be uniformly spaced")
-        gram = np.einsum("nij,nkj->nik", dirs, dirs)
-        if not np.abs(gram - np.eye(3)).max() <= _ORTHO_TOL:
-            raise NonOrthonormalFrame("a sampled frame is not orthonormal")
-        if not np.abs(np.cross(dirs[:, 0], dirs[:, 1]) - dirs[:, 2]).max() <= _ORTHO_TOL:
-            raise NonOrthonormalFrame("a sampled frame is not right-handed")
+        _check_frames(dirs, "a sampled frame is not orthonormal",
+                      "a sampled frame is not right-handed")
         for name, arr in (("s", s), ("points", pts), ("directors", dirs)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -221,9 +228,7 @@ def darboux_components(frames: np.ndarray, h: float) -> np.ndarray:
     dirs = np.asarray(frames, dtype=float)
     if dirs.ndim != 3 or dirs.shape[1:] != (3, 3) or dirs.shape[0] < 3:
         raise ValueError("need at least three frame samples of shape (3, 3)")
-    gram = np.einsum("nij,nkj->nik", dirs, dirs)
-    if not np.abs(gram - np.eye(3)).max() <= _ORTHO_TOL:  # NaN fails too
-        raise NonOrthonormalFrame("frame samples are not orthonormal")
+    _check_frames(dirs, "frame samples are not orthonormal")
     rates = _derivative(dirs, h)
     u = 0.5 * np.cross(dirs, rates).sum(axis=1)
     return np.einsum("ni,nki->nk", u, dirs)
@@ -276,8 +281,13 @@ def frame_loads(loads: Loads, angles: EulerAngles, thrust: float) -> FrameLoads:
 def shear_factors(params: MaterialParams, loads: Loads) -> tuple[float, float]:
     """Scalar factors (u_factor, v_factor) in the normalized gauge such that
     u_mu = u_factor * m_mu and v_mu = v_factor * n_mu: the saturating factor
-    F over alpha^2 and zeta^2, positive and finite for every finite load."""
-    c = _constants(nondimensionalize(validate(params)))
+    F over alpha^2 and zeta^2, positive and finite for every finite load.
+    Raises LoadOutOfRange, with the forward map's message, for a NaN or
+    infinite component."""
+    c = _constants(nondimensionalize(params))
+    values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    if not all(map(math.isfinite, values)):
+        raise _nonfinite_loads(values)
     qstar, k = _load_scale(c, loads)
     f = _scaled_factor(c.p, k, qstar) * k
     return f / c.a2, f / c.z2
@@ -305,9 +315,10 @@ def reduced_residual(
         r6 = M3'
 
     where u, v are the shear factors and u3 the constitutive twist of the
-    load state.
+    load state. Raises LoadOutOfRange for a NaN or infinite load component,
+    as ``shear_factors`` does, or thrust N.
     """
-    pn = nondimensionalize(validate(params))
+    pn = nondimensionalize(params)
     c = _constants(pn)
     dphi, dtheta, dpsi = angle_rates
     dM1, dM2, dM3 = load_rates
@@ -316,6 +327,8 @@ def reduced_residual(
     # stand in for director components directly.
     director_loads = Loads(loads.M1, loads.M2, loads.M3, loads.N1, loads.N2, loads.N3)
     u_fac, v_fac = shear_factors(pn, director_loads)
+    if not math.isfinite(loads.N):
+        raise LoadOutOfRange(f"thrust N = {loads.N!r} is not finite")
     f = u_fac * c.a2
     u3 = f * (c.e2 * loads.M3 - c.iota * loads.N * cth) / c.det
     return np.array(

@@ -619,6 +619,18 @@ class TestBetaEnergies:
             ref = qstar / (2 * g) * shape
         assert abs(complementary_energy(params, loads) - ref) <= 2e-16 * ref
 
+    @pytest.mark.parametrize("p", (1.0, 2.0))
+    @pytest.mark.parametrize("u3", (1e-9, 1e-8, 1e-6, 0.45))
+    def test_stored_closed_forms_against_defining_integral(self, p, u3):
+        # g (1 - sqrt(1 - Q)) (p = 2) and g (-rt - log1p(-rt)) (p = 1) cancel
+        # at small Q: p = 2 returned 0.0 at u3 = 1e-9 and was 122 % off at
+        # 1e-8; p = 1 was 1.5e-7 off at 1e-9. 0.45 is the series next to its cutoff.
+        params, st = mk(p=p), Strains(0, 0, u3, 0, 0, 1)
+        with mpmath.workdps(50):  # on [0, 1], so that quad's absolute tolerance is relative
+            q = mpmath.mpf(strain_quad_form(params, st))
+            ref = q / 2 * mpmath.quad(lambda t: (1 - (q * t) ** (p / 2)) ** (-1 / p), [0, 1])
+        assert abs(stored_energy(params, st) - ref) <= 4e-16 * ref
+
     def test_p1_where_load_over_gamma_overflows(self):
         # rt/g overflows at unit scale: g log1p(rt/g) was inf and W* -inf
         loads = Loads(sys.float_info.max, 0, 0, 0, 0, 0)

@@ -580,6 +580,17 @@ class TestNonFiniteInputs:
         with pytest.raises(AngleOutOfRange, match="^psi0 must be finite"):
             build(demo_params, psi0)
 
+    @pytest.mark.parametrize("loads, message", [
+        (FrameLoads(math.nan, 0.0, 0.2, -0.5, 0.0, 1.9, 2.0), "^loads are not all finite: "),
+        (FrameLoads(0.3, 0.0, 0.2, -math.inf, 0.0, math.inf, math.inf), "^loads are not all finite: "),
+        (FrameLoads(0.3, 0.0, 0.2, -0.5, 0.0, 1.9, math.inf), "^thrust N = inf is not finite"),
+    ], ids=["nan-couple", "infinite-thrust", "infinite-N-only"])
+    def test_reduced_residual(self, demo_params, loads, message):
+        # these once gave NaN residuals, silently
+        angles = EulerAngles(0.0, 0.3, 0.1)
+        with pytest.raises(LoadOutOfRange, match=message):
+            reduced_residual(demo_params, angles, (0.1, 0.0, 0.2), loads, (0.0, 0.0, 0.0), 1.01)
+
 
 class TestLoadsBeyondOverflow:
     """Loads whose Q*^{p/2} overflows once raised a raw OverflowError."""
@@ -689,6 +700,22 @@ class TestBranchSweep:
             back = loads_from_strains(demo_params, pt.strains)
             scale = 1.0 + np.abs(pt.loads.as_array()).max()
             assert np.abs(back.as_array() - pt.loads.as_array()).max() < 1e-10 * scale
+
+    def test_sheared_rows_equal_the_public_functions(self, demo_params):
+        # the sweep reads the same branch record as the public functions, so
+        # its sheared rows equal theirs bit for bit
+        rng = np.random.default_rng(53)
+        chiral = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.3, 1.5)
+        for params in [demo_params, chiral] + [bifurcating_params(rng) for _ in range(3)]:
+            points, thresh = branch_sweep(params, 0.0, 3.0 * shear_threshold(params), 31)
+            assert thresh == shear_threshold(params)
+            sheared = [pt for pt in points if pt.branch == "sheared"]
+            assert len(sheared) >= 20
+            for pt in sheared:
+                assert pt.theta == sheared_angle(params, pt.N)
+                want = sheared_tensile_state(params, pt.N, grid_h=0.1).descriptor["strains"]
+                got = {"u3": pt.strains.u3, "v3": pt.strains.v3, "v_shear_amplitude": -pt.strains.v1}
+                assert got == want and pt.strains.v2 == 0.0
 
     def test_invalid_inputs(self, demo_params):
         with pytest.raises(ValueError):

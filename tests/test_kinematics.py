@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from limrod import (
     Configuration,
     EulerAngles,
     Frame,
+    LoadOutOfRange,
     Loads,
     MaterialParams,
     NonOrthonormalFrame,
@@ -288,6 +290,18 @@ class TestShearFactors:
             f = (1 + qstar) ** -0.5
         for factor in shear_factors(chiral, Loads(0, 0, 1e200, 0, 0, 1e200)):
             assert factor == pytest.approx(float(f), rel=1e-14)
+
+
+    @pytest.mark.parametrize("loads", [
+        Loads.from_array([math.nan, 0, 0, 0, 0, 1]),
+        Loads.from_array([0, 0, 0, 0, 0, math.inf]),
+        Loads.from_array([0, 0, -math.inf, 0, 0, 1]),
+    ])
+    def test_nonfinite_loads_raise(self, loads):
+        # these once returned (nan, nan), silently
+        params = MaterialParams(1, 1, 1, 1, 2, 0, 2)
+        with pytest.raises(LoadOutOfRange, match=rf"^loads are not all finite: {re.escape(str(loads))}$"):
+            shear_factors(params, loads)
 
 
 class TestReconstruct:
