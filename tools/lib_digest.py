@@ -16,7 +16,8 @@ stored and complementary energies, the stored-energy Hessian,
 ``strain_bounds``, ``shear_factors`` and ``reduced_residual``, the four
 state constructors (trivial, sheared, twist, helix), the branch
 quantities (``shear_threshold``, ``sheared_angle``, ``sheared_angle_p2``,
-``sheared_angle_limit``, ``thrust_strain_limits``) and ``branch_sweep``. The materials are ``params/demo.json``,
+``sheared_angle_limit``, ``thrust_strain_limits``), ``branch_sweep`` and
+``write_configuration_csv``. The materials are ``params/demo.json``,
 ``params/dna.json``, gamma = 1e200 sets for p in {1, 2, 3}, gamma = the
 float64 maximum sets for p in {1, 2}, random sets with p in {1, 2} or
 drawn from [0.25, 8], chiral in nine cases out of ten and with gamma from
@@ -25,7 +26,12 @@ rejection-sampled sets with a sheared branch. Loads run from
 subnormal to the float64 maximum, zeros included; strains reach Q up to
 1 - 1e-12. ``shear_factors`` and ``reduced_residual`` also get NaN and
 infinite loads and an infinite thrust. Inadmissible sets and
-out-of-domain inputs record their errors.
+out-of-domain inputs record their errors. ``write_configuration_csv`` is
+digested by the SHA-256 of the bytes it writes for crafted configurations
+(an all -0.0 column, a column mixing 0.0 and -0.0, columns constant but
+in their last row, at 2 samples and at one less than, equal to and one
+more than the writer's chunk) and for one coarse state of each family,
+with no draw from the generator.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -45,6 +51,7 @@ import argparse
 import hashlib
 import math
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -194,6 +201,46 @@ def add_reduced_residuals(add, params, loads, thrust, couple, theta, psi0) -> No
         add("reduced_residual", lr.reduced_residual, params, angles, rates, fl, load_rates, v3)
 
 
+def crafted_configuration(n: int) -> lr.Configuration:
+    """n samples whose columns hold the cases a writer that skips repeated
+    values could get wrong: rx all -0.0, ry alternating 0.0 and -0.0, rz
+    and the d1/d2 components constant but in the last row (a rotation
+    about g3 by +0.0 and -0.0 alternately, then by 0.3), d3y all -0.0."""
+    s = np.linspace(0.0, 1.0, n)
+    signed_zeros = np.where(np.arange(n) % 2 == 1, -0.0, 0.0)
+    turn = signed_zeros.copy()
+    turn[-1] = 0.3
+    rz = np.full(n, 0.1)
+    rz[-1] = 5e-324
+    points = np.stack([np.full(n, -0.0), signed_zeros, rz], axis=1)
+    c, sn, zero = np.cos(turn), np.sin(turn), np.zeros(n)
+    d3 = np.stack([zero, np.full(n, -0.0), np.ones(n)], axis=1)
+    dirs = np.stack([np.stack([c, sn, zero], 1), np.stack([-sn, c, zero], 1), d3], axis=1)
+    return lr.Configuration(s=s, points=points, directors=dirs)
+
+
+def csv_configurations() -> list:
+    """(label, configuration) pairs for the writer digest; no generator draw."""
+    chunk = lr.kinematics._CSV_CHUNK
+    cases = [(f"crafted n={n}", crafted_configuration(n)) for n in (2, chunk - 1, chunk, chunk + 1)]
+    demo = lr.load_params(ROOT / "params" / "demo.json")
+    states = [
+        ("trivial", lr.trivial_tensile_state(demo, 2.0, 0.7, GRID_H)),
+        ("sheared", lr.sheared_tensile_state(demo, 2.0, 0.7, GRID_H)),
+        ("twist", lr.pure_twist_state(demo, 1.5, 0.3, 0.7, GRID_H)),
+        ("helix", lr.helical_state(demo, 1.5, 0.4, 0.7, GRID_H)),
+        ("bend", lr.helical_state(demo, 1.5, 0.5 * math.pi, 0.7, GRID_H)),
+    ]
+    return cases + [(f"{name} state", state.configuration) for name, state in states]
+
+
+def csv_sha256(config: lr.Configuration) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.csv"
+        lr.write_configuration_csv(config, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def digest_records() -> dict[str, list[str]]:
     rng = np.random.default_rng(SEED)
     rec: dict[str, list[str]] = {}
@@ -243,6 +290,9 @@ def digest_records() -> dict[str, list[str]]:
             add("sheared_tensile_state", lr.sheared_tensile_state, params, thrust,
                 float(rng.uniform(-3.0, 3.0)), GRID_H)
         add("branch_sweep", lr.branch_sweep, params, -thresh, 3.0 * thresh, 21)
+
+    for label, config in csv_configurations():
+        rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
     return rec
 
 
