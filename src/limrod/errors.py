@@ -28,9 +28,9 @@ class LoadOutOfRange(RodModelError):
 
 
 class AngleOutOfRange(RodModelError, ValueError):
-    """An Euler angle outside the chart: theta not in [0, pi], or an
-    infinite cross-section phase. Also a ValueError, so that callers
-    catching the chart's ValueError still catch it."""
+    """An Euler angle outside the chart: theta not in [0, pi], or a NaN or
+    infinite phase (phi, psi) or angle rate. Also a ValueError, so that
+    callers catching the chart's ValueError still catch it."""
 
 
 class NonOrthonormalFrame(RodModelError):

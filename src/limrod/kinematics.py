@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constitutive import Loads, Strains, _load_scale, _nonfinite_loads, _scaled_factor
-from .errors import AngleOutOfRange, LoadOutOfRange, NonOrthonormalFrame
+from .errors import AngleOutOfRange, LoadOutOfRange, NonOrthonormalFrame, StrainOutOfRange
 from .material import MaterialParams, _constants, nondimensionalize
 
 __all__ = [
@@ -60,7 +60,6 @@ G3 = np.array([0.0, 0.0, 1.0])
 _ORTHO_TOL = 1e-8
 
 CSV_HEADER = "s,rx,ry,rz,d1x,d1y,d1z,d2x,d2y,d2z,d3x,d3y,d3z"
-_CSV_ROW = ",".join(["%.17g"] * 13) + "\n"  # same bytes as f"{x:.17g}"
 _CSV_CHUNK = 1024  # rows formatted per write
 
 
@@ -79,6 +78,13 @@ class EulerAngles:
 def _check_theta(theta: float) -> None:
     if not 0.0 <= theta <= math.pi:
         raise AngleOutOfRange(f"theta must lie in [0, pi], got {theta!r}")
+
+
+def _check_finite(what: str, error: type = AngleOutOfRange, **values: float) -> None:
+    """Raise ``error`` naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise error(f"{what} {name} must be finite, got {value!r}")
 
 
 def _check_frames(dirs: np.ndarray, not_orthonormal: str, not_right_handed: str = "") -> None:
@@ -119,8 +125,14 @@ class Frame:
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` over a 1-D array. numpy's vector loops may round
-    differently from libm, so this keeps array and scalar callers bit-equal."""
+    """``fn`` from ``math`` over a 1-D float array. numpy's vector loops may
+    round differently from libm, so this keeps array and scalar callers
+    bit-equal. An array whose elements share one bit pattern (a phase with
+    zero rate) takes one call; the test is on bits, so 0.0 and -0.0 differ."""
+    if len(x) > 1:
+        bits = x.view(np.int64)
+        if (bits == bits[0]).all():
+            return np.full(len(x), fn(x[0].item()))
     return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
@@ -138,7 +150,9 @@ def _euler_directors(phi: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarr
 
 
 def directors_from_euler(angles: EulerAngles) -> Frame:
-    """Director frame of an Euler-angle triple."""
+    """Director frame of an Euler-angle triple. Raises AngleOutOfRange for
+    a NaN or infinite phi or psi."""
+    _check_finite("angle", phi=angles.phi, psi=angles.psi)
     d = _euler_directors(np.array([angles.phi]), angles.theta, np.array([angles.psi]))[0]
     return Frame(d1=d[0], d2=d[1], d3=d[2])
 
@@ -316,12 +330,16 @@ def reduced_residual(
 
     where u, v are the shear factors and u3 the constitutive twist of the
     load state. Raises LoadOutOfRange for a NaN or infinite load component,
-    as ``shear_factors`` does, or thrust N.
+    as ``shear_factors`` does, thrust N or load rate; AngleOutOfRange for a
+    NaN or infinite angle rate; StrainOutOfRange for a NaN or infinite v3.
     """
     pn = nondimensionalize(params)
     c = _constants(pn)
     dphi, dtheta, dpsi = angle_rates
     dM1, dM2, dM3 = load_rates
+    _check_finite("angle rate", dphi=dphi, dtheta=dtheta, dpsi=dpsi)
+    _check_finite("load rate", LoadOutOfRange, dM1=dM1, dM2=dM2, dM3=dM3)
+    _check_finite("strain", StrainOutOfRange, v3=v3)
     sth, cth = math.sin(angles.theta), math.cos(angles.theta)
     # Q* only involves psi-rotation invariants, so the {e_k} components can
     # stand in for director components directly.
@@ -436,15 +454,23 @@ def write_configuration_csv(config: Configuration, path: str | Path) -> None:
     One row per sample: s, the centerline point, then d1, d2, d3. Rows are
     formatted ``_CSV_CHUNK`` at a time with ``%.17g`` on Python floats,
     which gives the same bytes as ``f"{x:.17g}"``, and written through one
-    open handle, so the whole file never sits in memory.
+    open handle, so the whole file never sits in memory. A column whose
+    values all share the bits of its first (the straight families repeat
+    most of theirs) is formatted once, into the row template; the test is
+    on bits because 0.0 and -0.0 compare equal but print as 0 and -0.
     """
     n = len(config.s)
     data = np.column_stack([config.s, config.points, config.directors.reshape(n, 9)])
+    bits = data.view(np.int64)
+    varies = (bits != bits[0]).any(axis=0)
+    row = ",".join(
+        "%.17g" if vary else f"{x:.17g}" for vary, x in zip(varies, data[0].tolist())
+    ) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, n, _CSV_CHUNK):
-            chunk = data[start : start + _CSV_CHUNK]
-            fh.write((_CSV_ROW * len(chunk)) % tuple(chunk.ravel().tolist()))
+            chunk = data[start : start + _CSV_CHUNK, varies]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_configuration_csv(path: str | Path) -> Configuration:

@@ -360,6 +360,23 @@ class TestInverseBatch:
                 want = loads_from_strains(params, Strains(*row)).as_array()
                 assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
 
+    @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
+    def test_repeated_q_and_signed_zero_rows(self, p):
+        # G is evaluated once per distinct Q bit pattern and gathered: rows
+        # that repeat, rows that are sign flips of each other (the same Q),
+        # and +0.0/-0.0 rows must still come out as the scalar map's
+        rng = np.random.default_rng(int(p) + 40)
+        params = random_params(rng, p=p, normalized=False)
+        base = [random_strains(rng, params, q).as_array() for q in (0.2, 0.9, 1.0 - 1e-12)]
+        flips = [np.concatenate([-b[:5], [2.0 - b[5]]]) for b in base]
+        zeros = [[0.0] * 5 + [1.0], [-0.0] * 5 + [1.0], [0.0, -0.0, 0.0, -0.0, 0.0, 1.0]]
+        rows = np.array([base[i % 3] for i in range(20)] + flips + zeros + base[::-1])
+        rows = rows[rng.permutation(len(rows))]
+        batch = loads_from_strains_batch(params, rows)
+        for row, got in zip(rows, batch):
+            want = loads_from_strains(params, Strains(*row)).as_array()
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("bad", [[0.0, 0, 0, 0, 0, 1.6], [2.0, 0, 0, 0, 0, 1], [math.nan] * 6])
     def test_first_bad_row_raises_scalar_message(self, bad):
         params = mk(eta=2.0)
@@ -630,6 +647,16 @@ class TestBetaEnergies:
             q = mpmath.mpf(strain_quad_form(params, st))
             ref = q / 2 * mpmath.quad(lambda t: (1 - (q * t) ** (p / 2)) ** (-1 / p), [0, 1])
         assert abs(stored_energy(params, st) - ref) <= 4e-16 * ref
+
+    @pytest.mark.parametrize("delta", (1e-6, 1e-9, 1e-12))
+    def test_stored_p1_next_to_the_cap(self, delta):
+        # -rt - log1p(-rt) took 1 - rt from the rounded rt: 1.6e-12 off at
+        # delta = 1e-6 and 1.2e-11 at 1e-9; the docstring claims 1e-14
+        params, st = mk(p=1.0), Strains(0, 0, math.sqrt(1.0 - delta), 0, 0, 1)
+        with mpmath.workdps(50):
+            rt = mpmath.sqrt(mpmath.mpf(strain_quad_form(params, st)))
+            ref = -rt - mpmath.log(1 - rt)
+        assert abs(stored_energy(params, st) - ref) <= 1e-14 * ref
 
     def test_p1_where_load_over_gamma_overflows(self):
         # rt/g overflows at unit scale: g log1p(rt/g) was inf and W* -inf

@@ -591,6 +591,20 @@ class TestNonFiniteInputs:
         with pytest.raises(LoadOutOfRange, match=message):
             reduced_residual(demo_params, angles, (0.1, 0.0, 0.2), loads, (0.0, 0.0, 0.0), 1.01)
 
+    @pytest.mark.parametrize("rates, load_rates, v3, error, message", [
+        ((math.nan, 0.0, 0.2), (0.0, 0.0, 0.0), 1.01, AngleOutOfRange, "^angle rate dphi must be finite, got nan"),
+        ((0.1, 0.0, -math.inf), (0.0, 0.0, 0.0), 1.01, AngleOutOfRange, "^angle rate dpsi must be finite, got -inf"),
+        ((0.1, 0.0, 0.2), (0.0, math.nan, 0.0), 1.01, LoadOutOfRange, "^load rate dM2 must be finite, got nan"),
+        ((0.1, 0.0, 0.2), (0.0, 0.0, 0.0), math.nan, StrainOutOfRange, "^strain v3 must be finite, got nan"),
+        ((0.1, 0.0, 0.2), (0.0, 0.0, 0.0), math.inf, StrainOutOfRange, "^strain v3 must be finite, got inf"),
+    ], ids=["nan-phi-rate", "infinite-psi-rate", "nan-load-rate", "nan-v3", "infinite-v3"])
+    def test_reduced_residual_rates_and_v3(self, demo_params, rates, load_rates, v3, error, message):
+        # a NaN angle rate or v3 once gave NaN residuals, silently
+        angles = EulerAngles(0.0, 0.3, 0.1)
+        loads = FrameLoads(0.3, 0.0, 0.2, -0.5, 0.0, 1.9, 2.0)
+        with pytest.raises(error, match=message):
+            reduced_residual(demo_params, angles, rates, loads, load_rates, v3)
+
 
 class TestLoadsBeyondOverflow:
     """Loads whose Q*^{p/2} overflows once raised a raw OverflowError."""

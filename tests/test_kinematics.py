@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limrod import (
+    AngleOutOfRange,
     Configuration,
     EulerAngles,
     Frame,
@@ -20,11 +21,14 @@ from limrod import (
     directors_from_euler,
     frame_loads,
     helical_state,
+    pure_twist_state,
     read_configuration_csv,
     reconstruct,
     shear_factors,
+    sheared_tensile_state,
     strains_from_euler,
     strains_from_loads,
+    trivial_tensile_state,
     write_configuration_csv,
 )
 from limrod.kinematics import CSV_HEADER, _CSV_CHUNK, _euler_directors
@@ -61,6 +65,20 @@ def reference_csv(config) -> bytes:
         row = [config.s[i], *config.points[i], *config.directors[i].ravel()]
         lines.append(",".join(f"{x:.17g}" for x in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def signed_zero_config(n: int) -> Configuration:
+    """Columns that a writer comparing values rather than bits gets wrong:
+    rx all -0.0; ry, d2x and d3y alternating 0.0 and -0.0; rz and the
+    d1/d2 components constant but in the last row."""
+    zeros = np.where(np.arange(n) % 2 == 1, -0.0, 0.0)
+    turn = zeros.copy()
+    turn[-1] = 0.3
+    rz = np.full(n, 0.1)
+    rz[-1] = 5e-324
+    points = np.stack([np.full(n, -0.0), zeros, rz], axis=1)
+    dirs = _euler_directors(turn, 0.0, np.zeros(n))
+    return Configuration(s=np.linspace(0.0, 1.0, n), points=points, directors=dirs)
 
 
 angles = st.floats(-1e4, 1e4, allow_nan=False)
@@ -148,9 +166,30 @@ class TestEulerKernel:
         with pytest.raises(ValueError, match="theta must lie in"):
             _euler_directors(np.zeros(2), theta, np.zeros(2))
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.7, -2.5])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi])
+    def test_constant_arrays_match_loop(self, value, theta):
+        # one libm call for a constant array: the test is on bits, so -0.0
+        # keeps sin(-0.0) = -0.0 and a +0.0/-0.0 mix is not constant
+        n = 5
+        const = np.full(n, value)
+        mixed = np.where(np.arange(n) % 2 == 1, -value, value)
+        for phi, psi in ((const, const), (const, mixed), (mixed, const), (mixed, mixed)):
+            assert bit_equal(_euler_directors(phi, theta, psi), reference_directors(phi, theta, psi))
+
+    @pytest.mark.parametrize("name, angles", [
+        ("phi", EulerAngles(math.nan, 0.3, 0.0)),
+        ("psi", EulerAngles(0.0, 0.5, math.nan)),
+        ("phi", EulerAngles(math.inf, 0.3, 0.0)),
+        ("psi", EulerAngles(0.0, 0.3, -math.inf)),
+    ])
+    def test_nonfinite_phase_names_the_angle(self, name, angles):
+        # NaN once failed as NonOrthonormalFrame and inf as libm's "math
+        # domain error", neither naming the angle
+        with pytest.raises(AngleOutOfRange, match=f"^angle {name} must be finite"):
+            directors_from_euler(angles)
+
     def test_nan_angles_fail_validation(self):
-        with pytest.raises(NonOrthonormalFrame):
-            directors_from_euler(EulerAngles(0.0, 0.5, math.nan))
         dirs = _euler_directors(np.zeros(3), 0.5, np.array([0.0, math.nan, 0.0]))
         with pytest.raises(NonOrthonormalFrame):
             Configuration(s=np.linspace(0, 1, 3), points=np.zeros((3, 3)), directors=dirs)
@@ -452,6 +491,32 @@ class TestConfigurationCsv:
         write_configuration_csv(cfg, path)
         assert path.read_bytes() == reference_csv(cfg)
         assert b",-0," in path.read_bytes()
+
+    @pytest.mark.parametrize("n", [2, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+    def test_constant_columns_match_reference_bytes(self, tmp_path, n):
+        # constant columns are formatted once, into the row template
+        cfg = signed_zero_config(n)
+        path = tmp_path / "zeros.csv"
+        write_configuration_csv(cfg, path)
+        data = path.read_bytes()
+        assert data == reference_csv(cfg)
+        rows = [line.split(b",") for line in data.splitlines()[1:]]
+        assert [row[1] for row in rows] == [b"-0"] * n
+        assert [row[2] for row in rows[:2]] == [b"0", b"-0"]
+
+    @pytest.mark.parametrize("build", [
+        lambda p: trivial_tensile_state(p, 2.0, psi0=0.7, grid_h=0.05),
+        lambda p: sheared_tensile_state(p, 2.0, psi0=0.7, grid_h=0.05),
+        lambda p: pure_twist_state(p, 1.5, theta=0.3, psi0=0.7, grid_h=0.05),
+        lambda p: helical_state(p, 1.5, theta=0.4, psi0=0.7, grid_h=0.05),
+        lambda p: helical_state(p, 1.5, theta=0.5 * math.pi, psi0=0.7, grid_h=0.05),
+        lambda p: trivial_tensile_state(p, -0.0, psi0=-0.0, grid_h=0.05),
+    ], ids=["trivial", "sheared", "twist", "helix", "bend", "unloaded"])
+    def test_family_states_match_reference_bytes(self, tmp_path, demo_params, build):
+        cfg = build(demo_params).configuration
+        path = tmp_path / "state.csv"
+        write_configuration_csv(cfg, path)
+        assert path.read_bytes() == reference_csv(cfg)
 
     def test_wide_round_trip_is_exact(self, tmp_path):
         cfg = self.make_wide_config()
