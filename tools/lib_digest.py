@@ -31,7 +31,10 @@ digested by the SHA-256 of the bytes it writes for crafted configurations
 (an all -0.0 column, a column mixing 0.0 and -0.0, columns constant but
 in their last row, at 2 samples and at one less than, equal to and one
 more than the writer's chunk) and for one coarse state of each family,
-with no draw from the generator.
+with no draw from the generator. ``forward range`` digests both forward
+maps on crafted materials at the edges of the float range (gamma from
+1e-200 to 1e300 with p up to 100, alpha = 1e-100) and loads that are zero,
+subnormal, tiny or at the float64 maximum, also with no generator draw.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -234,6 +237,34 @@ def csv_configurations() -> list:
     return cases + [(f"{name} state", state.configuration) for name, state in states]
 
 
+FORWARD_RANGE_MATERIALS = [
+    lr.MaterialParams(1.0, 1.0, 1e-200, 1.0, 2.0, 0.0, 2.0),
+    lr.MaterialParams(1.3, 0.8, 1e-200, 0.7, 2.0, 0.5, 2.0),
+    lr.MaterialParams(1.0, 1.0, 1e-10, 1.0, 2.0, 0.0, 100.0),
+    lr.MaterialParams(1.0, 1.0, 1e16, 1.0, 2.0, 0.0, 20.0),
+    lr.MaterialParams(1.3, 0.8, 1e300, 0.7, 2.0, 0.5, 3.0),
+    lr.MaterialParams(1e-100, 1.0, 1.0, 1.0, 2.0, 0.0, 4.0),
+    lr.MaterialParams(1e-100, 1.0, 1e-200, 1.0, 2.0, 0.0, 2.0),
+]
+FORWARD_RANGE_LOADS = np.array([
+    [0.0] * 6,
+    [5e-324, 0.0, -5e-324, 0.0, 1e-310, 0.0],
+    [1e-170, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.3, -1.2, 0.7, 2.0, -0.4, 1.5],
+    [0.0, 0.0, 0.0, 0.0, 0.0, FLOAT_MAX],
+    [FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX, -FLOAT_MAX],
+])
+
+
+def add_forward_range(add) -> None:
+    """Both forward maps on the crafted materials and loads above."""
+    for params in FORWARD_RANGE_MATERIALS:
+        for row in FORWARD_RANGE_LOADS:
+            add("forward range", lr.strains_from_loads, params, lr.Loads.from_array(row))
+        add("forward range", lr.strains_from_loads_batch, params, FORWARD_RANGE_LOADS)
+
+
 def csv_sha256(config: lr.Configuration) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.csv"
@@ -291,6 +322,7 @@ def digest_records() -> dict[str, list[str]]:
                 float(rng.uniform(-3.0, 3.0)), GRID_H)
         add("branch_sweep", lr.branch_sweep, params, -thresh, 3.0 * thresh, 21)
 
+    add_forward_range(add)
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
     return rec
