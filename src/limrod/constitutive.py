@@ -64,6 +64,7 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 _BATCH_BLOCK = 8192  # rows per pass of the batch forward map
+_UNBOUNDED = "underflow in Q*, so their strains are not finite"
 
 
 class _SixVector:
@@ -189,8 +190,8 @@ def _domain_q(c: _Constants, strains: Strains) -> float:
     return q
 
 
-def _nonfinite_loads(values) -> LoadOutOfRange:
-    return LoadOutOfRange(f"loads are not all finite: {Loads.from_array(values)}")
+def _load_error(values, why: str = "are not all finite") -> LoadOutOfRange:
+    return LoadOutOfRange(f"loads {why}: {Loads.from_array(values)}")
 
 
 def _pow2_scale(values) -> float:
@@ -209,14 +210,17 @@ def _factor(p: float, gp, qstar):
     return (gp + qstar ** (0.5 * p)) ** (-1.0 / p)
 
 
-def _saturating_factor(p: float, g, qstar):
-    """F at gamma = g, or 0 (F's limit at Q* = inf, the sign to prescale)
-    where a power leaves the float range. ``qstar`` may be a function that
-    forms Q*, so that a float ``**`` overflowing there is caught too."""
+def _saturating_factor(p: float, g: float, qstar) -> float:
+    """F at gamma = g on floats: the plain ``_factor`` where its powers and
+    their sum stay in the float range, else ``_scaled_factor``. 0, F's
+    limit, only where Q* is inf or ``qstar``, a function forming it, overflows."""
+    q = math.inf  # stays so where qstar() overflows
     try:
-        return _factor(p, g**p, qstar() if callable(qstar) else qstar)
-    except OverflowError:  # a float power; numpy's inf makes F 0 by itself
-        return 0.0
+        q = qstar() if callable(qstar) else qstar
+        f = _factor(p, g**p, q)
+    except (OverflowError, ZeroDivisionError):  # a power beyond the range, or 0^-1/p
+        f = 0.0
+    return f if 0.0 < f < math.inf or not q < math.inf else _scaled_factor(p, g, q)
 
 
 def _scaled_factor(p: float, g, qstar: float) -> float:
@@ -249,34 +253,31 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
         v_mu   = F n_mu / zeta^2
         v3 - 1 = F (-iota m3 + beta^2 n3) / det
 
-    Loads and gamma are prescaled by an exact power of two k, so Q*^{p/2}
-    never overflows, up to the float64 maximum in every component; where
-    (gamma k)^p would, gamma joins the scale. The output satisfies
-    Q(u, v) < 1 with every component strictly inside its limiting bound,
-    at float level: deep in saturation, where rounding alone would park
-    the state on the boundary, the deviation is projected inward by a few
-    parts in 1e15. Raises LoadOutOfRange for a NaN or infinite component.
+    Loads above 1 are prescaled by an exact power of two k, and F comes
+    from ``_saturating_factor``: total for every gamma and all loads up to
+    the float64 maximum. The output satisfies Q(u, v) < 1 with every
+    component strictly inside its limiting bound, at float level: deep in
+    saturation the deviation is projected inward by a few parts in 1e15.
+    Raises LoadOutOfRange for a NaN or infinite component, and where Q* of
+    tiny loads underflowed under a tiny form weight: there Q is not finite.
     """
     c = _constants(params)
     values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
     if not all(map(math.isfinite, values)):
-        raise _nonfinite_loads(values)
+        raise _load_error(values)
     k = _pow2_scale(values)
     m1, m2, m3, n1, n2, n3 = values
     m1, m2, m3, n1, n2, n3 = m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k
     qstar = _load_form(c, m1, m2, m3, n1, n2, n3)
     f = _saturating_factor(c.p, c.gamma * k, qstar)
-    if not f > 0.0:  # (gamma k)^p overflowed: gamma joins the scale
-        k = _pow2_scale((c.gamma, *values))
-        m1, m2, m3, n1, n2, n3 = (x * k for x in values)
-        qstar = _load_form(c, m1, m2, m3, n1, n2, n3)
-        f = _saturating_factor(c.p, c.gamma * k, qstar)
     u1, u2, u3, v1, v2, dv = _forward_dev(c, f, m1, m2, m3, n1, n2, n3)
     margin = c.margin
     for _ in range(4):  # the steps of _project_inward, on floats
         q = _strain_form(c, u1, u2, u3, v1, v2, (1.0 + dv) - 1.0)
         if q <= 1.0 - margin:
             break
+        if not q < math.inf:
+            raise _load_error(values, _UNBOUNDED)
         r = math.sqrt((1.0 - 2.0 * margin) / q)
         u1, u2, u3, v1, v2, dv = u1 * r, u2 * r, u3 * r, v1 * r, v2 * r, dv * r
     # float(): loads given as numpy scalars still give float strains
@@ -297,19 +298,23 @@ def _forward_dev(c: _Constants, f, m1, m2, m3, n1, n2, n3) -> tuple:
     )
 
 
-def _project_inward(c: _Constants, dev: np.ndarray) -> None:
+def _project_inward(c: _Constants, dev: np.ndarray, loads: np.ndarray) -> None:
     """The scalar map's inward projection on the columns of ``dev`` (6, n):
     Q once over all columns, then re-evaluated and rescaled on the
-    saturated columns only, up to four times."""
+    saturated columns only, up to four times; its error, naming the row of
+    ``loads`` (n, 6), for the first column whose Q is not finite."""
     margin = c.margin
     sub, rows = dev, None
     for _ in range(4):
         q = _strain_form(c, *sub[:5], (1.0 + sub[5]) - 1.0)
-        hit = np.flatnonzero(q > 1.0 - margin)
+        hit = np.flatnonzero(~(q <= 1.0 - margin))  # NaN included
         if not hit.size:
             return
         rows = hit if rows is None else rows[hit]
-        sub = sub[:, hit] * np.sqrt((1.0 - 2.0 * margin) / q[hit])
+        q = q[hit]
+        if not (q < math.inf).all():
+            raise _load_error(loads[rows[(q < math.inf).argmin()]], _UNBOUNDED)
+        sub = sub[:, hit] * np.sqrt((1.0 - 2.0 * margin) / q)
         dev[:, rows] = sub
 
 
@@ -324,10 +329,11 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     Rows are mapped ``_BATCH_BLOCK`` at a time, column by column, so each
     block's temporaries stay in cache; the inward projection re-evaluates
     only the saturated rows. Per row the arithmetic is that of a single
-    whole-array pass, so the output equals that pass bit for bit (the
-    tests keep it as the reference). Raises ValueError for any other
-    shape, and LoadOutOfRange, with the scalar map's message, for the
-    first row with a NaN or infinite component.
+    whole-array pass (the tests' reference), bit for bit, save where a
+    power of F leaves the float range: those rows equal the scalar map.
+    Raises ValueError for any other shape, and the scalar map's
+    LoadOutOfRange for a block's first row with a NaN or infinite
+    component, else its first row whose Q is not finite.
     """
     c = _constants(params)
     loads = np.asarray(loads, dtype=float)
@@ -342,18 +348,16 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
             np.maximum(top, np.abs(col), out=top)
         finite = top < math.inf  # NaN propagates through np.maximum
         if not finite.all():
-            raise _nonfinite_loads(loads[start + int(finite.argmin())])
+            raise _load_error(loads[start + int(finite.argmin())])
         k = np.ldexp(1.0, -np.where(top > 1.0, np.frexp(top)[1], 0))  # _pow2_scale per row
         scaled = cols * k
-        with np.errstate(over="ignore"):  # only a (gamma k)^p, rescaled below
-            f = _saturating_factor(p, gamma * k, _load_form(c, *scaled))
-        if not (f > 0.0).all():  # rows whose (gamma k)^p overflowed: gamma joins the scale
-            over = np.flatnonzero(~(f > 0.0))
-            k = np.ldexp(1.0, -np.frexp(np.maximum(top[over], gamma))[1])
-            scaled[:, over] = cols[:, over] * k
-            f[over] = _saturating_factor(p, gamma * k, _load_form(c, *scaled[:, over]))
-        dev = np.array(_forward_dev(c, f, *scaled))
-        _project_inward(c, dev)
+        g, qstar = gamma * k, _load_form(c, *scaled)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # redone, or raises
+            f = _factor(p, g**p, qstar)
+            redo = np.flatnonzero(~((f > 0.0) & (f < math.inf)))
+            f[redo] = [_saturating_factor(p, *gq) for gq in zip(g[redo].tolist(), qstar[redo].tolist())]
+            dev = np.array(_forward_dev(c, f, *scaled))
+            _project_inward(c, dev, cols.T)
         dev[5] += 1.0
         out[start : start + len(top)] = dev.T
     return out
@@ -518,7 +522,7 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
         # so that the sum stays finite for g up to the float maximum
         return qstar / (math.hypot(0.5 * g, 0.5 * rt) + 0.5 * g) * 0.5 / k
     if p == 1.0:  # rt - g log(1 + x), x = rt/g, which cancels below x = 1/2
-        x = rt / g
+        x = rt / g if g else math.inf  # g = gamma k may underflow
         if x > 0.5:  # where x overflows, g log(1 + x) is below an ulp of rt
             return (rt - g * math.log1p(x) if x < math.inf else rt) / k
         # there g x s(x)/(2 + x) = rt s(x)/(2 + x)

@@ -384,7 +384,7 @@ def sheared_tensile_state(
         f_branch = c.det / (c.b2 * thrust * cth) * k
         identity_residual = abs(f_direct - f_branch) / f_branch
     else:
-        # beyond the float range, the same ratio is v3 - 1 of the prescaled
+        # where Q* overflows, the same ratio is v3 - 1 of the prescaled
         # forward map over k
         st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth))
         identity_residual = abs((st.v3 - 1.0) - k) / k
@@ -461,7 +461,7 @@ def helical_state(
         v3 = 1.0 + f * c.iota * bend_couple * cot / c.det
         dphi = -f * bend_couple / (c.a2 * sth)
     else:
-        # beyond the float range, the prescaled forward map at the psi = 0
+        # where Q* overflows, the prescaled forward map at the psi = 0
         # loads, which rejects an infinite M3
         st = strains_from_loads(pn, Loads(bend_couple, 0.0, m3, 0.0, 0.0, 0.0))
         amplitude, u3, v3 = st.u1, st.u3, st.v3

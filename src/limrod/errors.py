@@ -23,8 +23,8 @@ class StrainOutOfRange(RodModelError):
 
 
 class LoadOutOfRange(RodModelError):
-    """Loads with a NaN or infinite component, or whose dual quadratic form
-    Q* is NaN or has an overflowing square root."""
+    """Loads with a NaN or infinite component, whose Q* is NaN, has an
+    overflowing square root or underflows so that their strains overflow."""
 
 
 class AngleOutOfRange(RodModelError, ValueError):

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _load_scale, _nonfinite_loads, _scaled_factor
+from .constitutive import Loads, Strains, _load_error, _load_scale, _scaled_factor
 from .errors import AngleOutOfRange, LoadOutOfRange, NonOrthonormalFrame, StrainOutOfRange
 from .material import MaterialParams, _constants, nondimensionalize
 
@@ -301,7 +301,7 @@ def shear_factors(params: MaterialParams, loads: Loads) -> tuple[float, float]:
     c = _constants(nondimensionalize(params))
     values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
     if not all(map(math.isfinite, values)):
-        raise _nonfinite_loads(values)
+        raise _load_error(values)
     qstar, k = _load_scale(c, loads)
     f = _scaled_factor(c.p, k, qstar) * k
     return f / c.a2, f / c.z2

@@ -197,20 +197,15 @@ def orientation_strong_ok(params: MaterialParams, cross_section_radius: float) -
     return cross_section_radius < bound
 
 
-def _reject_nonfinite(token: str) -> float:
-    raise ValueError(f"non-finite number {token!r} not allowed in parameter file")
-
-
 def load_params(path: str | Path) -> MaterialParams:
     """Read a parameter JSON file.
 
     Expected keys: alpha, beta, gamma, zeta, eta, iota, p and optionally
-    ref_length (default 1.0). All values must be finite numbers; NaN/Inf
-    and unknown keys are rejected. The returned set is *not* validated for
-    admissibility; call ``validate`` for that.
+    ref_length (default 1.0). Values must be finite numbers (not NaN, 1e999
+    or true); those and unknown keys raise ValueError. The returned set is
+    *not* validated for admissibility; call ``validate`` for that.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    raw = json.loads(text, parse_constant=_reject_nonfinite)
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("parameter file must contain a JSON object")
     required = {"alpha", "beta", "gamma", "zeta", "eta", "iota", "p"}

@@ -55,6 +55,21 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "DefinitenessViolation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            ("NaN", "must be finite, got nan"),
+            ("1e999", "must be finite, got inf"),
+            ("true", "must be a number, got True"),
+            ('"2"', "must be a number, got '2'"),
+        ],
+    )
+    def test_non_number_parameter_exits_2(self, tmp_path, capsys, value, error):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(DEMO).replace('"alpha": 1.0', f'"alpha": {value}'))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: parameter 'alpha' {error}\n"
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -263,6 +278,25 @@ class TestNonFiniteStates:
         assert not out.exists() and not out.with_suffix(".json").exists()
 
 
+class TestStateOptionRanges:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--family", "trivial", "--n-thrust", "1", "--grid-h", "0.5"],
+             "--grid-h must lie in (0, 0.1]"),
+            (["--family", "helix", "--m1", "1", "--theta", "2"], "helix family needs --theta in (0, pi/2]"),
+        ],
+        ids=["grid-h", "helix theta"],
+    )
+    def test_state_exits_1_and_writes_nothing(self, demo_file, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        assert main(["state", demo_file, *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 class TestSubnormalHelixCouple:
     def test_state_exits_1_and_writes_nothing(self, demo_file, tmp_path, capsys):
         # the helix radius overflows: once a RuntimeWarning and exit 2
@@ -318,6 +352,15 @@ class TestCheckMalformedCsv:
         assert main(["check", str(path), demo_file]) == 2
         err = capsys.readouterr().err
         assert err == "error: difference stencils need at least three samples, got 2\n"
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fewer_than_five_samples_exit_2(self, demo_file, tmp_path, capsys, n):
+        # well formed, straight and unstrained, but too short for residuals
+        path = tmp_path / "short.csv"
+        rows = [f"{s!r},0,0,{s!r},1,0,0,0,1,0,0,0,1" for s in np.linspace(0.0, 1.0, n).tolist()]
+        path.write_text("s,rx,ry,rz,d1x,d1y,d1z,d2x,d2y,d2z,d3x,d3y,d3z\n" + "\n".join(rows) + "\n")
+        assert main(["check", str(path), demo_file]) == 2
+        assert capsys.readouterr().err == "error: need at least five samples to evaluate residuals\n"
 
     @pytest.mark.parametrize("kind", MALFORMED_CSV_KINDS)
     def test_exits_2(self, demo_file, tmp_path, capsys, kind):

@@ -239,6 +239,22 @@ class TestForwardBatchBlocks:
                 strains_from_loads_batch(mk(), bad)
 
 
+def reference_dev(prm, row):
+    """Strain deviation (u, v - e3) of the forward map in 40 digits, before
+    any projection."""
+    with mpmath.workdps(40):
+        m1, m2, m3, n1, n2, n3 = map(mpmath.mpf, row)
+        a2, b2, z2, e2 = (mpmath.mpf(x) ** 2 for x in (prm.alpha, prm.beta, prm.zeta, prm.eta))
+        det = b2 * e2 - mpmath.mpf(prm.iota) ** 2
+        qstar = (m1**2 + m2**2) / a2 + (n1**2 + n2**2) / z2 + (
+            e2 * m3**2 + b2 * n3**2 - 2 * prm.iota * m3 * n3
+        ) / det
+        f = (mpmath.mpf(prm.gamma) ** prm.p + qstar ** (prm.p / 2)) ** (-1 / prm.p)
+        dev = [m1 / a2, m2 / a2, (e2 * m3 - prm.iota * n3) / det, n1 / z2, n2 / z2,
+               (-prm.iota * m3 + b2 * n3) / det]
+        return np.array([float(f * x) for x in dev])
+
+
 class TestGammaPowerOverflow:
     """gamma^p beyond the float range, which ``validate`` accepts (gamma =
     1e16 with p = 20): the scalar map once raised OverflowError, and the
@@ -254,24 +270,10 @@ class TestGammaPowerOverflow:
     ]
     FITS = [False, False, True, True, True]  # (gamma k)^p finite at the loads' own scale k
 
-    def reference_dev(self, row):
-        """Strain deviation (u, v - e3) in 40 digits, before any projection."""
-        prm = self.PARAMS
-        with mpmath.workdps(40):
-            m1, m2, m3, n1, n2, n3 = map(mpmath.mpf, row)
-            det = mpmath.mpf(prm.beta) ** 2 * prm.eta**2 - mpmath.mpf(prm.iota) ** 2
-            qstar = (m1**2 + m2**2) / prm.alpha**2 + (n1**2 + n2**2) / prm.zeta**2 + (
-                prm.eta**2 * m3**2 + prm.beta**2 * n3**2 - 2 * prm.iota * m3 * n3
-            ) / det
-            f = (mpmath.mpf(prm.gamma) ** prm.p + qstar ** (prm.p / 2)) ** (-1 / prm.p)
-            dev = [m1, m2, (prm.eta**2 * m3 - prm.iota * n3) / det, n1, n2,
-                   (-prm.iota * m3 + prm.beta**2 * n3) / det]
-            return np.array([float(f * x) for x in dev])
-
     def test_scalar_against_mpmath(self):
         for row in self.ROWS:
             dev = strains_from_loads(self.PARAMS, Loads(*row)).as_array() - [0, 0, 0, 0, 0, 1]
-            ref = self.reference_dev(row)
+            ref = reference_dev(self.PARAMS, row)
             # saturated rows carry the inward projection, about 1e-13 here
             np.testing.assert_allclose(dev[:5], ref[:5], rtol=1e-12, atol=1e-300)
             assert abs(dev[5] - ref[5]) <= 2.3e-16 + 1e-12 * abs(ref[5])  # v3 = 1 + (v3 - 1)
@@ -293,6 +295,68 @@ class TestGammaPowerOverflow:
         # first order
         w = complementary_energy(self.PARAMS, Loads(0, 0, 0, 0, 0, 1))
         assert w == pytest.approx(1.0 / 3.75 / 2e16, rel=1e-15)
+
+
+class TestForwardRange:
+    """Both forward maps where a power of F leaves the float range: gamma
+    tiny or huge for its exponent, alpha = 1e-100, and loads that are zero,
+    subnormal, tiny or at the float maximum. The scalar map once raised
+    ZeroDivisionError where gamma^p underflowed, the batch map returned NaN
+    rows there, and both gave u1 = 0 where Q*^{p/2} overflowed at alpha =
+    1e-100 and p = 4."""
+
+    MATERIALS = [
+        mk(gamma=1e-200, eta=2.0),
+        mk(1.3, 0.8, 1e-200, 0.7, 2.0, 0.5),
+        mk(gamma=1e-10, eta=2.0, p=100.0),
+        mk(gamma=1e16, eta=2.0, p=20.0),
+        mk(1.3, 0.8, 1e300, 0.7, 2.0, 0.5, 3.0),
+        mk(alpha=1e-100, eta=2.0, p=4.0),
+        mk(alpha=1e-100, gamma=1e-200, eta=2.0),
+    ]
+    UNBOUNDED = (MATERIALS[-1], 1e-170)  # the strains of m1 = 1e-170 leave the float range
+    MAX = sys.float_info.max
+    ROWS = [
+        [0.0] * 6,
+        [5e-324, 0.0, -5e-324, 0.0, 1e-310, 0.0],
+        [1e-170, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.3, -1.2, 0.7, 2.0, -0.4, 1.5],
+        [0.0, 0.0, 0.0, 0.0, 0.0, MAX],
+        [MAX, -MAX, MAX, -MAX, MAX, -MAX],
+    ]
+
+    @pytest.mark.parametrize("params", MATERIALS, ids=lambda prm: f"a{prm.alpha:g}-g{prm.gamma:g}-p{prm.p:g}")
+    def test_against_mpmath(self, params):
+        rows = [row for row in self.ROWS if (params, row[0]) != self.UNBOUNDED]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = strains_from_loads_batch(params, rows)
+            for row, got in zip(rows, batch):
+                st = strains_from_loads(params, Loads(*row))
+                assert np.array_equal(got.view(np.int64), st.as_array().view(np.int64)), row
+                assert strain_quad_form(params, st) < 1.0
+                dev, ref = st.as_array() - [0, 0, 0, 0, 0, 1], reference_dev(params, row)
+                tol = 1e-12 * np.abs(ref).max()  # saturated rows carry the projection
+                assert np.abs(dev[:5] - ref[:5]).max() <= tol, row
+                assert abs(dev[5] - ref[5]) <= 2.3e-16 + tol, row  # v3 = 1 + (v3 - 1)
+
+    def test_matches_shear_factors(self):
+        params, loads = mk(alpha=1e-100, eta=2.0, p=4.0), Loads(1.0, 0, 0, 0, 0, 0)
+        u_factor = limrod.shear_factors(params, loads)[0]
+        assert strains_from_loads(params, loads).u1 == pytest.approx(u_factor, rel=1e-12)
+
+    def test_unbounded_strains_raise(self):
+        # Q* = 1e-140 underflows to 0 at m1 = 1e-170, so F would be 1/gamma
+        # and u1 = 1e230, far beyond the true 1e100 and Q(u1) overflows
+        params = self.UNBOUNDED[0]
+        message = r"^loads underflow in Q\*, so their strains are not finite: Loads\(m1=1e-170, m2=0.0, "
+        with pytest.raises(LoadOutOfRange, match=message):
+            strains_from_loads(params, Loads(1e-170, 0, 0, 0, 0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LoadOutOfRange, match=message):
+                strains_from_loads_batch(params, [[0.0] * 6, [1e-170, 0, 0, 0, 0, 0], [1.0] * 6])
 
 
 class TestInverseMap:
@@ -663,6 +727,16 @@ class TestBetaEnergies:
         loads = Loads(sys.float_info.max, 0, 0, 0, 0, 0)
         value = complementary_energy(mk(gamma=1e-3, p=1.0), loads)
         assert value == pytest.approx(sys.float_info.max, rel=1e-15)
+
+    def test_p1_where_gamma_k_underflows(self):
+        # at the loads' scale k = 2^-665, g = gamma k underflows to 0 and
+        # rt/g once divided by zero; W* = rt - gamma log(1 + rt/gamma)
+        params, loads = mk(gamma=1e-200, eta=2.0, p=1.0), Loads(0, 0, 0, 0, 0, 1e200)
+        with mpmath.workdps(40):
+            rt = mpmath.mpf(1e200) / 2  # n3 beta/sqrt(det), det = 4
+            gamma = mpmath.mpf(1e-200)
+            ref = rt - gamma * mpmath.log1p(rt / gamma)
+        assert abs(complementary_energy(params, loads) - ref) <= 1e-15 * ref
 
     def test_import_loads_no_scipy(self):
         code = "import sys, limrod; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

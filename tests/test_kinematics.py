@@ -561,6 +561,23 @@ class TestConfigurationCsv:
         with pytest.raises(ValueError):
             Configuration(**arrays)
 
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ({"points": np.zeros((3, 3))}, "inconsistent sample array shapes"),
+            ({"directors": np.tile(np.eye(3), (4, 1, 1))[:, :2]}, "inconsistent sample array shapes"),
+            ({"s": np.zeros(1), "points": np.zeros((1, 3)), "directors": np.eye(3)[None]},
+             "need at least two samples"),
+            ({"s": np.array([0.0, 2.0, 1.0, 3.0]) / 3.0}, "arclength parameter must be strictly increasing"),
+        ],
+        ids=["points", "directors", "one sample", "s decreases"],
+    )
+    def test_configuration_rejects_malformed_samples(self, arrays, message):
+        arrays = {"s": np.linspace(0, 1, 4), "points": np.zeros((4, 3)),
+                  "directors": np.tile(np.eye(3), (4, 1, 1)), **arrays}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Configuration(**arrays)
+
     def test_validation_catches_nonuniform_grid(self):
         s = np.array([0.0, 0.3, 1.0])
         pts = np.zeros((3, 3))

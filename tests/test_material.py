@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -259,6 +260,28 @@ class TestParameterFile:
         path = tmp_path / "p.json"
         path.write_text('{"alpha": NaN, "beta": 1, "gamma": 1, "zeta": 1, "eta": 2, "iota": 0, "p": 2}')
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            ("NaN", "must be finite, got nan"),
+            ("-Infinity", "must be finite, got -inf"),
+            ("1e999", "must be finite, got inf"),  # json reads an overflowing number as inf
+            ("true", "must be a number, got True"),
+            ('"2"', "must be a number, got '2'"),
+        ],
+    )
+    def test_rejects_non_numbers(self, tmp_path, value, error):
+        path = tmp_path / "p.json"
+        path.write_text(f'{{"alpha": {value}, "beta": 1, "gamma": 1, "zeta": 1, "eta": 2, "iota": 0, "p": 2}}')
+        with pytest.raises(ValueError, match=f"^parameter 'alpha' {re.escape(error)}$"):
+            load_params(path)
+
+    def test_rejects_top_level_array(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("[1, 1, 1, 1, 2, 0, 2]")
+        with pytest.raises(ValueError, match="^parameter file must contain a JSON object$"):
             load_params(path)
 
     def test_rejects_unknown_and_missing_keys(self, tmp_path):
