@@ -37,6 +37,7 @@ field order above (``as_array``/``from_array``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
@@ -64,7 +65,9 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 _BATCH_BLOCK = 8192  # rows per pass of the batch forward map
-_UNBOUNDED = "underflow in Q*, so their strains are not finite"
+_UNBOUNDED = "map to strains whose Q(u, v) is not finite"
+_TINY = sys.float_info.min  # below it a float has lost digits to underflow
+_TINY_ROOT = math.sqrt(_TINY)  # 2^-511: a load below it has a subnormal square
 
 
 class _SixVector:
@@ -194,13 +197,12 @@ def _load_error(values, why: str = "are not all finite") -> LoadOutOfRange:
     return LoadOutOfRange(f"loads {why}: {Loads.from_array(values)}")
 
 
-def _pow2_scale(values) -> float:
-    """2^-e, with e the binary exponent of max |value| when that exceeds 1,
-    else 1. Every scaled value then lies below 1 in magnitude, up to the
-    float64 maximum; the power of two is exact, and so is the product save
-    for underflow, which is the correct limit."""
-    c = max(map(abs, values))
-    return math.ldexp(1.0, -math.frexp(c)[1]) if c > 1.0 else 1.0
+def _pow2_scale(top: float) -> float:
+    """2^-e, with e the binary exponent of top = max |value| when that
+    exceeds 1, else 1. Every scaled value then lies below 1 in magnitude, up
+    to the float64 maximum; the power of two is exact, and so is the product
+    save for underflow, which is the correct limit."""
+    return math.ldexp(1.0, -math.frexp(top)[1]) if top > 1.0 else 1.0
 
 
 def _factor(p: float, gp, qstar):
@@ -210,24 +212,38 @@ def _factor(p: float, gp, qstar):
     return (gp + qstar ** (0.5 * p)) ** (-1.0 / p)
 
 
-def _saturating_factor(p: float, g: float, qstar) -> float:
-    """F at gamma = g on floats: the plain ``_factor`` where its powers and
-    their sum stay in the float range, else ``_scaled_factor``. 0, F's
-    limit, only where Q* is inf or ``qstar``, a function forming it, overflows."""
-    q = math.inf  # stays so where qstar() overflows
+def _saturating_factor(p: float, g, qstar):
+    """F at gamma = g, on floats or arrays: the plain ``_factor`` where its
+    powers and their sum are normal floats, else ``_scaled_factor``, so F
+    keeps full accuracy for every g and Q*. 0, F's limit, only where Q* is
+    inf or ``qstar``, a function forming it, overflows. On arrays the
+    caller silences numpy's range warnings."""
+    if isinstance(g, np.ndarray):
+        s = g**p + qstar ** (0.5 * p)
+        f = s ** (-1.0 / p)
+        out = ~((s >= _TINY) & (f > 0.0) & (f < math.inf)) & (qstar != math.inf)
+        f[out] = _scaled_factor(p, g[out], qstar[out])
+        return f
+    q, f = math.inf, 0.0  # q stays so where qstar() overflows
     try:
         q = qstar() if callable(qstar) else qstar
-        f = _factor(p, g**p, q)
-    except (OverflowError, ZeroDivisionError):  # a power beyond the range, or 0^-1/p
-        f = 0.0
-    return f if 0.0 < f < math.inf or not q < math.inf else _scaled_factor(p, g, q)
+        s = g**p + q ** (0.5 * p)
+        if s >= _TINY:  # _factor's sum and power, so those inputs keep its bits
+            f = s ** (-1.0 / p)
+    except OverflowError:  # a power beyond the float range
+        pass
+    return f if f > 0.0 or q == math.inf else _scaled_factor(p, g, q)
 
 
-def _scaled_factor(p: float, g, qstar: float) -> float:
+def _scaled_factor(p: float, g, qstar):
     """F(g, Q*) = c F(c g, c^2 Q*), evaluated at the power of two c that
     brings max(g, sqrt(Q*)) into [1/2, 1): there F's powers see operands of
-    order 1, so F keeps full accuracy, and none of them can overflow."""
-    c = math.ldexp(1.0, -math.frexp(max(g, math.sqrt(qstar)))[1])
+    order 1, so F keeps full accuracy, and none of them can overflow. On
+    floats or arrays."""
+    if isinstance(g, np.ndarray):
+        c = np.ldexp(1.0, -np.frexp(np.maximum(g, np.sqrt(qstar)))[1])
+    else:
+        c = math.ldexp(1.0, -math.frexp(max(g, math.sqrt(qstar)))[1])
     return _factor(p, (g * c) ** p, qstar * c * c) * c
 
 
@@ -239,7 +255,7 @@ def _load_scale(c: _Constants, loads: Loads):
     if qstar < math.inf:
         return qstar, 1.0
     values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
-    k = _pow2_scale(values)
+    k = _pow2_scale(max(map(abs, values)))
     return _load_form(c, *(x * k for x in values)), k
 
 
@@ -254,21 +270,26 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
         v3 - 1 = F (-iota m3 + beta^2 n3) / det
 
     Loads above 1 are prescaled by an exact power of two k, and F comes
-    from ``_saturating_factor``: total for every gamma and all loads up to
-    the float64 maximum. The output satisfies Q(u, v) < 1 with every
+    from ``_saturating_factor``; loads whose squares or Q* would lose
+    digits to underflow go to the batch map, which scales them up. So the
+    map is total for every gamma and all loads up to the float64 maximum,
+    and keeps its accuracy down to subnormal loads. The output satisfies Q(u, v) < 1 with every
     component strictly inside its limiting bound, at float level: deep in
     saturation the deviation is projected inward by a few parts in 1e15.
-    Raises LoadOutOfRange for a NaN or infinite component, and where Q* of
-    tiny loads underflowed under a tiny form weight: there Q is not finite.
+    Raises LoadOutOfRange for a NaN or infinite component, and where Q of
+    the strains is not finite (u1 u1 overflows in Q at alpha <~ 1e-154).
     """
     c = _constants(params)
     values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
     if not all(map(math.isfinite, values)):
         raise _load_error(values)
-    k = _pow2_scale(values)
+    top = max(map(abs, values))
+    k = _pow2_scale(top)
     m1, m2, m3, n1, n2, n3 = values
     m1, m2, m3, n1, n2, n3 = m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k
     qstar = _load_form(c, m1, m2, m3, n1, n2, n3)
+    if 0.0 < top <= 1.0 and (qstar < _TINY or top < _TINY_ROOT):  # digits lost to underflow
+        return Strains.from_array(strains_from_loads_batch(params, [values])[0])
     f = _saturating_factor(c.p, c.gamma * k, qstar)
     u1, u2, u3, v1, v2, dv = _forward_dev(c, f, m1, m2, m3, n1, n2, n3)
     margin = c.margin
@@ -325,12 +346,15 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     result has shape (n, 6) with columns (u1, u2, u3, v1, v2, v3).
     Matches ``strains_from_loads`` row by row up to a few ulps (vectorized
     powers round differently from libm); total up to the float64 maximum.
+    Rows whose squares or Q* would lose digits to underflow are scaled up
+    by a power of two u: F = u F(u gamma, u^2 Q*) from ``_scaled_factor``,
+    and the deviation of the scaled loads is divided by u last, so it is
+    rounded once. The scalar map hands such rows here.
 
     Rows are mapped ``_BATCH_BLOCK`` at a time, column by column, so each
     block's temporaries stay in cache; the inward projection re-evaluates
     only the saturated rows. Per row the arithmetic is that of a single
-    whole-array pass (the tests' reference), bit for bit, save where a
-    power of F leaves the float range: those rows equal the scalar map.
+    whole-array pass, bit for bit.
     Raises ValueError for any other shape, and the scalar map's
     LoadOutOfRange for a block's first row with a NaN or infinite
     component, else its first row whose Q is not finite.
@@ -341,6 +365,8 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
         raise ValueError(f"loads must have shape (n, 6), got {loads.shape}")
     out = np.empty(loads.shape)
     p, gamma = c.p, c.gamma
+    # the largest up-scale 2^cap keeping gamma and every strain bound times it finite
+    cap = max(1021 - math.frexp(min(max(gamma, *strain_bounds(params), 1.0), sys.float_info.max))[1], 0)
     for start in range(0, len(loads), _BATCH_BLOCK):
         cols = loads[start : start + _BATCH_BLOCK].T
         top = np.abs(cols[0])
@@ -352,11 +378,17 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
         k = np.ldexp(1.0, -np.where(top > 1.0, np.frexp(top)[1], 0))  # _pow2_scale per row
         scaled = cols * k
         g, qstar = gamma * k, _load_form(c, *scaled)
+        up = np.flatnonzero(((qstar < _TINY) | (top < _TINY_ROOT)) & (top > 0.0) & (top <= 1.0))  # as the scalar map
+        # up to a largest magnitude in [2^-33, 2^-32): normal squares, and Q*
+        # finite for every form weight up to 1/5e-324
+        u = np.ldexp(1.0, np.clip(-32 - np.frexp(top[up])[1], 0, cap))
+        scaled[:, up] = cols[:, up] * u
+        g[up], qstar[up] = gamma * u, _load_form(c, *scaled[:, up])
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # redone, or raises
-            f = _factor(p, g**p, qstar)
-            redo = np.flatnonzero(~((f > 0.0) & (f < math.inf)))
-            f[redo] = [_saturating_factor(p, *gq) for gq in zip(g[redo].tolist(), qstar[redo].tolist())]
+            f = _saturating_factor(p, g, qstar)
+            f[up] = _scaled_factor(p, g[up], qstar[up]) * u  # F = u F(u gamma, u^2 Q*)
             dev = np.array(_forward_dev(c, f, *scaled))
+            dev[:, up] /= u  # the deviation of the scaled loads, rounded once
             _project_inward(c, dev, cols.T)
         dev[5] += 1.0
         out[start : start + len(top)] = dev.T

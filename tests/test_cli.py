@@ -55,20 +55,11 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "DefinitenessViolation" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "value, error",
-        [
-            ("NaN", "must be finite, got nan"),
-            ("1e999", "must be finite, got inf"),
-            ("true", "must be a number, got True"),
-            ('"2"', "must be a number, got '2'"),
-        ],
-    )
-    def test_non_number_parameter_exits_2(self, tmp_path, capsys, value, error):
+    def test_non_number_parameter_exits_2(self, tmp_path, capsys):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(DEMO).replace('"alpha": 1.0', f'"alpha": {value}'))
+        path.write_text(json.dumps(DEMO).replace('"alpha": 1.0', '"alpha": NaN'))
         assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: parameter 'alpha' {error}\n"
+        assert capsys.readouterr().err == "error: parameter 'alpha' must be finite, got nan\n"
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2

@@ -298,12 +298,13 @@ class TestGammaPowerOverflow:
 
 
 class TestForwardRange:
-    """Both forward maps where a power of F leaves the float range: gamma
-    tiny or huge for its exponent, alpha = 1e-100, and loads that are zero,
-    subnormal, tiny or at the float maximum. The scalar map once raised
-    ZeroDivisionError where gamma^p underflowed, the batch map returned NaN
-    rows there, and both gave u1 = 0 where Q*^{p/2} overflowed at alpha =
-    1e-100 and p = 4."""
+    """Both forward maps where a power of F leaves the float range or its
+    sum turns subnormal: gamma tiny or huge for its exponent, alpha =
+    1e-100, and loads that are zero, subnormal, tiny or at the float
+    maximum. The scalar map once raised ZeroDivisionError where gamma^p
+    underflowed, the batch map returned NaN rows there, both gave u1 = 0
+    where Q*^{p/2} overflowed at alpha = 1e-100 and p = 4, and both lost
+    digits where Q* or the sum of F's powers was subnormal."""
 
     MATERIALS = [
         mk(gamma=1e-200, eta=2.0),
@@ -313,13 +314,16 @@ class TestForwardRange:
         mk(1.3, 0.8, 1e300, 0.7, 2.0, 0.5, 3.0),
         mk(alpha=1e-100, eta=2.0, p=4.0),
         mk(alpha=1e-100, gamma=1e-200, eta=2.0),
+        mk(gamma=1e-80, eta=2.0, p=4.0),
+        mk(gamma=1e-158, eta=2.0, iota=0.5),
     ]
-    UNBOUNDED = (MATERIALS[-1], 1e-170)  # the strains of m1 = 1e-170 leave the float range
     MAX = sys.float_info.max
     ROWS = [
         [0.0] * 6,
         [5e-324, 0.0, -5e-324, 0.0, 1e-310, 0.0],
         [1e-170, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1e-100, 0.0, 0.0, 0.0, 0.0],
+        [2e-158, 0.0, 1e-158, -3e-158, 0.0, 1e-159],
         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         [0.3, -1.2, 0.7, 2.0, -0.4, 1.5],
         [0.0, 0.0, 0.0, 0.0, 0.0, MAX],
@@ -328,13 +332,13 @@ class TestForwardRange:
 
     @pytest.mark.parametrize("params", MATERIALS, ids=lambda prm: f"a{prm.alpha:g}-g{prm.gamma:g}-p{prm.p:g}")
     def test_against_mpmath(self, params):
-        rows = [row for row in self.ROWS if (params, row[0]) != self.UNBOUNDED]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = strains_from_loads_batch(params, rows)
-            for row, got in zip(rows, batch):
+            batch = strains_from_loads_batch(params, self.ROWS)
+            for row, got in zip(self.ROWS, batch):
                 st = strains_from_loads(params, Loads(*row))
-                assert np.array_equal(got.view(np.int64), st.as_array().view(np.int64)), row
+                # numpy's powers may round apart from libm's by an ulp
+                np.testing.assert_allclose(got, st.as_array(), rtol=1e-15, atol=1e-300)
                 assert strain_quad_form(params, st) < 1.0
                 dev, ref = st.as_array() - [0, 0, 0, 0, 0, 1], reference_dev(params, row)
                 tol = 1e-12 * np.abs(ref).max()  # saturated rows carry the projection
@@ -346,17 +350,16 @@ class TestForwardRange:
         u_factor = limrod.shear_factors(params, loads)[0]
         assert strains_from_loads(params, loads).u1 == pytest.approx(u_factor, rel=1e-12)
 
-    def test_unbounded_strains_raise(self):
-        # Q* = 1e-140 underflows to 0 at m1 = 1e-170, so F would be 1/gamma
-        # and u1 = 1e230, far beyond the true 1e100 and Q(u1) overflows
-        params = self.UNBOUNDED[0]
-        message = r"^loads underflow in Q\*, so their strains are not finite: Loads\(m1=1e-170, m2=0.0, "
+    def test_unbounded_form_raises(self):
+        # the true u1 is about 1e155 with Q < 1, but u1 * u1 overflows in Q
+        params = mk(alpha=1e-155, eta=2.0)
+        message = r"^loads map to strains whose Q\(u, v\) is not finite: Loads\(m1=1e-05, m2=0.0, "
         with pytest.raises(LoadOutOfRange, match=message):
-            strains_from_loads(params, Loads(1e-170, 0, 0, 0, 0, 0))
+            strains_from_loads(params, Loads(1e-5, 0, 0, 0, 0, 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(LoadOutOfRange, match=message):
-                strains_from_loads_batch(params, [[0.0] * 6, [1e-170, 0, 0, 0, 0, 0], [1.0] * 6])
+                strains_from_loads_batch(params, [[0.0] * 6, [1e-5, 0, 0, 0, 0, 0], [1e-6] * 6])
 
 
 class TestInverseMap:

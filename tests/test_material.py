@@ -256,12 +256,6 @@ class TestParameterFile:
         assert params.eta == 2.0
         validate(params)
 
-    def test_rejects_nan(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text('{"alpha": NaN, "beta": 1, "gamma": 1, "zeta": 1, "eta": 2, "iota": 0, "p": 2}')
-        with pytest.raises(ValueError):
-            load_params(path)
-
     @pytest.mark.parametrize(
         "value, error",
         [
