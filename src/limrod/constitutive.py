@@ -68,6 +68,7 @@ _BATCH_BLOCK = 8192  # rows per pass of the batch forward map
 _UNBOUNDED = "map to strains whose Q(u, v) is not finite"
 _TINY = sys.float_info.min  # below it a float has lost digits to underflow
 _TINY_ROOT = math.sqrt(_TINY)  # 2^-511: a load below it has a subnormal square
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 class _SixVector:
@@ -221,8 +222,9 @@ def _saturating_factor(p: float, g, qstar):
     if isinstance(g, np.ndarray):
         s = g**p + qstar ** (0.5 * p)
         f = s ** (-1.0 / p)
-        out = ~((s >= _TINY) & (f > 0.0) & (f < math.inf)) & (qstar != math.inf)
-        f[out] = _scaled_factor(p, g[out], qstar[out])
+        if not (s.min() >= _TINY and 0.0 < f.min() and f.max() < math.inf):  # the rows out of range
+            out = np.flatnonzero(~((s >= _TINY) & (f > 0.0) & (f < math.inf)) & (qstar != math.inf))
+            f[out] = _scaled_factor(p, g[out], qstar[out])
         return f
     q, f = math.inf, 0.0  # q stays so where qstar() overflows
     try:
@@ -378,15 +380,18 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
         k = np.ldexp(1.0, -np.where(top > 1.0, np.frexp(top)[1], 0))  # _pow2_scale per row
         scaled = cols * k
         g, qstar = gamma * k, _load_form(c, *scaled)
-        up = np.flatnonzero(((qstar < _TINY) | (top < _TINY_ROOT)) & (top > 0.0) & (top <= 1.0))  # as the scalar map
-        # up to a largest magnitude in [2^-33, 2^-32): normal squares, and Q*
-        # finite for every form weight up to 1/5e-324
-        u = np.ldexp(1.0, np.clip(-32 - np.frexp(top[up])[1], 0, cap))
-        scaled[:, up] = cols[:, up] * u
-        g[up], qstar[up] = gamma * u, _load_form(c, *scaled[:, up])
+        up, u, f_up = _NO_ROWS, 1.0, 1.0
+        if qstar.min() < _TINY or top.min() < _TINY_ROOT:  # the rows of the scalar map's test
+            up = np.flatnonzero(((qstar < _TINY) | (top < _TINY_ROOT)) & (top > 0.0) & (top <= 1.0))
+            # up to a largest magnitude in [2^-33, 2^-32): normal squares, and Q*
+            # finite for every form weight up to 1/5e-324
+            u = np.ldexp(1.0, np.clip(-32 - np.frexp(top[up])[1], 0, cap))
+            scaled[:, up] = cols[:, up] * u
+            g[up], qstar[up] = gamma * u, _load_form(c, *scaled[:, up])
+            f_up = _scaled_factor(p, g[up], qstar[up]) * u  # F = u F(u gamma, u^2 Q*)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # redone, or raises
             f = _saturating_factor(p, g, qstar)
-            f[up] = _scaled_factor(p, g[up], qstar[up]) * u  # F = u F(u gamma, u^2 Q*)
+            f[up] = f_up
             dev = np.array(_forward_dev(c, f, *scaled))
             dev[:, up] /= u  # the deviation of the scaled loads, rounded once
             _project_inward(c, dev, cols.T)
