@@ -68,7 +68,6 @@ _BATCH_BLOCK = 8192  # rows per pass of the batch forward map
 _UNBOUNDED = "map to strains whose Q(u, v) is not finite"
 _TINY = sys.float_info.min  # below it a float has lost digits to underflow
 _TINY_ROOT = math.sqrt(_TINY)  # 2^-511: a load below it has a subnormal square
-_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 class _SixVector:
@@ -275,9 +274,10 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     from ``_saturating_factor``; loads whose squares or Q* would lose
     digits to underflow go to the batch map, which scales them up. So the
     map is total for every gamma and all loads up to the float64 maximum,
-    and keeps its accuracy down to subnormal loads. The output satisfies Q(u, v) < 1 with every
-    component strictly inside its limiting bound, at float level: deep in
-    saturation the deviation is projected inward by a few parts in 1e15.
+    and keeps its accuracy down to subnormal loads. The output satisfies
+    Q(u, v) < 1 with every component strictly inside its limiting bound,
+    at float level: deep in saturation the deviation is projected inward
+    by a few parts in 1e15.
     Raises LoadOutOfRange for a NaN or infinite component, and where Q of
     the strains is not finite (u1 u1 overflows in Q at alpha <~ 1e-154).
     """
@@ -380,7 +380,7 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
         k = np.ldexp(1.0, -np.where(top > 1.0, np.frexp(top)[1], 0))  # _pow2_scale per row
         scaled = cols * k
         g, qstar = gamma * k, _load_form(c, *scaled)
-        up, u, f_up = _NO_ROWS, 1.0, 1.0
+        up, u, f_up = slice(0), 1.0, 1.0  # no row scaled up
         if qstar.min() < _TINY or top.min() < _TINY_ROOT:  # the rows of the scalar map's test
             up = np.flatnonzero(((qstar < _TINY) | (top < _TINY_ROOT)) & (top > 0.0) & (top <= 1.0))
             # up to a largest magnitude in [2^-33, 2^-32): normal squares, and Q*
