@@ -507,9 +507,13 @@ def check_balance(
     dn = _derivative(n_vec, h)[1:-1]
     dm = _derivative(m_vec, h)[1:-1]
     dr = _derivative(cfg.points, h)[1:-1]
-    s_mid = cfg.s[1:-1].tolist()
-    f = 0.0 if body_force is None else np.array([body_force(si) for si in s_mid], dtype=float)
-    l = 0.0 if body_couple is None else np.array([body_couple(si) for si in s_mid], dtype=float)
+    s_mid = cfg.s[1:-1]
+    f = np.zeros_like(dn)
+    l = np.zeros_like(dm)
+    if body_force is not None:
+        f = np.array([body_force(float(si)) for si in s_mid], dtype=float)
+    if body_couple is not None:
+        l = np.array([body_couple(float(si)) for si in s_mid], dtype=float)
     force_res = dn + f
     couple_res = dm + np.cross(dr, n_vec[1:-1]) + l
     # trim samples whose stencil touches the one-sided endpoint values
@@ -535,7 +539,11 @@ def state_from_configuration(params: MaterialParams, config: Configuration) -> E
     v = np.einsum("ni,nki->nk", dr, config.directors)
     u = darboux_components(config.directors, h)
     loads = loads_from_strains_batch(pn, np.concatenate([u, v], axis=1))
-    descriptor = {"family": "reconstructed", "grid_h": h, "params": asdict(pn)}
+    descriptor = {
+        "family": "reconstructed",
+        "grid_h": h,
+        "params": asdict(pn),
+    }
     return EquilibriumState(configuration=config, loads=loads, descriptor=descriptor)
 
 
@@ -562,14 +570,30 @@ def branch_sweep(
         raise ValueError(f"need at least 2 sweep points, got {count!r}")
     branch = _branch(pn)
     points: list[BranchPoint] = []
-    for thrust in np.linspace(n_min, n_max, count).tolist():
-        loads = Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust)
-        points.append(BranchPoint(thrust, 0.0, strains_from_loads(pn, loads), loads, "trivial"))
+    for thrust in np.linspace(n_min, n_max, count):
+        thrust = float(thrust)
+        st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust))
+        points.append(
+            BranchPoint(
+                N=thrust,
+                theta=0.0,
+                strains=st,
+                loads=Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust),
+                branch="trivial",
+            )
+        )
         if not isinstance(branch.thresh, NoBifurcation) and thrust > branch.thresh:
             theta, amplitude = _sheared_tilt(branch, thrust)
-            strains = Strains(0.0, 0.0, branch.u3, -amplitude, 0.0, branch.v3)
-            loads = Loads(0.0, 0.0, 0.0, -thrust * math.sin(theta), 0.0, thrust * math.cos(theta))
-            points.append(BranchPoint(thrust, theta, strains, loads, "sheared"))
+            sth, cth = math.sin(theta), math.cos(theta)
+            points.append(
+                BranchPoint(
+                    N=thrust,
+                    theta=theta,
+                    strains=Strains(0.0, 0.0, branch.u3, -amplitude, 0.0, branch.v3),
+                    loads=Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth),
+                    branch="sheared",
+                )
+            )
     points.sort(key=lambda pt: (pt.N, pt.branch))
     return points, branch.thresh
 

@@ -267,8 +267,12 @@ def strains_from_euler(
     spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
     v1, v2, v3 = tangent_components
     return Strains(
-        dtheta * spsi - dphi * sth * cpsi, dtheta * cpsi + dphi * sth * spsi,
-        dpsi + dphi * math.cos(angles.theta), v1, v2, v3,
+        u1=dtheta * spsi - dphi * sth * cpsi,
+        u2=dtheta * cpsi + dphi * sth * spsi,
+        u3=dpsi + dphi * math.cos(angles.theta),
+        v1=v1,
+        v2=v2,
+        v3=v3,
     )
 
 
@@ -278,8 +282,13 @@ def frame_loads(loads: Loads, angles: EulerAngles, thrust: float) -> FrameLoads:
     spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
     sth, cth = math.sin(angles.theta), math.cos(angles.theta)
     return FrameLoads(
-        loads.m1 * cpsi - loads.m2 * spsi, loads.m1 * spsi + loads.m2 * cpsi, loads.m3,
-        -thrust * sth, 0.0, thrust * cth, thrust,
+        M1=loads.m1 * cpsi - loads.m2 * spsi,
+        M2=loads.m1 * spsi + loads.m2 * cpsi,
+        M3=loads.m3,
+        N1=-thrust * sth,
+        N2=0.0,
+        N3=thrust * cth,
+        N=thrust,
     )
 
 
@@ -478,7 +487,11 @@ def read_configuration_csv(path: str | Path) -> Configuration:
         if data is None:
             fh.seek(0)
             data = _parse_samples(fh)
-    return Configuration(s=data[:, 0], points=data[:, 1:4], directors=data[:, 4:13].reshape(-1, 3, 3))
+    return Configuration(
+        s=data[:, 0],
+        points=data[:, 1:4],
+        directors=data[:, 4:13].reshape(-1, 3, 3),
+    )
 
 
 def _load_samples(fh) -> np.ndarray | None:
