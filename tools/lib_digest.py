@@ -35,6 +35,12 @@ with no draw from the generator. ``forward range`` digests both forward
 maps on crafted materials at the edges of the float range (gamma from
 1e-200 to 1e300 with p up to 100, alpha = 1e-100) and loads that are zero,
 subnormal, tiny or at the float64 maximum, also with no generator draw.
+``forward units`` digests both forward maps under a change of the unit of
+length: demo, dna and a chiral p = 3 set with alpha, beta, iota and
+ref_length scaled by 2^k, k in {-40, -20, 0, 20, 40}, on loads from
+unsaturated to Q* = 1e300 whose couples are scaled by the same 2^k; and on
+p = 2 sets with alpha from 1e3 to 1e100 under the couple sqrt(99) alpha
+(Q = 0.99). No generator draw either.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -265,6 +271,44 @@ def add_forward_range(add) -> None:
         add("forward range", lr.strains_from_loads_batch, params, FORWARD_RANGE_LOADS)
 
 
+UNIT_EXPONENTS = (-40, -20, 0, 20, 40)
+UNIT_DIRECTIONS = np.array([
+    [0.3, -0.2, 0.1, 0.05, -0.1, 0.2],
+    [0.0, 0.0, 1.0, 0.0, 0.0, -0.5],
+    [-1.0, 0.5, -0.25, 0.75, 0.0, 1.0],
+])
+UNIT_QSTARS = (1e-6, 0.5, 1e6, 1e30, 1e300)
+
+
+def unit_scaled(params: lr.MaterialParams, k: int) -> lr.MaterialParams:
+    """The set with its lengths (alpha, beta, iota, ref_length) times 2^k."""
+    c = 2.0**k
+    return lr.MaterialParams(params.alpha * c, params.beta * c, params.gamma, params.zeta,
+                             params.eta, params.iota * c, params.p, params.ref_length * c)
+
+
+def add_forward_units(add) -> None:
+    """Both forward maps on the unit-scaled sets and the large-alpha probes."""
+    bases = [lr.load_params(ROOT / "params" / f"{name}.json") for name in ("demo", "dna")]
+    bases.append(lr.MaterialParams(1.3, 0.8, 1.0, 0.7, 2.0, 0.5, 3.0))
+    for base in bases:
+        rows = np.array([
+            d * math.sqrt(target / lr.load_quad_form(base, lr.Loads.from_array(d)))
+            for d in UNIT_DIRECTIONS for target in UNIT_QSTARS
+        ])
+        for k in UNIT_EXPONENTS:
+            params, scaled = unit_scaled(base, k), rows.copy()
+            scaled[:, :3] *= 2.0**k  # couples carry one length
+            for row in scaled:
+                add("forward units", lr.strains_from_loads, params, lr.Loads.from_array(row))
+            add("forward units", lr.strains_from_loads_batch, params, scaled)
+    for alpha in (1e3, 1e6, 1e8, 1e100):
+        params = lr.MaterialParams(alpha, 1.0, 1.0, 1.0, 2.0, 0.0, 2.0)
+        row = np.array([[math.sqrt(99.0) * alpha, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        add("forward units", lr.strains_from_loads, params, lr.Loads.from_array(row[0]))
+        add("forward units", lr.strains_from_loads_batch, params, row)
+
+
 def csv_sha256(config: lr.Configuration) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.csv"
@@ -323,6 +367,7 @@ def digest_records() -> dict[str, list[str]]:
         add("branch_sweep", lr.branch_sweep, params, -thresh, 3.0 * thresh, 21)
 
     add_forward_range(add)
+    add_forward_units(add)
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
     return rec
