@@ -275,9 +275,11 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     digits to underflow go to the batch map, which scales them up. So the
     map is total for every gamma and all loads up to the float64 maximum,
     and keeps its accuracy down to subnormal loads. The output satisfies
-    Q(u, v) < 1 with every component strictly inside its limiting bound,
-    at float level: deep in saturation the deviation is projected inward
-    by a few parts in 1e15.
+    Q(u, v) < 1 with every component strictly inside its limiting bound:
+    where Q of the stored state exceeds 1 - margin, the deviation is
+    rescaled once, to Q = 1 - 2 margin. The margin (``material._constants``)
+    bounds the rounding of that Q and has no length unit, so a change of
+    unit scales the strains as it scales the loads; it is 1.1e-13 on demo.
     Raises LoadOutOfRange for a NaN or infinite component, and where Q of
     the strains is not finite (u1 u1 overflows in Q at alpha <~ 1e-154).
     """
@@ -294,14 +296,11 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
         return Strains.from_array(strains_from_loads_batch(params, [values])[0])
     f = _saturating_factor(c.p, c.gamma * k, qstar)
     u1, u2, u3, v1, v2, dv = _forward_dev(c, f, m1, m2, m3, n1, n2, n3)
-    margin = c.margin
-    for _ in range(4):  # the steps of _project_inward, on floats
-        q = _strain_form(c, u1, u2, u3, v1, v2, (1.0 + dv) - 1.0)
-        if q <= 1.0 - margin:
-            break
+    q = _strain_form(c, u1, u2, u3, v1, v2, (1.0 + dv) - 1.0)  # on the stored state
+    if not q <= 1.0 - c.margin:  # the inward projection: one rescale
         if not q < math.inf:
             raise _load_error(values, _UNBOUNDED)
-        r = math.sqrt((1.0 - 2.0 * margin) / q)
+        r = math.sqrt((1.0 - 2.0 * c.margin) / q)
         u1, u2, u3, v1, v2, dv = u1 * r, u2 * r, u3 * r, v1 * r, v2 * r, dv * r
     # float(): loads given as numpy scalars still give float strains
     return Strains(float(u1), float(u2), float(u3), float(v1), float(v2), float(1.0 + dv))
@@ -321,26 +320,6 @@ def _forward_dev(c: _Constants, f, m1, m2, m3, n1, n2, n3) -> tuple:
     )
 
 
-def _project_inward(c: _Constants, dev: np.ndarray, loads: np.ndarray) -> None:
-    """The scalar map's inward projection on the columns of ``dev`` (6, n):
-    Q once over all columns, then re-evaluated and rescaled on the
-    saturated columns only, up to four times; its error, naming the row of
-    ``loads`` (n, 6), for the first column whose Q is not finite."""
-    margin = c.margin
-    sub, rows = dev, None
-    for _ in range(4):
-        q = _strain_form(c, *sub[:5], (1.0 + sub[5]) - 1.0)
-        hit = np.flatnonzero(~(q <= 1.0 - margin))  # NaN included
-        if not hit.size:
-            return
-        rows = hit if rows is None else rows[hit]
-        q = q[hit]
-        if not (q < math.inf).all():
-            raise _load_error(loads[rows[(q < math.inf).argmin()]], _UNBOUNDED)
-        sub = sub[:, hit] * np.sqrt((1.0 - 2.0 * margin) / q)
-        dev[:, rows] = sub
-
-
 def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.ndarray:
     """Vectorized forward map for load sweeps.
 
@@ -354,9 +333,9 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     rounded once. The scalar map hands such rows here.
 
     Rows are mapped ``_BATCH_BLOCK`` at a time, column by column, so each
-    block's temporaries stay in cache; the inward projection re-evaluates
-    only the saturated rows. Per row the arithmetic is that of a single
-    whole-array pass, bit for bit.
+    block's temporaries stay in cache, with the scalar map's inward
+    projection: Q once per block, and one rescale of each saturated row.
+    Per row the arithmetic is that of a single whole-array pass, bit for bit.
     Raises ValueError for any other shape, and the scalar map's
     LoadOutOfRange for a block's first row with a NaN or infinite
     component, else its first row whose Q is not finite.
@@ -394,7 +373,12 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
             f[up] = f_up
             dev = np.array(_forward_dev(c, f, *scaled))
             dev[:, up] /= u  # the deviation of the scaled loads, rounded once
-            _project_inward(c, dev, cols.T)
+            q = _strain_form(c, *dev[:5], (1.0 + dev[5]) - 1.0)  # the scalar map's projection
+            hit = np.flatnonzero(~(q <= 1.0 - c.margin))  # NaN included
+            q = q[hit]
+            if not (q < math.inf).all():
+                raise _load_error(cols[:, hit[(q < math.inf).argmin()]], _UNBOUNDED)
+            dev[:, hit] *= np.sqrt((1.0 - 2.0 * c.margin) / q)
         dev[5] += 1.0
         out[start : start + len(top)] = dev.T
     return out

@@ -6,16 +6,16 @@ class RodModelError(Exception):
 
 
 class NonPositiveParameter(RodModelError):
-    """A material constant that must be strictly positive is not."""
+    """A material constant that must be > 0 is not, or its square overflows."""
 
-    def __init__(self, name: str, value: float):
+    def __init__(self, name: str, value: float, why: str = "must be > 0"):
         self.name = name
         self.value = value
-        super().__init__(f"material parameter '{name}' must be > 0, got {value!r}")
+        super().__init__(f"material parameter '{name}' {why}, got {value!r}")
 
 
 class DefinitenessViolation(RodModelError):
-    """beta^2*eta^2 - iota^2 <= 0: the twist/stretch coefficient block is singular."""
+    """beta^2*eta^2 - iota^2 <= 0 (the twist/stretch block is singular) or inf."""
 
 
 class StrainOutOfRange(RodModelError):

@@ -261,24 +261,30 @@ def strains_from_euler(
         u1 = theta' sin(psi) - phi' sin(theta) cos(psi)
         u2 = theta' cos(psi) + phi' sin(theta) sin(psi)
         u3 = psi' + phi' cos(theta)
+
+    Raises AngleOutOfRange for a NaN or infinite psi or angle rate.
     """
     dphi, dtheta, dpsi = angle_rates
     sth = math.sin(angles.theta)
-    spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
+    try:
+        spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
+    except ValueError:  # psi infinite, named below
+        spsi = cpsi = math.nan
+    u1 = dtheta * spsi - dphi * sth * cpsi
+    u2 = dtheta * cpsi + dphi * sth * spsi
+    u3 = dpsi + dphi * math.cos(angles.theta)
+    if not math.isfinite(u1 + u2 + u3):  # a non-finite input makes one so; find it
+        _check_finite("angle", psi=angles.psi)
+        _check_finite("angle rate", dphi=dphi, dtheta=dtheta, dpsi=dpsi)
     v1, v2, v3 = tangent_components
-    return Strains(
-        u1=dtheta * spsi - dphi * sth * cpsi,
-        u2=dtheta * cpsi + dphi * sth * spsi,
-        u3=dpsi + dphi * math.cos(angles.theta),
-        v1=v1,
-        v2=v2,
-        v3=v3,
-    )
+    return Strains(u1=u1, u2=u2, u3=u3, v1=v1, v2=v2, v3=v3)
 
 
 def frame_loads(loads: Loads, angles: EulerAngles, thrust: float) -> FrameLoads:
     """Re-express director-frame couples in the {e_k} basis and attach the
-    terminal-thrust force components."""
+    terminal-thrust force components. Raises AngleOutOfRange for a NaN or
+    infinite psi; non-finite loads pass through."""
+    _check_finite("angle", psi=angles.psi)
     spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
     sth, cth = math.sin(angles.theta), math.cos(angles.theta)
     return FrameLoads(

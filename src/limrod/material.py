@@ -115,19 +115,24 @@ def _constants(params: MaterialParams) -> _Constants:
             raise NonPositiveParameter(name, value)
     if not math.isfinite(params.iota):
         raise NonPositiveParameter("iota", params.iota)
+    for name in ("alpha", "beta", "zeta", "eta", "iota"):  # the kernels square them
+        value = getattr(params, name)
+        if not math.isfinite(value * value):
+            raise NonPositiveParameter(name, value, "must have a finite square")
     det = params.twist_stretch_det
-    if not det > 0.0:
+    if not 0.0 < det < math.inf:
         raise DefinitenessViolation(
-            f"beta^2*eta^2 - iota^2 = {det!r} must be > 0"
+            f"beta^2*eta^2 - iota^2 = {det!r} must be " + ("> 0" if det < math.inf else "finite")
         )
     a2, b2, z2, e2 = params.alpha**2, params.beta**2, params.zeta**2, params.eta**2
-    # The forward map projects outputs inward from a band of this width below
-    # Q = 1. It must dominate the float wobble of re-evaluating Q on the
-    # stored state, which scales with the form weights and the limiting bounds.
+    # The forward maps rescale a state with Q above 1 - margin once, to
+    # 1 - 2 margin, so the margin bounds the wobble of Q re-evaluated on the
+    # stored state: Q's relative rounding (the 1), and storing v3 = 1 + dv,
+    # which moves Q by eps grad. No length unit enters; eta^2 is spare.
     root = math.sqrt(det)
     b_dil = params.beta / root
     grad = (e2 * b_dil + abs(params.iota) * (params.eta / root)) * (1.0 + b_dil)
-    margin = 64.0 * _EPS * (1.0 + max(a2, b2, z2, e2, abs(params.iota)) + grad)
+    margin = 64.0 * _EPS * (1.0 + e2 + grad)
     record = _Constants(params.p, params.gamma, params.iota, a2, b2, z2, e2, det, margin)
     params.__dict__["_constants"] = record
     return record
@@ -137,8 +142,9 @@ def validate(params: MaterialParams) -> MaterialParams:
     """Check admissibility and return the parameter set unchanged.
 
     Raises NonPositiveParameter if any of alpha, beta, gamma, zeta, eta, p,
-    ref_length fails strict positivity (iota may take any finite sign), and
-    DefinitenessViolation if beta^2*eta^2 - iota^2 <= 0.
+    ref_length fails strict positivity (iota may take any finite sign) or
+    any of alpha, beta, zeta, eta, iota squares to inf, and
+    DefinitenessViolation if beta^2*eta^2 - iota^2 is <= 0 or inf.
 
     The first check that passes memoises the set's derived constants in the
     instance's ``__dict__`` for every kernel to read; fields, ==, hash, repr,

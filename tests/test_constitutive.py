@@ -249,7 +249,7 @@ def reference_dev(prm, row):
         qstar = (m1**2 + m2**2) / a2 + (n1**2 + n2**2) / z2 + (
             e2 * m3**2 + b2 * n3**2 - 2 * prm.iota * m3 * n3
         ) / det
-        f = (mpmath.mpf(prm.gamma) ** prm.p + qstar ** (prm.p / 2)) ** (-1 / prm.p)
+        f = (mpmath.mpf(prm.gamma) ** prm.p + qstar ** (prm.p / 2)) ** (-1 / mpmath.mpf(prm.p))
         dev = [m1 / a2, m2 / a2, (e2 * m3 - prm.iota * n3) / det, n1 / z2, n2 / z2,
                (-prm.iota * m3 + b2 * n3) / det]
         return np.array([float(f * x) for x in dev])
@@ -360,6 +360,78 @@ class TestForwardRange:
             warnings.simplefilter("error")
             with pytest.raises(LoadOutOfRange, match=message):
                 strains_from_loads_batch(params, [[0.0] * 6, [1e-5, 0, 0, 0, 0, 0], [1e-6] * 6])
+
+
+PARAMS_DIR = Path(__file__).parents[1] / "params"
+
+
+class TestLengthUnit:
+    """A change of the unit of length scales alpha, beta, iota, ref_length
+    and the couples by 2^k, and the curvatures by 2^-k; the shear and
+    dilatation strains stay. The inward projection's margin once grew with
+    alpha^2, beta^2 and |iota|, so that a large unit moved saturated states
+    by up to 0.7 relative, and made the margin exceed 1/2, where both maps
+    raised, even on zero loads."""
+
+    BASES = [
+        load_params(PARAMS_DIR / "demo.json"),
+        load_params(PARAMS_DIR / "dna.json"),
+        mk(1.3, 0.8, 1.0, 0.7, 2.0, 0.5, 3.0),
+    ]
+    DIRECTIONS = [[0.3, -0.2, 0.1, 0.05, -0.1, 0.2], [0, 0, 1.0, 0, 0, -0.5], [-1.0, 0.5, -0.25, 0.75, 0, 1.0]]
+    QSTARS = (1e-6, 0.5, 1e6, 1e30, 1e300)  # unsaturated to deep saturation
+
+    @pytest.mark.parametrize("base", BASES, ids=("demo", "dna", "chiral-p3"))
+    def test_strains_scale_with_the_unit(self, base):
+        rows = np.array([
+            np.array(d) * math.sqrt(t / load_quad_form(base, Loads.from_array(d)))
+            for d in self.DIRECTIONS for t in self.QSTARS
+        ])
+        want = strains_from_loads_batch(base, rows) - [0, 0, 0, 0, 0, 1]
+        for k in range(-40, 41):
+            c = 2.0**k
+            params = MaterialParams(base.alpha * c, base.beta * c, base.gamma, base.zeta,
+                                    base.eta, base.iota * c, base.p, base.ref_length * c)
+            loads = rows * [c, c, c, 1, 1, 1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = strains_from_loads_batch(params, loads)
+                scalar = [strains_from_loads(params, Loads.from_array(r)).as_array() for r in loads]
+            for got in (batch, np.array(scalar)):
+                dev = got - [0, 0, 0, 0, 0, 1]
+                assert (_strain_form(_constants(params), *dev.T) < 1.0).all(), k
+                err = np.abs(dev * [c, c, c, 1, 1, 1] - want).max(axis=1)
+                assert (err <= 1e-14 * np.abs(want).max(axis=1)).all(), k
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e6, 1e8, 1e100])
+    def test_large_alpha_against_mpmath(self, alpha):
+        # Q = 0.99 lies below the projection band: the map is F times the loads
+        params, row = mk(alpha=alpha, eta=2.0), [math.sqrt(99.0) * alpha, 0, 0, 0, 0, 0]
+        ref = reference_dev(params, row)
+        for got in (strains_from_loads(params, Loads(*row)).as_array(),
+                    strains_from_loads_batch(params, [row])[0]):
+            dev = got - [0, 0, 0, 0, 0, 1]
+            assert np.abs(dev - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_wide_material_sweep(self):
+        # form weights up to 1e8 (the margin once reached 1/2 at about 1e7),
+        # gamma over the float range and loads up to Q* of 1e600, zeros first
+        rng = np.random.default_rng(5)
+        for _ in range(4000):
+            p = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 20.0]))
+            alpha, beta = (float(x) for x in 10.0 ** rng.uniform(-3.0, 8.0, 2))
+            zeta, eta = float(10.0 ** rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(-1.0, 1.5))
+            iota = float(rng.uniform(-0.95, 0.95)) * beta * eta
+            params = MaterialParams(alpha, beta, float(10.0 ** rng.uniform(-300.0, 300.0)), zeta, eta, iota, p)
+            scale = 10.0 ** rng.uniform(-5.0, 300.0, size=(8, 1)) * [alpha, alpha, beta, zeta, zeta, eta]
+            rows = rng.normal(size=(8, 6)) * scale
+            rows[0] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = strains_from_loads_batch(params, rows)
+                scalar = [strains_from_loads(params, Loads.from_array(r)).as_array() for r in rows]
+            for got in (batch, np.array(scalar)):
+                assert (_strain_form(_constants(params), *(got - [0, 0, 0, 0, 0, 1]).T) < 1.0).all(), params
 
 
 class TestInverseMap:
@@ -781,6 +853,10 @@ class TestSymmetry:
         np.testing.assert_allclose(
             out.as_array(), [0, -1, 0, 0, 0, 1], rtol=0, atol=1e-15
         )
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="^unknown symmetry kind 'reflect'$"):
+            symmetry_transform(REF, "reflect")
 
     def test_hemitropy_and_flip_invariance(self):
         rng = np.random.default_rng(23)

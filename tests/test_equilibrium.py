@@ -9,6 +9,7 @@ from limrod import (
     BelowThreshold,
     BranchPoint,
     DegenerateCouple,
+    EquilibriumState,
     EulerAngles,
     FrameLoads,
     LoadOutOfRange,
@@ -65,6 +66,25 @@ def bifurcating_params(rng, max_tries=200):
         if not isinstance(shear_threshold(params), NoBifurcation):
             return params
     raise RuntimeError("could not sample a bifurcating parameter set")
+
+
+STRAINS0, LOADS0 = Strains.reference(), Loads.zero()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda p: BranchPoint(2.0, 0.0, STRAINS0, LOADS0, "sheared"), r"need theta in \(0, pi/2\)"),
+    (lambda p: BranchPoint(2.0, math.pi / 2, STRAINS0, LOADS0, "sheared"), r"need theta in \(0, pi/2\)"),
+    (lambda p: BranchPoint(2.0, math.nan, STRAINS0, LOADS0, "sheared"), r"need theta in \(0, pi/2\)"),
+    (lambda p: BranchPoint(2.0, 0.0, STRAINS0, LOADS0, "twisted"), "^unknown branch 'twisted'$"),
+    (lambda p: EquilibriumState(trivial_tensile_state(p, 1.0, grid_h=0.1).configuration,
+                                np.zeros((10, 6)), {}), r"^loads array must be \(n_samples, 6\)$"),
+    (lambda p: trivial_tensile_state(p, 1.0, grid_h=0.5), r"^grid_h must lie in \(0, 0.1\], got 0.5$"),
+    (lambda p: helical_state(p, 1.0, theta=0.5, grid_h=0.0), r"^grid_h must lie in \(0, 0.1\], got 0.0$"),
+    (lambda p: pure_twist_state(p, 1.0, grid_h=math.nan), r"^grid_h must lie in \(0, 0.1\], got nan$"),
+])
+def test_malformed_records_and_grids_raise(demo_params, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(demo_params)
 
 
 class TestShearThreshold:

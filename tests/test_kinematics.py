@@ -197,6 +197,18 @@ class TestEulerKernel:
             darboux_components(dirs, 0.5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Frame(d1=np.zeros(2), d2=G2, d3=G3), "^d1 must be a 3-vector$"),
+    (lambda: Frame(d1=G1, d2=G2, d3=np.eye(3)), "^d3 must be a 3-vector$"),
+    (lambda: darboux_components(np.tile(np.eye(3), (2, 1, 1)), 0.5), "^need at least three frame"),
+    (lambda: darboux_components(np.zeros((4, 3, 2)), 0.5), "^need at least three frame"),
+    (lambda: darboux_components(np.zeros((4, 9)), 0.5), "^need at least three frame"),
+])
+def test_malformed_frames_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestDarboux:
     def test_constant_frame(self):
         frames = np.tile(np.eye(3), (9, 1, 1))
@@ -264,6 +276,20 @@ class TestStrainsFromEuler:
         assert st.u2 == pytest.approx(0.0, abs=1e-15)
         assert st.u3 == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("what, angles, rates", [
+        ("angle psi", EulerAngles(0.0, 0.3, math.nan), (0.1, 0.0, 0.2)),
+        ("angle psi", EulerAngles(0.0, 0.3, math.inf), (0.1, 0.0, 0.2)),
+        ("angle rate dphi", EulerAngles(0.0, 0.3, 0.1), (math.nan, 0.0, 0.2)),
+        ("angle rate dphi", EulerAngles(0.0, 0.0, 0.1), (math.inf, 0.0, 0.2)),
+        ("angle rate dtheta", EulerAngles(0.0, 0.3, 0.0), (0.1, -math.inf, 0.2)),
+        ("angle rate dpsi", EulerAngles(0.0, 0.3, 0.1), (0.1, 0.0, math.nan)),
+    ])
+    def test_nonfinite_input_names_it(self, what, angles, rates):
+        # NaN strains came back without a warning, and libm's "math domain
+        # error" for an infinite psi
+        with pytest.raises(AngleOutOfRange, match=f"^{what} must be finite"):
+            strains_from_euler(angles, rates, (0.0, 0.0, 1.01))
+
 
 class TestFrameLoads:
     def test_zero_psi_passthrough(self):
@@ -280,6 +306,16 @@ class TestFrameLoads:
         assert fl.N1 == pytest.approx(-math.sqrt(3), rel=1e-15)
         assert fl.N2 == 0.0
         assert fl.N3 == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("psi", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_psi_names_it(self, psi):
+        with pytest.raises(AngleOutOfRange, match="^angle psi must be finite"):
+            frame_loads(Loads(0.3, 0, 0.2, 0, 0, 0), EulerAngles(0.0, 0.3, psi), 2.0)
+
+    def test_nonfinite_loads_pass_through(self):
+        # reduced_residual checks those
+        fl = frame_loads(Loads(math.nan, 0, 0.2, 0, 0, 0), EulerAngles(0.0, 0.3, 0.1), math.inf)
+        assert math.isnan(fl.M1) and fl.N == math.inf
 
 
 class TestShearFactors:

@@ -53,6 +53,18 @@ class TestValidate:
         with pytest.raises(NonPositiveParameter):
             validate(mk(iota=math.nan))
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "zeta", "eta", "iota"])
+    def test_rejects_a_square_beyond_the_float_range(self, name):
+        # alpha**2 once raised a bare OverflowError
+        message = f"^material parameter '{name}' must have a finite square, got 1e\\+160$"
+        with pytest.raises(NonPositiveParameter, match=message):
+            validate(replace(mk(eta=2.0), **{name: 1e160}))
+
+    def test_rejects_an_overflowing_determinant(self):
+        # beta^2 eta^2 = inf was accepted as > 0
+        with pytest.raises(DefinitenessViolation, match=r"^beta\^2\*eta\^2 - iota\^2 = inf must be finite$"):
+            validate(mk(beta=1e100, eta=1e100))
+
     def test_accepts_exactly_the_inequality_set(self):
         rng = np.random.default_rng(7)
         checked_invalid = 0
@@ -221,6 +233,11 @@ class TestOrientationPredicates:
         assert not orientation_weak_ok(params)
         for a in (1e-6, 0.1, 10.0):
             assert not orientation_strong_ok(params, a)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, math.nan])
+    def test_strong_rejects_a_nonpositive_radius(self, radius):
+        with pytest.raises(ValueError, match="^cross_section_radius must be > 0, got "):
+            orientation_strong_ok(mk(eta=2.0), radius)
 
     def test_strong_implies_weak(self):
         rng = np.random.default_rng(13)
