@@ -15,7 +15,7 @@ class NonPositiveParameter(RodModelError):
 
 
 class DefinitenessViolation(RodModelError):
-    """beta^2*eta^2 - iota^2 <= 0 (the twist/stretch block is singular) or inf."""
+    """beta^2*eta^2 - iota^2 <= 0 or inf, or a projection margin >= 1/2."""
 
 
 class StrainOutOfRange(RodModelError):

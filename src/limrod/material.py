@@ -113,12 +113,12 @@ def _constants(params: MaterialParams) -> _Constants:
         value = getattr(params, name)
         if not (math.isfinite(value) and value > 0.0):
             raise NonPositiveParameter(name, value)
+        if name in ("alpha", "beta", "zeta", "eta") and not 0.0 < value * value < math.inf:
+            raise NonPositiveParameter(name, value, "must have a nonzero, finite square")
     if not math.isfinite(params.iota):
         raise NonPositiveParameter("iota", params.iota)
-    for name in ("alpha", "beta", "zeta", "eta", "iota"):  # the kernels square them
-        value = getattr(params, name)
-        if not math.isfinite(value * value):
-            raise NonPositiveParameter(name, value, "must have a finite square")
+    if not math.isfinite(params.iota * params.iota):
+        raise NonPositiveParameter("iota", params.iota, "must have a finite square")
     det = params.twist_stretch_det
     if not 0.0 < det < math.inf:
         raise DefinitenessViolation(
@@ -133,6 +133,8 @@ def _constants(params: MaterialParams) -> _Constants:
     b_dil = params.beta / root
     grad = (e2 * b_dil + abs(params.iota) * (params.eta / root)) * (1.0 + b_dil)
     margin = 64.0 * _EPS * (1.0 + e2 + grad)
+    if not margin < 0.5:  # else the rescale's target 1 - 2 margin is <= 0
+        raise DefinitenessViolation(f"projection margin {margin!r} must be < 1/2")
     record = _Constants(params.p, params.gamma, params.iota, a2, b2, z2, e2, det, margin)
     params.__dict__["_constants"] = record
     return record
@@ -142,9 +144,10 @@ def validate(params: MaterialParams) -> MaterialParams:
     """Check admissibility and return the parameter set unchanged.
 
     Raises NonPositiveParameter if any of alpha, beta, gamma, zeta, eta, p,
-    ref_length fails strict positivity (iota may take any finite sign) or
-    any of alpha, beta, zeta, eta, iota squares to inf, and
-    DefinitenessViolation if beta^2*eta^2 - iota^2 is <= 0 or inf.
+    ref_length fails strict positivity, alpha, beta, zeta or eta squares to
+    0 or inf, or iota^2 is not finite; DefinitenessViolation if det =
+    beta^2*eta^2 - iota^2 is <= 0 or inf, or if the forward maps' projection
+    margin is >= 1/2 (eta >~ 5.9e6, or iota within ~1e-13 of +-beta*eta).
 
     The first check that passes memoises the set's derived constants in the
     instance's ``__dict__`` for every kernel to read; fields, ==, hash, repr,

@@ -64,7 +64,7 @@ class TestValidate:
     def test_overflowing_square_exits_1(self, tmp_path, capsys):
         # alpha**2 raised OverflowError, and both commands printed a traceback
         path = write_params(tmp_path, alpha=1e160)
-        message = "NonPositiveParameter: material parameter 'alpha' must have a finite square, got 1e+160\n"
+        message = "NonPositiveParameter: material parameter 'alpha' must have a nonzero, finite square, got 1e+160\n"
         assert main(["validate", path]) == 1
         assert capsys.readouterr().out.endswith("\ninvalid: " + message)
         assert main(["eval", path, "forward", "1", "0", "0", "0", "0", "0"]) == 1

@@ -15,6 +15,7 @@ from scipy import integrate
 
 import limrod
 from limrod import (
+    DefinitenessViolation,
     LoadOutOfRange,
     Loads,
     MaterialParams,
@@ -412,6 +413,16 @@ class TestLengthUnit:
                     strains_from_loads_batch(params, [row])[0]):
             dev = got - [0, 0, 0, 0, 0, 1]
             assert np.abs(dev - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("params", [mk(eta=1e7), mk(eta=2.0, iota=2.0 * (1.0 - 1e-14))],
+                             ids=("eta-1e7", "iota-near-beta-eta"))
+    def test_margin_of_a_half_is_refused(self, params):
+        # 1 - 2 margin <= 0 leaves the rescale no target: the batch map gave
+        # NaN rows, zero loads included, and the scalar map a bare ValueError
+        for call in (lambda: strains_from_loads(params, Loads.zero()),
+                     lambda: strains_from_loads_batch(params, np.zeros((2, 6)))):
+            with pytest.raises(DefinitenessViolation, match="projection margin"):
+                call()
 
     def test_wide_material_sweep(self):
         # form weights up to 1e8 (the margin once reached 1/2 at about 1e7),

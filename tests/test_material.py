@@ -53,12 +53,18 @@ class TestValidate:
         with pytest.raises(NonPositiveParameter):
             validate(mk(iota=math.nan))
 
-    @pytest.mark.parametrize("name", ["alpha", "beta", "zeta", "eta", "iota"])
-    def test_rejects_a_square_beyond_the_float_range(self, name):
-        # alpha**2 once raised a bare OverflowError
-        message = f"^material parameter '{name}' must have a finite square, got 1e\\+160$"
-        with pytest.raises(NonPositiveParameter, match=message):
-            validate(replace(mk(eta=2.0), **{name: 1e160}))
+    @pytest.mark.parametrize("name", ["alpha", "beta", "zeta", "eta"])
+    @pytest.mark.parametrize("value", [1e160, 1e-163])
+    def test_rejects_a_weight_squaring_outside_the_float_range(self, name, value):
+        # alpha**2 once raised a bare OverflowError, and a square of 0 made
+        # every forward call divide by zero
+        message = f"material parameter '{name}' must have a nonzero, finite square, got {value!r}"
+        with pytest.raises(NonPositiveParameter, match=f"^{re.escape(message)}$"):
+            validate(replace(mk(eta=2.0), **{name: value}))
+
+    def test_rejects_an_iota_squaring_to_inf(self):
+        with pytest.raises(NonPositiveParameter, match=r"^material parameter 'iota' must have a finite square"):
+            validate(mk(eta=2.0, iota=1e160))
 
     def test_rejects_an_overflowing_determinant(self):
         # beta^2 eta^2 = inf was accepted as > 0
@@ -172,7 +178,7 @@ class TestConstantsMemo:
         assert shear_factors(params, self.LOADS) == shear_factors(copy.copy(params), self.LOADS)
 
     def test_inadmissible_twin_raises_on_every_call(self):
-        params = mk(alpha=5e-324, ref_length=4.0)  # admissible, but alpha/L underflows to 0
+        params = mk(alpha=1e-160, ref_length=1e300)  # admissible, but alpha/L underflows to 0
         for _ in range(2):
             with pytest.raises(NonPositiveParameter, match="'alpha' must be > 0, got 0.0"):
                 shear_factors(params, self.LOADS)
