@@ -40,7 +40,12 @@ length: demo, dna and a chiral p = 3 set with alpha, beta, iota and
 ref_length scaled by 2^k, k in {-40, -20, 0, 20, 40}, on loads from
 unsaturated to Q* = 1e300 whose couples are scaled by the same 2^k; and on
 p = 2 sets with alpha from 1e3 to 1e100 under the couple sqrt(99) alpha
-(Q = 0.99). No generator draw either.
+(Q = 0.99). No generator draw either. ``load gate`` digests the
+functions that bring loads into range before F (both forward maps,
+``complementary_energy`` and ``shear_factors``) on NaN, infinite and
+float64-maximum loads, on sets whose alpha, beta or zeta is 1e-160 or
+1e-155, and on W* at p in {0.75, 0.9} with gamma in {1e-200, 1e-300} under
+the tension 2e130; no generator draw.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -309,6 +314,33 @@ def add_forward_units(add) -> None:
         add("forward units", lr.strains_from_loads_batch, params, row)
 
 
+LOAD_GATE_MATERIALS = [lr.MaterialParams(1.3, 0.8, 1.0, 0.7, 2.0, 0.5, 3.0)] + [
+    lr.MaterialParams(*(weight if i == slot else x for i, x in enumerate((1.0, 1.0, 1.0, 1.0))),
+                      2.0, 0.0, 2.0)
+    for slot in (0, 1, 3) for weight in (1e-160, 1e-155)
+] + [lr.MaterialParams(1.0, 1.0, g, 1.0, 2.0, 0.0, p) for p in (0.75, 0.9) for g in (1e-200, 1e-300)]
+LOAD_GATE_LOADS = np.array([
+    [0.0] * 6,
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 2e130],
+    [0.0, 0.0, 0.0, 0.0, 0.0, -FLOAT_MAX],
+    [FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX, -FLOAT_MAX],
+])
+
+
+def add_load_gate(add) -> None:
+    """The gated functions on the crafted materials and loads above, and on
+    the non-finite loads, which the batch map gets one row at a time."""
+    for params in LOAD_GATE_MATERIALS:
+        for ld in [lr.Loads.from_array(row) for row in LOAD_GATE_LOADS] + NONFINITE_LOADS:
+            for fn in (lr.strains_from_loads, lr.complementary_energy, lr.shear_factors):
+                add("load gate", fn, params, ld)
+            add("load gate", lr.strains_from_loads_batch, params, ld.as_array()[None])
+        add("load gate", lr.strains_from_loads_batch, params, LOAD_GATE_LOADS)
+
+
 def csv_sha256(config: lr.Configuration) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.csv"
@@ -368,6 +400,7 @@ def digest_records() -> dict[str, list[str]]:
 
     add_forward_range(add)
     add_forward_units(add)
+    add_load_gate(add)
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
     return rec
