@@ -65,7 +65,7 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 _BATCH_BLOCK = 8192  # rows per pass of the batch forward map
-_UNBOUNDED = "map to strains whose Q(u, v) is not finite"
+_NONFINITE, _UNBOUNDED = "are not all finite", "map to strains whose Q(u, v) is not finite"
 _TINY = sys.float_info.min  # below it a float has lost digits to underflow
 _TINY_ROOT = math.sqrt(_TINY)  # 2^-511: a load below it has a subnormal square
 
@@ -193,16 +193,8 @@ def _domain_q(c: _Constants, strains: Strains) -> float:
     return q
 
 
-def _load_error(values, why: str = "are not all finite") -> LoadOutOfRange:
+def _load_error(values, why: str = _NONFINITE) -> LoadOutOfRange:
     return LoadOutOfRange(f"loads {why}: {Loads.from_array(values)}")
-
-
-def _pow2_scale(top: float) -> float:
-    """2^-e, with e the binary exponent of top = max |value| when that
-    exceeds 1, else 1. Every scaled value then lies below 1 in magnitude, up
-    to the float64 maximum; the power of two is exact, and so is the product
-    save for underflow, which is the correct limit."""
-    return math.ldexp(1.0, -math.frexp(top)[1]) if top > 1.0 else 1.0
 
 
 def _factor(p: float, gp, qstar):
@@ -236,28 +228,36 @@ def _saturating_factor(p: float, g, qstar):
     return f if f > 0.0 or q == math.inf else _scaled_factor(p, g, q)
 
 
-def _scaled_factor(p: float, g, qstar):
-    """F(g, Q*) = c F(c g, c^2 Q*), evaluated at the power of two c that
-    brings max(g, sqrt(Q*)) into [1/2, 1): there F's powers see operands of
-    order 1, so F keeps full accuracy, and none of them can overflow. On
-    floats or arrays."""
+def _scaled_factor(p: float, g, qstar, k: float = 1.0):
+    """F(g k, Q*) = c F(c g k, c^2 Q*), evaluated at the power of two c that
+    brings max(g k, sqrt(Q*)) into [1/2, 1): there F's powers see operands
+    of order 1, so F keeps full accuracy, and none of them can overflow.
+    g (k c) keeps the digits of a gamma scaled by a power of two k where
+    g k alone would underflow. On floats or arrays."""
     if isinstance(g, np.ndarray):
-        c = np.ldexp(1.0, -np.frexp(np.maximum(g, np.sqrt(qstar)))[1])
+        c = np.ldexp(1.0, -np.frexp(np.maximum(g * k, np.sqrt(qstar)))[1])
     else:
-        c = math.ldexp(1.0, -math.frexp(max(g, math.sqrt(qstar)))[1])
-    return _factor(p, (g * c) ** p, qstar * c * c) * c
+        c = math.ldexp(1.0, -math.frexp(max(g * k, math.sqrt(qstar)))[1])
+    return _factor(p, (g * (k * c)) ** p, qstar * c * c) * c
 
 
-def _load_scale(c: _Constants, loads: Loads):
-    """(Q*, k): Q* of the loads times k^2 for a power of two k, 1 where Q* is
-    finite. Where it overflows (inf, or inf - inf = NaN) the loads are
-    prescaled, so that sqrt(Q*)/k stays finite wherever sqrt(Q*) is."""
-    qstar = _load_form(c, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
-    if qstar < math.inf:
-        return qstar, 1.0
-    values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
-    k = _pow2_scale(max(map(abs, values)))
-    return _load_form(c, *(x * k for x in values)), k
+def _load_gate(c: _Constants, loads: Loads) -> tuple:
+    """(k, top, scaled loads, Q*), the range gate of every scalar kernel
+    that takes loads: top = max |component|, k = 2^-e with e the binary
+    exponent of top where top > 1, else 1, so the scaled loads lie below 1
+    in magnitude up to the float64 maximum (the power of two is exact), and
+    Q* of the scaled loads. Raises LoadOutOfRange for a NaN or infinite
+    component, and where Q* overflows (a form weight below about 1e-154)."""
+    values = m1, m2, m3, n1, n2, n3 = loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3
+    if not math.isfinite(m1 + m2 + m3 + n1 + n2 + n3) and not all(map(math.isfinite, values)):
+        raise _load_error(values)  # a sum of finite loads may overflow
+    top = max(abs(m1), abs(m2), abs(m3), abs(n1), abs(n2), abs(n3))
+    k = math.ldexp(1.0, -math.frexp(top)[1]) if top > 1.0 else 1.0
+    scaled = m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k
+    qstar = _load_form(c, *scaled)
+    if not qstar < math.inf:
+        raise _load_error(values, _UNBOUNDED)
+    return k, top, scaled, qstar
 
 
 def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
@@ -270,36 +270,29 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
         v_mu   = F n_mu / zeta^2
         v3 - 1 = F (-iota m3 + beta^2 n3) / det
 
-    Loads above 1 are prescaled by an exact power of two k, and F comes
-    from ``_saturating_factor``; loads whose squares or Q* would lose
-    digits to underflow go to the batch map, which scales them up. So the
-    map is total for every gamma and all loads up to the float64 maximum,
-    and keeps its accuracy down to subnormal loads. The output satisfies
+    ``_load_gate`` prescales the loads by a power of two, and F comes from
+    ``_saturating_factor``; loads whose squares or Q* would lose digits to
+    underflow go to the batch map, which scales them up. So the map is
+    total for every gamma and all loads up to the float64 maximum, and
+    keeps its accuracy down to subnormal loads. The output satisfies
     Q(u, v) < 1 with every component strictly inside its limiting bound:
     where Q of the stored state exceeds 1 - margin, the deviation is
     rescaled once, to Q = 1 - 2 margin. The margin (``material._constants``)
     bounds the rounding of that Q and has no length unit, so a change of
     unit scales the strains as it scales the loads; it is 1.1e-13 on demo.
-    Raises LoadOutOfRange for a NaN or infinite component, and where Q of
-    the strains is not finite (u1 u1 overflows in Q at alpha <~ 1e-154).
+    Raises LoadOutOfRange where the gate does, and where Q of the strains
+    is not finite (u1 u1 overflows in Q at alpha <~ 1e-154).
     """
     c = _constants(params)
-    values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
-    if not all(map(math.isfinite, values)):
-        raise _load_error(values)
-    top = max(map(abs, values))
-    k = _pow2_scale(top)
-    m1, m2, m3, n1, n2, n3 = values
-    m1, m2, m3, n1, n2, n3 = m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k
-    qstar = _load_form(c, m1, m2, m3, n1, n2, n3)
+    k, top, scaled, qstar = _load_gate(c, loads)
     if 0.0 < top <= 1.0 and (qstar < _TINY or top < _TINY_ROOT):  # digits lost to underflow
-        return Strains.from_array(strains_from_loads_batch(params, [values])[0])
+        return Strains.from_array(strains_from_loads_batch(params, [scaled])[0])
     f = _saturating_factor(c.p, c.gamma * k, qstar)
-    u1, u2, u3, v1, v2, dv = _forward_dev(c, f, m1, m2, m3, n1, n2, n3)
+    u1, u2, u3, v1, v2, dv = _forward_dev(c, f, *scaled)
     q = _strain_form(c, u1, u2, u3, v1, v2, (1.0 + dv) - 1.0)  # on the stored state
     if not q <= 1.0 - c.margin:  # the inward projection: one rescale
         if not q < math.inf:
-            raise _load_error(values, _UNBOUNDED)
+            raise _load_error(loads.as_array(), _UNBOUNDED)
         r = math.sqrt((1.0 - 2.0 * c.margin) / q)
         u1, u2, u3, v1, v2, dv = u1 * r, u2 * r, u3 * r, v1 * r, v2 * r, dv * r
     # float(): loads given as numpy scalars still give float strains
@@ -337,8 +330,8 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     projection: Q once per block, and one rescale of each saturated row.
     Per row the arithmetic is that of a single whole-array pass, bit for bit.
     Raises ValueError for any other shape, and the scalar map's
-    LoadOutOfRange for a block's first row with a NaN or infinite
-    component, else its first row whose Q is not finite.
+    LoadOutOfRange for a block's first row that ``_load_gate`` refuses,
+    with the gate's message, else its first row whose Q is not finite.
     """
     c = _constants(params)
     loads = np.asarray(loads, dtype=float)
@@ -353,22 +346,22 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
         top = np.abs(cols[0])
         for col in cols[1:]:
             np.maximum(top, np.abs(col), out=top)
-        finite = top < math.inf  # NaN propagates through np.maximum
-        if not finite.all():
-            raise _load_error(loads[start + int(finite.argmin())])
-        k = np.ldexp(1.0, -np.where(top > 1.0, np.frexp(top)[1], 0))  # _pow2_scale per row
+        k = np.ldexp(1.0, -np.where(top > 1.0, np.frexp(top)[1], 0))  # _load_gate's k per row
         scaled = cols * k
-        g, qstar = gamma * k, _load_form(c, *scaled)
-        up, u, f_up = slice(0), 1.0, 1.0  # no row scaled up
-        if qstar.min() < _TINY or top.min() < _TINY_ROOT:  # the rows of the scalar map's test
-            up = np.flatnonzero(((qstar < _TINY) | (top < _TINY_ROOT)) & (top > 0.0) & (top <= 1.0))
-            # up to a largest magnitude in [2^-33, 2^-32): normal squares, and Q*
-            # finite for every form weight up to 1/5e-324
-            u = np.ldexp(1.0, np.clip(-32 - np.frexp(top[up])[1], 0, cap))
-            scaled[:, up] = cols[:, up] * u
-            g[up], qstar[up] = gamma * u, _load_form(c, *scaled[:, up])
-            f_up = _scaled_factor(p, g[up], qstar[up]) * u  # F = u F(u gamma, u^2 Q*)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # redone, or raises
+            g, qstar = gamma * k, _load_form(c, *scaled)
+            if not qstar.max() < math.inf:  # _load_gate's refusals; a non-finite load makes one
+                i = int((qstar < math.inf).argmin())
+                raise _load_error(cols[:, i], _UNBOUNDED if top[i] < math.inf else _NONFINITE)
+            up, u, f_up = slice(0), 1.0, 1.0  # no row scaled up
+            if qstar.min() < _TINY or top.min() < _TINY_ROOT:  # the rows of the scalar map's test
+                up = np.flatnonzero(((qstar < _TINY) | (top < _TINY_ROOT)) & (top > 0.0) & (top <= 1.0))
+                # up to a largest magnitude in [2^-33, 2^-32): normal squares, and Q*
+                # finite for every form weight up to 1/5e-324
+                u = np.ldexp(1.0, np.clip(-32 - np.frexp(top[up])[1], 0, cap))
+                scaled[:, up] = cols[:, up] * u
+                g[up], qstar[up] = gamma * u, _load_form(c, *scaled[:, up])
+                f_up = _scaled_factor(p, g[up], qstar[up]) * u  # F = u F(u gamma, u^2 Q*)
             f = _saturating_factor(p, g, qstar)
             f[up] = f_up
             dev = np.array(_forward_dev(c, f, *scaled))
@@ -461,8 +454,8 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
         return xa * z**b / (a * _beta_cf(a, b, x))
     z0 = 1.0 - x0
     log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
-    total, coef, k = x0**a * z0**b / (a * _beta_cf(a, b, x0)), 1.0, 0
-    while True:
+    total, coef = x0**a * z0**b / (a * _beta_cf(a, b, x0)), 1.0
+    for k in range(500):
         e = b + k
         # (z0^e - z^e)/e, free of cancellation for e near 0
         term = coef * (log_ratio if e == 0.0 else z0**e * -math.expm1(-e * log_ratio) / e)
@@ -470,7 +463,7 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
         if k > a and abs(term) <= _EPS * total:
             return total
         coef *= (k + 1.0 - a) / (k + 1.0)
-        k += 1
+    raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
 
 
 def _log1p_series(x: float) -> float:
@@ -526,13 +519,14 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     Legendre identity W* = F Q* - W(F^2 Q*), with 1 - Q^{p/2} = (gamma F)^p
     passed to W exactly. Against 40-digit mpmath the relative error is
     below 1e-14 for p in [0.05, 100] and Q* up to 1e300. The formulas run
-    at the power-of-two scale k of ``_load_scale``, W*(gamma, Q*) =
+    at the power-of-two scale k of ``_load_gate``, W*(gamma, Q*) =
     W*(k gamma, k^2 Q*)/k, so W* is finite wherever sqrt(Q*) is, and F
-    comes from ``_scaled_factor``.
-    Raises LoadOutOfRange if sqrt(Q*) is NaN or infinite.
+    comes from ``_scaled_factor``. For p < 1, W ~ W* (gamma F)^p/(1 - p)
+    is below an ulp where (gamma F)^p < eps (1 - p), and is left out.
+    Raises LoadOutOfRange where the gate does, or sqrt(Q*) overflows.
     """
     c = _constants(params)
-    qstar, k = _load_scale(c, loads)
+    k, _, _, qstar = _load_gate(c, loads)
     rt = math.sqrt(qstar)
     if not rt / k < math.inf:
         raise LoadOutOfRange(f"sqrt Q*(m, n) = {rt / k!r} is not finite")
@@ -548,9 +542,12 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
             return (rt - g * math.log1p(x) if x < math.inf else rt) / k
         # there g x s(x)/(2 + x) = rt s(x)/(2 + x)
         return rt * _log1p_series(x) / (2.0 + x) / k
-    f = _scaled_factor(p, g, qstar)
+    f = _scaled_factor(p, c.gamma, qstar, k)
     work = f * qstar
-    return work / k - _stored_beta(c, work * f, (g * f) ** p)
+    s = (g * f if g >= _TINY else c.gamma * (f * k)) ** p  # (gamma F)^p, where g may underflow
+    if s < _EPS * (1.0 - p):  # p < 1: W/W* ~ s/(1 - p) is below an ulp, and B_x may overflow
+        return work / k
+    return work / k - _stored_beta(c, work * f, s)
 
 
 def _form_matrix(c: _Constants) -> np.ndarray:

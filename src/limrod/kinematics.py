@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _load_error, _load_scale, _scaled_factor
+from .constitutive import Loads, Strains, _load_gate, _scaled_factor
 from .errors import AngleOutOfRange, LoadOutOfRange, NonOrthonormalFrame, StrainOutOfRange
 from .material import MaterialParams, _constants, nondimensionalize
 
@@ -262,7 +262,8 @@ def strains_from_euler(
         u2 = theta' cos(psi) + phi' sin(theta) sin(psi)
         u3 = psi' + phi' cos(theta)
 
-    Raises AngleOutOfRange for a NaN or infinite psi or angle rate.
+    Raises AngleOutOfRange for a NaN or infinite psi or angle rate, and
+    for finite rates whose strains overflow.
     """
     dphi, dtheta, dpsi = angle_rates
     sth = math.sin(angles.theta)
@@ -273,9 +274,10 @@ def strains_from_euler(
     u1 = dtheta * spsi - dphi * sth * cpsi
     u2 = dtheta * cpsi + dphi * sth * spsi
     u3 = dpsi + dphi * math.cos(angles.theta)
-    if not math.isfinite(u1 + u2 + u3):  # a non-finite input makes one so; find it
+    if not math.isfinite(u1 + u2 + u3):  # a non-finite input or an overflow makes one so
         _check_finite("angle", psi=angles.psi)
         _check_finite("angle rate", dphi=dphi, dtheta=dtheta, dpsi=dpsi)
+        _check_finite(f"at angle rates {(dphi, dtheta, dpsi)!r}, strain", u1=u1, u2=u2, u3=u3)
     v1, v2, v3 = tangent_components
     return Strains(u1=u1, u2=u2, u3=u3, v1=v1, v2=v2, v3=v3)
 
@@ -301,14 +303,12 @@ def frame_loads(loads: Loads, angles: EulerAngles, thrust: float) -> FrameLoads:
 def shear_factors(params: MaterialParams, loads: Loads) -> tuple[float, float]:
     """Scalar factors (u_factor, v_factor) in the normalized gauge such that
     u_mu = u_factor * m_mu and v_mu = v_factor * n_mu: the saturating factor
-    F over alpha^2 and zeta^2, positive and finite for every finite load.
-    Raises LoadOutOfRange, with the forward map's message, for a NaN or
-    infinite component."""
+    F over alpha^2 and zeta^2, positive and finite, on the loads that
+    ``_load_gate`` prescales. Raises LoadOutOfRange, with the forward map's
+    messages, where the gate does: a NaN or infinite component, or Q*
+    overflowing."""
     c = _constants(nondimensionalize(params))
-    values = (loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
-    if not all(map(math.isfinite, values)):
-        raise _load_error(values)
-    qstar, k = _load_scale(c, loads)
+    k, _, _, qstar = _load_gate(c, loads)
     f = _scaled_factor(c.p, k, qstar) * k
     return f / c.a2, f / c.z2
 

@@ -34,7 +34,7 @@ from limrod import (
     strains_from_loads_batch,
     symmetry_transform,
 )
-from limrod.constitutive import _BATCH_BLOCK, _load_form, _strain_form
+from limrod.constitutive import _BATCH_BLOCK, _incomplete_beta, _load_form, _strain_form
 from limrod.material import _constants
 
 from conftest import (
@@ -363,6 +363,26 @@ class TestForwardRange:
                 strains_from_loads_batch(params, [[0.0] * 6, [1e-5, 0, 0, 0, 0, 0], [1e-6] * 6])
 
 
+    @pytest.mark.parametrize("params, row", [
+        (mk(alpha=1e-160, eta=2.0), [1.0, 0, 0, 0, 0, 0]),
+        (mk(alpha=1e-155, eta=2.0), [1.0, 0, 0, 0, 0, 0]),
+        (mk(beta=1e-160, eta=2.0), [0, 0, 1.0, 0, 0, 0]),
+        (mk(zeta=1e-155, eta=2.0), [0, 0, 0, -1.0, 0, 0]),
+    ], ids=("alpha-1e-160", "alpha-1e-155", "beta-1e-160", "zeta-1e-155"))
+    def test_overflowing_load_form_raises(self, params, row):
+        # Q* of the prescaled loads overflows: the maps returned zero strains
+        # at alpha = 1e-160, shear_factors (0, 0), and the batch map warned
+        message = r"^loads map to strains whose Q\(u, v\) is not finite: Loads\("
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (strains_from_loads, complementary_energy, limrod.shear_factors):
+                with pytest.raises(LoadOutOfRange, match=message) as scalar:
+                    fn(params, Loads(*row))
+            with pytest.raises(LoadOutOfRange) as batch:
+                strains_from_loads_batch(params, [[0.0] * 6, row, [1e-6] * 6])
+        assert str(batch.value) == str(scalar.value)
+
+
 PARAMS_DIR = Path(__file__).parents[1] / "params"
 
 
@@ -550,12 +570,15 @@ class TestInverseBatch:
 class TestNonFiniteLoads:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", range(6))
-    def test_forward_map_rejects(self, index, value):
+    @pytest.mark.parametrize("fn", [strains_from_loads, complementary_energy, limrod.shear_factors],
+                             ids=("forward", "coenergy", "shear_factors"))
+    def test_forward_map_rejects(self, fn, index, value):
+        # one gate: W* raised "sqrt Q*(m, n) = nan is not finite" instead
         comps = [0.3, -0.2, 0.5, 0.1, 0.0, 1.25]
         comps[index] = value
         name = ("m1", "m2", "m3", "n1", "n2", "n3")[index]
-        with pytest.raises(LoadOutOfRange, match=f"not all finite: Loads\\(.*{name}={value!r}"):
-            strains_from_loads(mk(eta=2.0), Loads(*comps))
+        with pytest.raises(LoadOutOfRange, match=f"^loads are not all finite: Loads\\(.*{name}={value!r}"):
+            fn(mk(eta=2.0), Loads(*comps))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", range(6))
@@ -738,6 +761,27 @@ class TestBetaEnergies:
         assert complementary_energy(mk(p=p), Loads(0, 0, 0, 0, 0, 1e150)) == pytest.approx(
             1e150, rel=1e-15
         )
+
+    @pytest.mark.parametrize("p", (1 / 3, 0.5, 0.75, 0.9))
+    @pytest.mark.parametrize("gamma", (1e-200, 1e-300))
+    def test_complementary_where_gamma_f_underflows(self, gamma, p):
+        # gamma F = 1e-330 or 1e-430 underflows, and 1 - Q^{p/2} = (gamma F)^p
+        # with it: W* hung at p <= 1/2 and returned -inf above
+        params, loads = mk(gamma=gamma, eta=2.0, p=p), Loads(0, 0, 0, 0, 0, 2e130)
+        with mpmath.workdps(40):
+            qs, p, g = mpmath.mpf(load_quad_form(params, loads)), mpmath.mpf(p), mpmath.mpf(gamma)
+            f = (g**p + qs ** (p / 2)) ** (-1 / p)
+            s, a, b = (g * f) ** p, 2 / p, 1 - 1 / p
+            # W = (gamma/p) B_x(a, b) at x = 1 - s, with B_x = x^a (1 - x)^b
+            # F(a + b, 1; a + 1; x)/a (DLMF 8.17.8): no digits lost to 1 - s
+            w = g / p * (1 - s) ** a * s**b * mpmath.hyp2f1(a + b, 1, a + 1, 1 - s) / a
+            ref = f * qs - w
+        assert abs(complementary_energy(params, loads) - ref) <= 1e-14 * ref
+
+    def test_beta_series_is_bounded(self):
+        # a NaN complement once kept the series loop from its stop test forever
+        with pytest.raises(ArithmeticError, match="series did not converge"):
+            _incomplete_beta(4.0, -1.0, 1.0, math.nan)
 
     def test_nan_strains_raise(self):
         st = Strains(math.nan, 0, 0, 0, 0, 1)

@@ -290,6 +290,14 @@ class TestStrainsFromEuler:
         with pytest.raises(AngleOutOfRange, match=f"^{what} must be finite"):
             strains_from_euler(angles, rates, (0.0, 0.0, 1.01))
 
+    def test_overflowing_rates_raise(self):
+        # finite rates whose products overflow gave u3 = inf without an error
+        with pytest.raises(AngleOutOfRange, match=r"^at angle rates \(1e\+308, 1e\+308, 1e\+308\), strain u3 must be finite, got inf"):
+            strains_from_euler(EulerAngles(0.0, 0.3, 0.1), (1e308, 1e308, 1e308), (0.0, 0.0, 1.01))
+        # strains that only sum beyond the float range are finite, and stay
+        st = strains_from_euler(EulerAngles(0.0, 0.0, 0.0), (0.0, 1e308, 1e308), (0.0, 0.0, 1.01))
+        assert (st.u2, st.u3) == (1e308, 1e308)
+
 
 class TestFrameLoads:
     def test_zero_psi_passthrough(self):
