@@ -570,15 +570,14 @@ class TestInverseBatch:
 class TestNonFiniteLoads:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", range(6))
-    @pytest.mark.parametrize("fn", [strains_from_loads, complementary_energy, limrod.shear_factors],
-                             ids=("forward", "coenergy", "shear_factors"))
-    def test_forward_map_rejects(self, fn, index, value):
-        # one gate: W* raised "sqrt Q*(m, n) = nan is not finite" instead
+    def test_forward_map_rejects(self, index, value):
         comps = [0.3, -0.2, 0.5, 0.1, 0.0, 1.25]
         comps[index] = value
         name = ("m1", "m2", "m3", "n1", "n2", "n3")[index]
-        with pytest.raises(LoadOutOfRange, match=f"^loads are not all finite: Loads\\(.*{name}={value!r}"):
-            fn(mk(eta=2.0), Loads(*comps))
+        # one gate: W* raised "sqrt Q*(m, n) = nan is not finite" instead
+        for fn in (strains_from_loads, complementary_energy, limrod.shear_factors):
+            with pytest.raises(LoadOutOfRange, match=f"^loads are not all finite: Loads\\(.*{name}={value!r}"):
+                fn(mk(eta=2.0), Loads(*comps))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", range(6))
