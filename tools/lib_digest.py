@@ -45,7 +45,12 @@ functions that bring loads into range before F (both forward maps,
 ``complementary_energy`` and ``shear_factors``) on NaN, infinite and
 float64-maximum loads, on sets whose alpha, beta or zeta is 1e-160 or
 1e-155, and on W* at p in {0.75, 0.9} with gamma in {1e-200, 1e-300} under
-the tension 2e130; no generator draw.
+the tension 2e130; no generator draw. ``beta kernel`` digests the
+incomplete-beta kernel ``constitutive._incomplete_beta`` itself, at
+a = 2/p, b = 1 - 1/p for p in {0.05, 1/3, 0.5, 0.75, 1.5, 3, 4, 7, 100}
+(p = 1/3 and 1/2 reach the series' log terms, b + k = 0), on complements
+z from 0 and 1e-300 up to 1 and NaN, across the switch between its two
+branches; no generator draw either.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -341,6 +346,20 @@ def add_load_gate(add) -> None:
         add("load gate", lr.strains_from_loads_batch, params, LOAD_GATE_LOADS)
 
 
+BETA_EXPONENTS = (0.05, 1.0 / 3.0, 0.5, 0.75, 1.5, 3.0, 4.0, 7.0, 100.0)
+BETA_COMPLEMENTS = [0.0, 5e-324] + [10.0**-e for e in (300, 200, 100, 50, 30, 20, 16, 12, 9, 6, 4, 3, 2)] + [
+    j / 20.0 for j in range(1, 20)
+] + [1.0 - 1e-12, 1.0, NAN]
+
+
+def add_beta_kernel(add) -> None:
+    """The incomplete-beta kernel at x = 1 - z, given x^a, on the grid above."""
+    for p in BETA_EXPONENTS:
+        a, b = 2.0 / p, 1.0 - 1.0 / p
+        for z in BETA_COMPLEMENTS:
+            add("beta kernel", lr.constitutive._incomplete_beta, a, b, (1.0 - z) ** a, z)
+
+
 def csv_sha256(config: lr.Configuration) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.csv"
@@ -401,6 +420,7 @@ def digest_records() -> dict[str, list[str]]:
     add_forward_range(add)
     add_forward_units(add)
     add_load_gate(add)
+    add_beta_kernel(add)
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
     return rec
