@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -429,16 +431,65 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     """g with B_x(a, b) = x^a (1 - x)^b / (a g): DLMF 8.17.22 by modified Lentz."""
     c, d, g = 1.0, 0.0, 1.0
     for m in range(1, 500):
-        for num in (
-            -(a + m - 1.0) * (a + b + m - 1.0) * x / ((a + 2 * m - 2.0) * (a + 2 * m - 1.0)),
-            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-        ):
-            d = 1.0 / (1.0 + num * d)
-            c = 1.0 + num / c
-            g *= c * d
+        odd = -(a + m - 1.0) * (a + b + m - 1.0) * x / ((a + 2 * m - 2.0) * (a + 2 * m - 1.0))
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 / (1.0 + odd * d)
+        c = 1.0 + odd / c
+        g *= c * d
+        d = 1.0 / (1.0 + even * d)
+        c = 1.0 + even / c
+        g *= c * d
         if abs(c * d - 1.0) <= _EPS:
             return g
     raise ArithmeticError(f"incomplete beta fraction did not converge at a={a!r}, b={b!r}, x={x!r}")
+
+
+_BETA_LOCK = threading.Lock()  # rows grow under it, so none is built twice or skipped
+
+
+@lru_cache(maxsize=256)  # the last 256 exponents, a few KiB each
+def _beta_memo(a: float, b: float) -> list:
+    """[B_{x0}(a, b), rows], what the series branch of ``_incomplete_beta``
+    needs of (a, b) alone: the head B_{x0}, None until the first series call
+    computes it, and a tuple of rows (k > a, e = b + k, z0^e, binomial
+    coefficient), one per term. From the second series call on, a call adds
+    the rows it reaches beyond those built, so an exponent met once costs
+    B_{x0} and no rows. Rows are published as a new tuple, after the head."""
+    return [None, ()]
+
+
+def _beta_rest(memo: list, a: float, b: float, x0: float, z: float, k: int, total) -> float:
+    """The series at z from term k on, given the sum of the terms before it:
+    the rows another thread has added since, then new rows, kept from the
+    second series call at (a, b) on."""
+    z0 = 1.0 - x0
+    log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
+    with _BETA_LOCK:
+        keep = memo[0] is not None  # rows from the second series call at (a, b) on
+        if not keep:
+            memo[0] = x0**a * z0**b / (a * _beta_cf(a, b, x0))
+        rows, new = memo[1], []
+        total, n = memo[0] if k == 0 else total, len(rows)
+        # row n's coefficient, as the loop below leaves it after row n - 1
+        coef = rows[-1][3] * ((n - 1 + 1.0 - a) / (n - 1 + 1.0)) if rows else 1.0
+        try:
+            for k in range(k, 500):
+                if k < n:
+                    past_a, e, z0e, coef = rows[k]
+                else:
+                    e = b + k
+                    past_a, z0e = k > a, z0**e
+                    if keep:
+                        new.append((past_a, e, z0e, coef))
+                # (z0^e - z^e)/e, free of cancellation for e near 0
+                term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
+                total += term
+                if past_a and abs(term) <= _EPS * total:
+                    return total
+                coef *= (k + 1.0 - a) / (k + 1.0)
+        finally:
+            memo[1] = rows + tuple(new)
+    raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
 
 
 def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
@@ -447,23 +498,26 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
     underflows at large a). The continued fraction up to x0 = (a + 1)/(a + b + 2)
     clamped to [1/2, 9/10]; beyond, B_{x0} plus integral_z^{z0} of the binomial
     series of (1 - t)^{a-1} times t^{b-1}, term by term (a log where b + k = 0),
-    so b <= 0, where B_x diverges at x = 1, needs no Gamma-function poles."""
+    so b <= 0, where B_x diverges at x = 1, needs no Gamma-function poles.
+    What depends on (a, b) alone, B_{x0} and each term's b + k, z0^{b+k}
+    and binomial coefficient, is computed once per exponent (``_beta_memo``),
+    so a call is left with expm1 and the same products, in the same order,
+    and its bits are those of computing everything anew."""
     x = 1.0 - z
     x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
     if x <= x0:
         return xa * z**b / (a * _beta_cf(a, b, x))
-    z0 = 1.0 - x0
-    log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
-    total, coef = x0**a * z0**b / (a * _beta_cf(a, b, x0)), 1.0
-    for k in range(500):
-        e = b + k
-        # (z0^e - z^e)/e, free of cancellation for e near 0
-        term = coef * (log_ratio if e == 0.0 else z0**e * -math.expm1(-e * log_ratio) / e)
+    memo = _beta_memo(a, b)
+    total, rows = memo
+    if total is None:
+        return _beta_rest(memo, a, b, x0, z, 0, None)
+    log_ratio = math.log((1.0 - x0) / z) if z > 0.0 else math.inf
+    for past_a, e, z0e, coef in rows:
+        term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
         total += term
-        if k > a and abs(term) <= _EPS * total:
+        if past_a and abs(term) <= _EPS * total:
             return total
-        coef *= (k + 1.0 - a) / (k + 1.0)
-    raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
+    return _beta_rest(memo, a, b, x0, z, len(rows), total)
 
 
 def _log1p_series(x: float) -> float:

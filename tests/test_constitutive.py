@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +35,14 @@ from limrod import (
     strains_from_loads_batch,
     symmetry_transform,
 )
-from limrod.constitutive import _BATCH_BLOCK, _incomplete_beta, _load_form, _strain_form
+from limrod.constitutive import (
+    _BATCH_BLOCK,
+    _EPS,
+    _beta_memo,
+    _incomplete_beta,
+    _load_form,
+    _strain_form,
+)
 from limrod.material import _constants
 
 from conftest import (
@@ -874,6 +882,148 @@ class TestBetaEnergies:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+def unmemoised_beta_cf(a, b, x):
+    """The continued fraction of the kernel, with its two steps per m in
+    an inner loop, as it was before they were written out."""
+    c, d, g = 1.0, 0.0, 1.0
+    for m in range(1, 500):
+        for num in (
+            -(a + m - 1.0) * (a + b + m - 1.0) * x / ((a + 2 * m - 2.0) * (a + 2 * m - 1.0)),
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+        ):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            g *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            return g
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a!r}, b={b!r}, x={x!r}")
+
+
+def unmemoised_incomplete_beta(a, b, xa, z, rows=None):
+    """The incomplete-beta kernel computing everything anew on each call:
+    the reference that the memoised kernel must equal bit for bit. Appends
+    the rows (k > a, b + k, z0^(b + k), coefficient) of the terms it sums
+    to ``rows``."""
+    x = 1.0 - z
+    x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
+    if x <= x0:
+        return xa * z**b / (a * unmemoised_beta_cf(a, b, x))
+    z0 = 1.0 - x0
+    log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
+    total, coef = x0**a * z0**b / (a * unmemoised_beta_cf(a, b, x0)), 1.0
+    for k in range(500):
+        e = b + k
+        if rows is not None:
+            rows.append((k > a, e, z0**e, coef))
+        term = coef * (log_ratio if e == 0.0 else z0**e * -math.expm1(-e * log_ratio) / e)
+        total += term
+        if k > a and abs(term) <= _EPS * total:
+            return total
+        coef *= (k + 1.0 - a) / (k + 1.0)
+    raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
+
+
+def beta_outcome(fn, a, b, z):
+    """The kernel's result as exact text (hex, so -0.0 and NaN are told
+    apart), or the type and message of what it raised."""
+    try:
+        return fn(a, b, (1.0 - z) ** a, z).hex()
+    except (ArithmeticError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestBetaKernelMemo:
+    """The incomplete-beta kernel with its per-exponent memo against the
+    kernel that computes everything anew, bit for bit; the memo's rows are
+    built lazily, bounded in number and safe to grow from two threads."""
+
+    # 1/3 and 1/2 reach the e = b + k = 0 log rows; 0.05 and 0.5 raise
+    # OverflowError or ArithmeticError near z = 0
+    P_MEMO = (0.05, 1.0 / 3.0, 0.5, 0.75, 1.5, 3.0, 4.0, 7.0, 100.0)
+    Z_GRID = [10.0**-e for e in (300, 200, 100, 50, 30, 20, 16, 12, 9, 6, 4, 3, 2)] + [
+        j / 20.0 for j in range(1, 20)
+    ] + [0.0, 5e-324, 1.0]
+
+    @staticmethod
+    def fresh(p):
+        """(a, b) of an exponent, with the memo emptied."""
+        _beta_memo.cache_clear()
+        return 2.0 / p, 1.0 - 1.0 / p
+
+    @pytest.mark.parametrize("p", P_MEMO)
+    @pytest.mark.parametrize("order", ("rising", "falling"))
+    def test_equals_unmemoised_bit_for_bit(self, p, order):
+        a, b = self.fresh(p)
+        zs = self.Z_GRID if order == "rising" else self.Z_GRID[::-1]
+        for z in zs:
+            want = beta_outcome(unmemoised_incomplete_beta, a, b, z)
+            # the first series call at p, the one that adds rows, a warm one
+            for _ in range(3):
+                assert beta_outcome(_incomplete_beta, a, b, z) == want, (p, z)
+
+    def test_nan_complement_still_raises(self):
+        a, b = self.fresh(2.0 / 4.0)
+        for _ in range(3):  # head only, then 500 rows, then over them
+            with pytest.raises(ArithmeticError, match="series did not converge"):
+                _incomplete_beta(a, b, 1.0, math.nan)
+        assert len(_beta_memo(a, b)[1]) == 500
+
+    def test_fresh_exponent_builds_only_the_rows_it_uses(self):
+        a, b = self.fresh(2.7)  # z0 = 0.484
+        used = {}
+        for z in (0.48, 0.05, 0.3, 1e-3):  # 38, 39, 40 and 39 terms
+            used[z] = []
+            unmemoised_incomplete_beta(a, b, 1.0, z, used[z])
+        _incomplete_beta(a, b, 1.0, 0.48)
+        head, rows = _beta_memo(a, b)
+        assert head is not None and rows == ()  # the first series call: B_{x0} alone
+        for z in (0.48, 0.05, 0.3):  # each adds the rows it reaches, no more
+            _incomplete_beta(a, b, 1.0, z)
+            assert list(_beta_memo(a, b)[1]) == used[z]
+        _incomplete_beta(a, b, 1.0, 1e-3)
+        assert list(_beta_memo(a, b)[1]) == used[0.3]
+        assert [len(used[z]) for z in used] == [38, 39, 40, 39]
+
+    def test_memo_is_bounded(self):
+        _beta_memo.cache_clear()
+        for j in range(600):
+            p = 1.05 + j / 100.0
+            a, b = 2.0 / p, 1.0 - 1.0 / p
+            for _ in range(2):
+                _incomplete_beta(a, b, 1.0, 0.01)
+        info = _beta_memo.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize <= 512
+
+    def test_threads_grow_one_set_of_rows(self):
+        # threads that extend the rows of one exponent at once, each to its
+        # own depth, leave rows equal to those of one thread, each built once
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for p in (1.5, 2.7, 4.0, 7.0):
+                a, b = self.fresh(p)
+                _incomplete_beta(a, b, 1.0, 0.05)  # the head, no rows
+                zs = (1e-300, 1e-12, 1e-6, 1e-3, 0.02, 0.05)
+                want = {z: beta_outcome(unmemoised_incomplete_beta, a, b, z) for z in zs}
+                got, start = {}, threading.Barrier(len(zs))
+
+                def run(z):
+                    start.wait()
+                    got[z] = [beta_outcome(_incomplete_beta, a, b, z) for _ in range(3)]
+
+                threads = [threading.Thread(target=run, args=(z,)) for z in zs]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert got == {z: [w] * 3 for z, w in want.items()}
+                rows = []
+                unmemoised_incomplete_beta(a, b, 1.0, 1e-300, rows)
+                assert list(_beta_memo(a, b)[1]) == rows
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestStrainBounds:
