@@ -625,7 +625,9 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
 
     Symmetric, and positive definite on Q < 1. As Q -> 0 the rank-one term
     vanishes (for any p > 0), so the reference-state value is gamma * M;
-    that limit is returned exactly for Q < 1e-14.
+    that limit is returned exactly for Q < 1e-14. Raises StrainOutOfRange,
+    naming the strains, where gamma * s^{-1/p-1} overflows (gamma near the
+    float64 maximum, or Q next to 1).
     """
     c = _constants(params)
     q = _domain_q(c, strains)
@@ -637,7 +639,13 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
         c, 1.0, strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
     ))
     s = _one_minus_qp(q, p)
-    return c.gamma * s ** (-1.0 / p - 1.0) * (s * m + q ** (0.5 * p - 1.0) * (w[:, None] * w))
+    try:
+        scale = c.gamma * s ** (-1.0 / p - 1.0)
+    except OverflowError:  # the power itself
+        scale = math.inf
+    if not scale < math.inf:  # it would turn the zeros of M into NaN
+        raise StrainOutOfRange(f"the Hessian's factor gamma s^(-1/p-1) overflows at {strains}")
+    return scale * (s * m + q ** (0.5 * p - 1.0) * (w[:, None] * w))
 
 
 def strain_bounds(params: MaterialParams) -> StrainBounds:

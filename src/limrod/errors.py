@@ -19,7 +19,9 @@ class DefinitenessViolation(RodModelError):
 
 
 class StrainOutOfRange(RodModelError):
-    """Strain state lies outside the constitutive domain (quadratic form >= 1)."""
+    """Strain state lies outside the constitutive domain (quadratic form >= 1),
+    or so near its edge, or at so large a gamma, that the stored-energy
+    Hessian overflows."""
 
 
 class LoadOutOfRange(RodModelError):

@@ -1,5 +1,9 @@
 """Stored-energy Hessian: entrywise oracle, finite differences, definiteness."""
 
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -131,3 +135,36 @@ class TestDefiniteness:
     def test_raises_outside_domain(self):
         with pytest.raises(StrainOutOfRange):
             stored_energy_hessian(mk(), Strains(0, 0, 1.0, 0, 0, 1))
+
+
+class TestOverflowingFactor:
+    """Where gamma s^{-1/p-1} overflows, the Hessian raises StrainOutOfRange
+    naming the strains, rather than returning NaN from inf times the zeros
+    of M with only a numpy warning."""
+
+    ROOT = 0.36602540378443865  # (sqrt(3) - 1)/2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", (1.0, 2.0))
+    def test_gamma_at_float_max(self, p):
+        params = mk(gamma=sys.float_info.max, p=p)
+        st = Strains(self.ROOT, -self.ROOT, 0, 0, self.ROOT, 1.0)
+        with pytest.raises(StrainOutOfRange, match=re.escape(f"overflows at {st}")):
+            stored_energy_hessian(params, st)
+        # the reference-state limit gamma M stays finite
+        assert np.isfinite(stored_energy_hessian(params, Strains.reference())).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_overflows_next_to_the_cap(self):
+        # s ~ 2.5e-17 at p = 0.05: s^-21 overflows in the power itself
+        st = Strains(0, 0, math.sqrt(1.0 - 1e-15), 0, 0, 1.0)
+        with pytest.raises(StrainOutOfRange, match="overflows at Strains"):
+            stored_energy_hessian(mk(p=0.05), st)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
+    def test_large_gamma_stays_finite_where_the_factor_does(self, p):
+        st = Strains(0.3, 0, 0, 0, 0.2, 1.1)
+        h = stored_energy_hessian(mk(gamma=1e300, p=p), st)
+        assert np.isfinite(h).all()
+        np.testing.assert_allclose(h, 1e300 * stored_energy_hessian(mk(p=p), st), rtol=1e-15, atol=0)
