@@ -576,7 +576,9 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     at the power-of-two scale k of ``_load_gate``, W*(gamma, Q*) =
     W*(k gamma, k^2 Q*)/k, so W* is finite wherever sqrt(Q*) is, and F
     comes from ``_scaled_factor``. For p < 1, W ~ W* (gamma F)^p/(1 - p)
-    is below an ulp where (gamma F)^p < eps (1 - p), and is left out.
+    is below an ulp where (gamma F)^p < eps (1 - p), and is left out. Where
+    Q = F^2 Q* is subnormal (gamma >~ 1e150), the kernel gets gamma Q as
+    (gamma F)(F Q*), which keeps its digits.
     Raises LoadOutOfRange where the gate does, or sqrt(Q*) overflows.
     """
     c = _constants(params)
@@ -598,10 +600,15 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
         return rt * _log1p_series(x) / (2.0 + x) / k
     f = _scaled_factor(p, c.gamma, qstar, k)
     work = f * qstar
-    s = (g * f if g >= _TINY else c.gamma * (f * k)) ** p  # (gamma F)^p, where g may underflow
+    gf = g * f if g >= _TINY else c.gamma * (f * k)  # gamma F, where g may underflow
+    s = gf**p
     if s < _EPS * (1.0 - p):  # p < 1: W/W* ~ s/(1 - p) is below an ulp, and B_x may overflow
         return work / k
-    return work / k - _stored_beta(c, work * f, s)
+    q = work * f
+    if q < _TINY:  # Q = F^2 Q* loses digits, and B_x = x^a z^b/(a g) is linear in x^a = Q:
+        # hand the kernel gamma Q as (gamma F)(F Q*), whose digits it keeps
+        return work / k - _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, gf * (work / k), s) / p
+    return work / k - _stored_beta(c, q, s)
 
 
 def _form_matrix(c: _Constants) -> np.ndarray:

@@ -785,6 +785,19 @@ class TestBetaEnergies:
             ref = f * qs - w
         assert abs(complementary_energy(params, loads) - ref) <= 1e-14 * ref
 
+    @pytest.mark.parametrize("gamma", (1e200, sys.float_info.max))
+    @pytest.mark.parametrize("p", (3.0, 4.0))
+    @pytest.mark.parametrize("m1", (1.0, 3.0))
+    def test_complementary_where_f2_qstar_underflows(self, gamma, p, m1):
+        # Q = F^2 Q* ~ Q*/gamma^2 underflows: W(F^2 Q*) came out 0, and W*
+        # = F Q* - W twice the true value; at gamma = max, m1 = 1, W* is subnormal
+        params, loads = mk(gamma=gamma, p=p), Loads(m1, 0, 0, 0, 0, 0)
+        with mpmath.workdps(50):  # on [0, 1], so that quad's absolute tolerance is relative
+            g, qstar = mpmath.mpf(gamma), mpmath.mpf(m1) ** 2
+            shape = mpmath.quad(lambda u: (1 + (qstar * u / g**2) ** (p / 2)) ** (-1 / p), [0, 1])
+            ref = qstar / (2 * g) * shape
+        assert abs(complementary_energy(params, loads) - ref) <= 1e-15 * ref + 5e-324
+
     def test_beta_series_is_bounded(self):
         # a NaN complement once kept the series loop from its stop test forever
         with pytest.raises(ArithmeticError, match="series did not converge"):
