@@ -449,47 +449,10 @@ _BETA_LOCK = threading.Lock()  # rows grow under it, so none is built twice or s
 
 @lru_cache(maxsize=256)  # the last 256 exponents, a few KiB each
 def _beta_memo(a: float, b: float) -> list:
-    """[B_{x0}(a, b), rows], what the series branch of ``_incomplete_beta``
-    needs of (a, b) alone: the head B_{x0}, None until the first series call
-    computes it, and a tuple of rows (k > a, e = b + k, z0^e, binomial
-    coefficient), one per term. From the second series call on, a call adds
-    the rows it reaches beyond those built, so an exponent met once costs
-    B_{x0} and no rows. Rows are published as a new tuple, after the head."""
+    """[head, rows] of the series branch of ``_incomplete_beta`` at (a, b):
+    B_{x0}(a, b), None until the first series call, and a tuple with one
+    row (k > a, e = b + k, z0^e, binomial coefficient) per term."""
     return [None, ()]
-
-
-def _beta_rest(memo: list, a: float, b: float, x0: float, z: float, k: int, total) -> float:
-    """The series at z from term k on, given the sum of the terms before it:
-    the rows another thread has added since, then new rows, kept from the
-    second series call at (a, b) on."""
-    z0 = 1.0 - x0
-    log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
-    with _BETA_LOCK:
-        keep = memo[0] is not None  # rows from the second series call at (a, b) on
-        if not keep:
-            memo[0] = x0**a * z0**b / (a * _beta_cf(a, b, x0))
-        rows, new = memo[1], []
-        total, n = memo[0] if k == 0 else total, len(rows)
-        # row n's coefficient, as the loop below leaves it after row n - 1
-        coef = rows[-1][3] * ((n - 1 + 1.0 - a) / (n - 1 + 1.0)) if rows else 1.0
-        try:
-            for k in range(k, 500):
-                if k < n:
-                    past_a, e, z0e, coef = rows[k]
-                else:
-                    e = b + k
-                    past_a, z0e = k > a, z0**e
-                    if keep:
-                        new.append((past_a, e, z0e, coef))
-                # (z0^e - z^e)/e, free of cancellation for e near 0
-                term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
-                total += term
-                if past_a and abs(term) <= _EPS * total:
-                    return total
-                coef *= (k + 1.0 - a) / (k + 1.0)
-        finally:
-            memo[1] = rows + tuple(new)
-    raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
 
 
 def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
@@ -500,24 +463,49 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
     series of (1 - t)^{a-1} times t^{b-1}, term by term (a log where b + k = 0),
     so b <= 0, where B_x diverges at x = 1, needs no Gamma-function poles.
     What depends on (a, b) alone, B_{x0} and each term's b + k, z0^{b+k}
-    and binomial coefficient, is computed once per exponent (``_beta_memo``),
-    so a call is left with expm1 and the same products, in the same order,
-    and its bits are those of computing everything anew."""
+    and binomial coefficient, is computed once (``_beta_memo``): the first
+    series call at (a, b) computes B_{x0}, and each later one adds the rows
+    it reaches beyond those built, and no more. A call is left with expm1
+    and the same products and sums, in the same order, so its bits are
+    those of computing everything anew."""
     x = 1.0 - z
     x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
     if x <= x0:
         return xa * z**b / (a * _beta_cf(a, b, x))
+    z0 = 1.0 - x0
+    log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
     memo = _beta_memo(a, b)
-    total, rows = memo
-    if total is None:
-        return _beta_rest(memo, a, b, x0, z, 0, None)
-    log_ratio = math.log((1.0 - x0) / z) if z > 0.0 else math.inf
-    for past_a, e, z0e, coef in rows:
+    total, rows = memo  # the head is set before any row is published
+    for past_a, e, z0e, coef in rows if total is not None else ():
         term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
         total += term
         if past_a and abs(term) <= _EPS * total:
             return total
-    return _beta_rest(memo, a, b, x0, z, len(rows), total)
+    k = len(rows) if total is not None else 0
+    with _BETA_LOCK:  # past the rows read: those added since, then new ones
+        keep = memo[0] is not None  # rows from the second series call at (a, b) on
+        if not keep:
+            memo[0] = x0**a * z0**b / (a * _beta_cf(a, b, x0))
+        rows, new = memo[1], []
+        total, n = memo[0] if k == 0 else total, len(rows)
+        # row n's coefficient, as the loop below leaves it after row n - 1
+        coef = rows[-1][3] * ((n - 1 + 1.0 - a) / (n - 1 + 1.0)) if rows else 1.0
+        for k in range(k, 500):
+            if k < n:
+                past_a, e, z0e, coef = rows[k]
+            else:
+                e = b + k
+                past_a, z0e = k > a, z0**e
+                if keep:
+                    new.append((past_a, e, z0e, coef))
+            # (z0^e - z^e)/e, free of cancellation for e near 0
+            term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
+            total += term
+            if past_a and abs(term) <= _EPS * total:
+                memo[1] = rows + tuple(new)  # published whole: readers take no lock
+                return total
+            coef *= (k + 1.0 - a) / (k + 1.0)
+    raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
 
 
 def _log1p_series(x: float) -> float:

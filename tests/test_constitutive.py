@@ -800,8 +800,11 @@ class TestBetaEnergies:
 
     def test_beta_series_is_bounded(self):
         # a NaN complement once kept the series loop from its stop test forever
-        with pytest.raises(ArithmeticError, match="series did not converge"):
-            _incomplete_beta(4.0, -1.0, 1.0, math.nan)
+        _beta_memo.cache_clear()
+        for _ in range(2):  # the head alone, then with rows, none kept
+            with pytest.raises(ArithmeticError, match="series did not converge"):
+                _incomplete_beta(4.0, -1.0, 1.0, math.nan)
+        assert _beta_memo(4.0, -1.0)[1] == ()
 
     def test_nan_strains_raise(self):
         st = Strains(math.nan, 0, 0, 0, 0, 1)
@@ -976,13 +979,6 @@ class TestBetaKernelMemo:
             for _ in range(3):
                 assert beta_outcome(_incomplete_beta, a, b, z) == want, (p, z)
 
-    def test_nan_complement_still_raises(self):
-        a, b = self.fresh(2.0 / 4.0)
-        for _ in range(3):  # head only, then 500 rows, then over them
-            with pytest.raises(ArithmeticError, match="series did not converge"):
-                _incomplete_beta(a, b, 1.0, math.nan)
-        assert len(_beta_memo(a, b)[1]) == 500
-
     def test_fresh_exponent_builds_only_the_rows_it_uses(self):
         a, b = self.fresh(2.7)  # z0 = 0.484
         used = {}
@@ -1020,7 +1016,7 @@ class TestBetaKernelMemo:
                 _incomplete_beta(a, b, 1.0, 0.05)  # the head, no rows
                 zs = (1e-300, 1e-12, 1e-6, 1e-3, 0.02, 0.05)
                 want = {z: beta_outcome(unmemoised_incomplete_beta, a, b, z) for z in zs}
-                got, start = {}, threading.Barrier(len(zs))
+                got, start = {}, threading.Barrier(len(zs), timeout=30)
 
                 def run(z):
                     start.wait()
@@ -1030,7 +1026,8 @@ class TestBetaKernelMemo:
                 for t in threads:
                     t.start()
                 for t in threads:
-                    t.join()
+                    t.join(timeout=60)
+                    assert not t.is_alive()
                 assert got == {z: [w] * 3 for z, w in want.items()}
                 rows = []
                 unmemoised_incomplete_beta(a, b, 1.0, 1e-300, rows)
