@@ -946,7 +946,7 @@ def beta_outcome(fn, a, b, z):
     apart), or the type and message of what it raised."""
     try:
         return fn(a, b, (1.0 - z) ** a, z).hex()
-    except (ArithmeticError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:  # OverflowError included
         return f"{type(exc).__name__}: {exc}"
 
 
