@@ -901,8 +901,8 @@ class TestBetaEnergies:
 
 
 def unmemoised_beta_cf(a, b, x):
-    """The continued fraction of the kernel, with its two steps per m in
-    an inner loop, as it was before they were written out."""
+    """The kernel's continued fraction with its two Lentz steps per m in an
+    inner loop: the reference for ``_beta_cf``, which writes them out."""
     c, d, g = 1.0, 0.0, 1.0
     for m in range(1, 500):
         for num in (
