@@ -431,28 +431,27 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     """g with B_x(a, b) = x^a (1 - x)^b / (a g): DLMF 8.17.22 by modified Lentz."""
     c, d, g = 1.0, 0.0, 1.0
     for m in range(1, 500):
-        odd = -(a + m - 1.0) * (a + b + m - 1.0) * x / ((a + 2 * m - 2.0) * (a + 2 * m - 1.0))
-        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
-        d = 1.0 / (1.0 + odd * d)
-        c = 1.0 + odd / c
-        g *= c * d
-        d = 1.0 / (1.0 + even * d)
-        c = 1.0 + even / c
-        g *= c * d
+        for num in (
+            -(a + m - 1.0) * (a + b + m - 1.0) * x / ((a + 2 * m - 2.0) * (a + 2 * m - 1.0)),
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+        ):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            g *= c * d
         if abs(c * d - 1.0) <= _EPS:
             return g
     raise ArithmeticError(f"incomplete beta fraction did not converge at a={a!r}, b={b!r}, x={x!r}")
 
 
-_BETA_LOCK = threading.Lock()  # rows grow under it, so none is built twice or skipped
+_BETA_LOCK = threading.Lock()  # the series runs under it, so no row is built twice or skipped
 
 
 @lru_cache(maxsize=256)  # the last 256 exponents, a few KiB each
 def _beta_memo(a: float, b: float) -> list:
     """[head, rows] of the series branch of ``_incomplete_beta`` at (a, b):
-    B_{x0}(a, b), None until the first series call, and a tuple with one
+    B_{x0}(a, b), None until the first series call, and a list with one
     row (k > a, e = b + k, z0^e, binomial coefficient) per term."""
-    return [None, ()]
+    return [None, []]
 
 
 def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
@@ -475,34 +474,23 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
     z0 = 1.0 - x0
     log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
     memo = _beta_memo(a, b)
-    total, rows = memo  # the head is set before any row is published
-    for past_a, e, z0e, coef in rows if total is not None else ():
-        term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
-        total += term
-        if past_a and abs(term) <= _EPS * total:
-            return total
-    k = len(rows) if total is not None else 0
-    with _BETA_LOCK:  # past the rows read: those added since, then new ones
+    with _BETA_LOCK:
         keep = memo[0] is not None  # rows from the second series call at (a, b) on
         if not keep:
             memo[0] = x0**a * z0**b / (a * _beta_cf(a, b, x0))
-        rows, new = memo[1], []
-        total, n = memo[0] if k == 0 else total, len(rows)
-        # row n's coefficient, as the loop below leaves it after row n - 1
-        coef = rows[-1][3] * ((n - 1 + 1.0 - a) / (n - 1 + 1.0)) if rows else 1.0
-        for k in range(k, 500):
-            if k < n:
+        total, rows, coef = memo[0], memo[1], 1.0
+        for k in range(500):
+            if k < len(rows):
                 past_a, e, z0e, coef = rows[k]
             else:
                 e = b + k
                 past_a, z0e = k > a, z0**e
                 if keep:
-                    new.append((past_a, e, z0e, coef))
+                    rows.append((past_a, e, z0e, coef))
             # (z0^e - z^e)/e, free of cancellation for e near 0
             term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
             total += term
             if past_a and abs(term) <= _EPS * total:
-                memo[1] = rows + tuple(new)  # published whole: readers take no lock
                 return total
             coef *= (k + 1.0 - a) / (k + 1.0)
     raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")

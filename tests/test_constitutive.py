@@ -38,6 +38,7 @@ from limrod import (
 from limrod.constitutive import (
     _BATCH_BLOCK,
     _EPS,
+    _beta_cf,
     _beta_memo,
     _incomplete_beta,
     _load_form,
@@ -801,10 +802,13 @@ class TestBetaEnergies:
     def test_beta_series_is_bounded(self):
         # a NaN complement once kept the series loop from its stop test forever
         _beta_memo.cache_clear()
-        for _ in range(2):  # the head alone, then with rows, none kept
+        for _ in range(2):  # the head alone, then with rows
             with pytest.raises(ArithmeticError, match="series did not converge"):
                 _incomplete_beta(4.0, -1.0, 1.0, math.nan)
-        assert _beta_memo(4.0, -1.0)[1] == ()
+        rows = []
+        with pytest.raises(ArithmeticError, match="series did not converge"):
+            unmemoised_incomplete_beta(4.0, -1.0, 1.0, math.nan, rows)
+        assert _beta_memo(4.0, -1.0)[1] == rows and len(rows) == 500
 
     def test_nan_strains_raise(self):
         st = Strains(math.nan, 0, 0, 0, 0, 1)
@@ -900,23 +904,6 @@ class TestBetaEnergies:
         assert out.stdout.strip() == "[]"
 
 
-def unmemoised_beta_cf(a, b, x):
-    """The kernel's continued fraction with its two Lentz steps per m in an
-    inner loop: the reference for ``_beta_cf``, which writes them out."""
-    c, d, g = 1.0, 0.0, 1.0
-    for m in range(1, 500):
-        for num in (
-            -(a + m - 1.0) * (a + b + m - 1.0) * x / ((a + 2 * m - 2.0) * (a + 2 * m - 1.0)),
-            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-        ):
-            d = 1.0 / (1.0 + num * d)
-            c = 1.0 + num / c
-            g *= c * d
-        if abs(c * d - 1.0) <= _EPS:
-            return g
-    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a!r}, b={b!r}, x={x!r}")
-
-
 def unmemoised_incomplete_beta(a, b, xa, z, rows=None):
     """The incomplete-beta kernel computing everything anew on each call:
     the reference that the memoised kernel must equal bit for bit. Appends
@@ -925,10 +912,10 @@ def unmemoised_incomplete_beta(a, b, xa, z, rows=None):
     x = 1.0 - z
     x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
     if x <= x0:
-        return xa * z**b / (a * unmemoised_beta_cf(a, b, x))
+        return xa * z**b / (a * _beta_cf(a, b, x))
     z0 = 1.0 - x0
     log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
-    total, coef = x0**a * z0**b / (a * unmemoised_beta_cf(a, b, x0)), 1.0
+    total, coef = x0**a * z0**b / (a * _beta_cf(a, b, x0)), 1.0
     for k in range(500):
         e = b + k
         if rows is not None:
@@ -987,12 +974,12 @@ class TestBetaKernelMemo:
             unmemoised_incomplete_beta(a, b, 1.0, z, used[z])
         _incomplete_beta(a, b, 1.0, 0.48)
         head, rows = _beta_memo(a, b)
-        assert head is not None and rows == ()  # the first series call: B_{x0} alone
+        assert head is not None and rows == []  # the first series call: B_{x0} alone
         for z in (0.48, 0.05, 0.3):  # each adds the rows it reaches, no more
             _incomplete_beta(a, b, 1.0, z)
-            assert list(_beta_memo(a, b)[1]) == used[z]
+            assert _beta_memo(a, b)[1] == used[z]
         _incomplete_beta(a, b, 1.0, 1e-3)
-        assert list(_beta_memo(a, b)[1]) == used[0.3]
+        assert _beta_memo(a, b)[1] == used[0.3]
         assert [len(used[z]) for z in used] == [38, 39, 40, 39]
 
     def test_memo_is_bounded(self):
@@ -1031,7 +1018,7 @@ class TestBetaKernelMemo:
                 assert got == {z: [w] * 3 for z, w in want.items()}
                 rows = []
                 unmemoised_incomplete_beta(a, b, 1.0, 1e-300, rows)
-                assert list(_beta_memo(a, b)[1]) == rows
+                assert _beta_memo(a, b)[1] == rows
         finally:
             sys.setswitchinterval(switch)
 
