@@ -609,26 +609,33 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
     Symmetric, and positive definite on Q < 1. As Q -> 0 the rank-one term
     vanishes (for any p > 0), so the reference-state value is gamma * M;
     that limit is returned exactly for Q < 1e-14. Raises StrainOutOfRange,
-    naming the strains, where gamma * s^{-1/p-1} overflows (gamma near the
-    float64 maximum, or Q next to 1).
+    naming the strains, where an entry could overflow (gamma near the
+    float64 maximum, or Q next to 1): where gamma s^{-1/p-1} (s max M +
+    Q^{p/2-1} max|w|^2), which bounds every entry and is at most twice the
+    largest, is not finite.
     """
     c = _constants(params)
     q = _domain_q(c, strains)
     m = _form_matrix(c)
+    bound = max(c.a2, c.b2, c.z2, c.e2)  # max |M|: |iota| < sqrt(b2 e2)
     if q < 1e-14:
-        return c.gamma * m
-    p = c.p
-    w = np.array(_form_apply(
-        c, 1.0, strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
-    ))
-    s = _one_minus_qp(q, p)
-    try:
-        scale = c.gamma * s ** (-1.0 / p - 1.0)
-    except OverflowError:  # the power itself
-        scale = math.inf
-    if not scale < math.inf:  # it would turn the zeros of M into NaN
-        raise StrainOutOfRange(f"the Hessian's factor gamma s^(-1/p-1) overflows at {strains}")
-    return scale * (s * m + q ** (0.5 * p - 1.0) * (w[:, None] * w))
+        scale, h = c.gamma, m
+    else:
+        p = c.p
+        w = _form_apply(
+            c, 1.0, strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
+        )
+        s, r, wmax = _one_minus_qp(q, p), q ** (0.5 * p - 1.0), max(map(abs, w))
+        try:
+            scale = c.gamma * s ** (-1.0 / p - 1.0)
+        except OverflowError:  # the power itself
+            scale = math.inf
+        bound = s * bound + r * (wmax * wmax)  # rounded as the entries are, so never below one
+        w = np.array(w)
+        h = s * m + r * (w[:, None] * w)
+    if not scale * bound < math.inf:  # an infinite scale would turn the zeros of M into NaN
+        raise StrainOutOfRange(f"the Hessian overflows at {strains}")
+    return scale * h
 
 
 def strain_bounds(params: MaterialParams) -> StrainBounds:

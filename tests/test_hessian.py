@@ -138,9 +138,9 @@ class TestDefiniteness:
 
 
 class TestOverflowingFactor:
-    """Where gamma s^{-1/p-1} overflows, the Hessian raises StrainOutOfRange
-    naming the strains, rather than returning NaN from inf times the zeros
-    of M with only a numpy warning."""
+    """Where an entry of the Hessian would overflow, it raises
+    StrainOutOfRange naming the strains, rather than returning inf, or NaN
+    from inf times the zeros of M, with only a numpy warning."""
 
     ROOT = 0.36602540378443865  # (sqrt(3) - 1)/2
 
@@ -160,6 +160,19 @@ class TestOverflowingFactor:
         st = Strains(0, 0, math.sqrt(1.0 - 1e-15), 0, 0, 1.0)
         with pytest.raises(StrainOutOfRange, match="overflows at Strains"):
             stored_energy_hessian(mk(p=0.05), st)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
+    def test_finite_factor_times_a_form_weight_above_one(self, p):
+        # gamma s^(-1/p-1) ~ 1e308 is finite, but times alpha^2 = 4 it is not;
+        # Q = 4e-6 takes the general branch, the reference state the limit
+        params = mk(alpha=2.0, gamma=1e308, p=p)
+        for st in (Strains.reference(), Strains(1e-3, 0, 0, 0, 0, 1.0)):
+            with pytest.raises(StrainOutOfRange, match=re.escape(f"overflows at {st}")):
+                stored_energy_hessian(params, st)
+        # at alpha = 1 the same entries, about 1.002e308, are finite
+        h = stored_energy_hessian(mk(gamma=1e308, p=p), Strains(1e-3, 0, 0, 0, 0, 1.0))
+        assert np.isfinite(h).all()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
