@@ -41,6 +41,7 @@ import sys
 import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -443,15 +444,27 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta fraction did not converge at a={a!r}, b={b!r}, x={x!r}")
 
 
-_BETA_LOCK = threading.Lock()  # the series runs under it, so no row is built twice or skipped
+_BETA_LOCK = threading.Lock()  # rows grow under it, so none is built twice or skipped
 
 
 @lru_cache(maxsize=256)  # the last 256 exponents, a few KiB each
 def _beta_memo(a: float, b: float) -> list:
-    """[head, rows] of the series branch of ``_incomplete_beta`` at (a, b):
-    B_{x0}(a, b), None until the first series call, and a list with one
-    row (k > a, e = b + k, z0^e, binomial coefficient) per term."""
-    return [None, []]
+    """[head, rows, coef] of the series branch of ``_incomplete_beta`` at
+    (a, b): B_{x0}(a, b), None until the first series call; a list with one
+    row (k > a, e = b + k, z0^e, binomial coefficient) per term built; and
+    the binomial coefficient of the next term."""
+    return [None, [], 1.0]
+
+
+def _beta_rows(memo: list, a: float, b: float, z0: float):
+    """The series rows past those in ``memo``, up to the 500th, each added
+    to it as it is made."""
+    rows = memo[1]
+    for k in range(len(rows), 500):
+        e = b + k
+        rows.append((k > a, e, z0**e, memo[2]))
+        memo[2] *= (k + 1.0 - a) / (k + 1.0)
+        yield rows[-1]
 
 
 def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
@@ -462,11 +475,12 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
     series of (1 - t)^{a-1} times t^{b-1}, term by term (a log where b + k = 0),
     so b <= 0, where B_x diverges at x = 1, needs no Gamma-function poles.
     What depends on (a, b) alone, B_{x0} and each term's b + k, z0^{b+k}
-    and binomial coefficient, is computed once (``_beta_memo``): the first
-    series call at (a, b) computes B_{x0}, and each later one adds the rows
-    it reaches beyond those built, and no more. A call is left with expm1
-    and the same products and sums, in the same order, so its bits are
-    those of computing everything anew."""
+    and binomial coefficient, is computed once (``_beta_memo``). The first
+    series call at (a, b) computes B_{x0} and sums its terms as it makes
+    them, so an exponent met once builds no rows; each later call reads
+    the rows built and adds those it reaches beyond them, and no more. A
+    call is left with expm1 and the same products and sums, in the same
+    order, so its bits are those of computing everything anew."""
     x = 1.0 - z
     x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
     if x <= x0:
@@ -474,25 +488,25 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
     z0 = 1.0 - x0
     log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
     memo = _beta_memo(a, b)
-    with _BETA_LOCK:
-        keep = memo[0] is not None  # rows from the second series call at (a, b) on
-        if not keep:
-            memo[0] = x0**a * z0**b / (a * _beta_cf(a, b, x0))
-        total, rows, coef = memo[0], memo[1], 1.0
+    if memo[0] is None:  # the first series call at (a, b): B_{x0}, and no rows
+        total, coef = x0**a * z0**b / (a * _beta_cf(a, b, x0)), 1.0
+        memo[0] = total
         for k in range(500):
-            if k < len(rows):
-                past_a, e, z0e, coef = rows[k]
-            else:
-                e = b + k
-                past_a, z0e = k > a, z0**e
-                if keep:
-                    rows.append((past_a, e, z0e, coef))
+            e = b + k
             # (z0^e - z^e)/e, free of cancellation for e near 0
-            term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
+            term = coef * (log_ratio if e == 0.0 else z0**e * -math.expm1(-e * log_ratio) / e)
             total += term
-            if past_a and abs(term) <= _EPS * total:
+            if k > a and abs(term) <= _EPS * total:
                 return total
             coef *= (k + 1.0 - a) / (k + 1.0)
+    else:  # the same terms from the rows built, and those it reaches beyond
+        total = memo[0]
+        with _BETA_LOCK:
+            for past_a, e, z0e, coef in chain(memo[1], _beta_rows(memo, a, b, z0)):
+                term = coef * (log_ratio if e == 0.0 else z0e * -math.expm1(-e * log_ratio) / e)
+                total += term
+                if past_a and abs(term) <= _EPS * total:
+                    return total
     raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
 
 

@@ -973,8 +973,8 @@ class TestBetaKernelMemo:
             used[z] = []
             unmemoised_incomplete_beta(a, b, 1.0, z, used[z])
         _incomplete_beta(a, b, 1.0, 0.48)
-        head, rows = _beta_memo(a, b)
-        assert head is not None and rows == []  # the first series call: B_{x0} alone
+        head, rows, coef = _beta_memo(a, b)  # the first series call: B_{x0} alone
+        assert head is not None and rows == [] and coef == 1.0
         for z in (0.48, 0.05, 0.3):  # each adds the rows it reaches, no more
             _incomplete_beta(a, b, 1.0, z)
             assert _beta_memo(a, b)[1] == used[z]
