@@ -624,9 +624,9 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
     vanishes (for any p > 0), so the reference-state value is gamma * M;
     that limit is returned exactly for Q < 1e-14. Raises StrainOutOfRange,
     naming the strains, where an entry could overflow (gamma near the
-    float64 maximum, or Q next to 1): where gamma s^{-1/p-1} (s max M +
-    Q^{p/2-1} max|w|^2), which bounds every entry and is at most twice the
-    largest, is not finite.
+    float64 maximum, or Q next to 1): where the factor gamma s^{-1/p-1}
+    is not finite, or its product with s max M + Q^{p/2-1} max|w|^2,
+    which bounds every entry and is at most twice the largest.
     """
     c = _constants(params)
     q = _domain_q(c, strains)
@@ -639,12 +639,16 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
         w = _form_apply(
             c, 1.0, strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
         )
-        s, r, wmax = _one_minus_qp(q, p), q ** (0.5 * p - 1.0), max(map(abs, w))
+        s, r = _one_minus_qp(q, p), q ** (0.5 * p - 1.0)
         try:
             scale = c.gamma * s ** (-1.0 / p - 1.0)
         except OverflowError:  # the power itself
             scale = math.inf
-        bound = s * bound + r * (wmax * wmax)  # rounded as the entries are, so never below one
+        # |w_i|^2 <= M_ii Q, so no entry exceeds (s + Q^{p/2}) max M = max M,
+        # up to rounding; only near overflow is the tighter bound worth its cost
+        if not scale * (2.0 * bound) < math.inf:
+            wmax = max(map(abs, w))
+            bound = s * bound + r * (wmax * wmax)  # rounded as the entries are, so never below one
         w = np.array(w)
         h = s * m + r * (w[:, None] * w)
     if not scale * bound < math.inf:  # an infinite scale would turn the zeros of M into NaN

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from limrod import (
     stored_energy_hessian,
     strain_quad_form,
 )
+from limrod.constitutive import _one_minus_qp
 
 from conftest import P_GRID, random_params, random_strains, strain_form_matrix
 
@@ -173,6 +175,32 @@ class TestOverflowingFactor:
         # at alpha = 1 the same entries, about 1.002e308, are finite
         h = stored_energy_hessian(mk(gamma=1e308, p=p), Strains(1e-3, 0, 0, 0, 0, 1.0))
         assert np.isfinite(h).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_raises_at_most_a_factor_two_early(self):
+        # gamma set so that the largest entry is f times the float maximum:
+        # f = 1.1 overflows and must raise; at f = 0.4 the bound, at most
+        # twice the largest entry, is finite, so only a factor
+        # gamma s^(-1/p-1) that overflows by itself may raise
+        rng, tried = np.random.default_rng(79), 0
+        for _ in range(200):
+            params = random_params(rng, p=float(rng.uniform(0.5, 5.0)))
+            q_target = float(rng.choice([0.01, 0.5, 0.99, 1 - 1e-9]))
+            st = Strains(*random_strains(rng, params, q_target).as_array().tolist())  # floats
+            top = float(np.abs(stored_energy_hessian(params, st)).max())
+            if not 1.1 * (sys.float_info.max / top) < math.inf:  # gamma itself would overflow
+                continue
+            with pytest.raises(StrainOutOfRange, match="overflows at Strains"):
+                stored_energy_hessian(replace(params, gamma=1.1 * (sys.float_info.max / top)), st)
+            low = replace(params, gamma=0.4 * (sys.float_info.max / top))
+            s = _one_minus_qp(strain_quad_form(params, st), params.p)
+            if low.gamma * s ** (-1.0 / params.p - 1.0) < math.inf:
+                assert np.isfinite(stored_energy_hessian(low, st)).all()
+                tried += 1
+            else:
+                with pytest.raises(StrainOutOfRange, match="overflows at Strains"):
+                    stored_energy_hessian(low, st)
+        assert tried > 100
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
