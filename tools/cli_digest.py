@@ -54,6 +54,7 @@ PIPELINES = [
     ("twist", ["--m3", "-3.0"]),
     ("helix", ["--m1", "1.0", "--theta", "0.9", "--psi0", "0.3"]),
     ("helix", ["--m1", "2.1700775699987633", "--theta", "0.1864463687459803"]),
+    ("helix", ["--m1", "1e10", "--theta", "0.5"]),  # saturated: Q within the margin of 1
     ("bend", ["--m1", "1.0", "--psi0", "0.3"]),
     ("sheared", ["--n-thrust", "3.0"]),  # above the chiral material's threshold
 ]
