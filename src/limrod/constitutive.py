@@ -211,24 +211,23 @@ def _saturating_factor(p: float, g, qstar):
     """F at gamma = g, on floats or arrays: the plain ``_factor`` where its
     powers and their sum are normal floats, else ``_scaled_factor``, so F
     keeps full accuracy for every g and Q*. 0, F's limit, only where Q* is
-    inf or ``qstar``, a function forming it, overflows. On arrays the
-    caller silences numpy's range warnings."""
+    inf. The forward maps are its consumers. On arrays the caller silences
+    numpy's range warnings."""
     if isinstance(g, np.ndarray):
         s = g**p + qstar ** (0.5 * p)
         f = s ** (-1.0 / p)
         if not (s.min() >= _TINY and 0.0 < f.min() and f.max() < math.inf):  # the rows out of range
-            out = np.flatnonzero(~((s >= _TINY) & (f > 0.0) & (f < math.inf)) & (qstar != math.inf))
+            out = np.flatnonzero(~((s >= _TINY) & (f > 0.0) & (f < math.inf)))
             f[out] = _scaled_factor(p, g[out], qstar[out])
         return f
-    q, f = math.inf, 0.0  # q stays so where qstar() overflows
+    f = 0.0
     try:
-        q = qstar() if callable(qstar) else qstar
-        s = g**p + q ** (0.5 * p)
+        s = g**p + qstar ** (0.5 * p)
         if s >= _TINY:  # _factor's sum and power, so those inputs keep its bits
             f = s ** (-1.0 / p)
     except OverflowError:  # a power beyond the float range
         pass
-    return f if f > 0.0 or q == math.inf else _scaled_factor(p, g, q)
+    return f if f > 0.0 else _scaled_factor(p, g, qstar)
 
 
 def _scaled_factor(p: float, g, qstar, k: float = 1.0):

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _factor, _saturating_factor
+from .constitutive import Loads, Strains, _factor
 from .constitutive import loads_from_strains_batch, strains_from_loads
 from .errors import (
     AngleOutOfRange,
@@ -367,27 +367,17 @@ def sheared_tensile_state(
     v3 - 1 = 1/(ratio - 1) and u3 = -iota (v3 - 1)/beta^2; the shear
     strains oscillate along the rod with amplitude
     (v3 - 1) * ratio * tan(theta) at phase u3 s + psi0. The centerline
-    stays parallel to g3 while d3 tilts by theta.
+    stays parallel to g3 while d3 tilts by theta. The descriptor's
+    identity_residual is |v3 - 1 - k|/k, v3 from the forward map at the
+    branch loads; past 1e-8 it raises ArithmeticError.
     """
     pn = nondimensionalize(params)
     branch = _sheared_branch(pn, thrust)
     theta, amplitude = _sheared_tilt(branch, thrust)
-    c, k, u3, v3 = branch.c, branch.k, branch.u3, branch.v3
+    k, u3, v3 = branch.k, branch.u3, branch.v3
     sth, cth = math.sin(theta), math.cos(theta)
-
-    # Internal consistency: the saturating factor of the branch loads must
-    # match its closed form det/(beta^2 N cos(theta)) * k.
-    f_direct = _saturating_factor(
-        c.p, 1.0, lambda: thrust**2 * (sth**2 / c.z2 + c.b2 * cth**2 / c.det)
-    )
-    if f_direct > 0.0:
-        f_branch = c.det / (c.b2 * thrust * cth) * k
-        identity_residual = abs(f_direct - f_branch) / f_branch
-    else:
-        # where Q* overflows, the same ratio is v3 - 1 of the prescaled
-        # forward map over k
-        st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth))
-        identity_residual = abs((st.v3 - 1.0) - k) / k
+    st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth))
+    identity_residual = abs((st.v3 - 1.0) - k) / k
     if identity_residual > 1e-8:
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"
@@ -434,12 +424,14 @@ def helical_state(
     """Helical family under the constant couple M1 e1 + M3 e3 with
     M3 = -M1 cot(theta) (which keeps the couple spatially constant), n = 0.
 
+    The strains u1 (the flexure amplitude), u3 and v3 are the forward map's
+    at the psi = 0 loads (M1, 0, M3, 0, 0, 0), and phi' = -u1/sin(theta).
     The centerline is a right-handed helix of signed radius
     a = v3 sin(theta)/phi' and axial rate b = v3 cos(theta); at
     theta = pi/2 the couple is M1 e1 alone and the centerline closes into
     a circle of radius |a| traversed in pure bending (u3 = 0, v3 = 1 for
     an achiral rod). Raises DegenerateCouple for M1 = 0, or for an M1 so
-    small that the radius overflows.
+    small that the radius overflows, and LoadOutOfRange where M3 does.
     """
     pn = nondimensionalize(params)
     if not math.isfinite(bend_couple):
@@ -448,24 +440,11 @@ def helical_state(
         raise DegenerateCouple("helical family needs M1 != 0; use pure_twist_state")
     if not 0.0 < theta <= 0.5 * math.pi:
         raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
-    c = _constants(pn)
     sth, cth = math.sin(theta), math.cos(theta)
-    cot = 0.0 if theta == 0.5 * math.pi else cth / sth
-    m3 = -bend_couple * cot
-    f = _saturating_factor(
-        c.p, 1.0, lambda: bend_couple**2 * (1.0 / c.a2 + c.e2 * cot**2 / c.det)
-    )
-    if f > 0.0:
-        amplitude = f * bend_couple / c.a2
-        u3 = -f * c.e2 * bend_couple * cot / c.det
-        v3 = 1.0 + f * c.iota * bend_couple * cot / c.det
-        dphi = -f * bend_couple / (c.a2 * sth)
-    else:
-        # where Q* overflows, the prescaled forward map at the psi = 0
-        # loads, which rejects an infinite M3
-        st = strains_from_loads(pn, Loads(bend_couple, 0.0, m3, 0.0, 0.0, 0.0))
-        amplitude, u3, v3 = st.u1, st.u3, st.v3
-        dphi = -amplitude / sth
+    m3 = -bend_couple * (0.0 if theta == 0.5 * math.pi else cth / sth)
+    st = strains_from_loads(pn, Loads(bend_couple, 0.0, m3, 0.0, 0.0, 0.0))
+    amplitude, u3, v3 = st.u1, st.u3, st.v3
+    dphi = -amplitude / sth
     dpsi = u3 - cth * dphi
     radius = v3 * sth / dphi if dphi else math.inf
     if not abs(radius) < math.inf:
