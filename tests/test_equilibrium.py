@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from limrod import (
     branch_sweep,
     check_balance,
     helical_state,
+    load_params,
     loads_from_strains,
     pure_twist_state,
     reduced_residual,
@@ -31,13 +33,14 @@ from limrod import (
     sheared_tensile_state,
     shear_threshold,
     state_from_configuration,
+    strain_quad_form,
     strains_from_loads,
     thrust_strain_limits,
     trivial_tensile_state,
     write_branch_csv,
 )
 from limrod.equilibrium import _branch_fn
-from limrod.material import _constants
+from limrod.material import _constants, nondimensionalize
 
 from conftest import random_params
 
@@ -46,6 +49,14 @@ from conftest import random_params
 THRESH = 4.0 / math.sqrt(5.0)  # 1.7888543819998317
 THETA_AT_2 = 0.2199879773954588
 THETA_LIMIT = 0.5097396788315068  # arccos(4/sqrt(21))
+
+
+# normalised sets (gamma = 1, unit reference length) for the saturated helices
+HELIX_SETS = {
+    "demo": MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.0, 2.0),
+    "dna": nondimensionalize(load_params(Path(__file__).parents[1] / "params" / "dna.json")),
+    "chiral p=3": MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.3, 3.0),
+}
 
 
 def bifurcating_params(rng, max_tries=200):
@@ -353,6 +364,19 @@ class TestHelicalFamily:
         state = helical_state(params, 1e9, theta=math.pi / 2, grid_h=0.1)
         amp = state.descriptor["strains"]["u_flexure_amplitude"]
         assert amp == pytest.approx(1.0, abs=1e-6)  # curvature -> 1/alpha
+
+    @pytest.mark.parametrize("theta", [0.19, 0.5, 0.9, math.pi / 2])
+    @pytest.mark.parametrize("couple", [1e10, 1e50, 1e150, 1e200, -1e10, -1e50, -1e150, -1e200])
+    @pytest.mark.parametrize("name", ["demo", "dna", "chiral p=3"])
+    def test_saturated_strains_are_the_forward_maps(self, name, couple, theta):
+        # a hand-derived factor once left saturated helices at Q >= 1
+        params = HELIX_SETS[name]
+        strains = helical_state(params, couple, theta=theta, grid_h=0.1).descriptor["strains"]
+        st = Strains(strains["u_flexure_amplitude"], 0.0, strains["u3"], 0.0, 0.0, strains["v3"])
+        m3 = -couple * (0.0 if theta == math.pi / 2 else math.cos(theta) / math.sin(theta))
+        assert st == strains_from_loads(params, Loads(couple, 0.0, m3, 0.0, 0.0, 0.0))
+        assert strain_quad_form(params, st) <= 1.0 - _constants(params).margin
+        loads_from_strains(params, st)
 
     def test_helix_geometry(self):
         params = MaterialParams(1.1, 0.9, 1, 1.2, 2.0, 0.4, 2)
