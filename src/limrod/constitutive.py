@@ -628,7 +628,7 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
     which bounds every entry and is at most twice the largest.
     """
     c = _constants(params)
-    q = _domain_q(c, strains)
+    q = float(_domain_q(c, strains))  # a float: numpy-scalar strains overflow without a warning
     m = _form_matrix(c)
     bound = max(c.a2, c.b2, c.z2, c.e2)  # max |M|: |iota| < sqrt(b2 e2)
     if q < 1e-14:
@@ -646,7 +646,7 @@ def stored_energy_hessian(params: MaterialParams, strains: Strains) -> np.ndarra
         # |w_i|^2 <= M_ii Q, so no entry exceeds (s + Q^{p/2}) max M = max M,
         # up to rounding; only near overflow is the tighter bound worth its cost
         if not scale * (2.0 * bound) < math.inf:
-            wmax = max(map(abs, w))
+            wmax = float(max(map(abs, w)))
             bound = s * bound + r * (wmax * wmax)  # rounded as the entries are, so never below one
         w = np.array(w)
         h = s * m + r * (w[:, None] * w)

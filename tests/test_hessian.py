@@ -167,9 +167,11 @@ class TestOverflowingFactor:
     @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
     def test_finite_factor_times_a_form_weight_above_one(self, p):
         # gamma s^(-1/p-1) ~ 1e308 is finite, but times alpha^2 = 4 it is not;
-        # Q = 4e-6 takes the general branch, the reference state the limit
+        # Q = 4e-6 takes the general branch, the reference state the limit;
+        # strains held as numpy scalars must raise too, not warn
         params = mk(alpha=2.0, gamma=1e308, p=p)
-        for st in (Strains.reference(), Strains(1e-3, 0, 0, 0, 0, 1.0)):
+        for st in (Strains.reference(), Strains(1e-3, 0, 0, 0, 0, 1.0),
+                   Strains(*np.array([1e-3, 0, 0, 0, 0, 1.0]))):
             with pytest.raises(StrainOutOfRange, match=re.escape(f"overflows at {st}")):
                 stored_energy_hessian(params, st)
         # at alpha = 1 the same entries, about 1.002e308, are finite
