@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from limrod import MaterialParams, Loads, Strains
+
+# the @given tests draw the same examples on every run and keep no example
+# database, so the suite is deterministic; each test sets its own max_examples
+settings.register_profile("limrod", derandomize=True, database=None)
+settings.load_profile("limrod")
+# hypothesis still caches the constants it reads from source files, at
+# collection: in the system's temporary directory, not in the checkout
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "limrod-hypothesis")
+)
 
 P_GRID = (1.0, 2.0, 3.0, 4.0)
 
