@@ -368,16 +368,17 @@ def sheared_tensile_state(
     strains oscillate along the rod with amplitude
     (v3 - 1) * ratio * tan(theta) at phase u3 s + psi0. The centerline
     stays parallel to g3 while d3 tilts by theta. The descriptor's
-    identity_residual is |v3 - 1 - k|/k, v3 from the forward map at the
-    branch loads; past 1e-8 it raises ArithmeticError.
+    identity_residual is |f_N(cos theta) - k|/k: the saturating factor at
+    the branch loads against its closed form det k/(beta^2 N cos(theta)),
+    scaled by gamma = 1/N so that its Q* cannot overflow. Past 1e-8 it
+    raises ArithmeticError.
     """
     pn = nondimensionalize(params)
     branch = _sheared_branch(pn, thrust)
     theta, amplitude = _sheared_tilt(branch, thrust)
     k, u3, v3 = branch.k, branch.u3, branch.v3
     sth, cth = math.sin(theta), math.cos(theta)
-    st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth))
-    identity_residual = abs((st.v3 - 1.0) - k) / k
+    identity_residual = abs(_branch_fn(branch.c, thrust, cth) - k) / k
     if identity_residual > 1e-8:
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"
