@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -73,20 +72,27 @@ _TINY = sys.float_info.min  # below it a float has lost digits to underflow
 _TINY_ROOT = math.sqrt(_TINY)  # 2^-511: a load below it has a subnormal square
 
 
-class _SixVector:
-    """The wire form Strains and Loads share: their six fields, in order."""
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)])
-
-    @classmethod
-    def from_array(cls, a: Iterable[float]):
-        x1, x2, x3, x4, x5, x6 = (float(x) for x in a)
-        return cls(x1, x2, x3, x4, x5, x6)
+# The methods Strains and Loads share; on the wire both are their six
+# fields, in order.
+def _as_array(self) -> np.ndarray:
+    return np.array(self)
 
 
-@dataclass(frozen=True)
-class Strains(_SixVector):
+def _from_array(cls, a: Iterable[float]):
+    x1, x2, x3, x4, x5, x6 = (float(x) for x in a)
+    return cls(x1, x2, x3, x4, x5, x6)
+
+
+def _same_type_eq(self, other) -> bool:
+    """Equal only to the same class: a Strains never equals Loads or a tuple."""
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other) -> bool:
+    return not _same_type_eq(self, other)
+
+
+class Strains(NamedTuple):
     u1: float
     u2: float
     u3: float
@@ -94,19 +100,24 @@ class Strains(_SixVector):
     v2: float
     v3: float
 
+    as_array, from_array = _as_array, classmethod(_from_array)
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+
     @classmethod
     def reference(cls) -> "Strains":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class Loads(_SixVector):
+class Loads(NamedTuple):
     m1: float
     m2: float
     m3: float
     n1: float
     n2: float
     n3: float
+
+    as_array, from_array = _as_array, classmethod(_from_array)
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     @classmethod
     def zero(cls) -> "Loads":

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -279,7 +278,7 @@ def strains_from_euler(
         _check_finite("angle rate", dphi=dphi, dtheta=dtheta, dpsi=dpsi)
         _check_finite(f"at angle rates {(dphi, dtheta, dpsi)!r}, strain", u1=u1, u2=u2, u3=u3)
     v1, v2, v3 = tangent_components
-    return Strains(u1=u1, u2=u2, u3=u3, v1=v1, v2=v2, v3=v3)
+    return Strains(u1, u2, u3, v1, v2, v3)
 
 
 def frame_loads(loads: Loads, angles: EulerAngles, thrust: float) -> FrameLoads:
@@ -371,7 +370,6 @@ def reduced_residual(
 
 
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # Gauss nodes of a unit step
-_STRAIN_FIELDS = operator.attrgetter("u1", "u2", "u3", "v1", "v2", "v3")
 
 
 def _gauss_samples(strain_field: Callable[[float], Strains], s_grid: np.ndarray) -> np.ndarray:
@@ -379,8 +377,8 @@ def _gauss_samples(strain_field: Callable[[float], Strains], s_grid: np.ndarray)
     increasing s: shape (n, 4, 3), rows u1, v1, u2, v2."""
     n = len(s_grid) - 1
     nodes = (s_grid[:-1, None] + _GAUSS / n).ravel()
-    samples = map(_STRAIN_FIELDS, map(strain_field, nodes.tolist()))
-    return np.fromiter(itertools.chain.from_iterable(samples), float, 12 * n).reshape(n, 4, 3)
+    samples = itertools.chain.from_iterable(map(strain_field, nodes.tolist()))
+    return np.fromiter(samples, float, 12 * n).reshape(n, 4, 3)
 
 
 def _magnus_generators(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,8 +445,13 @@ def reconstruct(
     dirs = np.empty((n + 1, 3, 3))
     dirs[0] = start_frame.matrix()
     points[1:] = _se3_exp(*_magnus_generators(_gauss_samples(strain_field, s_grid)), out=dirs[1:])
-    for i in range(n):  # the one serial part: R <- R E
-        np.matmul(dirs[i + 1], dirs[i], out=dirs[i + 1])
+    # the rows obey D_{i+1} = E_i^T D_i: an inclusive Hillis-Steele scan
+    # makes steps[i] = E_i^T ... E_0^T in ceil(log2 n) batched products
+    steps, shift = dirs[1:], 1
+    while shift < n:
+        steps[shift:] = steps[shift:] @ steps[:-shift]
+        shift *= 2
+    np.matmul(steps, dirs[0], out=steps)
     points[1:] = np.einsum("nk,nki->ni", points[1:], dirs[:-1])  # R (V t)
     np.cumsum(points, axis=0, out=points)  # r <- r + R (V t)
     return Configuration(s=s_grid, points=points, directors=dirs)
