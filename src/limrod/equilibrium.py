@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _factor
+from .constitutive import Loads, Strains, _factor, _load_gate
 from .constitutive import loads_from_strains_batch, strains_from_loads
 from .errors import (
     AngleOutOfRange,
@@ -213,12 +213,15 @@ def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
 
 def _sheared_branch(pn: MaterialParams, thrust: float | None = None) -> _Branch:
     """The branch record of a set that has a sheared branch, lying below
-    ``thrust`` when one is given: else NoBifurcationError, or BelowThreshold."""
+    ``thrust`` when one is given: else NoBifurcationError, BelowThreshold, or
+    LoadOutOfRange for a NaN thrust."""
     branch = _branch(pn)
     if isinstance(branch.thresh, NoBifurcation):
         raise NoBifurcationError(str(branch.thresh))
     if thrust is not None and not thrust > branch.thresh:
-        raise BelowThreshold(f"thrust {thrust!r} <= threshold {branch.thresh!r}")
+        if thrust <= branch.thresh:
+            raise BelowThreshold(f"thrust {thrust!r} <= threshold {branch.thresh!r}")
+        raise LoadOutOfRange(f"thrust N = {thrust!r} is not a number")
     return branch
 
 
@@ -315,10 +318,12 @@ def _family_state(
     s = np.linspace(0.0, 1.0, n + 1)
     if not math.isfinite(psi0):  # no frame: libm's sine fails on inf, returns NaN
         raise AngleOutOfRange(f"psi0 must be finite, got {psi0!r}")
+    m1, m3, n1, n3 = e_loads
+    _load_gate(_constants(pn), Loads(m1, 0.0, m3, n1, 0.0, n3))  # before inf * sin(psi) is NaN
     phi, psi = rates[0] * s, rates[1] * s + psi0
     frames = _euler_directors(phi, theta, psi)
     loads = np.zeros((len(s), 6))
-    m1, loads[:, 2], n1, loads[:, 5] = e_loads
+    loads[:, 2], loads[:, 5] = m3, n3
     for col, value in ((0, m1), (3, n1)):
         if value:
             loads[:, col] = value * np.cos(psi)

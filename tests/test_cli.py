@@ -268,9 +268,13 @@ class TestNonFiniteStates:
             (["--family", "helix", "--m1", "nan", "--theta", "0.5"], "LoadOutOfRange"),
             (["--family", "trivial", "--n-thrust", "nan"], "LoadOutOfRange"),
             (["--family", "trivial", "--n-thrust", "1", "--psi0", "nan"], "AngleOutOfRange"),
+            (["--family", "sheared", "--n-thrust", "nan"], "LoadOutOfRange: thrust N = nan"),
+            (["--family", "sheared", "--n-thrust", "inf"], "LoadOutOfRange: loads are not all finite"),
         ],
-        ids=["twist m3", "helix m1", "trivial thrust", "trivial psi0"],
+        ids=["twist m3", "helix m1", "trivial thrust", "trivial psi0", "sheared thrust",
+             "sheared infinite thrust"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_state_exits_1_and_writes_nothing(self, demo_file, tmp_path, capsys, args, error):
         out = tmp_path / "nan.csv"
         assert main(["state", demo_file, *args, "--grid-h", "0.01", "--out", str(out)]) == 1

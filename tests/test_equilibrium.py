@@ -587,6 +587,24 @@ class TestNonFiniteInputs:
         with pytest.raises(LoadOutOfRange):
             pure_twist_state(demo_params, math.nan, grid_h=0.01)
 
+    @pytest.mark.parametrize("fn", [
+        sheared_angle,
+        sheared_angle_p2,
+        lambda p, thrust: sheared_tensile_state(p, thrust, grid_h=0.01),
+    ], ids=["angle", "angle_p2", "state"])
+    def test_sheared_nan_thrust(self, demo_params, fn):
+        # once BelowThreshold: "thrust nan <= threshold ..."
+        with pytest.raises(LoadOutOfRange, match="^thrust N = nan is not a number$"):
+            fn(demo_params, math.nan)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sheared_infinite_thrust(self, demo_params):
+        # the angle has its limit, but the loads are not finite; the state
+        # once warned of inf * sin(psi0) first and named a NaN shear force
+        assert sheared_angle(demo_params, math.inf) == pytest.approx(THETA_LIMIT, abs=1e-13)
+        with pytest.raises(LoadOutOfRange, match=r"^loads are not all finite: .*n1=-inf, n2=0\.0, n3=inf\)$"):
+            sheared_tensile_state(demo_params, math.inf, grid_h=0.01)
+
     @pytest.mark.parametrize("build", [
         lambda p: trivial_tensile_state(p, 1.0, psi0=math.nan, grid_h=0.01),
         lambda p: pure_twist_state(p, 1.0, theta=0.3, psi0=math.nan, grid_h=0.01),
