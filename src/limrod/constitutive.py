@@ -72,26 +72,6 @@ _TINY = sys.float_info.min  # below it a float has lost digits to underflow
 _TINY_ROOT = math.sqrt(_TINY)  # 2^-511: a load below it has a subnormal square
 
 
-# The methods Strains and Loads share; on the wire both are their six
-# fields, in order.
-def _as_array(self) -> np.ndarray:
-    return np.array(self)
-
-
-def _from_array(cls, a: Iterable[float]):
-    x1, x2, x3, x4, x5, x6 = (float(x) for x in a)
-    return cls(x1, x2, x3, x4, x5, x6)
-
-
-def _same_type_eq(self, other) -> bool:
-    """Equal only to the same class: a Strains never equals Loads or a tuple."""
-    return type(other) is type(self) and tuple.__eq__(self, other)
-
-
-def _same_type_ne(self, other) -> bool:
-    return not _same_type_eq(self, other)
-
-
 class Strains(NamedTuple):
     u1: float
     u2: float
@@ -100,8 +80,21 @@ class Strains(NamedTuple):
     v2: float
     v3: float
 
-    as_array, from_array = _as_array, classmethod(_from_array)
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+    def as_array(self) -> np.ndarray:
+        return np.array(self)
+
+    @classmethod
+    def from_array(cls, a: Iterable[float]):
+        x1, x2, x3, x4, x5, x6 = (float(x) for x in a)
+        return cls(x1, x2, x3, x4, x5, x6)
+
+    def __eq__(self, other) -> bool:  # never equal to Loads or a plain tuple
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @classmethod
     def reference(cls) -> "Strains":
@@ -116,8 +109,9 @@ class Loads(NamedTuple):
     n2: float
     n3: float
 
-    as_array, from_array = _as_array, classmethod(_from_array)
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+    # the wire form and the type-strict equality of Strains
+    as_array, from_array = Strains.as_array, vars(Strains)["from_array"]
+    __eq__, __ne__, __hash__ = Strains.__eq__, Strains.__ne__, tuple.__hash__
 
     @classmethod
     def zero(cls) -> "Loads":

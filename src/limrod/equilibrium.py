@@ -252,8 +252,9 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
 
     Found by bisection on cos(theta) to absolute tolerance 1e-14; the
     bracket [0, 1] is guaranteed by monotonicity of the branch function.
-    Raises BelowThreshold for N <= threshold and NoBifurcationError when
-    the material admits no sheared branch at all.
+    Raises BelowThreshold for N <= threshold, LoadOutOfRange for a NaN N
+    and NoBifurcationError when the material admits no sheared branch at
+    all. An infinite N gives the limit angle.
     """
     return _sheared_tilt(_sheared_branch(nondimensionalize(params), thrust), thrust)[0]
 
@@ -376,7 +377,7 @@ def sheared_tensile_state(
     identity_residual is |f_N(cos theta) - k|/k: the saturating factor at
     the branch loads against its closed form det k/(beta^2 N cos(theta)),
     scaled by gamma = 1/N so that its Q* cannot overflow. Past 1e-8 it
-    raises ArithmeticError.
+    raises ArithmeticError. A NaN or infinite N raises LoadOutOfRange.
     """
     pn = nondimensionalize(params)
     branch = _sheared_branch(pn, thrust)

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -61,6 +62,54 @@ def mk(alpha=1.0, beta=1.0, gamma=1.0, zeta=1.0, eta=1.0, iota=0.0, p=2.0):
 
 
 REF = Strains.reference()
+
+
+class TestValueClasses:
+    """Strains and Loads are six-field tuples that equal only their own type."""
+
+    VALUES = (0.1, -0.0, 2.5, -3.0, 1e300, 1.0)
+
+    def test_equal_only_to_own_type(self):
+        st, ld = Strains(*self.VALUES), Loads(*self.VALUES)
+        assert st == Strains(*self.VALUES) and ld == Loads(*self.VALUES)
+        assert st != ld and not st == ld
+        assert st != self.VALUES and self.VALUES != st and not self.VALUES == st
+        assert ld != self.VALUES and not ld == self.VALUES
+
+    def test_equal_instances_hash_equal(self):
+        assert hash(Strains(*self.VALUES)) == hash(Strains(*self.VALUES))
+        assert hash(Loads(*self.VALUES)) == hash(Loads(*self.VALUES))
+        assert len({Strains(*self.VALUES), Strains(*self.VALUES), Loads(*self.VALUES)}) == 2
+
+    @pytest.mark.parametrize("cls", [Strains, Loads])
+    def test_immutable(self, cls):
+        value = cls(*self.VALUES)
+        with pytest.raises(AttributeError):
+            setattr(value, cls._fields[0], 7.0)
+        assert value == cls(*self.VALUES)
+
+    def test_unpacks_in_field_order(self):
+        u1, u2, u3, v1, v2, v3 = Strains(*self.VALUES)
+        assert (u1, u2, u3, v1, v2, v3) == self.VALUES
+        m1, m2, m3, n1, n2, n3 = Loads(*self.VALUES)
+        assert (m1, m2, m3, n1, n2, n3) == self.VALUES
+        assert Strains._fields == ("u1", "u2", "u3", "v1", "v2", "v3")
+        assert Loads._fields == ("m1", "m2", "m3", "n1", "n2", "n3")
+
+    @pytest.mark.parametrize("values", [(1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6.0), VALUES])
+    def test_as_array_dtype(self, values):
+        for cls in (Strains, Loads):
+            got = cls(*values).as_array()
+            assert got.dtype == np.array(list(values)).dtype and got.tolist() == list(values)
+
+    def test_pickle_round_trip_and_repr(self):
+        for value in (Strains(*self.VALUES), Loads(*self.VALUES)):
+            back = pickle.loads(pickle.dumps(value))
+            assert type(back) is type(value) and back == value
+        assert repr(Strains(0.1, -0.0, 1e300, math.nan, -math.inf, 1)) == (
+            "Strains(u1=0.1, u2=-0.0, u3=1e+300, v1=nan, v2=-inf, v3=1)"
+        )
+        assert repr(Loads.zero()) == "Loads(m1=0.0, m2=0.0, m3=0.0, n1=0.0, n2=0.0, n3=0.0)"
 
 
 class TestQuadraticForms:

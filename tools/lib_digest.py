@@ -16,8 +16,8 @@ stored and complementary energies, the stored-energy Hessian,
 ``strain_bounds``, ``shear_factors`` and ``reduced_residual``, the four
 state constructors (trivial, sheared, twist, helix), the branch
 quantities (``shear_threshold``, ``sheared_angle``, ``sheared_angle_p2``,
-``sheared_angle_limit``, ``thrust_strain_limits``), ``branch_sweep`` and
-``write_configuration_csv``. The materials are ``params/demo.json``,
+``sheared_angle_limit``, ``thrust_strain_limits``), ``branch_sweep``,
+``write_configuration_csv`` and ``reconstruct``. The materials are ``params/demo.json``,
 ``params/dna.json``, gamma = 1e200 sets for p in {1, 2, 3}, gamma = the
 float64 maximum sets for p in {1, 2}, random sets with p in {1, 2} or
 drawn from [0.25, 8], chiral in nine cases out of ten and with gamma from
@@ -50,7 +50,10 @@ incomplete-beta kernel ``constitutive._incomplete_beta`` itself, at
 a = 2/p, b = 1 - 1/p for p in {0.05, 1/3, 0.5, 0.75, 1.5, 3, 4, 7, 100}
 (p = 1/3 and 1/2 reach the series' log terms, b + k = 0), on complements
 z from 0 and 1e-300 up to 1 and NaN, across the switch between its two
-branches; no generator draw either.
+branches; no generator draw either. ``reconstruct`` is digested by the
+SHA-256 of the points and directors it builds from three constant and
+three varying seeded strain fields, from seeded start points and frames,
+at grid_h 1e-2 and 1e-3, drawn from a generator of its own.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -360,6 +363,38 @@ def add_beta_kernel(add) -> None:
             add("beta kernel", lr.constitutive._incomplete_beta, a, b, (1.0 - z) ** a, z)
 
 
+RECONSTRUCT_GRIDS = (1e-2, 1e-3)
+
+
+def reconstruct_fields(rng: np.random.Generator) -> list:
+    """(label, strain field, start point, start frame) for three constant
+    and three varying fields, each component of the varying ones
+    a + b sin(w s + c)."""
+    cases = []
+    for kind in ("constant", "constant", "constant", "varying", "varying", "varying"):
+        start = [float(x) for x in rng.uniform(-1.0, 1.0, 3)]
+        angles = lr.EulerAngles(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, math.pi)),
+                                float(rng.uniform(-3.0, 3.0)))
+        coeffs = rng.uniform(-3.0, 3.0, (6, 4)) * ([1.0], [1.0], [1.0], [0.2], [0.2], [0.2])
+        coeffs[5, 0] += 1.0  # v3 about 1
+        if kind == "constant":
+            strains = lr.Strains.from_array(coeffs[:, 0])
+            field, label = (lambda s, strains=strains: strains), repr(strains)
+        else:
+            a, b, w, c = (col.tolist() for col in coeffs.T)
+            field = lambda s, a=a, b=b, w=w, c=c: lr.Strains(
+                *(a[i] + b[i] * math.sin(w[i] * s + c[i]) for i in range(6))
+            )
+            label = f"(a, b, w, c) = {coeffs.tolist()!r}"
+        label = f"{kind} {label} from {start!r}, {angles!r}"
+        cases.append((label, field, start, lr.directors_from_euler(angles)))
+    return cases
+
+
+def configuration_sha256(config: lr.Configuration) -> str:
+    return hashlib.sha256(config.points.tobytes() + config.directors.tobytes()).hexdigest()
+
+
 def csv_sha256(config: lr.Configuration) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.csv"
@@ -423,6 +458,10 @@ def digest_records() -> dict[str, list[str]]:
     add_beta_kernel(add)
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
+    for label, field, start, frame in reconstruct_fields(np.random.default_rng(SEED)):
+        for grid_h in RECONSTRUCT_GRIDS:
+            text = call(lambda: configuration_sha256(lr.reconstruct(field, start, frame, grid_h)))[0]
+            rec.setdefault("reconstruct", []).append(f"{label} at {grid_h!r} -> {text}")
     return rec
 
 
