@@ -17,12 +17,12 @@ stored and complementary energies, the stored-energy Hessian,
 state constructors (trivial, sheared, twist, helix), the branch
 quantities (``shear_threshold``, ``sheared_angle``, ``sheared_angle_p2``,
 ``sheared_angle_limit``, ``thrust_strain_limits``), ``branch_sweep``,
-``write_configuration_csv`` and ``reconstruct``. The materials are ``params/demo.json``,
-``params/dna.json``, gamma = 1e200 sets for p in {1, 2, 3}, gamma = the
-float64 maximum sets for p in {1, 2}, random sets with p in {1, 2} or
-drawn from [0.25, 8], chiral in nine cases out of ten and with gamma from
-1e-3 to 1e3 or, one in ten, beyond 1e10 or below 1e-10, and
-rejection-sampled sets with a sheared branch. Loads run from
+``write_configuration_csv`` and ``reconstruct``. The materials are
+``params/demo.json``, ``params/dna.json``, gamma = 1e200 sets for p in
+{1, 2, 3}, gamma = the float64 maximum sets for p in {1, 2}, random sets
+with p in {1, 2} or drawn from [0.25, 8], chiral in nine cases out of ten
+and with gamma from 1e-3 to 1e3 or, one in ten, beyond 1e10 or below
+1e-10, and rejection-sampled sets with a sheared branch. Loads run from
 subnormal to the float64 maximum, zeros included; strains reach Q up to
 1 - 1e-12. ``shear_factors`` and ``reduced_residual`` also get NaN and
 infinite loads and an infinite thrust. Inadmissible sets and
