@@ -15,9 +15,10 @@ The commands are the five state families at h = 1e-4, each followed by
 ``params/demo.json``, ``params/dna.json`` and a chiral p = 1.5 variant of
 demo (iota = 0.3, shear threshold about 2.32) that the tool writes into
 its temporary directory. Then loads whose Q*^{p/2} overflows, and a
-negative number in scientific notation; and error cases: non-finite
-inputs, out-of-range inputs and malformed or too short configuration CSVs
-handed to ``check``.
+negative number in scientific notation; a ``branch`` with an infinite
+bound and one from -1e308 to 1e308, whose span overflows; and error cases:
+non-finite inputs, out-of-range inputs and malformed or too short
+configuration CSVs handed to ``check``.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -75,6 +76,14 @@ BAD_STATES = [
     ("helix psi0 -inf", ["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0", "-inf"]),
     ("helix psi0=nan", ["--family", "helix", "--m1", "1", "--theta", "0.5", "--psi0", "nan"]),
     ("sheared below threshold", ["--family", "sheared", "--n-thrust", "1.0"]),
+    ("sheared N=nan", ["--family", "sheared", "--n-thrust", "nan"]),
+    ("sheared N=inf", ["--family", "sheared", "--n-thrust", "inf"]),
+]
+
+# (label, branch bounds): an infinite bound, and finite bounds whose span overflows
+EDGE_BRANCHES = [
+    ("branch n_min=-inf", ["--n-min", "-inf", "--n-max", "2"]),
+    ("branch -1e308..1e308", ["--n-min", "-1e308", "--n-max", "1e308"]),
 ]
 
 
@@ -165,6 +174,9 @@ def commands(params_dir: Path, tmp: Path):
         out = tmp / f"{label.split()[0]}-overflow.csv"
         yield f"state {label}", ["state", demo, *args, "--grid-h", "0.01", "--out", str(out)], [
             out, out.with_suffix(".json")], None
+    for i, (label, args) in enumerate(EDGE_BRANCHES):
+        out = tmp / f"edge-branch-{i}.csv"
+        yield label, ["branch", demo, *args, "--count", "3", "--out", str(out)], [out], None
     for i, (label, args) in enumerate(BAD_STATES):
         out = tmp / f"bad-{i}.csv"
         yield f"state {label}", ["state", demo, *args, "--grid-h", "0.01", "--out", str(out)], [

@@ -25,7 +25,11 @@ and with gamma from 1e-3 to 1e3 or, one in ten, beyond 1e10 or below
 1e-10, and rejection-sampled sets with a sheared branch. Loads run from
 subnormal to the float64 maximum, zeros included; strains reach Q up to
 1 - 1e-12. ``shear_factors`` and ``reduced_residual`` also get NaN and
-infinite loads and an infinite thrust. Inadmissible sets and
+infinite loads and an infinite thrust; ``sheared_angle`` and
+``sheared_tensile_state`` get NaN and infinite thrusts on every
+bifurcating set. On demo, ``branch_sweep`` gets NaN and infinite bounds
+and finite bounds whose span overflows, and ``helical_state`` angles
+outside (0, pi/2], NaN and infinite ones included. Inadmissible sets and
 out-of-domain inputs record their errors. ``write_configuration_csv`` is
 digested by the SHA-256 of the bytes it writes for crafted configurations
 (an all -0.0 column, a column mixing 0.0 and -0.0, columns constant but
@@ -221,6 +225,17 @@ def add_reduced_residuals(add, params, loads, thrust, couple, theta, psi0) -> No
                                thrust * math.cos(theta), INF))
     for fl in cases:
         add("reduced_residual", lr.reduced_residual, params, angles, rates, fl, load_rates, v3)
+
+
+def add_demo_domain_edges(add) -> None:
+    """branch_sweep on bounds that are not finite or whose span overflows,
+    and helical_state at angles outside (0, pi/2]; demo only, no draw."""
+    demo = lr.load_params(ROOT / "params" / "demo.json")
+    for n_min, n_max in ((NAN, 2.0), (0.0, NAN), (-INF, 2.0), (0.0, INF), (-1e308, 1e308),
+                         (-FLOAT_MAX, FLOAT_MAX), (-5e-324, 5e-324)):
+        add("branch_sweep", lr.branch_sweep, demo, n_min, n_max, 3)
+    for theta in (NAN, INF, -INF, 0.0, -0.1, 2.0):
+        add("helical_state", lr.helical_state, demo, 1.0, theta, 0.0, GRID_H)
 
 
 def crafted_configuration(n: int) -> lr.Configuration:
@@ -450,7 +465,12 @@ def digest_records() -> dict[str, list[str]]:
             add("sheared_angle", lr.sheared_angle, params, thrust)
             add("sheared_tensile_state", lr.sheared_tensile_state, params, thrust,
                 float(rng.uniform(-3.0, 3.0)), GRID_H)
+        for thrust in (NAN, INF, -INF):  # no draw: the other cases keep their inputs
+            add("sheared_angle", lr.sheared_angle, params, thrust)
+            add("sheared_tensile_state", lr.sheared_tensile_state, params, thrust, 0.0, GRID_H)
         add("branch_sweep", lr.branch_sweep, params, -thresh, 3.0 * thresh, 21)
+
+    add_demo_domain_edges(add)
 
     add_forward_range(add)
     add_forward_units(add)
