@@ -164,10 +164,9 @@ class BalanceReport:
 
 # A normalised set's sheared branch: what does not depend on N, built once
 # from the set's record. thresh is the threshold thrust or the NoBifurcation
-# verdict, ratio = det/(beta^2 zeta^2), k = v3 - 1 = 1/(ratio - 1) is also the
-# bisection's target, and u3 = -iota k/beta^2; k, u3 and v3 are NaN where
-# there is no branch.
-_Branch = namedtuple("_Branch", "c thresh ratio k u3 v3", defaults=(math.nan,) * 3)
+# verdict, ratio = det/(beta^2 zeta^2), and k = v3 - 1 = 1/(ratio - 1) is also
+# the bisection's target; k is NaN where there is no branch.
+_Branch = namedtuple("_Branch", "c thresh ratio k", defaults=(math.nan,))
 
 
 def _branch(pn: MaterialParams) -> _Branch:
@@ -192,8 +191,7 @@ def _branch(pn: MaterialParams) -> _Branch:
                 f"requires 1/(ratio - 1) < beta/sqrt(det) (gap = {inv_np!r})"
             ),
         ), ratio)
-    k = 1.0 / (ratio - 1.0)
-    return _Branch(c, inv_np ** (-1.0 / pn.p), ratio, k, -c.iota * k / c.b2, 1.0 + k)
+    return _Branch(c, inv_np ** (-1.0 / pn.p), ratio, 1.0 / (ratio - 1.0))
 
 
 def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
@@ -232,9 +230,8 @@ def _branch_fn(c: _Constants, thrust: float, x: float) -> float:
     return _factor(c.p, thrust**-c.p, g) * c.b2 * x / c.det
 
 
-def _sheared_tilt(branch: _Branch, thrust: float) -> tuple[float, float]:
-    """theta(N), by bisection on cos(theta) in [0, 1] for f_N(cos theta) = k,
-    and there the shear strains' amplitude k ratio tan(theta)."""
+def _sheared_tilt(branch: _Branch, thrust: float) -> float:
+    """theta(N), by bisection on cos(theta) in [0, 1] for f_N(cos theta) = k."""
     c, target = branch.c, branch.k
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_TOL:
@@ -243,8 +240,18 @@ def _sheared_tilt(branch: _Branch, thrust: float) -> tuple[float, float]:
             lo = mid
         else:
             hi = mid
-    theta = math.acos(0.5 * (lo + hi))
-    return theta, target * branch.ratio * math.tan(theta)
+    return math.acos(0.5 * (lo + hi))
+
+
+def _sheared_point(branch: _Branch, thrust: float) -> BranchPoint:
+    """The sheared branch at thrust N, s = 0 and psi0 = 0: theta(N), the
+    closed-form strains (0, 0, -iota k/beta^2, -k ratio tan(theta), 0, 1 + k)
+    and the thrust in the director frame, (0, 0, 0, -N sin(theta), 0,
+    N cos(theta)). The one place the branch's point is formed."""
+    c, k, theta = branch.c, branch.k, _sheared_tilt(branch, thrust)
+    strains = Strains(0.0, 0.0, -c.iota * k / c.b2, -(k * branch.ratio * math.tan(theta)), 0.0, 1.0 + k)
+    loads = Loads(0.0, 0.0, 0.0, -thrust * math.sin(theta), 0.0, thrust * math.cos(theta))
+    return BranchPoint(thrust, theta, strains, loads, "sheared")
 
 
 def sheared_angle(params: MaterialParams, thrust: float) -> float:
@@ -256,7 +263,7 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     and NoBifurcationError when the material admits no sheared branch at
     all. An infinite N gives the limit angle.
     """
-    return _sheared_tilt(_sheared_branch(nondimensionalize(params), thrust), thrust)[0]
+    return _sheared_tilt(_sheared_branch(nondimensionalize(params), thrust), thrust)
 
 
 def _angle_factor(c: _Constants) -> float:
@@ -381,19 +388,18 @@ def sheared_tensile_state(
     """
     pn = nondimensionalize(params)
     branch = _sheared_branch(pn, thrust)
-    theta, amplitude = _sheared_tilt(branch, thrust)
-    k, u3, v3 = branch.k, branch.u3, branch.v3
-    sth, cth = math.sin(theta), math.cos(theta)
-    identity_residual = abs(_branch_fn(branch.c, thrust, cth) - k) / k
+    pt = _sheared_point(branch, thrust)
+    st, sth, cth = pt.strains, math.sin(pt.theta), math.cos(pt.theta)
+    identity_residual = abs(_branch_fn(branch.c, thrust, cth) - branch.k) / branch.k
     if identity_residual > 1e-8:
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"
         )
     return _family_state(
-        pn, grid_h, theta, psi0, (0.0, u3), (0.0, 0.0, -thrust * sth, thrust * cth),
-        lambda s, phi: np.outer(s, (0.0, 0.0, amplitude * sth + v3 * cth)),
+        pn, grid_h, pt.theta, psi0, (0.0, st.u3), (0.0, 0.0, pt.loads.n1, pt.loads.n3),
+        lambda s, phi: np.outer(s, (0.0, 0.0, -st.v1 * sth + st.v3 * cth)),
         family="sheared", thrust=thrust, identity_residual=identity_residual,
-        strains={"u3": u3, "v3": v3, "v_shear_amplitude": amplitude},
+        strains={"u3": st.u3, "v3": st.v3, "v_shear_amplitude": -st.v1},
     )
 
 
@@ -555,31 +561,14 @@ def branch_sweep(
     if count < 2:
         raise ValueError(f"need at least 2 sweep points, got {count!r}")
     branch = _branch(pn)
+    sheared = not isinstance(branch.thresh, NoBifurcation)
     points: list[BranchPoint] = []
     for thrust in np.linspace(n_min, n_max, count):
         thrust = float(thrust)
-        st = strains_from_loads(pn, Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust))
-        points.append(
-            BranchPoint(
-                N=thrust,
-                theta=0.0,
-                strains=st,
-                loads=Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust),
-                branch="trivial",
-            )
-        )
-        if not isinstance(branch.thresh, NoBifurcation) and thrust > branch.thresh:
-            theta, amplitude = _sheared_tilt(branch, thrust)
-            sth, cth = math.sin(theta), math.cos(theta)
-            points.append(
-                BranchPoint(
-                    N=thrust,
-                    theta=theta,
-                    strains=Strains(0.0, 0.0, branch.u3, -amplitude, 0.0, branch.v3),
-                    loads=Loads(0.0, 0.0, 0.0, -thrust * sth, 0.0, thrust * cth),
-                    branch="sheared",
-                )
-            )
+        loads = Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust)
+        points.append(BranchPoint(thrust, 0.0, strains_from_loads(pn, loads), loads, "trivial"))
+        if sheared and thrust > branch.thresh:
+            points.append(_sheared_point(branch, thrust))
     points.sort(key=lambda pt: (pt.N, pt.branch))
     return points, branch.thresh
 
