@@ -50,7 +50,7 @@ from .errors import (
     LoadOutOfRange,
     NoBifurcationError,
 )
-from .kinematics import Configuration, _derivative, _euler_directors, darboux_components
+from .kinematics import Configuration, _check_finite, _derivative, _euler_directors, darboux_components
 from .material import MaterialParams, _constants, _Constants, nondimensionalize
 
 __all__ = [
@@ -444,7 +444,8 @@ def helical_state(
     theta = pi/2 the couple is M1 e1 alone and the centerline closes into
     a circle of radius |a| traversed in pure bending (u3 = 0, v3 = 1 for
     an achiral rod). Raises DegenerateCouple for M1 = 0, or for an M1 so
-    small that the radius overflows, and LoadOutOfRange where M3 does.
+    small that the radius overflows, LoadOutOfRange where M3 does, and
+    AngleOutOfRange for theta outside (0, pi/2], NaN included.
     """
     pn = nondimensionalize(params)
     if not math.isfinite(bend_couple):
@@ -452,7 +453,7 @@ def helical_state(
     if bend_couple == 0.0:
         raise DegenerateCouple("helical family needs M1 != 0; use pure_twist_state")
     if not 0.0 < theta <= 0.5 * math.pi:
-        raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
+        raise AngleOutOfRange(f"theta must lie in (0, pi/2], got {theta!r}")
     sth, cth = math.sin(theta), math.cos(theta)
     m3 = -bend_couple * (0.0 if theta == 0.5 * math.pi else cth / sth)
     st = strains_from_loads(pn, Loads(bend_couple, 0.0, m3, 0.0, 0.0, 0.0))
@@ -553,21 +554,23 @@ def branch_sweep(
 
     Returns the points sorted by (N, branch) together with the threshold
     verdict; sheared points appear only for thrusts strictly above the
-    threshold.
+    threshold. A NaN or infinite bound raises LoadOutOfRange naming it, and
+    n_min >= n_max or count < 2 a ValueError. A span n_max - n_min that
+    overflows is gridded at half scale and doubled, exactly; else np.linspace.
     """
     pn = nondimensionalize(params)
+    _check_finite("sweep bound", LoadOutOfRange, n_min=n_min, n_max=n_max)
     if not n_min < n_max:
         raise ValueError(f"need n_min < n_max, got {n_min!r} >= {n_max!r}")
     if count < 2:
         raise ValueError(f"need at least 2 sweep points, got {count!r}")
     branch = _branch(pn)
-    sheared = not isinstance(branch.thresh, NoBifurcation)
     points: list[BranchPoint] = []
-    for thrust in np.linspace(n_min, n_max, count):
-        thrust = float(thrust)
+    scale = 1.0 if n_max - n_min < math.inf else 2.0
+    for thrust in (scale * np.linspace(n_min / scale, n_max / scale, count)).tolist():
         loads = Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust)
         points.append(BranchPoint(thrust, 0.0, strains_from_loads(pn, loads), loads, "trivial"))
-        if sheared and thrust > branch.thresh:
+        if not isinstance(branch.thresh, NoBifurcation) and thrust > branch.thresh:
             points.append(_sheared_point(branch, thrust))
     points.sort(key=lambda pt: (pt.N, pt.branch))
     return points, branch.thresh

@@ -52,10 +52,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-G1 = np.array([1.0, 0.0, 0.0])
-G2 = np.array([0.0, 1.0, 0.0])
-G3 = np.array([0.0, 0.0, 1.0])
-
 _ORTHO_TOL = 1e-8
 
 CSV_HEADER = "s,rx,ry,rz,d1x,d1y,d1z,d2x,d2y,d2z,d3x,d3y,d3z"

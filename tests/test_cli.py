@@ -172,6 +172,24 @@ class TestBranch:
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("# no bifurcation:")
 
+    @pytest.mark.filterwarnings("error")
+    def test_span_that_overflows(self, demo_file, tmp_path):
+        # once numpy's overflow warning, then exit 1 on a NaN thrust
+        out = tmp_path / "wide.csv"
+        assert main(["branch", demo_file, "--n-min", "-1e308", "--n-max", "1e308", "--count", "3",
+                     "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [(float(r[0]), r[-1]) for r in rows] == [
+            (-1e308, "trivial"), (0.0, "trivial"), (1e308, "sheared"), (1e308, "trivial")]
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_bound_exits_1(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "inf.csv"
+        assert main(["branch", demo_file, "--n-min", "-inf", "--n-max", "2", "--count", "3",
+                     "--out", str(out)]) == 1
+        assert "LoadOutOfRange: sweep bound n_min must be finite, got -inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_range_exits_1(self, demo_file, tmp_path):
         assert main(["branch", demo_file, "--n-min", "3", "--n-max", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1

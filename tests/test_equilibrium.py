@@ -579,6 +579,12 @@ class TestNonFiniteInputs:
         with pytest.raises(LoadOutOfRange, match="^bend couple M1 = "):
             helical_state(demo_params, value, theta=0.5, grid_h=0.01)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 0.0, -0.1, 2.0])
+    def test_helix_theta_outside_chart(self, demo_params, theta):
+        # once a plain ValueError; AngleOutOfRange is one too
+        with pytest.raises(AngleOutOfRange, match=rf"^theta must lie in \(0, pi/2\], got {theta!r}$"):
+            helical_state(demo_params, 1.0, theta=theta, grid_h=0.01)
+
     def test_trivial_thrust(self, demo_params):
         with pytest.raises(LoadOutOfRange):
             trivial_tensile_state(demo_params, math.nan, grid_h=0.01)
@@ -793,6 +799,35 @@ class TestBranchSweep:
                 want = sheared_tensile_state(params, pt.N, grid_h=0.1).descriptor["strains"]
                 got = {"u3": pt.strains.u3, "v3": pt.strains.v3, "v_shear_amplitude": -pt.strains.v1}
                 assert got == want and pt.strains.v2 == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_min, n_max, name", [
+        (math.nan, 2.0, "n_min"), (0.0, math.nan, "n_max"), (math.nan, math.nan, "n_min"),
+        (-math.inf, 2.0, "n_min"), (0.0, math.inf, "n_max"), (math.inf, -math.inf, "n_min"),
+    ])
+    def test_non_finite_bound(self, demo_params, n_min, n_max, name):
+        # once "need n_min < n_max, got nan >= 2.0", or numpy's invalid-value
+        # warning and then a LoadOutOfRange naming n3=nan
+        with pytest.raises(LoadOutOfRange, match=f"^sweep bound {name} must be finite, got "):
+            branch_sweep(demo_params, n_min, n_max, 5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bound, count", [(1e308, 3), (1.7976931348623157e308, 601)])
+    def test_span_that_overflows(self, demo_params, bound, count):
+        # n_max - n_min overflowed: a warning, then a LoadOutOfRange at NaN thrusts
+        points, _ = branch_sweep(demo_params, -bound, bound, count)
+        grid = [pt.N for pt in points if pt.branch == "trivial"]
+        assert grid == (2.0 * np.linspace(-0.5 * bound, 0.5 * bound, count)).tolist()
+        assert grid[0] == -bound and grid[-1] == bound and grid[count // 2] == 0.0
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    @pytest.mark.parametrize("n_min, n_max, count", [
+        (-5e-324, 5e-324, 3), (0.0, 3.0, 31), (-1e-300, 1e300, 7), (-8.9e307, 8.9e307, 11),
+    ])
+    def test_finite_span_grid_is_linspace(self, demo_params, n_min, n_max, count):
+        points, _ = branch_sweep(demo_params, n_min, n_max, count)
+        grid = [pt.N for pt in points if pt.branch == "trivial"]
+        assert grid == np.linspace(n_min, n_max, count).tolist()
 
     def test_invalid_inputs(self, demo_params):
         with pytest.raises(ValueError):
