@@ -29,7 +29,10 @@ infinite loads and an infinite thrust; ``sheared_angle`` and
 ``sheared_tensile_state`` get NaN and infinite thrusts on every
 bifurcating set. On demo, ``branch_sweep`` gets NaN and infinite bounds
 and finite bounds whose span overflows, and ``helical_state`` angles
-outside (0, pi/2], NaN and infinite ones included. Inadmissible sets and
+outside (0, pi/2], NaN and infinite ones included. ``branch_sweep wide``
+runs 601 thrusts over [0, 3 N_thresh] and over [N_thresh (1 + 1e-12),
+1e300] on demo and a chiral variant (iota = 0.3) with p in {1, 1.5, 2, 3,
+4, 7}, with no generator draw. Inadmissible sets and
 out-of-domain inputs record their errors. ``write_configuration_csv`` is
 digested by the SHA-256 of the bytes it writes for crafted configurations
 (an all -0.0 column, a column mixing 0.0 and -0.0, columns constant but
@@ -74,6 +77,7 @@ cases that differ.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import sys
@@ -236,6 +240,22 @@ def add_demo_domain_edges(add) -> None:
         add("branch_sweep", lr.branch_sweep, demo, n_min, n_max, 3)
     for theta in (NAN, INF, -INF, 0.0, -0.1, 2.0):
         add("helical_state", lr.helical_state, demo, 1.0, theta, 0.0, GRID_H)
+
+
+WIDE_SWEEP_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 4.0, 7.0)
+
+
+def add_wide_sweeps(add) -> None:
+    """branch_sweep with 601 thrusts over [0, 3 thresh], the bench's grid,
+    and over [thresh (1 + 1e-12), 1e300], on demo and its chiral variant
+    (iota = 0.3) at each exponent above; no draw."""
+    demo = lr.load_params(ROOT / "params" / "demo.json")
+    for iota in (0.0, 0.3):
+        for p in WIDE_SWEEP_EXPONENTS:
+            params = dataclasses.replace(demo, iota=iota, p=p)
+            thresh = lr.shear_threshold(params)
+            for n_min, n_max in ((0.0, 3.0 * thresh), (thresh * (1.0 + 1e-12), 1e300)):
+                add("branch_sweep wide", lr.branch_sweep, params, n_min, n_max, 601)
 
 
 def crafted_configuration(n: int) -> lr.Configuration:
@@ -471,6 +491,7 @@ def digest_records() -> dict[str, list[str]]:
         add("branch_sweep", lr.branch_sweep, params, -thresh, 3.0 * thresh, 21)
 
     add_demo_domain_edges(add)
+    add_wide_sweeps(add)
 
     add_forward_range(add)
     add_forward_units(add)
