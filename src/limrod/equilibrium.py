@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import count, repeat, takewhile
 from pathlib import Path
 from typing import Callable
 
@@ -50,7 +52,7 @@ from .errors import (
     LoadOutOfRange,
     NoBifurcationError,
 )
-from .kinematics import Configuration, _check_finite, _derivative, _euler_directors, darboux_components
+from .kinematics import Configuration, _check_finite, _derivative, _euler_directors, _libm, darboux_components
 from .material import MaterialParams, _constants, _Constants, nondimensionalize
 
 __all__ = [
@@ -223,32 +225,58 @@ def _sheared_branch(pn: MaterialParams, thrust: float | None = None) -> _Branch:
     return branch
 
 
-def _branch_fn(c: _Constants, thrust: float, x: float) -> float:
+def _branch_fn(c: _Constants, gp, x, factor=_factor):
     """Monotone function f_N(cos theta) whose unique root gives the sheared
-    angle; strictly increasing on [0, 1]: F at gamma = 1/N, Q* = g, times x."""
+    angle; strictly increasing on [0, 1]: F at gamma = 1/N, Q* = g, times x.
+    F is ``factor(p, gp, g)`` with gp = N^-p: ``_factor`` on floats, or on
+    arrays with its powers from libm."""
     g = (1.0 - x * x) / c.z2 + c.b2 * x * x / c.det
-    return _factor(c.p, thrust**-c.p, g) * c.b2 * x / c.det
+    return factor(c.p, gp, g) * c.b2 * x / c.det
 
 
-def _sheared_tilt(branch: _Branch, thrust: float) -> float:
-    """theta(N), by bisection on cos(theta) in [0, 1] for f_N(cos theta) = k."""
-    c, target = branch.c, branch.k
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _branch_fn(c, thrust, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return math.acos(0.5 * (lo + hi))
+def _libm_pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e by libm, element by element: numpy's power may round otherwise."""
+    return np.fromiter(map(pow, x.tolist(), repeat(e, len(x))), float, len(x))
 
 
-def _sheared_point(branch: _Branch, thrust: float) -> BranchPoint:
-    """The sheared branch at thrust N, s = 0 and psi0 = 0: theta(N), the
-    closed-form strains (0, 0, -iota k/beta^2, -k ratio tan(theta), 0, 1 + k)
-    and the thrust in the director frame, (0, 0, 0, -N sin(theta), 0,
-    N cos(theta)). The one place the branch's point is formed."""
-    c, k, theta = branch.c, branch.k, _sheared_tilt(branch, thrust)
+_libm_factor = partial(_factor, power=_libm_pow)
+
+
+def _sheared_tilt(branch: _Branch, thrust):
+    """theta(N), by bisection on cos(theta) in [0, 1] for f_N(cos theta) = k,
+    on a float N or, element by element, on an array of them. On an array
+    the + - * / steps run in numpy, in the float code's order, and the
+    powers and the final acos in libm, so each angle has the bits of the
+    float call."""
+    p = branch.c.p
+    if isinstance(thrust, np.ndarray):
+        return _libm(math.acos, _bisect(branch, _libm_pow(thrust, -p), np.zeros(len(thrust)), _libm_factor))
+    return math.acos(_bisect(branch, thrust**-p, 0.0))
+
+
+# The half-widths of the bisection's steps: its bracket is exactly 2^-j wide
+# after j halvings, and it halves while the width exceeds _BISECT_TOL.
+_HALVES = tuple(takewhile(lambda h: h + h > _BISECT_TOL, (2.0**-j for j in count(1))))
+
+
+def _bisect(branch: _Branch, gp, lo, factor=_factor):
+    """cos(theta) in [lo, lo + 1] by bisection, with ``_branch_fn``'s gp and
+    factor. Every N takes the same steps, 47 (2^-47 <= 1e-14 < 2^-46), so
+    the loop carries the bracket's lower end alone: lo + half is exactly
+    the midpoint 0.5 * (lo + hi) that the float code once formed."""
+    c, k = branch.c, branch.k
+    for half in _HALVES:
+        lo = lo + half * (_branch_fn(c, gp, lo + half, factor) < k)
+    return lo + 0.5 * _HALVES[-1]
+
+
+def _sheared_point(branch: _Branch, thrust: float, theta: float) -> BranchPoint:
+    """The sheared branch at thrust N and tilt theta = theta(N), s = 0 and
+    psi0 = 0: the closed-form strains (0, 0, -iota k/beta^2,
+    -k ratio tan(theta), 0, 1 + k) and the thrust in the director frame,
+    (0, 0, 0, -N sin(theta), 0, N cos(theta)). The one place the branch's
+    point is formed."""
+    c, k = branch.c, branch.k
     strains = Strains(0.0, 0.0, -c.iota * k / c.b2, -(k * branch.ratio * math.tan(theta)), 0.0, 1.0 + k)
     loads = Loads(0.0, 0.0, 0.0, -thrust * math.sin(theta), 0.0, thrust * math.cos(theta))
     return BranchPoint(thrust, theta, strains, loads, "sheared")
@@ -388,9 +416,9 @@ def sheared_tensile_state(
     """
     pn = nondimensionalize(params)
     branch = _sheared_branch(pn, thrust)
-    pt = _sheared_point(branch, thrust)
+    pt = _sheared_point(branch, thrust, _sheared_tilt(branch, thrust))
     st, sth, cth = pt.strains, math.sin(pt.theta), math.cos(pt.theta)
-    identity_residual = abs(_branch_fn(branch.c, thrust, cth) - branch.k) / branch.k
+    identity_residual = abs(_branch_fn(branch.c, thrust**-branch.c.p, cth) - branch.k) / branch.k
     if identity_residual > 1e-8:
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"
@@ -554,9 +582,11 @@ def branch_sweep(
 
     Returns the points sorted by (N, branch) together with the threshold
     verdict; sheared points appear only for thrusts strictly above the
-    threshold. A NaN or infinite bound raises LoadOutOfRange naming it, and
-    n_min >= n_max or count < 2 a ValueError. A span n_max - n_min that
-    overflows is gridded at half scale and doubled, exactly; else np.linspace.
+    threshold. One bisection runs over all of those thrusts at once, and its
+    angles are bit for bit those of ``sheared_angle``. A NaN or infinite
+    bound raises LoadOutOfRange naming it, and n_min >= n_max or count < 2 a
+    ValueError. A span n_max - n_min that overflows is gridded at half scale
+    and doubled, exactly; else np.linspace.
     """
     pn = nondimensionalize(params)
     _check_finite("sweep bound", LoadOutOfRange, n_min=n_min, n_max=n_max)
@@ -567,11 +597,14 @@ def branch_sweep(
     branch = _branch(pn)
     points: list[BranchPoint] = []
     scale = 1.0 if n_max - n_min < math.inf else 2.0
-    for thrust in (scale * np.linspace(n_min / scale, n_max / scale, count)).tolist():
+    grid = scale * np.linspace(n_min / scale, n_max / scale, count)
+    for thrust in grid.tolist():
         loads = Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust)
         points.append(BranchPoint(thrust, 0.0, strains_from_loads(pn, loads), loads, "trivial"))
-        if not isinstance(branch.thresh, NoBifurcation) and thrust > branch.thresh:
-            points.append(_sheared_point(branch, thrust))
+    if not isinstance(branch.thresh, NoBifurcation):
+        sheared = grid[grid > branch.thresh]
+        thetas = _sheared_tilt(branch, sheared).tolist()
+        points += map(partial(_sheared_point, branch), sheared.tolist(), thetas)
     points.sort(key=lambda pt: (pt.N, pt.branch))
     return points, branch.thresh
 

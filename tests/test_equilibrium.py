@@ -149,7 +149,7 @@ class TestShearedAngle:
             thresh = shear_threshold(params)
             thrust = thresh * rng.uniform(1.1, 10.0)
             xs = np.linspace(0.0, 1.0, 101)
-            vals = [_branch_fn(_constants(params), thrust, float(x)) for x in xs]
+            vals = [_branch_fn(_constants(params), thrust**-params.p, float(x)) for x in xs]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_random_sets_continuity_and_monotone_growth(self):
