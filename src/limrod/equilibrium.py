@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _factor, _load_gate
+from .constitutive import Loads, Strains, _factor, _load_gate, _scaled_factor
 from .constitutive import loads_from_strains_batch, strains_from_loads
 from .errors import (
     AngleOutOfRange,
@@ -182,9 +182,12 @@ def _branch(pn: MaterialParams) -> _Branch:
                 f"eta^2 > zeta^2 + iota^2/beta^2 (ratio = {ratio!r})"
             ),
         ), ratio)
-    inv_np = (ratio - 1.0) ** pn.p * (c.b2 / det) ** pn.p - (
-        pn.beta / math.sqrt(det)
-    ) ** pn.p
+    try:
+        inv_np = (ratio - 1.0) ** pn.p * (c.b2 / det) ** pn.p - (
+            pn.beta / math.sqrt(det)
+        ) ** pn.p
+    except OverflowError:  # (ratio - 1)^p beyond the float range
+        inv_np = math.inf
     if not inv_np > 0.0:
         return _Branch(c, NoBifurcation(
             condition="dilatation-limit",
@@ -193,7 +196,12 @@ def _branch(pn: MaterialParams) -> _Branch:
                 f"requires 1/(ratio - 1) < beta/sqrt(det) (gap = {inv_np!r})"
             ),
         ), ratio)
-    return _Branch(c, inv_np ** (-1.0 / pn.p), ratio, 1.0 / (ratio - 1.0))
+    if inv_np < math.inf:
+        thresh = inv_np ** (-1.0 / pn.p)
+    else:  # N^-p = X^p - Y^p overflows: N = (1 - (Y/X)^p)^{-1/p} / X, as Y < X
+        x = (ratio - 1.0) * (c.b2 / det)
+        thresh = (1.0 - (pn.beta / math.sqrt(det) / x) ** pn.p) ** (-1.0 / pn.p) / x
+    return _Branch(c, thresh, ratio, 1.0 / (ratio - 1.0))
 
 
 def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
@@ -206,7 +214,8 @@ def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
 
         N^-p = (ratio - 1)^p (beta^2/det)^p - (beta^2/det)^{p/2}
 
-    with det = beta^2 eta^2 - iota^2 and ratio = det/(beta^2 zeta^2).
+    with det = beta^2 eta^2 - iota^2 and ratio = det/(beta^2 zeta^2); where
+    that overflows (a tiny zeta), it is evaluated scaled by its first term.
     """
     return _branch(nondimensionalize(params)).thresh
 
@@ -228,8 +237,8 @@ def _sheared_branch(pn: MaterialParams, thrust: float | None = None) -> _Branch:
 def _branch_fn(c: _Constants, gp, x, factor=_factor):
     """Monotone function f_N(cos theta) whose unique root gives the sheared
     angle; strictly increasing on [0, 1]: F at gamma = 1/N, Q* = g, times x.
-    F is ``factor(p, gp, g)`` with gp = N^-p: ``_factor`` on floats, or on
-    arrays with its powers from libm."""
+    F is ``factor(p, gp, g)``: ``_factor`` with gp = N^-p, on floats, or on
+    arrays with its powers from libm; or ``_scaled_factor`` with gp = 1/N."""
     g = (1.0 - x * x) / c.z2 + c.b2 * x * x / c.det
     return factor(c.p, gp, g) * c.b2 * x / c.det
 
@@ -247,11 +256,20 @@ def _sheared_tilt(branch: _Branch, thrust):
     on a float N or, element by element, on an array of them. On an array
     the + - * / steps run in numpy, in the float code's order, and the
     powers and the final acos in libm, so each angle has the bits of the
-    float call."""
+    float call. Where a power of the plain F leaves the float range (N^-p
+    for a tiny N, or Q*^{p/2} for a tiny zeta), the float call bisects the
+    scaled F instead, and an array holding such an N goes one N at a time."""
     p = branch.c.p
     if isinstance(thrust, np.ndarray):
-        return _libm(math.acos, _bisect(branch, _libm_pow(thrust, -p), np.zeros(len(thrust)), _libm_factor))
-    return math.acos(_bisect(branch, thrust**-p, 0.0))
+        try:
+            x = _bisect(branch, _libm_pow(thrust, -p), np.zeros(len(thrust)), _libm_factor)
+        except (OverflowError, ZeroDivisionError):
+            return np.array([_sheared_tilt(branch, n) for n in thrust.tolist()])
+        return _libm(math.acos, x)
+    try:
+        return math.acos(_bisect(branch, thrust**-p, 0.0))
+    except (OverflowError, ZeroDivisionError):
+        return math.acos(_bisect(branch, 1.0 / thrust, 0.0, _scaled_factor))
 
 
 # The half-widths of the bisection's steps: its bracket is exactly 2^-j wide
@@ -418,7 +436,11 @@ def sheared_tensile_state(
     branch = _sheared_branch(pn, thrust)
     pt = _sheared_point(branch, thrust, _sheared_tilt(branch, thrust))
     st, sth, cth = pt.strains, math.sin(pt.theta), math.cos(pt.theta)
-    identity_residual = abs(_branch_fn(branch.c, thrust**-branch.c.p, cth) - branch.k) / branch.k
+    try:
+        f = _branch_fn(branch.c, thrust**-branch.c.p, cth)
+    except (OverflowError, ZeroDivisionError):  # as in _sheared_tilt
+        f = _branch_fn(branch.c, 1.0 / thrust, cth, _scaled_factor)
+    identity_residual = abs(f - branch.k) / branch.k
     if identity_residual > 1e-8:
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"

@@ -83,6 +83,24 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert "no bifurcation" in capsys.readouterr().out
 
+    def test_threshold_beyond_float_range(self, tmp_path, capsys):
+        # (ratio - 1)^p and N^-p overflow: validate, branch and state once
+        # printed an OverflowError traceback
+        path = write_params(tmp_path, zeta=1e-100, eta=1.0)
+        assert main(["validate", path]) == 0
+        assert "\nN_thresh = 9.9999999999999998e-201\n" in capsys.readouterr().out
+        out = tmp_path / "branch.csv"
+        assert main(["branch", path, "--n-min", "0", "--n-max", "3e-200", "--count", "7",
+                     "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows if r[-1] == "sheared"] == ["1.5e-200", "2e-200", "2.5e-200", "2.9999999999999999e-200"]
+        state = tmp_path / "sheared.csv"
+        assert main(["state", path, "--family", "sheared", "--n-thrust", "2e-200", "--grid-h", "0.01",
+                     "--out", str(state)]) == 0
+        assert json.loads(state.with_suffix(".json").read_text())["theta"] == pytest.approx(math.pi / 3, abs=1e-14)
+        assert main(["check", str(state), path]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestEval:
     def test_forward_zero_loads(self, demo_file, capsys):

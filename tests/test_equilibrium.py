@@ -2,6 +2,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,7 +40,7 @@ from limrod import (
     trivial_tensile_state,
     write_branch_csv,
 )
-from limrod.equilibrium import _branch_fn
+from limrod.equilibrium import _branch, _branch_fn, _sheared_tilt
 from limrod.material import _constants, nondimensionalize
 
 from conftest import random_params
@@ -57,6 +58,36 @@ HELIX_SETS = {
     "dna": nondimensionalize(load_params(Path(__file__).parents[1] / "params" / "dna.json")),
     "chiral p=3": MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.3, 3.0),
 }
+
+
+# sets whose plain threshold formula, (ratio - 1)^p, or whose branch function's
+# N^-p or Q*^{p/2} leaves the float range: zeta^2 from 1e-100 to 1e-300
+TINY_ZETA_SETS = [
+    MaterialParams(1.0, 1.0, 1.0, zeta, 1.0, iota, p)
+    for zeta, p in ((1e-100, 2.0), (1e-100, 7.0), (1e-50, 7.0), (1e-150, 1.5))
+    for iota in (0.0, 0.3)
+]
+
+
+def mp_branch(params):
+    """(threshold, k, branch function of (N, x)) of a normalised set at
+    50 digits, from the closed forms."""
+    b, z, e, i, p = map(mpmath.mpf, (params.beta, params.zeta, params.eta, params.iota, params.p))
+    b2, z2, det = b * b, z * z, b * b * e * e - i * i
+    ratio = det / (b2 * z2)
+    thresh = ((ratio - 1) ** p * (b2 / det) ** p - (b / mpmath.sqrt(det)) ** p) ** (-1 / p)
+
+    def f(thrust, x):
+        g = (1 - x * x) / z2 + b2 * x * x / det
+        return (mpmath.mpf(thrust) ** -p + g ** (p / 2)) ** (-1 / p) * b2 * x / det
+
+    return thresh, 1 / (ratio - 1), f
+
+
+def mp_sheared_angle(params, thrust):
+    with mpmath.workdps(50):
+        _, k, f = mp_branch(params)
+        return float(mpmath.acos(mpmath.findroot(lambda x: f(thrust, x) - k, (0, 1), solver="anderson")))
 
 
 def bifurcating_params(rng, max_tries=200):
@@ -114,6 +145,14 @@ class TestShearThreshold:
         assert isinstance(verdict, NoBifurcation)
         assert verdict.condition == "dilatation-limit"
 
+    @pytest.mark.parametrize("params", TINY_ZETA_SETS, ids=repr)
+    def test_power_beyond_float_range(self, params):
+        # (ratio - 1)^p once raised a raw OverflowError; the threshold is a
+        # normal float, about zeta^2
+        with mpmath.workdps(50):
+            want = float(mp_branch(params)[0])
+        assert shear_threshold(params) == pytest.approx(want, rel=4e-16)
+
 
 class TestShearedAngle:
     def test_matches_closed_form_at_2(self, demo_params):
@@ -164,6 +203,51 @@ class TestShearedAngle:
             ]
             assert all(b > a for a, b in zip(angles, angles[1:]))
             assert all(0.0 < a < limit + 1e-12 for a in angles)
+
+
+class TestArrayBisection:
+    """_sheared_tilt on an array of thrusts, as branch_sweep calls it, against
+    the same function on each thrust as a float."""
+
+    @pytest.mark.parametrize("iota", [0.0, 0.3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.0])
+    def test_equals_float_calls_bit_for_bit(self, p, iota):
+        params = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, iota, p)
+        branch = _branch(params)
+        thrusts = np.concatenate([
+            branch.thresh * (1.0 + np.geomspace(1e-12, 1e-1, 12)), np.geomspace(1.2 * branch.thresh, 1e300, 40)
+        ])
+        got = _sheared_tilt(branch, thrusts)
+        want = [_sheared_tilt(branch, thrust) for thrust in thrusts.tolist()]
+        assert got.tolist() == want
+        assert want == [sheared_angle(params, thrust) for thrust in thrusts.tolist()]
+        assert all(0.0 < a <= b for a, b in zip(want, want[1:]))
+
+    @pytest.mark.parametrize("params", TINY_ZETA_SETS, ids=repr)
+    def test_powers_beyond_float_range(self, params):
+        # N^-p or Q*^{p/2} once raised a raw OverflowError: the float call
+        # bisects the scaled factor, the array goes one thrust at a time
+        branch = _branch(params)
+        thrusts = [branch.thresh * f for f in (1.5, 3.0, 1e10)] + [1.0, 1e300]
+        got = _sheared_tilt(branch, np.array(thrusts)).tolist()
+        assert got == [sheared_angle(params, thrust) for thrust in thrusts]
+        for thrust, theta in zip(thrusts, got):
+            assert theta == pytest.approx(mp_sheared_angle(params, thrust), abs=1e-14)
+        state = sheared_tensile_state(params, 2.0 * branch.thresh, grid_h=0.1)
+        assert state.descriptor["identity_residual"] < 1e-14
+
+    def test_empty(self, demo_params):
+        # a sweep that lies wholly below the threshold
+        assert _sheared_tilt(_branch(demo_params), np.array([])).shape == (0,)
+        points, _ = branch_sweep(demo_params, 0.0, 1.0, 5)
+        assert [pt.branch for pt in points] == ["trivial"] * 5
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.0])
+    def test_infinite_thrust_keeps_the_limit_angle(self, p):
+        params = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.3, p)
+        branch = _branch(params)
+        assert sheared_angle(params, math.inf) == pytest.approx(sheared_angle_limit(params), abs=1e-13)
+        assert _sheared_tilt(branch, np.array([math.inf])).tolist() == [sheared_angle(params, math.inf)]
 
 
 class TestTrivialBranch:
