@@ -85,7 +85,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_branch(args: argparse.Namespace) -> int:
     params = _load_and_validate(args.params)
-    if not args.n_min < args.n_max or args.count < 2:
+    finite = math.isfinite(args.n_min) and math.isfinite(args.n_max)  # else branch_sweep names the bound
+    if finite and not (args.n_min < args.n_max and args.count >= 2):
         print("error: need --n-min < --n-max and --count >= 2", file=sys.stderr)
         return 1
     points, thresh = equilibrium.branch_sweep(params, args.n_min, args.n_max, args.count)

@@ -208,6 +208,17 @@ class TestBranch:
         assert "LoadOutOfRange: sweep bound n_min must be finite, got -inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_min, n_max, name", [
+        ("nan", "2", "n_min"), ("0", "nan", "n_max"), ("inf", "-inf", "n_min"),
+    ])
+    def test_non_finite_bound_is_named(self, demo_file, tmp_path, capsys, n_min, n_max, name):
+        # a NaN bound once exited with "need --n-min < --n-max"
+        out = tmp_path / "nan.csv"
+        assert main(["branch", demo_file, "--n-min", n_min, "--n-max", n_max, "--count", "3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: LoadOutOfRange: sweep bound {name} must be finite, got ")
+        assert not out.exists()
+
     def test_bad_range_exits_1(self, demo_file, tmp_path):
         assert main(["branch", demo_file, "--n-min", "3", "--n-max", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1

@@ -16,7 +16,8 @@ The commands are the five state families at h = 1e-4, each followed by
 demo (iota = 0.3, shear threshold about 2.32) that the tool writes into
 its temporary directory. Then loads whose Q*^{p/2} overflows, and a
 negative number in scientific notation; a ``branch`` with an infinite
-bound and one from -1e308 to 1e308, whose span overflows; and error cases:
+bound, one with a NaN bound and one from -1e308 to 1e308, whose span
+overflows; and error cases:
 non-finite inputs, out-of-range inputs and malformed or too short
 configuration CSVs handed to ``check``.
 
@@ -80,10 +81,12 @@ BAD_STATES = [
     ("sheared N=inf", ["--family", "sheared", "--n-thrust", "inf"]),
 ]
 
-# (label, branch bounds): an infinite bound, and finite bounds whose span overflows
+# (label, branch bounds): an infinite bound, finite bounds whose span overflows,
+# and a NaN bound
 EDGE_BRANCHES = [
     ("branch n_min=-inf", ["--n-min", "-inf", "--n-max", "2"]),
     ("branch -1e308..1e308", ["--n-min", "-1e308", "--n-max", "1e308"]),
+    ("branch n_min=nan", ["--n-min", "nan", "--n-max", "2"]),
 ]
 
 
