@@ -291,11 +291,12 @@ def _bisect(branch: _Branch, gp, lo, factor=_factor):
 def _sheared_point(branch: _Branch, thrust: float, theta: float) -> BranchPoint:
     """The sheared branch at thrust N and tilt theta = theta(N), s = 0 and
     psi0 = 0: the closed-form strains (0, 0, -iota k/beta^2,
-    -k ratio tan(theta), 0, 1 + k) and the thrust in the director frame,
+    -k ratio tan(theta), 0, 1 + k), the twist +0 for an achiral set as on
+    the trivial branch, and the thrust in the director frame,
     (0, 0, 0, -N sin(theta), 0, N cos(theta)). The one place the branch's
     point is formed."""
     c, k = branch.c, branch.k
-    strains = Strains(0.0, 0.0, -c.iota * k / c.b2, -(k * branch.ratio * math.tan(theta)), 0.0, 1.0 + k)
+    strains = Strains(0.0, 0.0, 0.0 - c.iota * k / c.b2, -(k * branch.ratio * math.tan(theta)), 0.0, 1.0 + k)
     loads = Loads(0.0, 0.0, 0.0, -thrust * math.sin(theta), 0.0, thrust * math.cos(theta))
     return BranchPoint(thrust, theta, strains, loads, "sheared")
 

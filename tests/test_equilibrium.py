@@ -884,6 +884,15 @@ class TestBranchSweep:
                 got = {"u3": pt.strains.u3, "v3": pt.strains.v3, "v_shear_amplitude": -pt.strains.v1}
                 assert got == want and pt.strains.v2 == 0.0
 
+    def test_achiral_sheared_twist_is_positive_zero(self, demo_params, tmp_path):
+        # -iota k / beta^2 was -0.0, so the CSV wrote -0 in the sheared rows
+        points, _ = branch_sweep(demo_params, 0.0, 3.0, 7)
+        assert {math.copysign(1.0, pt.strains.u3) for pt in points} == {1.0}
+        state = sheared_tensile_state(demo_params, 2.0, grid_h=0.1)
+        assert math.copysign(1.0, state.descriptor["strains"]["u3"]) == 1.0
+        write_branch_csv(tmp_path / "b.csv", points)
+        assert "-0," not in (tmp_path / "b.csv").read_text()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_min, n_max, name", [
         (math.nan, 2.0, "n_min"), (0.0, math.nan, "n_max"), (math.nan, math.nan, "n_min"),
