@@ -260,12 +260,13 @@ def _sheared_tilt(branch: _Branch, thrust):
     for a tiny N, or Q*^{p/2} for a tiny zeta), the float call bisects the
     scaled F instead, and an array holding such an N goes one N at a time."""
     p = branch.c.p
-    if isinstance(thrust, np.ndarray):
+    if isinstance(thrust, np.ndarray) and thrust.ndim:
         try:
             x = _bisect(branch, _libm_pow(thrust, -p), np.zeros(len(thrust)), _libm_factor)
         except (OverflowError, ZeroDivisionError):
             return np.array([_sheared_tilt(branch, n) for n in thrust.tolist()])
         return _libm(math.acos, x)
+    thrust = float(thrust)  # a numpy scalar's power overflows to inf, not OverflowError
     try:
         return math.acos(_bisect(branch, thrust**-p, 0.0))
     except (OverflowError, ZeroDivisionError):
@@ -438,7 +439,7 @@ def sheared_tensile_state(
     pt = _sheared_point(branch, thrust, _sheared_tilt(branch, thrust))
     st, sth, cth = pt.strains, math.sin(pt.theta), math.cos(pt.theta)
     try:
-        f = _branch_fn(branch.c, thrust**-branch.c.p, cth)
+        f = _branch_fn(branch.c, float(thrust) ** -branch.c.p, cth)
     except (OverflowError, ZeroDivisionError):  # as in _sheared_tilt
         f = _branch_fn(branch.c, 1.0 / thrust, cth, _scaled_factor)
     identity_residual = abs(f - branch.k) / branch.k

@@ -93,11 +93,13 @@ class TestValidate:
         assert main(["branch", path, "--n-min", "0", "--n-max", "3e-200", "--count", "7",
                      "--out", str(out)]) == 0
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
-        assert [r[0] for r in rows if r[-1] == "sheared"] == ["1.5e-200", "2e-200", "2.5e-200", "2.9999999999999999e-200"]
+        sheared = [r[0] for r in rows if r[-1] == "sheared"]
+        assert sheared == ["1.5e-200", "2e-200", "2.5e-200", "2.9999999999999999e-200"]
         state = tmp_path / "sheared.csv"
         assert main(["state", path, "--family", "sheared", "--n-thrust", "2e-200", "--grid-h", "0.01",
                      "--out", str(state)]) == 0
-        assert json.loads(state.with_suffix(".json").read_text())["theta"] == pytest.approx(math.pi / 3, abs=1e-14)
+        theta = json.loads(state.with_suffix(".json").read_text())["theta"]
+        assert theta == pytest.approx(math.pi / 3, abs=1e-14)
         assert main(["check", str(state), path]) == 0
         assert capsys.readouterr().err == ""
 
@@ -216,7 +218,8 @@ class TestBranch:
         out = tmp_path / "nan.csv"
         assert main(["branch", demo_file, "--n-min", n_min, "--n-max", n_max, "--count", "3",
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: LoadOutOfRange: sweep bound {name} must be finite, got ")
+        message = f"error: LoadOutOfRange: sweep bound {name} must be finite, got "
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
     def test_bad_range_exits_1(self, demo_file, tmp_path):

@@ -214,15 +214,15 @@ class TestArrayBisection:
     def test_equals_float_calls_bit_for_bit(self, p, iota):
         params = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, iota, p)
         branch = _branch(params)
-        thrusts = np.concatenate([
-            branch.thresh * (1.0 + np.geomspace(1e-12, 1e-1, 12)), np.geomspace(1.2 * branch.thresh, 1e300, 40)
-        ])
+        near = branch.thresh * (1.0 + np.geomspace(1e-12, 1e-1, 12))
+        thrusts = np.concatenate([near, np.geomspace(1.2 * branch.thresh, 1e300, 40)])
         got = _sheared_tilt(branch, thrusts)
         want = [_sheared_tilt(branch, thrust) for thrust in thrusts.tolist()]
         assert got.tolist() == want
         assert want == [sheared_angle(params, thrust) for thrust in thrusts.tolist()]
         assert all(0.0 < a <= b for a, b in zip(want, want[1:]))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params", TINY_ZETA_SETS, ids=repr)
     def test_powers_beyond_float_range(self, params):
         # N^-p or Q*^{p/2} once raised a raw OverflowError: the float call
@@ -231,6 +231,9 @@ class TestArrayBisection:
         thrusts = [branch.thresh * f for f in (1.5, 3.0, 1e10)] + [1.0, 1e300]
         got = _sheared_tilt(branch, np.array(thrusts)).tolist()
         assert got == [sheared_angle(params, thrust) for thrust in thrusts]
+        # numpy scalars, whose powers overflow to inf, and 0-d arrays alike
+        assert got == [sheared_angle(params, np.float64(thrust)) for thrust in thrusts]
+        assert got == [sheared_angle(params, np.array(thrust)) for thrust in thrusts]
         for thrust, theta in zip(thrusts, got):
             assert theta == pytest.approx(mp_sheared_angle(params, thrust), abs=1e-14)
         state = sheared_tensile_state(params, 2.0 * branch.thresh, grid_h=0.1)
