@@ -182,25 +182,25 @@ def _branch(pn: MaterialParams) -> _Branch:
                 f"eta^2 > zeta^2 + iota^2/beta^2 (ratio = {ratio!r})"
             ),
         ), ratio)
+    # N^-p = X^p - Y^p with X = (ratio - 1) beta^2/det and Y = beta/sqrt(det)
+    x, y = (ratio - 1.0) * (c.b2 / det), pn.beta / math.sqrt(det)
     try:
-        inv_np = (ratio - 1.0) ** pn.p * (c.b2 / det) ** pn.p - (
-            pn.beta / math.sqrt(det)
-        ) ** pn.p
-    except OverflowError:  # (ratio - 1)^p beyond the float range
+        inv_np = (ratio - 1.0) ** pn.p * (c.b2 / det) ** pn.p - y**pn.p
+    except OverflowError:  # a power beyond the float range
         inv_np = math.inf
-    if not inv_np > 0.0:
+    if not (inv_np > 0.0 and (inv_np < math.inf or y < x)):  # X^p > Y^p iff X > Y
+        gap = f"gap = {inv_np!r}" if inv_np != math.inf else f"X = {x!r} <= Y = {y!r}"
         return _Branch(c, NoBifurcation(
             condition="dilatation-limit",
             detail=(
                 "sheared-branch dilatation would exceed its limiting value: "
-                f"requires 1/(ratio - 1) < beta/sqrt(det) (gap = {inv_np!r})"
+                f"requires 1/(ratio - 1) < beta/sqrt(det) ({gap})"
             ),
         ), ratio)
     if inv_np < math.inf:
         thresh = inv_np ** (-1.0 / pn.p)
-    else:  # N^-p = X^p - Y^p overflows: N = (1 - (Y/X)^p)^{-1/p} / X, as Y < X
-        x = (ratio - 1.0) * (c.b2 / det)
-        thresh = (1.0 - (pn.beta / math.sqrt(det) / x) ** pn.p) ** (-1.0 / pn.p) / x
+    else:  # N = (1 - (Y/X)^p)^{-1/p} / X, whose powers stay in range as Y < X
+        thresh = (1.0 - (y / x) ** pn.p) ** (-1.0 / pn.p) / x
     return _Branch(c, thresh, ratio, 1.0 / (ratio - 1.0))
 
 

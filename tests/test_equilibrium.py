@@ -153,6 +153,31 @@ class TestShearThreshold:
             want = float(mp_branch(params)[0])
         assert shear_threshold(params) == pytest.approx(want, rel=4e-16)
 
+    @pytest.mark.parametrize("params, bifurcates", [
+        # zeta > 1: (ratio - 1)^p overflows although X = (ratio - 1) beta^2/det
+        # lies at or below Y = beta/sqrt(det), so X^p - Y^p <= 0
+        (MaterialParams(1, 1, 1, 2, 4, 0, 1000), False),
+        (MaterialParams(1, 1, 1, 100, 4472.136, 0, 100), False),
+        (MaterialParams(1, 1, 1, 100, 4472.136, 0.3, 100), False),
+        # and where X > Y the scaled form holds
+        (MaterialParams(1, 1, 1, 2, 1e4, 0, 100), True),
+        (MaterialParams(1, 1, 1, 2, 1e4, 0.3, 300), True),
+    ], ids=repr)
+    def test_large_power_beyond_float_range(self, params, bifurcates):
+        with mpmath.workdps(50):
+            b, z, e, i, p = map(mpmath.mpf, (params.beta, params.zeta, params.eta, params.iota, params.p))
+            det = b * b * e * e - i * i
+            gap = ((det / (b * b * z * z) - 1) * b * b / det) ** p - (b / mpmath.sqrt(det)) ** p
+            assert (gap > 0) == bifurcates
+            want = float(mp_branch(params)[0]) if bifurcates else None
+        verdict = shear_threshold(params)
+        if bifurcates:
+            assert verdict == pytest.approx(want, rel=4e-16)
+        else:
+            assert isinstance(verdict, NoBifurcation)
+            assert verdict.condition == "dilatation-limit"
+            assert "<= Y =" in verdict.detail
+
 
 class TestShearedAngle:
     def test_matches_closed_form_at_2(self, demo_params):
