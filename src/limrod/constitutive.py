@@ -37,7 +37,6 @@ field order above (``as_array``/``from_array``).
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import threading
 from functools import lru_cache
@@ -206,14 +205,11 @@ def _load_error(values, why: str = _NONFINITE) -> LoadOutOfRange:
     return LoadOutOfRange(f"loads {why}: {Loads.from_array(values)}")
 
 
-def _factor(p: float, gp, qstar, power=operator.pow):
+def _factor(p: float, gp, qstar):
     """The saturating factor F = (gamma^p + Q*^{p/2})^{-1/p} of the forward
-    map from gp = gamma^p, on floats or arrays, its two powers taken by
-    ``power``: the one place F is written. The forward maps use the default,
-    numpy's power on arrays. The sheared branch function calls it with
-    gp = N^-p (gamma = 1/N) and, on arrays, a power from libm element by
-    element, so that an array of thrusts keeps the bits of each float."""
-    return power(gp + power(qstar, 0.5 * p), -1.0 / p)
+    map from gp = gamma^p, on floats or arrays: the one place F is written.
+    The sheared branch function calls it with gp = N^-p (gamma = 1/N)."""
+    return (gp + qstar ** (0.5 * p)) ** (-1.0 / p)
 
 
 def _saturating_factor(p: float, g, qstar):

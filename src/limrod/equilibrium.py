@@ -37,7 +37,7 @@ import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import count, repeat, takewhile
+from itertools import count, takewhile
 from pathlib import Path
 from typing import Callable
 
@@ -171,7 +171,17 @@ class BalanceReport:
 _Branch = namedtuple("_Branch", "c thresh ratio k", defaults=(math.nan,))
 
 
-def _branch(pn: MaterialParams) -> _Branch:
+def _branch(params: MaterialParams) -> _Branch:
+    """The set's branch record, built from its normalised twin on first use
+    and kept in the instance's ``__dict__``, as its constants are: a later
+    call on the same instance is one lookup."""
+    record = params.__dict__.get("_branch")
+    if record is None:
+        record = params.__dict__["_branch"] = _new_branch(nondimensionalize(params))
+    return record
+
+
+def _new_branch(pn: MaterialParams) -> _Branch:
     c = _constants(pn)
     det, ratio = c.det, c.det / (c.b2 * c.z2)
     if not ratio > 1.0:
@@ -217,14 +227,14 @@ def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
     with det = beta^2 eta^2 - iota^2 and ratio = det/(beta^2 zeta^2); where
     that overflows (a tiny zeta), it is evaluated scaled by its first term.
     """
-    return _branch(nondimensionalize(params)).thresh
+    return _branch(params).thresh
 
 
-def _sheared_branch(pn: MaterialParams, thrust: float | None = None) -> _Branch:
+def _sheared_branch(params: MaterialParams, thrust: float | None = None) -> _Branch:
     """The branch record of a set that has a sheared branch, lying below
     ``thrust`` when one is given: else NoBifurcationError, BelowThreshold, or
     LoadOutOfRange for a NaN thrust."""
-    branch = _branch(pn)
+    branch = _branch(params)
     if isinstance(branch.thresh, NoBifurcation):
         raise NoBifurcationError(str(branch.thresh))
     if thrust is not None and not thrust > branch.thresh:
@@ -237,18 +247,35 @@ def _sheared_branch(pn: MaterialParams, thrust: float | None = None) -> _Branch:
 def _branch_fn(c: _Constants, gp, x, factor=_factor):
     """Monotone function f_N(cos theta) whose unique root gives the sheared
     angle; strictly increasing on [0, 1]: F at gamma = 1/N, Q* = g, times x.
-    F is ``factor(p, gp, g)``: ``_factor`` with gp = N^-p, on floats, or on
-    arrays with its powers from libm; or ``_scaled_factor`` with gp = 1/N."""
+    F is ``factor(p, gp, g)``: ``_factor`` with gp = N^-p on floats,
+    ``_libm_factor`` on arrays, or ``_scaled_factor`` with gp = 1/N."""
     g = (1.0 - x * x) / c.z2 + c.b2 * x * x / c.det
     return factor(c.p, gp, g) * c.b2 * x / c.det
 
 
-def _libm_pow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e by libm, element by element: numpy's power may round otherwise."""
-    return np.fromiter(map(pow, x.tolist(), repeat(e, len(x))), float, len(x))
+def _plain_or_scaled(thrust: float, p: float, use: Callable, *args):
+    """use(gp, factor, *args) for a float N, with F in its plain form,
+    gp = N^-p and ``_factor``; where a power of that leaves the float range
+    (N^-p for a tiny N, or Q*^{p/2} for a tiny zeta), with F scaled,
+    gp = 1/N and ``_scaled_factor``."""
+    thrust = float(thrust)  # a numpy scalar's power overflows to inf, not OverflowError
+    try:
+        return use(thrust**-p, _factor, *args)
+    except (OverflowError, ZeroDivisionError):
+        return use(1.0 / thrust, _scaled_factor, *args)
 
 
-_libm_factor = partial(_factor, power=_libm_pow)
+class _LibmPowers(np.ndarray):
+    """A float array whose ``**`` is libm's pow, element by element, as on a
+    float: numpy's power may round otherwise."""
+
+    def __pow__(self, e):
+        return _libm(pow, self.view(np.ndarray), e).view(_LibmPowers)
+
+
+def _libm_factor(p: float, gp: np.ndarray, qstar: np.ndarray) -> np.ndarray:
+    """``_factor`` on arrays, each power taken as on a float."""
+    return _factor(p, gp, qstar.view(_LibmPowers)).view(np.ndarray)
 
 
 def _sheared_tilt(branch: _Branch, thrust):
@@ -256,21 +283,16 @@ def _sheared_tilt(branch: _Branch, thrust):
     on a float N or, element by element, on an array of them. On an array
     the + - * / steps run in numpy, in the float code's order, and the
     powers and the final acos in libm, so each angle has the bits of the
-    float call. Where a power of the plain F leaves the float range (N^-p
-    for a tiny N, or Q*^{p/2} for a tiny zeta), the float call bisects the
-    scaled F instead, and an array holding such an N goes one N at a time."""
-    p = branch.c.p
+    float call; an array holding an N whose plain F leaves the float range
+    goes one N at a time."""
+    c, k = branch.c, branch.k
     if isinstance(thrust, np.ndarray) and thrust.ndim:
         try:
-            x = _bisect(branch, _libm_pow(thrust, -p), np.zeros(len(thrust)), _libm_factor)
+            x = _bisect(c, _libm(pow, thrust, -c.p), k)
         except (OverflowError, ZeroDivisionError):
             return np.array([_sheared_tilt(branch, n) for n in thrust.tolist()])
         return _libm(math.acos, x)
-    thrust = float(thrust)  # a numpy scalar's power overflows to inf, not OverflowError
-    try:
-        return math.acos(_bisect(branch, thrust**-p, 0.0))
-    except (OverflowError, ZeroDivisionError):
-        return math.acos(_bisect(branch, 1.0 / thrust, 0.0, _scaled_factor))
+    return math.acos(_plain_or_scaled(thrust, c.p, _bisect_float, c, k))
 
 
 # The half-widths of the bisection's steps: its bracket is exactly 2^-j wide
@@ -278,14 +300,30 @@ def _sheared_tilt(branch: _Branch, thrust):
 _HALVES = tuple(takewhile(lambda h: h + h > _BISECT_TOL, (2.0**-j for j in count(1))))
 
 
-def _bisect(branch: _Branch, gp, lo, factor=_factor):
-    """cos(theta) in [lo, lo + 1] by bisection, with ``_branch_fn``'s gp and
-    factor. Every N takes the same steps, 47 (2^-47 <= 1e-14 < 2^-46), so
-    the loop carries the bracket's lower end alone: lo + half is exactly
-    the midpoint 0.5 * (lo + hi) that the float code once formed."""
-    c, k = branch.c, branch.k
+def _bisect(c: _Constants, gp: np.ndarray, k: float) -> np.ndarray:
+    """The roots x of f_N(x) = k in [0, 1], by bisection element by element,
+    for gp = N^-p. Every N takes the same steps, 47 (2^-47 <= 1e-14 <
+    2^-46), so the loop carries the bracket's lower end alone: lo + half is
+    exactly the midpoint of ``_bisect_float``."""
+    lo = np.zeros(len(gp))
     for half in _HALVES:
-        lo = lo + half * (_branch_fn(c, gp, lo + half, factor) < k)
+        lo = lo + half * (_branch_fn(c, gp, lo + half, _libm_factor) < k)
+    return lo + 0.5 * _HALVES[-1]
+
+
+def _bisect_float(gp: float, factor: Callable, c: _Constants, k: float) -> float:
+    """The root x of f_N(x) = k in [0, 1] by bisection, for one float N:
+    ``_bisect``'s steps, with ``_branch_fn`` written out op for op. The
+    array loop runs ``_branch_fn`` on arrays, which leaves CPython's float
+    specialisations of its steps unused, so a float call through it right
+    after a sweep ran markedly slower; this loop's steps see floats alone."""
+    p, z2, b2, det = c.p, c.z2, c.b2, c.det
+    lo = 0.0
+    for half in _HALVES:
+        x = lo + half
+        g = (1.0 - x * x) / z2 + b2 * x * x / det
+        if factor(p, gp, g) * b2 * x / det < k:
+            lo = x
     return lo + 0.5 * _HALVES[-1]
 
 
@@ -311,7 +349,7 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     and NoBifurcationError when the material admits no sheared branch at
     all. An infinite N gives the limit angle.
     """
-    return _sheared_tilt(_sheared_branch(nondimensionalize(params), thrust), thrust)
+    return _sheared_tilt(_sheared_branch(params, thrust), thrust)
 
 
 def _angle_factor(c: _Constants) -> float:
@@ -438,10 +476,7 @@ def sheared_tensile_state(
     branch = _sheared_branch(pn, thrust)
     pt = _sheared_point(branch, thrust, _sheared_tilt(branch, thrust))
     st, sth, cth = pt.strains, math.sin(pt.theta), math.cos(pt.theta)
-    try:
-        f = _branch_fn(branch.c, float(thrust) ** -branch.c.p, cth)
-    except (OverflowError, ZeroDivisionError):  # as in _sheared_tilt
-        f = _branch_fn(branch.c, 1.0 / thrust, cth, _scaled_factor)
+    f = _plain_or_scaled(thrust, branch.c.p, lambda gp, factor: _branch_fn(branch.c, gp, cth, factor))
     identity_residual = abs(f - branch.k) / branch.k
     if identity_residual > 1e-8:
         raise ArithmeticError(

@@ -119,16 +119,17 @@ class Frame:
         return np.vstack([self.d1, self.d2, self.d3])
 
 
-def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` over a 1-D float array. numpy's vector loops may
-    round differently from libm, so this keeps array and scalar callers
-    bit-equal. An array whose elements share one bit pattern (a phase with
-    zero rate) takes one call; the test is on bits, so 0.0 and -0.0 differ."""
+def _libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """``fn`` from ``math``, or the builtin ``pow``, over a 1-D float array,
+    with ``args`` as its further arguments. numpy's vector loops may round
+    differently from libm, so this keeps array and scalar callers bit-equal.
+    An array whose elements share one bit pattern (a phase with zero rate)
+    takes one call; the test is on bits, so 0.0 and -0.0 differ."""
     if len(x) > 1:
         bits = x.view(np.int64)
         if (bits == bits[0]).all():
-            return np.full(len(x), fn(x[0].item()))
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
+            return np.full(len(x), fn(x[0].item(), *args))
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, len(x))
 
 
 def _euler_directors(phi: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:

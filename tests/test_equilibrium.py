@@ -40,7 +40,8 @@ from limrod import (
     trivial_tensile_state,
     write_branch_csv,
 )
-from limrod.equilibrium import _branch, _branch_fn, _sheared_tilt
+from limrod.constitutive import _factor
+from limrod.equilibrium import _HALVES, _bisect_float, _branch, _branch_fn, _sheared_tilt
 from limrod.material import _constants, nondimensionalize
 
 from conftest import random_params
@@ -263,6 +264,22 @@ class TestArrayBisection:
             assert theta == pytest.approx(mp_sheared_angle(params, thrust), abs=1e-14)
         state = sheared_tensile_state(params, 2.0 * branch.thresh, grid_h=0.1)
         assert state.descriptor["identity_residual"] < 1e-14
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0])
+    def test_float_loop_evaluates_branch_fn(self, p):
+        # _bisect_float writes _branch_fn out; at every midpoint it visits,
+        # its Q* = g must be _branch_fn's bit for bit (no unit constants)
+        params = MaterialParams(0.8, 1.3, 1.0, 0.7, 1.9, 0.3, p)
+        branch = _branch(params)
+        for thrust in (1.5 * branch.thresh, 40.0 * branch.thresh):
+            gp, seen, want = thrust**-p, [], []
+            root = _bisect_float(gp, lambda p, gp, g: seen.append(g) or _factor(p, gp, g), branch.c, branch.k)
+            lo = root - 0.5 * _HALVES[-1]  # a sum of halves: the midpoints follow exactly
+            for half in _HALVES:
+                _branch_fn(branch.c, gp, math.floor(lo / (2 * half)) * (2 * half) + half,
+                           lambda p, gp, g: want.append(g) or _factor(p, gp, g))
+            assert seen == want and len(seen) == 47
+            assert math.acos(root) == sheared_angle(params, thrust)
 
     def test_empty(self, demo_params):
         # a sweep that lies wholly below the threshold
