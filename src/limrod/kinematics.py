@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,21 +58,31 @@ CSV_HEADER = "s,rx,ry,rz,d1x,d1y,d1z,d2x,d2y,d2z,d3x,d3y,d3z"
 _CSV_CHUNK = 1024  # rows formatted per write
 
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """Angles (phi, theta, psi) in radians; theta restricted to [0, pi]."""
+class EulerAngles(NamedTuple):
+    """Angles (phi, theta, psi) in radians; theta restricted to [0, pi].
+    An immutable tuple that equals only its own type; every way of making
+    one (call, ``_make``, ``_replace``, pickle, copy) checks theta."""
 
     phi: float
     theta: float
     psi: float
 
-    def __post_init__(self):
-        _check_theta(self.theta)
+    __eq__, __ne__, __hash__ = Strains.__eq__, Strains.__ne__, tuple.__hash__
 
 
 def _check_theta(theta: float) -> None:
     if not 0.0 <= theta <= math.pi:
         raise AngleOutOfRange(f"theta must lie in [0, pi], got {theta!r}")
+
+
+def _new_angles(cls, phi: float, theta: float, psi: float) -> EulerAngles:
+    _check_theta(theta)
+    return tuple.__new__(cls, (phi, theta, psi))
+
+
+# NamedTuple forbids both in its class body; _replace goes through _make
+EulerAngles.__new__ = staticmethod(_new_angles)
+EulerAngles._make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def _check_finite(what: str, error: type = AngleOutOfRange, **values: float) -> None:
@@ -261,21 +271,22 @@ def strains_from_euler(
     Raises AngleOutOfRange for a NaN or infinite psi or angle rate, and
     for finite rates whose strains overflow.
     """
+    _, theta, psi = angles
     dphi, dtheta, dpsi = angle_rates
-    sth = math.sin(angles.theta)
+    sth = math.sin(theta)
     try:
-        spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
+        spsi, cpsi = math.sin(psi), math.cos(psi)
     except ValueError:  # psi infinite, named below
         spsi = cpsi = math.nan
     u1 = dtheta * spsi - dphi * sth * cpsi
     u2 = dtheta * cpsi + dphi * sth * spsi
-    u3 = dpsi + dphi * math.cos(angles.theta)
+    u3 = dpsi + dphi * math.cos(theta)
     if not math.isfinite(u1 + u2 + u3):  # a non-finite input or an overflow makes one so
-        _check_finite("angle", psi=angles.psi)
+        _check_finite("angle", psi=psi)
         _check_finite("angle rate", dphi=dphi, dtheta=dtheta, dpsi=dpsi)
         _check_finite(f"at angle rates {(dphi, dtheta, dpsi)!r}, strain", u1=u1, u2=u2, u3=u3)
     v1, v2, v3 = tangent_components
-    return Strains(u1, u2, u3, v1, v2, v3)
+    return tuple.__new__(Strains, (u1, u2, u3, v1, v2, v3))  # Strains(...) less its Python __new__
 
 
 def frame_loads(loads: Loads, angles: EulerAngles, thrust: float) -> FrameLoads:

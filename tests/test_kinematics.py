@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import mpmath
@@ -147,6 +149,66 @@ class TestDirectorsFromEuler:
             Frame(d1=G1, d2=G2, d3=-G3)
 
 
+class TestEulerAnglesValue:
+    """EulerAngles is a three-field tuple that equals only its own type and
+    checks theta however it is made."""
+
+    VALUES = (0.0, 0.3, 0.1)
+
+    def test_equal_only_to_own_type(self):
+        angles = EulerAngles(*self.VALUES)
+        assert angles == EulerAngles(*self.VALUES) and not angles != EulerAngles(*self.VALUES)
+        assert angles != self.VALUES and self.VALUES != angles and not angles == self.VALUES
+        as_strains = Strains(*self.VALUES, 0.0, 0.0, 1.0)
+        assert angles[:3] == as_strains[:3] and angles != as_strains and as_strains != angles
+
+    def test_equal_instances_hash_equal(self):
+        assert hash(EulerAngles(*self.VALUES)) == hash(EulerAngles(*self.VALUES)) == hash(self.VALUES)
+        assert len({EulerAngles(*self.VALUES), EulerAngles(*self.VALUES), self.VALUES}) == 2
+
+    def test_immutable(self):
+        angles = EulerAngles(*self.VALUES)
+        for name in ("phi", "theta", "psi"):
+            with pytest.raises(AttributeError):
+                setattr(angles, name, 0.5)
+        assert angles == EulerAngles(*self.VALUES)
+
+    def test_unpacks_in_field_order(self):
+        phi, theta, psi = EulerAngles(*self.VALUES)
+        assert (phi, theta, psi) == self.VALUES
+        assert EulerAngles._fields == ("phi", "theta", "psi")
+        assert EulerAngles(psi=0.1, phi=0.0, theta=0.3) == EulerAngles(*self.VALUES)
+
+    def test_pickle_copy_and_repr(self):
+        angles = EulerAngles(*self.VALUES)
+        for back in (pickle.loads(pickle.dumps(angles)), copy.copy(angles), copy.deepcopy(angles)):
+            assert type(back) is EulerAngles and back == angles
+        assert repr(angles) == "EulerAngles(phi=0.0, theta=0.3, psi=0.1)"
+
+    @pytest.mark.parametrize("theta", [-0.1, 3.2, math.nan])
+    def test_theta_checked_on_every_path(self, theta):
+        message = f"^{re.escape(f'theta must lie in [0, pi], got {theta!r}')}$"
+        good = EulerAngles(*self.VALUES)
+        bad = tuple.__new__(EulerAngles, (0.0, theta, 0.1))  # skips the check, to feed the others
+        paths = [
+            lambda: EulerAngles(0.0, theta, 0.1),
+            lambda: EulerAngles(phi=0.0, theta=theta, psi=0.1),
+            lambda: EulerAngles._make([0.0, theta, 0.1]),
+            lambda: good._replace(theta=theta),
+            lambda: pickle.loads(pickle.dumps(bad)),
+            lambda: copy.copy(bad),
+        ]
+        for make in paths:
+            with pytest.raises(AngleOutOfRange, match=message):
+                make()
+
+    def test_make_and_replace_keep_their_contract(self):
+        assert EulerAngles._make(iter(self.VALUES)) == EulerAngles(*self.VALUES)
+        assert EulerAngles(*self.VALUES)._replace(psi=2.0) == EulerAngles(0.0, 0.3, 2.0)
+        with pytest.raises(ValueError, match="unexpected field names"):
+            EulerAngles(*self.VALUES)._replace(chi=1.0)
+
+
 class TestEulerKernel:
     """The array chart against the per-sample loop, bit for bit."""
 
@@ -272,6 +334,7 @@ class TestStrainsFromEuler:
     def test_static_angles(self):
         st = strains_from_euler(EulerAngles(0.3, 0.8, -0.2), (0, 0, 0), (0, 0, 1))
         assert (st.u1, st.u2, st.u3) == (0.0, 0.0, 0.0)
+        assert st == Strains(0.0, 0.0, 0.0, 0, 0, 1)  # type-strict: a Strains, not a tuple
 
     def test_pure_twist_rate(self):
         st = strains_from_euler(EulerAngles(0.0, 0.0, 0.0), (0, 0, 2.5), (0, 0, 1))
