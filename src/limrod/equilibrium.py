@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _factor, _load_gate, _scaled_factor
+from .constitutive import _TINY, Loads, Strains, _factor, _load_gate, _scaled_factor
 from .constitutive import loads_from_strains_batch, strains_from_loads
 from .errors import (
     AngleOutOfRange,
@@ -183,7 +183,8 @@ def _branch(params: MaterialParams) -> _Branch:
 
 def _new_branch(pn: MaterialParams) -> _Branch:
     c = _constants(pn)
-    det, ratio = c.det, c.det / (c.b2 * c.z2)
+    det, b2z2 = c.det, c.b2 * c.z2
+    ratio = det / b2z2 if b2z2 >= _TINY else (det / c.b2) / c.z2  # b2z2 lost digits or is 0
     if not ratio > 1.0:
         return _Branch(c, NoBifurcation(
             condition="dilatation-positivity",

@@ -149,10 +149,25 @@ class TestShearThreshold:
     @pytest.mark.parametrize("params", TINY_ZETA_SETS, ids=repr)
     def test_power_beyond_float_range(self, params):
         # (ratio - 1)^p once raised a raw OverflowError; the threshold is a
-        # normal float, about zeta^2
+        # normal float, about zeta^2 (abs=0: approx's default 1e-12 would
+        # pass any threshold this small)
         with mpmath.workdps(50):
             want = float(mp_branch(params)[0])
-        assert shear_threshold(params) == pytest.approx(want, rel=4e-16)
+        assert shear_threshold(params) == pytest.approx(want, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0])
+    @pytest.mark.parametrize("beta, zeta, iota", [
+        (1e-100, 1e-100, 0.0), (1e-80, 1e-80, 0.0), (1e-100, 1e-100, 3e-101), (1e-60, 1e-100, 0.0),
+    ])
+    def test_beta_zeta_product_below_normal(self, beta, zeta, iota, p):
+        # beta^2 zeta^2 is 0 or subnormal: ratio = det/(beta^2 zeta^2) once
+        # raised a raw ZeroDivisionError, or lost digits (9.99988867e-161 at 1e-80)
+        params = MaterialParams(1.0, beta, 1.0, zeta, 2.0, iota, p)
+        with mpmath.workdps(50):
+            want = float(mp_branch(params)[0])
+        # p = 1.5: the plain formula's own floor, its power amplifies the
+        # rounding of -1/p by |ln N^-p|, 550 to 690 here
+        assert shear_threshold(params) == pytest.approx(want, rel=4e-16 if p != 1.5 else 5e-14, abs=0.0)
 
     @pytest.mark.parametrize("params, bifurcates", [
         # zeta > 1: (ratio - 1)^p overflows although X = (ratio - 1) beta^2/det
