@@ -157,18 +157,26 @@ def _load_form(c: _Constants, m1, m2, m3, n1, n2, n3):
 
 
 def strain_quad_form(params: MaterialParams, strains: Strains) -> float:
-    """Quadratic form Q on the strain deviation from the reference state."""
-    return _strain_form(
+    """Quadratic form Q on the strain deviation from the reference state.
+    Raises StrainOutOfRange for a NaN or infinite component."""
+    q = _strain_form(
         _constants(params),
         strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0,
     )
+    if not q < math.inf and not all(map(math.isfinite, strains)):
+        raise _strain_error(strains)
+    return q
 
 
 def load_quad_form(params: MaterialParams, loads: Loads) -> float:
     """Dual quadratic form Q* on the loads; overflows to inf (rather than
-    raising) for load magnitudes beyond roughly 1e150."""
+    raising) for finite load magnitudes beyond roughly 1e150. Raises
+    LoadOutOfRange for a NaN or infinite component."""
     c = _constants(params)
-    return _load_form(c, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    qstar = _load_form(c, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    if not qstar < math.inf and not all(map(math.isfinite, loads)):
+        raise _load_error(loads)
+    return qstar
 
 
 def _one_minus_qp(q: float, p: float) -> float:
@@ -203,6 +211,10 @@ def _domain_q(c: _Constants, strains: Strains) -> float:
 
 def _load_error(values, why: str = _NONFINITE) -> LoadOutOfRange:
     return LoadOutOfRange(f"loads {why}: {Loads.from_array(values)}")
+
+
+def _strain_error(values) -> StrainOutOfRange:
+    return StrainOutOfRange(f"strains {_NONFINITE}: {Strains.from_array(values)}")
 
 
 def _factor(p: float, gp, qstar):

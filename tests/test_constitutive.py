@@ -135,6 +135,22 @@ class TestQuadraticForms:
         q = load_quad_form(mk(eta=2.0, iota=-1.0), Loads(0, 0, 1, 0, 0, 1))
         assert q == pytest.approx(7.0 / 3.0, rel=1e-15)  # (4 + 1 + 2)/3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 2, 5])
+    def test_nonfinite_component_raises(self, bad, slot):
+        # both returned NaN or inf without a warning
+        values = [0.1, 0.0, 0.2, 0.0, 0.3, 1.0]
+        values[slot] = bad
+        chiral = mk(eta=2.0, iota=0.3)
+        with pytest.raises(StrainOutOfRange, match=r"^strains are not all finite: Strains\(u1="):
+            strain_quad_form(chiral, Strains(*values))
+        with pytest.raises(LoadOutOfRange, match=r"^loads are not all finite: Loads\(m1="):
+            load_quad_form(chiral, Loads(*values))
+
+    def test_finite_overflow_returns_inf(self):
+        assert load_quad_form(mk(), Loads(0, 0, 0, 0, 0, 1e200)) == math.inf
+        assert strain_quad_form(mk(), Strains(1e200, 0, 0, 0, 0, 1)) == math.inf
+
     def test_forms_are_duals(self):
         # Q on the forward image equals Q* scaled by the squared factor:
         # the form matrices are mutual inverses.
