@@ -45,6 +45,7 @@ from .equilibrium import (
 from .errors import (
     AngleOutOfRange,
     BelowThreshold,
+    BranchUnderflow,
     DefinitenessViolation,
     DegenerateCouple,
     LoadOutOfRange,

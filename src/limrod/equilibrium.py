@@ -48,6 +48,7 @@ from .constitutive import loads_from_strains_batch, strains_from_loads
 from .errors import (
     AngleOutOfRange,
     BelowThreshold,
+    BranchUnderflow,
     DegenerateCouple,
     LoadOutOfRange,
     NoBifurcationError,
@@ -285,8 +286,13 @@ def _sheared_tilt(branch: _Branch, thrust):
     the + - * / steps run in numpy, in the float code's order, and the
     powers and the final acos in libm, so each angle has the bits of the
     float call; an array holding an N whose plain F leaves the float range
-    goes one N at a time."""
+    goes one N at a time. At the root F beta^2 x = k det > beta^2 zeta^2,
+    so where that product is below the normal range the branch function
+    loses its digits to underflow: BranchUnderflow, for every thrust (an
+    empty array needs no angle)."""
     c, k = branch.c, branch.k
+    if not c.b2 * c.z2 >= _TINY and np.size(thrust):
+        raise BranchUnderflow(f"the sheared angle needs beta^2 zeta^2 = {c.b2 * c.z2!r} to be a normal float")
     if isinstance(thrust, np.ndarray) and thrust.ndim:
         try:
             x = _bisect(c, _libm(pow, thrust, -c.p), k)

@@ -104,6 +104,16 @@ class TestValidate:
         assert capsys.readouterr().err == ""
 
 
+    def test_angle_below_normal_is_an_error(self, tmp_path, capsys):
+        # beta^2 zeta^2 underflows to 0: branch once wrote angles of 8.43e-8
+        # rad where the branch's are near pi/3, with exit 0
+        path = write_params(tmp_path, beta=1e-90, zeta=1e-90, eta=2.0, iota=0.0)
+        out = tmp_path / "branch.csv"
+        assert main(["branch", path, "--n-min", "0", "--n-max", "4e-180", "--count", "5",
+                     "--out", str(out)]) == 1
+        assert "BranchUnderflow" in capsys.readouterr().err and not out.exists()
+
+
 class TestEval:
     def test_forward_zero_loads(self, demo_file, capsys):
         assert main(["eval", demo_file, "forward", "0", "0", "0", "0", "0", "0"]) == 0

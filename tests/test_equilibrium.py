@@ -10,6 +10,7 @@ from limrod import (
     AngleOutOfRange,
     BelowThreshold,
     BranchPoint,
+    BranchUnderflow,
     DegenerateCouple,
     EquilibriumState,
     EulerAngles,
@@ -168,6 +169,34 @@ class TestShearThreshold:
         # p = 1.5: the plain formula's own floor, its power amplifies the
         # rounding of -1/p by |ln N^-p|, 550 to 690 here
         assert shear_threshold(params) == pytest.approx(want, rel=4e-16 if p != 1.5 else 5e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta, zeta, iota", [
+        (1e-80, 1e-80, 0.0), (1e-90, 1e-90, 0.0), (1e-100, 1e-100, 3e-101), (1e-60, 1e-100, 0.0),
+        (1e-160, 1.0, 0.0),
+    ])
+    def test_angle_below_normal_raises(self, beta, zeta, iota):
+        # F beta^2 x, of order beta^2 zeta^2 at the root, underflows: the angle
+        # once came out 8.43e-8 where 50-digit mpmath gives pi/3 (at 1e-90)
+        params = MaterialParams(1.0, beta, 1.0, zeta, 2.0, iota, 2.0)
+        thresh = shear_threshold(params)
+        message = "^the sheared angle needs beta\\^2 zeta\\^2 = .* to be a normal float$"
+        for call in (
+            lambda: sheared_angle(params, 2.0 * thresh),
+            lambda: sheared_angle(params, math.inf),
+            lambda: sheared_tensile_state(params, 2.0 * thresh, grid_h=0.1),
+            lambda: branch_sweep(params, 0.0, 4.0 * thresh, 5),
+        ):
+            with pytest.raises(BranchUnderflow, match=message):
+                call()
+        points, _ = branch_sweep(params, 0.0, thresh, 3)  # no sheared thrust, no angle
+        assert [pt.branch for pt in points] == ["trivial"] * 3
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0, 1e10])
+    def test_angle_just_above_normal_matches_mpmath(self, scale):
+        # beta^2 zeta^2 = 2^-1022 scale: the smallest products the angle takes
+        params = MaterialParams(1.0, 2.0**-256, 1.0, scale**0.5 * 2.0**-255, 2.0, 0.0, 2.0)
+        thrust = 2.0 * shear_threshold(params)
+        assert sheared_angle(params, thrust) == pytest.approx(mp_sheared_angle(params, thrust), abs=1e-14)
 
     @pytest.mark.parametrize("params, bifurcates", [
         # zeta > 1: (ratio - 1)^p overflows although X = (ratio - 1) beta^2/det
