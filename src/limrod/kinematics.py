@@ -69,6 +69,9 @@ class EulerAngles(NamedTuple):
 
     __eq__, __ne__, __hash__ = Strains.__eq__, Strains.__ne__, tuple.__hash__
 
+    def __reduce__(self):  # every pickle protocol rebuilds through the check
+        return type(self), tuple(self)
+
 
 def _check_theta(theta: float) -> None:
     if not 0.0 <= theta <= math.pi:

@@ -185,6 +185,12 @@ class TestEulerAnglesValue:
             assert type(back) is EulerAngles and back == angles
         assert repr(angles) == "EulerAngles(phi=0.0, theta=0.3, psi=0.1)"
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_every_protocol(self, protocol):
+        angles = EulerAngles(*self.VALUES)
+        back = pickle.loads(pickle.dumps(angles, protocol))
+        assert type(back) is EulerAngles and back == angles
+
     @pytest.mark.parametrize("theta", [-0.1, 3.2, math.nan])
     def test_theta_checked_on_every_path(self, theta):
         message = f"^{re.escape(f'theta must lie in [0, pi], got {theta!r}')}$"
@@ -195,7 +201,8 @@ class TestEulerAnglesValue:
             lambda: EulerAngles(phi=0.0, theta=theta, psi=0.1),
             lambda: EulerAngles._make([0.0, theta, 0.1]),
             lambda: good._replace(theta=theta),
-            lambda: pickle.loads(pickle.dumps(bad)),
+            *(lambda proto=proto: pickle.loads(pickle.dumps(bad, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)),
             lambda: copy.copy(bad),
         ]
         for make in paths:
