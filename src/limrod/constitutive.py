@@ -217,11 +217,13 @@ def _strain_error(values) -> StrainOutOfRange:
     return StrainOutOfRange(f"strains {_NONFINITE}: {Strains.from_array(values)}")
 
 
-def _factor(p: float, gp, qstar):
+def _factor(p: float, gp, qstar, power=pow):
     """The saturating factor F = (gamma^p + Q*^{p/2})^{-1/p} of the forward
     map from gp = gamma^p, on floats or arrays: the one place F is written.
-    The sheared branch function calls it with gp = N^-p (gamma = 1/N)."""
-    return (gp + qstar ** (0.5 * p)) ** (-1.0 / p)
+    ``power`` takes its two powers: the builtin pow (numpy's on arrays) for
+    the forward maps; libm's element by element, ``equilibrium._libm_factor``,
+    for the sheared branch function on arrays, with gp = N^-p (gamma = 1/N)."""
+    return power(gp + power(qstar, 0.5 * p), -1.0 / p)
 
 
 def _saturating_factor(p: float, g, qstar):

@@ -165,24 +165,16 @@ class BalanceReport:
 # bifurcation threshold and sheared angle
 
 
-# A normalised set's sheared branch: what does not depend on N, built once
-# from the set's record. thresh is the threshold thrust or the NoBifurcation
+# A normalised set's sheared branch: what does not depend on N, built from
+# the set's record. thresh is the threshold thrust or the NoBifurcation
 # verdict, ratio = det/(beta^2 zeta^2), and k = v3 - 1 = 1/(ratio - 1) is also
 # the bisection's target; k is NaN where there is no branch.
 _Branch = namedtuple("_Branch", "c thresh ratio k", defaults=(math.nan,))
 
 
 def _branch(params: MaterialParams) -> _Branch:
-    """The set's branch record, built from its normalised twin on first use
-    and kept in the instance's ``__dict__``, as its constants are: a later
-    call on the same instance is one lookup."""
-    record = params.__dict__.get("_branch")
-    if record is None:
-        record = params.__dict__["_branch"] = _new_branch(nondimensionalize(params))
-    return record
-
-
-def _new_branch(pn: MaterialParams) -> _Branch:
+    """The set's branch record, from its normalised twin."""
+    pn = nondimensionalize(params)
     c = _constants(pn)
     det, b2z2 = c.det, c.b2 * c.z2
     ratio = det / b2z2 if b2z2 >= _TINY else (det / c.b2) / c.z2  # b2z2 lost digits or is 0
@@ -267,17 +259,9 @@ def _plain_or_scaled(thrust: float, p: float, use: Callable, *args):
         return use(1.0 / thrust, _scaled_factor, *args)
 
 
-class _LibmPowers(np.ndarray):
-    """A float array whose ``**`` is libm's pow, element by element, as on a
-    float: numpy's power may round otherwise."""
-
-    def __pow__(self, e):
-        return _libm(pow, self.view(np.ndarray), e).view(_LibmPowers)
-
-
-def _libm_factor(p: float, gp: np.ndarray, qstar: np.ndarray) -> np.ndarray:
-    """``_factor`` on arrays, each power taken as on a float."""
-    return _factor(p, gp, qstar.view(_LibmPowers)).view(np.ndarray)
+# ``_factor`` on arrays, each power taken by libm's pow as on a float: numpy's
+# power may round otherwise
+_libm_factor = partial(_factor, power=partial(_libm, pow))
 
 
 def _sheared_tilt(branch: _Branch, thrust):
@@ -295,11 +279,11 @@ def _sheared_tilt(branch: _Branch, thrust):
         raise BranchUnderflow(f"the sheared angle needs beta^2 zeta^2 = {c.b2 * c.z2!r} to be a normal float")
     if isinstance(thrust, np.ndarray) and thrust.ndim:
         try:
-            x = _bisect(c, _libm(pow, thrust, -c.p), k)
+            x = _bisect(_libm(pow, thrust, -c.p), _libm_factor, c, k)
         except (OverflowError, ZeroDivisionError):
             return np.array([_sheared_tilt(branch, n) for n in thrust.tolist()])
         return _libm(math.acos, x)
-    return math.acos(_plain_or_scaled(thrust, c.p, _bisect_float, c, k))
+    return math.acos(_plain_or_scaled(thrust, c.p, _bisect, c, k))
 
 
 # The half-widths of the bisection's steps: its bracket is exactly 2^-j wide
@@ -307,30 +291,16 @@ def _sheared_tilt(branch: _Branch, thrust):
 _HALVES = tuple(takewhile(lambda h: h + h > _BISECT_TOL, (2.0**-j for j in count(1))))
 
 
-def _bisect(c: _Constants, gp: np.ndarray, k: float) -> np.ndarray:
-    """The roots x of f_N(x) = k in [0, 1], by bisection element by element,
-    for gp = N^-p. Every N takes the same steps, 47 (2^-47 <= 1e-14 <
+def _bisect(gp, factor: Callable, c: _Constants, k: float):
+    """The root x of f_N(x) = k in [0, 1] by bisection, F from ``factor`` at
+    gp (N^-p, or 1/N for ``_scaled_factor``): on a float, or element by
+    element on an array. Every N takes the same steps, 47 (2^-47 <= 1e-14 <
     2^-46), so the loop carries the bracket's lower end alone: lo + half is
-    exactly the midpoint of ``_bisect_float``."""
-    lo = np.zeros(len(gp))
+    exactly the midpoint."""
+    # 0.0, not gp * 0.0: gp = 1/N is inf at a subnormal N
+    lo = np.zeros(len(gp)) if isinstance(gp, np.ndarray) else 0.0
     for half in _HALVES:
-        lo = lo + half * (_branch_fn(c, gp, lo + half, _libm_factor) < k)
-    return lo + 0.5 * _HALVES[-1]
-
-
-def _bisect_float(gp: float, factor: Callable, c: _Constants, k: float) -> float:
-    """The root x of f_N(x) = k in [0, 1] by bisection, for one float N:
-    ``_bisect``'s steps, with ``_branch_fn`` written out op for op. The
-    array loop runs ``_branch_fn`` on arrays, which leaves CPython's float
-    specialisations of its steps unused, so a float call through it right
-    after a sweep ran markedly slower; this loop's steps see floats alone."""
-    p, z2, b2, det = c.p, c.z2, c.b2, c.det
-    lo = 0.0
-    for half in _HALVES:
-        x = lo + half
-        g = (1.0 - x * x) / z2 + b2 * x * x / det
-        if factor(p, gp, g) * b2 * x / det < k:
-            lo = x
+        lo = lo + half * (_branch_fn(c, gp, lo + half, factor) < k)
     return lo + 0.5 * _HALVES[-1]
 
 

@@ -42,7 +42,8 @@ from limrod import (
     write_branch_csv,
 )
 from limrod.constitutive import _factor
-from limrod.equilibrium import _HALVES, _bisect_float, _branch, _branch_fn, _sheared_tilt
+from limrod.equilibrium import _bisect, _branch, _branch_fn, _libm_factor, _sheared_tilt
+from limrod.kinematics import _libm
 from limrod.material import _constants, nondimensionalize
 
 from conftest import random_params
@@ -310,20 +311,23 @@ class TestArrayBisection:
         assert state.descriptor["identity_residual"] < 1e-14
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0])
-    def test_float_loop_evaluates_branch_fn(self, p):
-        # _bisect_float writes _branch_fn out; at every midpoint it visits,
-        # its Q* = g must be _branch_fn's bit for bit (no unit constants)
+    def test_float_and_array_visit_the_same_midpoints(self, p):
+        # one _bisect for both: a thrust as a float and inside an array must
+        # see the same Q* = g at each of its 47 midpoints, bit for bit
         params = MaterialParams(0.8, 1.3, 1.0, 0.7, 1.9, 0.3, p)
         branch = _branch(params)
-        for thrust in (1.5 * branch.thresh, 40.0 * branch.thresh):
-            gp, seen, want = thrust**-p, [], []
-            root = _bisect_float(gp, lambda p, gp, g: seen.append(g) or _factor(p, gp, g), branch.c, branch.k)
-            lo = root - 0.5 * _HALVES[-1]  # a sum of halves: the midpoints follow exactly
-            for half in _HALVES:
-                _branch_fn(branch.c, gp, math.floor(lo / (2 * half)) * (2 * half) + half,
-                           lambda p, gp, g: want.append(g) or _factor(p, gp, g))
-            assert seen == want and len(seen) == 47
-            assert math.acos(root) == sheared_angle(params, thrust)
+        thrusts = [1.5 * branch.thresh, 40.0 * branch.thresh, 1e6]
+
+        def recording(factor, seen):
+            return lambda p, gp, g: seen.append(g) or factor(p, gp, g)
+
+        rows = []
+        roots = _bisect(_libm(pow, np.array(thrusts), -p), recording(_libm_factor, rows), branch.c, branch.k)
+        for j, thrust in enumerate(thrusts):
+            seen = []
+            root = _bisect(thrust**-p, recording(_factor, seen), branch.c, branch.k)
+            assert len(seen) == 47 and seen == [g[j] for g in rows]
+            assert root == roots[j] and math.acos(root) == sheared_angle(params, thrust)
 
     def test_empty(self, demo_params):
         # a sweep that lies wholly below the threshold
