@@ -156,16 +156,25 @@ def _load_form(c: _Constants, m1, m2, m3, n1, n2, n3):
     )
 
 
+def _rescaled_form(form, c: _Constants, values) -> float:
+    """form(c, *values) for finite values whose plain sum is NaN, inf - inf in
+    the chiral term: the form of the values times the power of two k that
+    brings the largest below 1, as ``_load_gate`` scales, divided by k twice,
+    so that it overflows to inf where the plain terms did."""
+    k = math.ldexp(1.0, -math.frexp(max(map(abs, values)))[1])
+    return form(c, *(x * k for x in values)) / k / k
+
+
 def strain_quad_form(params: MaterialParams, strains: Strains) -> float:
-    """Quadratic form Q on the strain deviation from the reference state.
-    Raises StrainOutOfRange for a NaN or infinite component."""
-    q = _strain_form(
-        _constants(params),
-        strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0,
-    )
+    """Quadratic form Q on the strain deviation from the reference state;
+    overflows to inf for finite strains beyond roughly 1e150. Raises
+    StrainOutOfRange for a NaN or infinite component."""
+    c = _constants(params)
+    dev = strains.u1, strains.u2, strains.u3, strains.v1, strains.v2, strains.v3 - 1.0
+    q = _strain_form(c, *dev)
     if not q < math.inf and not all(map(math.isfinite, strains)):
         raise _strain_error(strains)
-    return q
+    return q if q == q else _rescaled_form(_strain_form, c, dev)
 
 
 def load_quad_form(params: MaterialParams, loads: Loads) -> float:
@@ -173,10 +182,10 @@ def load_quad_form(params: MaterialParams, loads: Loads) -> float:
     raising) for finite load magnitudes beyond roughly 1e150. Raises
     LoadOutOfRange for a NaN or infinite component."""
     c = _constants(params)
-    qstar = _load_form(c, loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3)
+    qstar = _load_form(c, *loads)
     if not qstar < math.inf and not all(map(math.isfinite, loads)):
         raise _load_error(loads)
-    return qstar
+    return qstar if qstar == qstar else _rescaled_form(_load_form, c, loads)
 
 
 def _one_minus_qp(q: float, p: float) -> float:

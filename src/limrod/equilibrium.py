@@ -329,30 +329,42 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     return _sheared_tilt(_sheared_branch(params, thrust), thrust)
 
 
-def _angle_factor(c: _Constants) -> float:
-    """[A^2 + A]^{-1/2} with A = 1/zeta^2 - beta^2/det."""
+def _angle_cos(pn: MaterialParams, thrust: float | None = None) -> float:
+    """cos theta = [A^2 + A]^{-1/2} (1/N^2 + 1/zeta^2)^{1/2} at p = 2, or at
+    thrust None its limit [A^2 + A]^{-1/2}/zeta at every p, where
+    A = 1/zeta^2 - beta^2/det. Where a power there overflows (a tiny N or
+    zeta), the scaled form hypot(1/N, 1/zeta)/(sqrt(A) sqrt(A + 1))."""
+    c = _sheared_branch(pn, thrust).c
     a = 1.0 / c.z2 - c.b2 / c.det
-    return (a * a + a) ** -0.5
+    try:
+        factor = (a * a + a) ** -0.5  # 0 where a * a overflows
+        cos = factor / pn.zeta if thrust is None else factor * math.sqrt(thrust**-2 + pn.zeta**-2)
+    except OverflowError:  # N^-2 or zeta^-2
+        cos = 0.0
+    if 0.0 < cos < math.inf:
+        return cos
+    gamma = 0.0 if thrust is None else 1.0 / thrust
+    return math.hypot(gamma, 1.0 / pn.zeta) / (math.sqrt(a) * math.sqrt(a + 1.0))
 
 
 def sheared_angle_p2(params: MaterialParams, thrust: float) -> float:
     """Closed-form sheared angle, valid only for exponent p = 2:
 
         cos theta = [A^2 + A]^{-1/2} (1/N^2 + 1/zeta^2)^{1/2},
-        A = 1/zeta^2 - beta^2/det.
+        A = 1/zeta^2 - beta^2/det,
+
+    in a scaled form where a power of it overflows (``_angle_cos``).
     """
     pn = nondimensionalize(params)
     if pn.p != 2.0:
         raise ValueError("closed form requires p = 2")
-    factor = _angle_factor(_sheared_branch(pn, thrust).c)
-    return math.acos(factor * math.sqrt(thrust**-2 + pn.zeta**-2))
+    return math.acos(_angle_cos(pn, thrust))
 
 
 def sheared_angle_limit(params: MaterialParams) -> float:
     """Limit of the sheared angle as the thrust grows unbounded:
     arccos{ [A^2 + A]^{-1/2} / zeta } with A = 1/zeta^2 - beta^2/det."""
-    pn = nondimensionalize(params)
-    return math.acos(_angle_factor(_sheared_branch(pn).c) / pn.zeta)
+    return math.acos(_angle_cos(nondimensionalize(params)))
 
 
 def thrust_strain_limits(params: MaterialParams) -> ThrustLimits:

@@ -150,6 +150,10 @@ class TestQuadraticForms:
     def test_finite_overflow_returns_inf(self):
         assert load_quad_form(mk(), Loads(0, 0, 0, 0, 0, 1e200)) == math.inf
         assert strain_quad_form(mk(), Strains(1e200, 0, 0, 0, 0, 1)) == math.inf
+        # chiral: inf - inf in the coupling term was once NaN
+        chiral = mk(eta=2.0, iota=0.3)
+        assert load_quad_form(chiral, Loads(0, 0, 1e200, 0, 0, 1e200)) == math.inf
+        assert strain_quad_form(chiral, Strains(0, 0, 1e200, 0, 0, -1e200)) == math.inf
 
     def test_forms_are_duals(self):
         # Q on the forward image equals Q* scaled by the squared factor:

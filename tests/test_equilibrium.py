@@ -307,6 +307,10 @@ class TestArrayBisection:
         assert got == [sheared_angle(params, np.array(thrust)) for thrust in thrusts]
         for thrust, theta in zip(thrusts, got):
             assert theta == pytest.approx(mp_sheared_angle(params, thrust), abs=1e-14)
+            if params.p == 2.0:  # the closed form: N^-2 once raised a raw OverflowError
+                assert math.cos(sheared_angle_p2(params, thrust)) == pytest.approx(math.cos(theta), abs=1e-14)
+        limit = sheared_angle_limit(params)
+        assert math.cos(limit) == pytest.approx(math.cos(sheared_angle(params, math.inf)), abs=1e-14)
         state = sheared_tensile_state(params, 2.0 * branch.thresh, grid_h=0.1)
         assert state.descriptor["identity_residual"] < 1e-14
 
