@@ -57,7 +57,13 @@ incomplete-beta kernel ``constitutive._incomplete_beta`` itself, at
 a = 2/p, b = 1 - 1/p for p in {0.05, 1/3, 0.5, 0.75, 1.5, 3, 4, 7, 100}
 (p = 1/3 and 1/2 reach the series' log terms, b + k = 0), on complements
 z from 0 and 1e-300 up to 1 and NaN, across the switch between its two
-branches; no generator draw either. ``reconstruct`` is digested by the
+branches; no generator draw either. ``overflow edges`` digests
+``sheared_angle_p2`` and ``sheared_angle_limit`` on sets with zeta from
+1e-150 to 1e-50 (p in {1.5, 2, 7}, iota in {0, 0.3}) at thrusts from
+2e-200 to 1e300, where N^-2 or A^2 overflows, and ``load_quad_form`` and
+``strain_quad_form`` on those sets and a chiral demo at the loads
+(0, 0, 1e200, 0, 0, 1e200) and strains (0, 0, 1e200, 0, 0, -1e200), whose
+chiral term is inf - inf; no draw. ``reconstruct`` is digested by the
 SHA-256 of the points and directors it builds from three constant and
 three varying seeded strain fields, from seeded start points and frames,
 at grid_h 1e-2 and 1e-3, drawn from a generator of its own.
@@ -398,6 +404,32 @@ def add_beta_kernel(add) -> None:
             add("beta kernel", lr.constitutive._incomplete_beta, a, b, (1.0 - z) ** a, z)
 
 
+# zeta^2 from 1e-100 to 1e-300: N^-2, A^2 = (1/zeta^2 - beta^2/det)^2 or the
+# branch function's powers leave the float range
+TINY_ZETA_SETS = [
+    lr.MaterialParams(1.0, 1.0, 1.0, zeta, 1.0, iota, p)
+    for zeta, p in ((1e-100, 2.0), (1e-100, 7.0), (1e-50, 7.0), (1e-150, 1.5))
+    for iota in (0.0, 0.3)
+]
+CHIRAL_HUGE_LOADS = lr.Loads(0.0, 0.0, 1e200, 0.0, 0.0, 1e200)
+CHIRAL_HUGE_STRAINS = lr.Strains(0.0, 0.0, 1e200, 0.0, 0.0, -1e200)
+
+
+def add_overflow_edges(add) -> None:
+    """The closed-form and limit angles and both quadratic forms where their
+    plain formulas overflow: the angles on the tiny-zeta sets above at
+    thrusts from 1.5 N_thresh to 1e300 and at 2e-200, the forms on those
+    sets and a chiral demo (iota = 0.3) at the huge chiral loads and strains."""
+    for params in TINY_ZETA_SETS:
+        thresh = lr.shear_threshold(params)
+        for thrust in (1.5 * thresh, 3.0 * thresh, 1e10 * thresh, 2e-200, 1.0, 1e300):
+            add("overflow edges", lr.sheared_angle_p2, params, thrust)
+        add("overflow edges", lr.sheared_angle_limit, params)
+    for params in TINY_ZETA_SETS + [lr.MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.3, 2.0)]:
+        add("overflow edges", lr.load_quad_form, params, CHIRAL_HUGE_LOADS)
+        add("overflow edges", lr.strain_quad_form, params, CHIRAL_HUGE_STRAINS)
+
+
 RECONSTRUCT_GRIDS = (1e-2, 1e-3)
 
 
@@ -497,6 +529,7 @@ def digest_records() -> dict[str, list[str]]:
     add_forward_units(add)
     add_load_gate(add)
     add_beta_kernel(add)
+    add_overflow_edges(add)
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
     for label, field, start, frame in reconstruct_fields(np.random.default_rng(SEED)):
