@@ -29,7 +29,12 @@ compare two checkouts with diff:
     diff old.txt new.txt
 
 ``--show LABEL`` prints the normalised outputs of the commands whose label
-contains LABEL instead of digests.
+contains LABEL instead of digests. ``--check`` compares the lines with
+those committed in ``tools/cli_digest.txt`` instead of printing them: it
+prints each committed line that moved (``-``) and each new line (``+``),
+and exits 1 if there is one. The committed lines were written on one host,
+and the bits follow its libm, so on another host ``--check`` may report
+lines that no change to the code moved.
 """
 
 from __future__ import annotations
@@ -43,9 +48,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+from digest_baseline import check
 from limrod.cli import main as limrod_main
 
 ROOT = Path(__file__).resolve().parent.parent
+BASELINE = Path(__file__).with_suffix(".txt")  # the committed lines
 
 # family -> arguments; every state uses --grid-h 1e-4
 PIPELINES = [
@@ -202,8 +209,11 @@ def commands(params_dir: Path, tmp: Path):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--show", metavar="LABEL", help="print outputs of matching commands")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--show", metavar="LABEL", help="print outputs of matching commands")
+    mode.add_argument("--check", action="store_true", help=f"print the lines that moved from {BASELINE.name}")
     args = parser.parse_args()
+    lines = []
     with tempfile.TemporaryDirectory(prefix="limrod-digest-") as name:
         tmp = Path(name)
         for label, argv, outputs, setup in commands(ROOT / "params", tmp):
@@ -211,9 +221,13 @@ def main() -> int:
                 setup()
             record = run(argv, tmp, outputs)
             if args.show is None:
-                print(f"{hashlib.sha256(record).hexdigest()}  {label}")
+                lines.append(f"{hashlib.sha256(record).hexdigest()}  {label}")
             elif args.show in label:
                 print(f"== {label}\n{record.decode('utf-8')}")
+    if args.check:
+        return check(lines, BASELINE)
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -77,7 +77,12 @@ compare two checkouts with diff:
 
 ``--show LABEL`` prints the case records of the functions whose label
 contains LABEL instead of digests; diffing two such outputs lists the
-cases that differ.
+cases that differ. ``--check`` compares the lines with those committed in
+``tools/lib_digest.txt`` instead of printing them: it prints each
+committed line that moved (``-``) and each new line (``+``), and exits 1
+if there is one. The committed lines were written on one host, and the
+bits follow its libm, so on another host ``--check`` may report lines
+that no change to the code moved.
 """
 
 from __future__ import annotations
@@ -94,8 +99,10 @@ from pathlib import Path
 import numpy as np
 
 import limrod as lr
+from digest_baseline import check
 
 ROOT = Path(__file__).resolve().parent.parent
+BASELINE = Path(__file__).with_suffix(".txt")  # the committed lines
 GRID_H = 0.05  # constructor grids: 21 samples
 FLOAT_MAX = sys.float_info.max
 SEED = 7  # both checkouts must draw the same inputs
@@ -541,15 +548,22 @@ def digest_records() -> dict[str, list[str]]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--show", metavar="LABEL", help="print case records of matching functions")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--show", metavar="LABEL", help="print case records of matching functions")
+    mode.add_argument("--check", action="store_true", help=f"print the lines that moved from {BASELINE.name}")
     args = parser.parse_args()
+    digests = []
     for label, lines in digest_records().items():
         if args.show is None:
             body = "\n".join(lines).encode("utf-8")
-            print(f"{hashlib.sha256(body).hexdigest()}  {label} ({len(lines)} cases)")
+            digests.append(f"{hashlib.sha256(body).hexdigest()}  {label} ({len(lines)} cases)")
         elif args.show in label:
             print(f"== {label}")
             print("\n".join(lines))
+    if args.check:
+        return check(digests, BASELINE)
+    for line in digests:
+        print(line)
     return 0
 
 
