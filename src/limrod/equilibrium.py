@@ -37,14 +37,13 @@ import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import count, takewhile
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .constitutive import _TINY, Loads, Strains, _factor, _load_gate, _scaled_factor
-from .constitutive import loads_from_strains_batch, strains_from_loads
+from .constitutive import _TINY, Loads, Strains, _load_gate, loads_from_strains_batch, strains_from_loads
+from .constitutive import strains_from_loads_batch
 from .errors import (
     AngleOutOfRange,
     BelowThreshold,
@@ -54,7 +53,7 @@ from .errors import (
     NoBifurcationError,
 )
 from .kinematics import Configuration, _check_finite, _derivative, _euler_directors, _libm, darboux_components
-from .material import MaterialParams, _constants, _Constants, nondimensionalize
+from .material import MaterialParams, _constants, nondimensionalize
 
 __all__ = [
     "NoBifurcation",
@@ -79,8 +78,6 @@ __all__ = [
 ]
 
 BRANCH_CSV_HEADER = "N,theta,u3,v3,v_shear_amplitude,branch"
-
-_BISECT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -165,61 +162,62 @@ class BalanceReport:
 # bifurcation threshold and sheared angle
 
 
-# A normalised set's sheared branch: what does not depend on N, built from
-# the set's record. thresh is the threshold thrust or the NoBifurcation
-# verdict, ratio = det/(beta^2 zeta^2), and k = v3 - 1 = 1/(ratio - 1) is also
-# the bisection's target; k is NaN where there is no branch.
-_Branch = namedtuple("_Branch", "c thresh ratio k", defaults=(math.nan,))
+# A normalised set's sheared branch: what does not depend on N. With
+# Y = beta/sqrt(det) = 1/sqrt(eta^2 - (iota/beta)^2), q = (zeta Y)^2 and
+# a = 1 - q, the branch equation F(1/N, Q*) beta^2 x/det = v3 - 1 at
+# x = cos(theta) reduces to x = ||(s, t)||_p with s = zeta^2/(a N) and
+# t = (zeta/a) sqrt(1 - a x^2). thresh is the threshold thrust or the
+# NoBifurcation verdict, and k = v3 - 1 = q/a (NaN, as zeta and a, where
+# there is no branch).
+_Branch = namedtuple("_Branch", "c thresh zeta a k", defaults=(math.nan,) * 3)
+_BELOW_ONE, _NEWTON_TOL, _NEWTON_STEPS = 1.0 - 2.0**-53, 2.0**-48, 100  # see _reduced_root
 
 
 def _branch(params: MaterialParams) -> _Branch:
-    """The set's branch record, from its normalised twin."""
+    """The set's branch record, from its normalised twin. Each product with
+    zeta^2 is formed from zeta, which keeps its digits where zeta^2 is
+    subnormal."""
     pn = nondimensionalize(params)
-    c = _constants(pn)
-    det, b2z2 = c.det, c.b2 * c.z2
-    ratio = det / b2z2 if b2z2 >= _TINY else (det / c.b2) / c.z2  # b2z2 lost digits or is 0
-    if not ratio > 1.0:
+    c, zeta, p = _constants(pn), pn.zeta, pn.p
+    zy = zeta / math.sqrt(pn.eta**2 - (pn.iota / pn.beta) ** 2)  # zeta Y
+    q = zy * zy
+    b2z2 = c.b2 * c.z2  # the verdicts print ratio = 1/q as det/(beta^2 zeta^2)
+    ratio = c.det / b2z2 if b2z2 >= _TINY else (c.det / c.b2) / c.z2
+    if not q < 1.0:
         return _Branch(c, NoBifurcation(
             condition="dilatation-positivity",
             detail=(
                 "sheared-branch dilatation is not positive: requires "
                 f"eta^2 > zeta^2 + iota^2/beta^2 (ratio = {ratio!r})"
             ),
-        ), ratio)
-    # N^-p = X^p - Y^p with X = (ratio - 1) beta^2/det and Y = beta/sqrt(det)
-    x, y = (ratio - 1.0) * (c.b2 / det), pn.beta / math.sqrt(det)
-    try:
-        inv_np = (ratio - 1.0) ** pn.p * (c.b2 / det) ** pn.p - y**pn.p
-    except OverflowError:  # a power beyond the float range
-        inv_np = math.inf
-    if not (inv_np > 0.0 and (inv_np < math.inf or y < x)):  # X^p > Y^p iff X > Y
-        gap = f"gap = {inv_np!r}" if inv_np != math.inf else f"X = {x!r} <= Y = {y!r}"
+        ))
+    a = 1.0 - q
+    r = zeta * (zy / a)
+    if not r < 1.0:  # r = Y/X, X = (ratio - 1) beta^2/det: printed as X^p - Y^p
+        x, y = (ratio - 1.0) * (c.b2 / c.det), pn.beta / math.sqrt(c.det)
+        try:
+            gap = f"gap = {(ratio - 1.0) ** p * (c.b2 / c.det) ** p - y**p!r}"
+        except OverflowError:
+            gap = f"X = {x!r} <= Y = {y!r}"
         return _Branch(c, NoBifurcation(
             condition="dilatation-limit",
             detail=(
                 "sheared-branch dilatation would exceed its limiting value: "
                 f"requires 1/(ratio - 1) < beta/sqrt(det) ({gap})"
             ),
-        ), ratio)
-    if inv_np < math.inf:
-        thresh = inv_np ** (-1.0 / pn.p)
-    else:  # N = (1 - (Y/X)^p)^{-1/p} / X, whose powers stay in range as Y < X
-        thresh = (1.0 - (y / x) ** pn.p) ** (-1.0 / pn.p) / x
-    return _Branch(c, thresh, ratio, 1.0 / (ratio - 1.0))
+        ))
+    return _Branch(c, zeta * (zeta / (a * (1.0 - r**p) ** (1.0 / p))), zeta, a, q / a)
 
 
 def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
     """Threshold thrust for the shearing bifurcation, or a NoBifurcation
     verdict naming the failed material condition.
 
-    Requires (a) eta^2 > zeta^2 + iota^2/beta^2, so the sheared dilatation
-    is positive, and (b) that dilatation staying strictly below its
-    limiting value; then
-
-        N^-p = (ratio - 1)^p (beta^2/det)^p - (beta^2/det)^{p/2}
-
-    with det = beta^2 eta^2 - iota^2 and ratio = det/(beta^2 zeta^2); where
-    that overflows (a tiny zeta), it is evaluated scaled by its first term.
+    With Y = beta/sqrt(det), q = (zeta Y)^2 and a = 1 - q, it requires
+    (a) q < 1, that is eta^2 > zeta^2 + iota^2/beta^2, so the sheared
+    dilatation is positive, and (b) r = zeta^2 Y/a < 1, so that dilatation
+    stays below its limiting value; then N_c = zeta^2/(a (1 - r^p)^{1/p}),
+    where x = cos(theta) = 1 solves the reduced branch equation (``_Branch``).
     """
     return _branch(params).thresh
 
@@ -238,81 +236,87 @@ def _sheared_branch(params: MaterialParams, thrust: float | None = None) -> _Bra
     return branch
 
 
-def _branch_fn(c: _Constants, gp, x, factor=_factor):
-    """Monotone function f_N(cos theta) whose unique root gives the sheared
-    angle; strictly increasing on [0, 1]: F at gamma = 1/N, Q* = g, times x.
-    F is ``factor(p, gp, g)``: ``_factor`` with gp = N^-p on floats,
-    ``_libm_factor`` on arrays, or ``_scaled_factor`` with gp = 1/N."""
-    g = (1.0 - x * x) / c.z2 + c.b2 * x * x / c.det
-    return factor(c.p, gp, g) * c.b2 * x / c.det
+def _thrust_term(branch: _Branch, thrust):
+    """s = zeta^2/(a N) on a float or an array: below 1 above N_c, 0 at inf."""
+    return branch.zeta * (branch.zeta / branch.a / thrust)
 
 
-def _plain_or_scaled(thrust: float, p: float, use: Callable, *args):
-    """use(gp, factor, *args) for a float N, with F in its plain form,
-    gp = N^-p and ``_factor``; where a power of that leaves the float range
-    (N^-p for a tiny N, or Q*^{p/2} for a tiny zeta), with F scaled,
-    gp = 1/N and ``_scaled_factor``."""
-    thrust = float(thrust)  # a numpy scalar's power overflows to inf, not OverflowError
-    try:
-        return use(thrust**-p, _factor, *args)
-    except (OverflowError, ZeroDivisionError):
-        return use(1.0 / thrust, _scaled_factor, *args)
+def _angle_cos(branch: _Branch, s):
+    """cos(theta) at p = 2 from s = zeta^2/(a N), on a float or an array:
+    ||(s, t0)||_2/sqrt(1 + zeta t0) with t0 = zeta/a. At s = 0 (N = inf) it
+    is the limit for every p, as x = t there. The 2-norm is taken as
+    max(s, t0) sqrt(1 + (min/max)^2), so no square overflows."""
+    t0 = branch.zeta / branch.a
+    top = np.maximum(s, t0)
+    low = np.minimum(s, t0) / top
+    return top * np.sqrt(1.0 + low * low) / np.sqrt(1.0 + branch.zeta * t0)
 
 
-# ``_factor`` on arrays, each power taken by libm's pow as on a float: numpy's
-# power may round otherwise
-_libm_factor = partial(_factor, power=partial(_libm, pow))
+def _reduced_norm(branch: _Branch, s: np.ndarray, x: np.ndarray) -> tuple:
+    """(n, w) element by element: n = ||(s, t)||_p with
+    t = (zeta/a) sqrt(1 - a x^2), the reduced equation's right side, and
+    w = t^p/n^p, which its slope needs. n is taken as m ||(s, t)/m||_p with
+    m = max(s, t), so its two powers, libm's, see operands in [0, 1]."""
+    p, a = branch.c.p, branch.a
+    t = branch.zeta / a * np.sqrt(1.0 - a * x * x)
+    top = np.maximum(s, t)
+    low = _libm(pow, np.minimum(s, t) / top, p)  # the larger term's power is 1
+    tail = 1.0 + low
+    return top * _libm(pow, tail, 1.0 / p), np.where(t >= s, 1.0, low) / tail
+
+
+def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
+    """The root x = cos(theta) of h(x) = x - ||(s, t)||_p at each thrust of
+    a 1-D array by safeguarded Newton: h rises strictly on [0, 1], from
+    below 0 to above 0 for N > N_c, with slope 1 + w n a x/(1 - a x^2).
+    The loop starts from the p = 2 closed form, exact at p = 2 and at
+    N = inf, and bisects the bracket [lo, hi] that the signs of h keep
+    where a step would leave it. A thrust is frozen once its step is below
+    2^-48 x, so it gets the same bits alone or inside any array, and its
+    root is clamped below 1, so theta > 0 right above the threshold."""
+    a = branch.a
+    s = _thrust_term(branch, thrust)
+    x = np.minimum(_angle_cos(branch, s), _BELOW_ONE)
+    lo, hi = np.zeros_like(x), np.ones_like(x)
+    out, todo = np.empty_like(x), np.arange(len(x))
+    for _ in range(_NEWTON_STEPS):
+        n, w = _reduced_norm(branch, s, x)
+        h = x - n
+        lo, hi = np.where(h < 0.0, x, lo), np.where(h > 0.0, x, hi)
+        new = x - h / (1.0 + w * n * (a * x / (1.0 - a * x * x)))
+        new = np.minimum(np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi)), _BELOW_ONE)
+        done = np.abs(new - x) <= _NEWTON_TOL * new
+        out[todo[done]] = new[done]
+        todo, s, x, lo, hi = (v[~done] for v in (todo, s, new, lo, hi))
+        if not len(todo):
+            break
+    out[todo] = x
+    return out
 
 
 def _sheared_tilt(branch: _Branch, thrust):
-    """theta(N), by bisection on cos(theta) in [0, 1] for f_N(cos theta) = k,
-    on a float N or, element by element, on an array of them. On an array
-    the + - * / steps run in numpy, in the float code's order, and the
-    powers and the final acos in libm, so each angle has the bits of the
-    float call; an array holding an N whose plain F leaves the float range
-    goes one N at a time. At the root F beta^2 x = k det > beta^2 zeta^2,
-    so where that product is below the normal range the branch function
-    loses its digits to underflow: BranchUnderflow, for every thrust (an
-    empty array needs no angle)."""
-    c, k = branch.c, branch.k
+    """theta(N) = acos(x), x the root of the reduced equation, on a float N
+    or, element by element, on an array: a float goes through the loop as
+    an array of one, and acos is libm's, so both give the same bits.
+    BranchUnderflow where beta^2 zeta^2 is below the normal range, for
+    every thrust (an empty array needs no angle)."""
+    c = branch.c
     if not c.b2 * c.z2 >= _TINY and np.size(thrust):
         raise BranchUnderflow(f"the sheared angle needs beta^2 zeta^2 = {c.b2 * c.z2!r} to be a normal float")
     if isinstance(thrust, np.ndarray) and thrust.ndim:
-        try:
-            x = _bisect(_libm(pow, thrust, -c.p), _libm_factor, c, k)
-        except (OverflowError, ZeroDivisionError):
-            return np.array([_sheared_tilt(branch, n) for n in thrust.tolist()])
-        return _libm(math.acos, x)
-    return math.acos(_plain_or_scaled(thrust, c.p, _bisect, c, k))
-
-
-# The half-widths of the bisection's steps: its bracket is exactly 2^-j wide
-# after j halvings, and it halves while the width exceeds _BISECT_TOL.
-_HALVES = tuple(takewhile(lambda h: h + h > _BISECT_TOL, (2.0**-j for j in count(1))))
-
-
-def _bisect(gp, factor: Callable, c: _Constants, k: float):
-    """The root x of f_N(x) = k in [0, 1] by bisection, F from ``factor`` at
-    gp (N^-p, or 1/N for ``_scaled_factor``): on a float, or element by
-    element on an array. Every N takes the same steps, 47 (2^-47 <= 1e-14 <
-    2^-46), so the loop carries the bracket's lower end alone: lo + half is
-    exactly the midpoint."""
-    # 0.0, not gp * 0.0: gp = 1/N is inf at a subnormal N
-    lo = np.zeros(len(gp)) if isinstance(gp, np.ndarray) else 0.0
-    for half in _HALVES:
-        lo = lo + half * (_branch_fn(c, gp, lo + half, factor) < k)
-    return lo + 0.5 * _HALVES[-1]
+        return _libm(math.acos, _reduced_root(branch, thrust))
+    return math.acos(_reduced_root(branch, np.array([float(thrust)]))[0])
 
 
 def _sheared_point(branch: _Branch, thrust: float, theta: float) -> BranchPoint:
     """The sheared branch at thrust N and tilt theta = theta(N), s = 0 and
     psi0 = 0: the closed-form strains (0, 0, -iota k/beta^2,
-    -k ratio tan(theta), 0, 1 + k), the twist +0 for an achiral set as on
-    the trivial branch, and the thrust in the director frame,
+    -tan(theta)/a, 0, 1 + k) with k = q/a, the twist +0 for an achiral set
+    as on the trivial branch, and the thrust in the director frame,
     (0, 0, 0, -N sin(theta), 0, N cos(theta)). The one place the branch's
     point is formed."""
     c, k = branch.c, branch.k
-    strains = Strains(0.0, 0.0, 0.0 - c.iota * k / c.b2, -(k * branch.ratio * math.tan(theta)), 0.0, 1.0 + k)
+    strains = Strains(0.0, 0.0, 0.0 - c.iota * k / c.b2, -(math.tan(theta) / branch.a), 0.0, 1.0 + k)
     loads = Loads(0.0, 0.0, 0.0, -thrust * math.sin(theta), 0.0, thrust * math.cos(theta))
     return BranchPoint(thrust, theta, strains, loads, "sheared")
 
@@ -320,51 +324,36 @@ def _sheared_point(branch: _Branch, thrust: float, theta: float) -> BranchPoint:
 def sheared_angle(params: MaterialParams, thrust: float) -> float:
     """Tilt angle theta(N) in (0, pi/2) of the sheared branch at thrust N.
 
-    Found by bisection on cos(theta) to absolute tolerance 1e-14; the
-    bracket [0, 1] is guaranteed by monotonicity of the branch function.
-    Raises BelowThreshold for N <= threshold, LoadOutOfRange for a NaN N
-    and NoBifurcationError when the material admits no sheared branch at
-    all. An infinite N gives the limit angle.
+    x = cos(theta) is the root of the reduced branch equation
+    x = ||(zeta^2/(a N), (zeta/a) sqrt(1 - a x^2))||_p (``_Branch``), found
+    by safeguarded Newton from its p = 2 closed form; within 1e-15 of
+    50-digit mpmath in cos(theta) for p from 0.5 to 100. Raises
+    BelowThreshold for N <= threshold, LoadOutOfRange for a NaN N and
+    NoBifurcationError when the material admits no sheared branch at all.
+    An infinite N gives the limit angle.
     """
     return _sheared_tilt(_sheared_branch(params, thrust), thrust)
-
-
-def _angle_cos(pn: MaterialParams, thrust: float | None = None) -> float:
-    """cos theta = [A^2 + A]^{-1/2} (1/N^2 + 1/zeta^2)^{1/2} at p = 2, or at
-    thrust None its limit [A^2 + A]^{-1/2}/zeta at every p, where
-    A = 1/zeta^2 - beta^2/det. Where a power there overflows (a tiny N or
-    zeta), the scaled form hypot(1/N, 1/zeta)/(sqrt(A) sqrt(A + 1))."""
-    c = _sheared_branch(pn, thrust).c
-    a = 1.0 / c.z2 - c.b2 / c.det
-    try:
-        factor = (a * a + a) ** -0.5  # 0 where a * a overflows
-        cos = factor / pn.zeta if thrust is None else factor * math.sqrt(thrust**-2 + pn.zeta**-2)
-    except OverflowError:  # N^-2 or zeta^-2
-        cos = 0.0
-    if 0.0 < cos < math.inf:
-        return cos
-    gamma = 0.0 if thrust is None else 1.0 / thrust
-    return math.hypot(gamma, 1.0 / pn.zeta) / (math.sqrt(a) * math.sqrt(a + 1.0))
 
 
 def sheared_angle_p2(params: MaterialParams, thrust: float) -> float:
     """Closed-form sheared angle, valid only for exponent p = 2:
 
-        cos theta = [A^2 + A]^{-1/2} (1/N^2 + 1/zeta^2)^{1/2},
-        A = 1/zeta^2 - beta^2/det,
+        cos theta = ||(s, t0)||_2/sqrt(1 + zeta t0),
+        s = zeta^2/(a N), t0 = zeta/a,
 
-    in a scaled form where a power of it overflows (``_angle_cos``).
+    the root of the reduced branch equation at p = 2.
     """
     pn = nondimensionalize(params)
     if pn.p != 2.0:
         raise ValueError("closed form requires p = 2")
-    return math.acos(_angle_cos(pn, thrust))
+    branch = _sheared_branch(pn, thrust)
+    return math.acos(_angle_cos(branch, _thrust_term(branch, thrust)))
 
 
 def sheared_angle_limit(params: MaterialParams) -> float:
-    """Limit of the sheared angle as the thrust grows unbounded:
-    arccos{ [A^2 + A]^{-1/2} / zeta } with A = 1/zeta^2 - beta^2/det."""
-    return math.acos(_angle_cos(nondimensionalize(params)))
+    """Limit of the sheared angle as the thrust grows unbounded, the same
+    for every p: arccos{ t0/sqrt(1 + zeta t0) } with t0 = zeta/a."""
+    return math.acos(_angle_cos(_sheared_branch(nondimensionalize(params)), 0.0))
 
 
 def thrust_strain_limits(params: MaterialParams) -> ThrustLimits:
@@ -452,21 +441,22 @@ def sheared_tensile_state(
     """Sheared tensile state at thrust N > threshold, tilted by theta(N).
 
     Twist and dilatation are N-independent constants of the material:
-    v3 - 1 = 1/(ratio - 1) and u3 = -iota (v3 - 1)/beta^2; the shear
-    strains oscillate along the rod with amplitude
-    (v3 - 1) * ratio * tan(theta) at phase u3 s + psi0. The centerline
-    stays parallel to g3 while d3 tilts by theta. The descriptor's
-    identity_residual is |f_N(cos theta) - k|/k: the saturating factor at
-    the branch loads against its closed form det k/(beta^2 N cos(theta)),
-    scaled by gamma = 1/N so that its Q* cannot overflow. Past 1e-8 it
-    raises ArithmeticError. A NaN or infinite N raises LoadOutOfRange.
+    v3 - 1 = k = q/a and u3 = -iota k/beta^2, with q = (zeta Y)^2,
+    Y = beta/sqrt(det) and a = 1 - q; the shear strains oscillate along
+    the rod with amplitude tan(theta)/a at phase u3 s + psi0. The
+    centerline stays parallel to g3 while d3 tilts by theta. The
+    descriptor's identity_residual is |x - n|/n at x = cos(theta), the
+    reduced branch equation x = n = ||(s, t)||_p (``_Branch``), where n/x is
+    the saturating factor at the branch loads over its closed form
+    det k/(beta^2 N x). Past 1e-8 it raises ArithmeticError. A NaN or
+    infinite N raises LoadOutOfRange.
     """
     pn = nondimensionalize(params)
     branch = _sheared_branch(pn, thrust)
     pt = _sheared_point(branch, thrust, _sheared_tilt(branch, thrust))
     st, sth, cth = pt.strains, math.sin(pt.theta), math.cos(pt.theta)
-    f = _plain_or_scaled(thrust, branch.c.p, lambda gp, factor: _branch_fn(branch.c, gp, cth, factor))
-    identity_residual = abs(f - branch.k) / branch.k
+    n = float(_reduced_norm(branch, np.array([_thrust_term(branch, thrust)]), np.array([cth]))[0][0])
+    identity_residual = abs(cth - n) / n
     if identity_residual > 1e-8:
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"
@@ -630,8 +620,11 @@ def branch_sweep(
 
     Returns the points sorted by (N, branch) together with the threshold
     verdict; sheared points appear only for thrusts strictly above the
-    threshold. One bisection runs over all of those thrusts at once, and its
-    angles are bit for bit those of ``sheared_angle``. A NaN or infinite
+    threshold. The trivial points' strains come from one
+    ``strains_from_loads_batch`` call on the loads (0, 0, 0, 0, 0, N), so
+    they may differ from ``strains_from_loads`` by a few ulps. One Newton
+    loop solves the reduced branch equation at all sheared thrusts at once,
+    and its angles are bit for bit those of ``sheared_angle``. A NaN or infinite
     bound raises LoadOutOfRange naming it, and n_min >= n_max or count < 2 a
     ValueError. A span n_max - n_min that overflows is gridded at half scale
     and doubled, exactly; else np.linspace.
@@ -643,12 +636,14 @@ def branch_sweep(
     if count < 2:
         raise ValueError(f"need at least 2 sweep points, got {count!r}")
     branch = _branch(pn)
-    points: list[BranchPoint] = []
     scale = 1.0 if n_max - n_min < math.inf else 2.0
     grid = scale * np.linspace(n_min / scale, n_max / scale, count)
-    for thrust in grid.tolist():
-        loads = Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust)
-        points.append(BranchPoint(thrust, 0.0, strains_from_loads(pn, loads), loads, "trivial"))
+    rows = np.zeros((count, 6))
+    rows[:, 5] = grid
+    points = [
+        BranchPoint(thrust, 0.0, Strains._make(st), Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust), "trivial")
+        for thrust, st in zip(grid.tolist(), strains_from_loads_batch(pn, rows).tolist())
+    ]
     if not isinstance(branch.thresh, NoBifurcation):
         sheared = grid[grid > branch.thresh]
         thetas = _sheared_tilt(branch, sheared).tolist()

@@ -37,13 +37,13 @@ from limrod import (
     state_from_configuration,
     strain_quad_form,
     strains_from_loads,
+    strains_from_loads_batch,
     thrust_strain_limits,
     trivial_tensile_state,
     write_branch_csv,
 )
-from limrod.constitutive import _factor
-from limrod.equilibrium import _bisect, _branch, _branch_fn, _libm_factor, _sheared_tilt
-from limrod.kinematics import _libm
+from limrod import shear_factors
+from limrod.equilibrium import _branch, _reduced_norm, _sheared_tilt, _thrust_term
 from limrod.material import _constants, nondimensionalize
 
 from conftest import random_params
@@ -64,12 +64,21 @@ HELIX_SETS = {
 
 
 # sets whose plain threshold formula, (ratio - 1)^p, or whose branch function's
-# N^-p or Q*^{p/2} leaves the float range: zeta^2 from 1e-100 to 1e-300
+# N^-p or Q*^{p/2} leaves the float range: zeta^2 from 1e-100 to 1e-300, and
+# subnormal (1e-310) with beta^2 zeta^2 normal
 TINY_ZETA_SETS = [
     MaterialParams(1.0, 1.0, 1.0, zeta, 1.0, iota, p)
     for zeta, p in ((1e-100, 2.0), (1e-100, 7.0), (1e-50, 7.0), (1e-150, 1.5))
     for iota in (0.0, 0.3)
-]
+] + [MaterialParams(1.0, 100.0, 1.0, 1e-155, 1e-3, 0.0, 2.0), MaterialParams(1.0, 1e100, 1.0, 1e-155, 1.0, 0.0, 2.0)]
+
+# sets where the threshold once lost digits: N^-p large but finite (zeta from
+# 1e-100 to 1e-20), det/(beta^2 zeta^2) overflowing (zeta = 1e-150,
+# eta = 5e6), and a subnormal beta^2 (beta = 1e-160)
+THRESHOLD_EDGE_SETS = [
+    MaterialParams(1.0, 1.0, 1.0, zeta, 1.0, 0.0, p)
+    for zeta, p in ((1e-100, 1.5), (1e-50, 3.0), (1e-20, 1.5), (1e-20, 3.0), (1e-20, 7.0))
+] + [MaterialParams(1.0, 1.0, 1.0, 1e-150, 5e6, 0.0, 2.0), MaterialParams(1.0, 1e-160, 1.0, 1.0, 2.0, 0.0, 2.0)]
 
 
 def mp_branch(params):
@@ -148,7 +157,7 @@ class TestShearThreshold:
         assert isinstance(verdict, NoBifurcation)
         assert verdict.condition == "dilatation-limit"
 
-    @pytest.mark.parametrize("params", TINY_ZETA_SETS, ids=repr)
+    @pytest.mark.parametrize("params", TINY_ZETA_SETS + THRESHOLD_EDGE_SETS, ids=repr)
     def test_power_beyond_float_range(self, params):
         # (ratio - 1)^p once raised a raw OverflowError; the threshold is a
         # normal float, about zeta^2 (abs=0: approx's default 1e-12 would
@@ -167,9 +176,7 @@ class TestShearThreshold:
         params = MaterialParams(1.0, beta, 1.0, zeta, 2.0, iota, p)
         with mpmath.workdps(50):
             want = float(mp_branch(params)[0])
-        # p = 1.5: the plain formula's own floor, its power amplifies the
-        # rounding of -1/p by |ln N^-p|, 550 to 690 here
-        assert shear_threshold(params) == pytest.approx(want, rel=4e-16 if p != 1.5 else 5e-14, abs=0.0)
+        assert shear_threshold(params) == pytest.approx(want, rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("beta, zeta, iota", [
         (1e-80, 1e-80, 0.0), (1e-90, 1e-90, 0.0), (1e-100, 1e-100, 3e-101), (1e-60, 1e-100, 0.0),
@@ -252,15 +259,16 @@ class TestShearedAngle:
         with pytest.raises(NoBifurcationError):
             sheared_angle(MaterialParams(1, 1, 1, 1, 1, 0, 2), 5.0)
 
-    def test_branch_function_monotone(self):
+    def test_reduced_function_monotone(self):
+        # h(x) = x - ||(s, t(x))||_p, whose root is cos(theta)
         rng = np.random.default_rng(43)
         for _ in range(50):
             params = bifurcating_params(rng)
-            thresh = shear_threshold(params)
-            thrust = thresh * rng.uniform(1.1, 10.0)
+            branch = _branch(params)
+            thrust = branch.thresh * rng.uniform(1.1, 10.0)
             xs = np.linspace(0.0, 1.0, 101)
-            vals = [_branch_fn(_constants(params), thrust**-params.p, float(x)) for x in xs]
-            assert all(b > a for a, b in zip(vals, vals[1:]))
+            h = xs - _reduced_norm(branch, np.full(101, _thrust_term(branch, thrust)), xs)[0]
+            assert (np.diff(h) > 0.0).all() and h[0] < 0.0 < h[-1]
 
     def test_random_sets_continuity_and_monotone_growth(self):
         rng = np.random.default_rng(47)
@@ -314,24 +322,20 @@ class TestArrayBisection:
         state = sheared_tensile_state(params, 2.0 * branch.thresh, grid_h=0.1)
         assert state.descriptor["identity_residual"] < 1e-14
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0])
-    def test_float_and_array_visit_the_same_midpoints(self, p):
-        # one _bisect for both: a thrust as a float and inside an array must
-        # see the same Q* = g at each of its 47 midpoints, bit for bit
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 100.0])
+    def test_float_and_any_array_give_the_same_bits(self, p):
+        # each thrust is frozen once it converges, so its angle cannot depend
+        # on the thrusts that share its array, their number or their order
         params = MaterialParams(0.8, 1.3, 1.0, 0.7, 1.9, 0.3, p)
         branch = _branch(params)
-        thrusts = [1.5 * branch.thresh, 40.0 * branch.thresh, 1e6]
-
-        def recording(factor, seen):
-            return lambda p, gp, g: seen.append(g) or factor(p, gp, g)
-
-        rows = []
-        roots = _bisect(_libm(pow, np.array(thrusts), -p), recording(_libm_factor, rows), branch.c, branch.k)
-        for j, thrust in enumerate(thrusts):
-            seen = []
-            root = _bisect(thrust**-p, recording(_factor, seen), branch.c, branch.k)
-            assert len(seen) == 47 and seen == [g[j] for g in rows]
-            assert root == roots[j] and math.acos(root) == sheared_angle(params, thrust)
+        thrusts = branch.thresh * np.concatenate([1.0 + np.geomspace(1e-12, 1.0, 7), np.geomspace(3.0, 1e200, 9)])
+        want = [sheared_angle(params, thrust) for thrust in thrusts.tolist()]
+        rng = np.random.default_rng(71)
+        for picked in (np.arange(len(thrusts)), rng.permutation(len(thrusts)), rng.choice(len(thrusts), 5),
+                       np.repeat(np.arange(3), 4)):
+            assert _sheared_tilt(branch, thrusts[picked]).tolist() == [want[i] for i in picked]
+        for i, thrust in enumerate(thrusts.tolist()):
+            assert _sheared_tilt(branch, np.array([thrust])).tolist() == [want[i]]
 
     def test_empty(self, demo_params):
         # a sweep that lies wholly below the threshold
@@ -345,6 +349,49 @@ class TestArrayBisection:
         branch = _branch(params)
         assert sheared_angle(params, math.inf) == pytest.approx(sheared_angle_limit(params), abs=1e-13)
         assert _sheared_tilt(branch, np.array([math.inf])).tolist() == [sheared_angle(params, math.inf)]
+
+
+def mp_sheared_cos(params, thrust):
+    """cos(theta) at 50 digits, the root of the library's branch function."""
+    with mpmath.workdps(50):
+        _, k, f = mp_branch(params)
+        return mpmath.findroot(lambda x: f(thrust, x) - k, (0, 1), solver="anderson")
+
+
+REDUCED_EXPONENTS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 12.0, 100.0]
+
+
+def reduced_grid_thrusts(thresh):
+    """Thrusts from N_c (1 + 1e-12) to 1e300, and inf."""
+    near = thresh * (1.0 + np.geomspace(1e-12, 1e-2, 6))
+    return np.concatenate([near, np.geomspace(1.1 * thresh, 1e300, 10), [math.inf]]).tolist()
+
+
+class TestReducedEquation:
+    """The Newton root of the reduced branch equation against 50-digit
+    mpmath, and the saturating-factor identity it stands for."""
+
+    @pytest.mark.parametrize("iota", [0.0, 0.3])
+    @pytest.mark.parametrize("p", REDUCED_EXPONENTS)
+    def test_cos_matches_mpmath(self, p, iota):
+        params = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, iota, p)
+        thrusts = reduced_grid_thrusts(shear_threshold(params))
+        got = np.cos(_sheared_tilt(_branch(params), np.array(thrusts)))
+        for thrust, x in zip(thrusts, got):
+            assert abs(x - mp_sheared_cos(params, thrust)) <= 1e-15, thrust
+
+    @pytest.mark.parametrize("iota", [0.0, 0.3])
+    @pytest.mark.parametrize("p", REDUCED_EXPONENTS)
+    def test_factor_identity(self, p, iota):
+        # criterion 7's form: F at the branch loads N (-sin(theta), 0, cos(theta))
+        # equals det k/(beta^2 N cos(theta)), F from the library's shear_factors
+        params = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, iota, p)
+        det, k = params.twist_stretch_det, _branch(params).k
+        for thrust in reduced_grid_thrusts(shear_threshold(params))[:-1]:
+            theta = sheared_angle(params, thrust)
+            loads = Loads(0.0, 0.0, 0.0, -thrust * math.sin(theta), 0.0, thrust * math.cos(theta))
+            f = shear_factors(params, loads)[1] * params.zeta**2
+            assert abs(f * params.beta**2 * thrust * math.cos(theta) / (det * k) - 1.0) <= 1e-13, thrust
 
 
 class TestTrivialBranch:
@@ -980,6 +1027,18 @@ class TestBranchSweep:
                 want = sheared_tensile_state(params, pt.N, grid_h=0.1).descriptor["strains"]
                 got = {"u3": pt.strains.u3, "v3": pt.strains.v3, "v_shear_amplitude": -pt.strains.v1}
                 assert got == want and pt.strains.v2 == 0.0
+
+    def test_trivial_rows_equal_the_batch_map(self, demo_params):
+        # one batch call on the (0, 0, 0, 0, 0, N) rows, bit for bit; the
+        # scalar map's powers round differently, by a few ulps
+        chiral = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.3, 1.5)
+        for params in (demo_params, chiral):
+            points, _ = branch_sweep(params, -1e6, 1e6, 61)
+            trivial = [pt for pt in points if pt.branch == "trivial"]
+            got = np.array([pt.strains for pt in trivial])
+            assert got.tolist() == strains_from_loads_batch(params, np.array([pt.loads for pt in trivial])).tolist()
+            want = np.array([strains_from_loads(params, pt.loads) for pt in trivial])
+            np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_achiral_sheared_twist_is_positive_zero(self, demo_params, tmp_path):
         # -iota k / beta^2 was -0.0, so the CSV wrote -0 in the sheared rows
