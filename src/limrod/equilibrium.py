@@ -170,7 +170,11 @@ class BalanceReport:
 # NoBifurcation verdict, and k = v3 - 1 = q/a (NaN, as zeta and a, where
 # there is no branch).
 _Branch = namedtuple("_Branch", "c thresh zeta a k", defaults=(math.nan,) * 3)
-_BELOW_ONE, _NEWTON_TOL, _NEWTON_STEPS = 1.0 - 2.0**-53, 2.0**-48, 100  # see _reduced_root
+# the root's clamp: 1 - 2^-53 is the largest float below 1, and 2^-52 the
+# smallest power of two whose acos lies below the float pi/2
+_X_MIN, _X_MAX = 2.0**-52, 1.0 - 2.0**-53
+_NEWTON_TOL = 2.0**-48  # a thrust stops once its Newton step is below this times x
+_NEWTON_STEPS = 100  # a cap that bisection alone would meet; Newton takes 4-5
 
 
 def _branch(params: MaterialParams) -> _Branch:
@@ -272,11 +276,13 @@ def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
     The loop starts from the p = 2 closed form, exact at p = 2 and at
     N = inf, and bisects the bracket [lo, hi] that the signs of h keep
     where a step would leave it. A thrust is frozen once its step is below
-    2^-48 x, so it gets the same bits alone or inside any array, and its
-    root is clamped below 1, so theta > 0 right above the threshold."""
+    2^-48 x, so it gets the same bits alone or inside any array. Its root
+    is clamped to [2^-52, 1 - 2^-53], so theta lies in (0, pi/2) as a
+    float, right above the threshold and where cos(theta) is below 2^-52
+    (zeta <~ 1e-16 at a large N), at a cost of at most 2^-52 in x."""
     a = branch.a
     s = _thrust_term(branch, thrust)
-    x = np.minimum(_angle_cos(branch, s), _BELOW_ONE)
+    x = np.clip(_angle_cos(branch, s), _X_MIN, _X_MAX)
     lo, hi = np.zeros_like(x), np.ones_like(x)
     out, todo = np.empty_like(x), np.arange(len(x))
     for _ in range(_NEWTON_STEPS):
@@ -284,7 +290,7 @@ def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
         h = x - n
         lo, hi = np.where(h < 0.0, x, lo), np.where(h > 0.0, x, hi)
         new = x - h / (1.0 + w * n * (a * x / (1.0 - a * x * x)))
-        new = np.minimum(np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi)), _BELOW_ONE)
+        new = np.clip(np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi)), _X_MIN, _X_MAX)
         done = np.abs(new - x) <= _NEWTON_TOL * new
         out[todo[done]] = new[done]
         todo, s, x, lo, hi = (v[~done] for v in (todo, s, new, lo, hi))
@@ -446,7 +452,7 @@ def sheared_tensile_state(
     the rod with amplitude tan(theta)/a at phase u3 s + psi0. The
     centerline stays parallel to g3 while d3 tilts by theta. The
     descriptor's identity_residual is |x - n|/n at x = cos(theta), the
-    reduced branch equation x = n = ||(s, t)||_p (``_Branch``), where n/x is
+    reduced branch equation x = n = ||(s, t)||_p (``_Branch``), where x/n is
     the saturating factor at the branch loads over its closed form
     det k/(beta^2 N x). Past 1e-8 it raises ArithmeticError. A NaN or
     infinite N raises LoadOutOfRange.

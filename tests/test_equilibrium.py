@@ -33,6 +33,7 @@ from limrod import (
     sheared_angle_limit,
     sheared_angle_p2,
     sheared_tensile_state,
+    shear_factors,
     shear_threshold,
     state_from_configuration,
     strain_quad_form,
@@ -42,7 +43,6 @@ from limrod import (
     trivial_tensile_state,
     write_branch_csv,
 )
-from limrod import shear_factors
 from limrod.equilibrium import _branch, _reduced_norm, _sheared_tilt, _thrust_term
 from limrod.material import _constants, nondimensionalize
 
@@ -321,6 +321,10 @@ class TestArrayBisection:
         assert math.cos(limit) == pytest.approx(math.cos(sheared_angle(params, math.inf)), abs=1e-14)
         state = sheared_tensile_state(params, 2.0 * branch.thresh, grid_h=0.1)
         assert state.descriptor["identity_residual"] < 1e-14
+        # cos(theta) about zeta near 1e300: theta is clamped below the float pi/2
+        points, _ = branch_sweep(params, 0.0, 1e300, 7)
+        assert [pt.theta for pt in points if pt.branch == "sheared"] == [
+            sheared_angle(params, pt.N) for pt in points if pt.branch == "sheared"]
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 100.0])
     def test_float_and_any_array_give_the_same_bits(self, p):
@@ -976,8 +980,7 @@ class TestDescriptorWireFormat:
             sheared_angle_p2(params, 5.0)
 
     def test_shear_factors_survive_giant_loads(self, demo_params):
-        from limrod import shear_factors
-
+        
         u_fac, v_fac = shear_factors(demo_params, Loads(0, 0, 0, 0, 0, 1e120))
         assert 0.0 < u_fac < 1e-100 and math.isfinite(u_fac)
         assert 0.0 < v_fac < 1e-100 and math.isfinite(v_fac)
