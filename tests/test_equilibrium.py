@@ -980,7 +980,8 @@ class TestDescriptorWireFormat:
             sheared_angle_p2(params, 5.0)
 
     def test_shear_factors_survive_giant_loads(self, demo_params):
-        
+        from limrod import shear_factors
+
         u_fac, v_fac = shear_factors(demo_params, Loads(0, 0, 0, 0, 0, 1e120))
         assert 0.0 < u_fac < 1e-100 and math.isfinite(u_fac)
         assert 0.0 < v_fac < 1e-100 and math.isfinite(v_fac)
