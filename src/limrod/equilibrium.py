@@ -274,23 +274,25 @@ def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
     a 1-D array by safeguarded Newton: h rises strictly on [0, 1], from
     below 0 to above 0 for N > N_c, with slope 1 + w n a x/(1 - a x^2).
     The loop starts from the p = 2 closed form, exact at p = 2 and at
-    N = inf, and bisects the bracket [lo, hi] that the signs of h keep
-    where a step would leave it. A thrust is frozen once its step is below
-    2^-48 x, so it gets the same bits alone or inside any array. Its root
-    is clamped to [2^-52, 1 - 2^-53], so theta lies in (0, pi/2) as a
-    float, right above the threshold and where cos(theta) is below 2^-52
-    (zeta <~ 1e-16 at a large N), at a cost of at most 2^-52 in x."""
+    N = inf. Each step is clamped to [2^-52, 1 - 2^-53], and bisects the
+    bracket [lo, hi] that the signs of h keep, from that range, where it
+    would leave it: a step past 1 from the left, where h is convex, lands
+    at 1 - 2^-53 and converges from the right. A thrust is frozen once its
+    step is below 2^-48 x, so it gets the same bits alone or inside any
+    array. The clamp keeps theta in (0, pi/2) as a float, right above the
+    threshold and where cos(theta) is below 2^-52 (zeta <~ 1e-16 at a
+    large N), at a cost of at most 2^-52 in x."""
     a = branch.a
     s = _thrust_term(branch, thrust)
     x = np.clip(_angle_cos(branch, s), _X_MIN, _X_MAX)
-    lo, hi = np.zeros_like(x), np.ones_like(x)
+    lo, hi = np.full_like(x, _X_MIN), np.full_like(x, _X_MAX)
     out, todo = np.empty_like(x), np.arange(len(x))
     for _ in range(_NEWTON_STEPS):
         n, w = _reduced_norm(branch, s, x)
         h = x - n
         lo, hi = np.where(h < 0.0, x, lo), np.where(h > 0.0, x, hi)
-        new = x - h / (1.0 + w * n * (a * x / (1.0 - a * x * x)))
-        new = np.clip(np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi)), _X_MIN, _X_MAX)
+        new = np.clip(x - h / (1.0 + w * n * (a * x / (1.0 - a * x * x))), _X_MIN, _X_MAX)
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
         done = np.abs(new - x) <= _NEWTON_TOL * new
         out[todo[done]] = new[done]
         todo, s, x, lo, hi = (v[~done] for v in (todo, s, new, lo, hi))
