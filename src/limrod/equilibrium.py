@@ -170,8 +170,9 @@ class BalanceReport:
 # NoBifurcation verdict, and k = v3 - 1 = q/a (NaN, as zeta and a, where
 # there is no branch).
 _Branch = namedtuple("_Branch", "c thresh zeta a k", defaults=(math.nan,) * 3)
-# the root's clamp: 1 - 2^-53 is the largest float below 1, and 2^-52 the
-# smallest power of two whose acos lies below the float pi/2
+# the root's clamp, which keeps theta in (0, pi/2) as a float: 1 - 2^-53 is
+# the largest float below 1, and 2^-52 the smallest power of two whose acos
+# lies below the float pi/2 (cos(theta) is about zeta at a large N)
 _X_MIN, _X_MAX = 2.0**-52, 1.0 - 2.0**-53
 _NEWTON_TOL = 2.0**-48  # a thrust stops once its Newton step is below this times x
 _NEWTON_STEPS = 100  # a cap that bisection alone would meet; Newton takes 4-5
@@ -274,14 +275,10 @@ def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
     a 1-D array by safeguarded Newton: h rises strictly on [0, 1], from
     below 0 to above 0 for N > N_c, with slope 1 + w n a x/(1 - a x^2).
     The loop starts from the p = 2 closed form, exact at p = 2 and at
-    N = inf. Each step is clamped to [2^-52, 1 - 2^-53], and bisects the
-    bracket [lo, hi] that the signs of h keep, from that range, where it
-    would leave it: a step past 1 from the left, where h is convex, lands
-    at 1 - 2^-53 and converges from the right. A thrust is frozen once its
-    step is below 2^-48 x, so it gets the same bits alone or inside any
-    array. The clamp keeps theta in (0, pi/2) as a float, right above the
-    threshold and where cos(theta) is below 2^-52 (zeta <~ 1e-16 at a
-    large N), at a cost of at most 2^-52 in x."""
+    N = inf, clamps each step to [_X_MIN, _X_MAX] and bisects the bracket
+    [lo, hi] that the signs of h keep where a step would still leave it.
+    A thrust is frozen once its step is below 2^-48 x, so it gets the same
+    bits alone or inside any array."""
     a = branch.a
     s = _thrust_term(branch, thrust)
     x = np.clip(_angle_cos(branch, s), _X_MIN, _X_MAX)
@@ -646,8 +643,7 @@ def branch_sweep(
     branch = _branch(pn)
     scale = 1.0 if n_max - n_min < math.inf else 2.0
     grid = scale * np.linspace(n_min / scale, n_max / scale, count)
-    rows = np.zeros((count, 6))
-    rows[:, 5] = grid
+    rows = np.column_stack([np.zeros((count, 5)), grid])  # the loads (0, 0, 0, 0, 0, N)
     points = [
         BranchPoint(thrust, 0.0, Strains._make(st), Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust), "trivial")
         for thrust, st in zip(grid.tolist(), strains_from_loads_batch(pn, rows).tolist())
