@@ -45,7 +45,6 @@ from .equilibrium import (
 from .errors import (
     AngleOutOfRange,
     BelowThreshold,
-    BranchUnderflow,
     DefinitenessViolation,
     DegenerateCouple,
     LoadOutOfRange,

@@ -69,7 +69,6 @@ _EPS = math.ulp(1.0)
 _BATCH_BLOCK = 8192  # rows per pass of the batch forward map
 _NONFINITE, _UNBOUNDED = "are not all finite", "map to strains whose Q(u, v) is not finite"
 _TINY = sys.float_info.min  # below it a float has lost digits to underflow
-_TINY_ROOT = math.sqrt(_TINY)  # 2^-511: a load below it has a subnormal square
 
 
 class Strains(NamedTuple):
@@ -226,65 +225,41 @@ def _strain_error(values) -> StrainOutOfRange:
     return StrainOutOfRange(f"strains {_NONFINITE}: {Strains.from_array(values)}")
 
 
-def _factor(p: float, gp, qstar):
-    """The saturating factor F = (gamma^p + Q*^{p/2})^{-1/p} of the forward
-    map from gp = gamma^p, on floats or arrays: the one place F is written."""
-    return (gp + qstar ** (0.5 * p)) ** (-1.0 / p)
-
-
-def _saturating_factor(p: float, g, qstar):
-    """F at gamma = g, on floats or arrays: the plain ``_factor`` where its
-    powers and their sum are normal floats, else ``_scaled_factor``, so F
-    keeps full accuracy for every g and Q*. 0, F's limit, only where Q* is
-    inf. The forward maps are its consumers. On arrays the caller silences
-    numpy's range warnings."""
-    if isinstance(g, np.ndarray):
-        s = g**p + qstar ** (0.5 * p)
-        f = s ** (-1.0 / p)
-        if not (s.min() >= _TINY and 0.0 < f.min() and f.max() < math.inf):  # the rows out of range
-            out = np.flatnonzero(~((s >= _TINY) & (f > 0.0) & (f < math.inf)))
-            f[out] = _scaled_factor(p, g[out], qstar[out])
-        return f
-    f = 0.0
-    try:
-        s = g**p + qstar ** (0.5 * p)
-        if s >= _TINY:  # _factor's sum and power, so those inputs keep its bits
-            f = s ** (-1.0 / p)
-    except OverflowError:  # a power beyond the float range
-        pass
-    return f if f > 0.0 else _scaled_factor(p, g, qstar)
-
-
-def _scaled_factor(p: float, g, qstar, k: float = 1.0):
-    """F(g k, Q*) = c F(c g k, c^2 Q*), evaluated at the power of two c that
-    brings max(g k, sqrt(Q*)) into [1/2, 1): there F's powers see operands
-    of order 1, so F keeps full accuracy, and none of them can overflow.
-    g (k c) keeps the digits of a gamma scaled by a power of two k where
-    g k alone would underflow. On floats or arrays."""
-    if isinstance(g, np.ndarray):
-        c = np.ldexp(1.0, -np.frexp(np.maximum(g * k, np.sqrt(qstar)))[1])
+def _saturation(p: float, r, g) -> tuple:
+    """(F, t^p): the saturating factor F = (g^p + r^p)^{-1/p} of the forward
+    map at sqrt(Q*) = r and gamma = g, in polar form, on floats or arrays,
+    the one place F is written. With s = r/g, t = min(s, 1/s) and
+    d = (1 + t^p)^{-1/p}, F = d/max(r, g), so tau = F r = min(s, 1) d,
+    gamma F = F g = min(1/s, 1) d, and the complement 1 - Q^{p/2} =
+    (gamma F)^p = 1/(1 + s^p) is t^p/(1 + t^p) where s > 1, else
+    1/(1 + t^p), with no subtraction. Both powers see operands in [0, 2],
+    so none overflows for any r and g, not both 0."""
+    if isinstance(r, np.ndarray):
+        lo, hi = np.minimum(r, g), np.maximum(r, g)
     else:
-        c = math.ldexp(1.0, -math.frexp(max(g * k, math.sqrt(qstar)))[1])
-    return _factor(p, (g * (k * c)) ** p, qstar * c * c) * c
+        lo, hi = (r, g) if r < g else (g, r)
+    tp = (lo / hi) ** p
+    return (1.0 + tp) ** (-1.0 / p) / hi, tp
 
 
 def _load_gate(c: _Constants, loads: Loads) -> tuple:
-    """(k, top, scaled loads, Q*), the range gate of every scalar kernel
-    that takes loads: top = max |component|, k = 2^-e with e the binary
-    exponent of top where top > 1, else 1, so the scaled loads lie below 1
-    in magnitude up to the float64 maximum (the power of two is exact), and
-    Q* of the scaled loads. Raises LoadOutOfRange for a NaN or infinite
-    component, and where Q* overflows (a form weight below about 1e-154)."""
-    values = m1, m2, m3, n1, n2, n3 = loads.m1, loads.m2, loads.m3, loads.n1, loads.n2, loads.n3
+    """(k, scaled loads, Q*), the range gate of every scalar kernel that
+    takes loads: k = 2^-e, e the binary exponent of the largest |component|,
+    capped at 2^up (``material._constants``), so the scaled loads lie below
+    1 in magnitude and an up-scale keeps gamma k and Q* finite (the power of
+    two is exact); and Q* of the scaled loads. Raises LoadOutOfRange for a
+    NaN or infinite component, and where Q* overflows (a form weight below
+    about 1e-154)."""
+    m1, m2, m3, n1, n2, n3 = values = loads
     if not math.isfinite(m1 + m2 + m3 + n1 + n2 + n3) and not all(map(math.isfinite, values)):
         raise _load_error(values)  # a sum of finite loads may overflow
-    top = max(abs(m1), abs(m2), abs(m3), abs(n1), abs(n2), abs(n3))
-    k = math.ldexp(1.0, -math.frexp(top)[1]) if top > 1.0 else 1.0
+    e = -math.frexp(max(abs(m1), abs(m2), abs(m3), abs(n1), abs(n2), abs(n3)))[1]
+    k = math.ldexp(1.0, e if e < c.up else c.up)
     scaled = m1 * k, m2 * k, m3 * k, n1 * k, n2 * k, n3 * k
     qstar = _load_form(c, *scaled)
     if not qstar < math.inf:
         raise _load_error(values, _UNBOUNDED)
-    return k, top, scaled, qstar
+    return k, scaled, qstar
 
 
 def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
@@ -297,11 +272,9 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
         v_mu   = F n_mu / zeta^2
         v3 - 1 = F (-iota m3 + beta^2 n3) / det
 
-    ``_load_gate`` prescales the loads by a power of two, and F comes from
-    ``_saturating_factor``; loads whose squares or Q* would lose digits to
-    underflow go to the batch map, which scales them up. So the map is
-    total for every gamma and all loads up to the float64 maximum, and
-    keeps its accuracy down to subnormal loads. The output satisfies
+    at the power-of-two scale of ``_load_gate``, with F from
+    ``_saturation``; so the map is total for every gamma and all loads up
+    to the float64 maximum, down to subnormal loads. The output satisfies
     Q(u, v) < 1 with every component strictly inside its limiting bound:
     where Q of the stored state exceeds 1 - margin, the deviation is
     rescaled once, to Q = 1 - 2 margin. The margin (``material._constants``)
@@ -311,11 +284,11 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     is not finite (u1 u1 overflows in Q at alpha <~ 1e-154).
     """
     c = _constants(params)
-    k, top, scaled, qstar = _load_gate(c, loads)
-    if 0.0 < top <= 1.0 and (qstar < _TINY or top < _TINY_ROOT):  # digits lost to underflow
-        return Strains.from_array(strains_from_loads_batch(params, [scaled])[0])
-    f = _saturating_factor(c.p, c.gamma * k, qstar)
-    u1, u2, u3, v1, v2, dv = _forward_dev(c, f, *scaled)
+    k, scaled, qstar = _load_gate(c, loads)
+    r = math.sqrt(qstar)
+    rho = r or 1.0  # Q* = 0 leaves the loads as they are
+    tau = _saturation(c.p, r, c.gamma * k)[0] * rho
+    u1, u2, u3, v1, v2, dv = _forward_dev(c, tau, rho, *scaled)
     q = _strain_form(c, u1, u2, u3, v1, v2, (1.0 + dv) - 1.0)  # on the stored state
     if not q <= 1.0 - c.margin:  # the inward projection: one rescale
         if not q < math.inf:
@@ -326,17 +299,19 @@ def strains_from_loads(params: MaterialParams, loads: Loads) -> Strains:
     return Strains(float(u1), float(u2), float(u3), float(v1), float(v2), float(1.0 + dv))
 
 
-def _forward_dev(c: _Constants, f, m1, m2, m3, n1, n2, n3) -> tuple:
-    """The six components of the strain deviation (u, v - e3) of loads
-    scaled by a power of two, with f the saturating factor at that scale:
-    floats, or arrays of n rows."""
+def _forward_dev(c: _Constants, tau, rho, m1, m2, m3, n1, n2, n3) -> tuple:
+    """The strain deviation (u, v - e3) = tau M (L/rho) of scaled loads L,
+    rho = sqrt(Q*) of theirs (or 1 where Q* = 0), on floats or arrays of n
+    rows. Q(M L/rho) = 1, so each component of M L/rho lies within its strain
+    bound, and tau <= 1: neither product leaves the float range."""
+    m3, n3 = m3 / rho, n3 / rho
     return (
-        f * m1 / c.a2,
-        f * m2 / c.a2,
-        f * (c.e2 * m3 - c.iota * n3) / c.det,
-        f * n1 / c.z2,
-        f * n2 / c.z2,
-        f * (-c.iota * m3 + c.b2 * n3) / c.det,
+        tau * (m1 / rho / c.a2),
+        tau * (m2 / rho / c.a2),
+        tau * ((c.e2 * m3 - c.iota * n3) / c.det),
+        tau * (n1 / rho / c.z2),
+        tau * (n2 / rho / c.z2),
+        tau * ((-c.iota * m3 + c.b2 * n3) / c.det),
     )
 
 
@@ -346,11 +321,8 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     ``loads`` has shape (n, 6) with columns (m1, m2, m3, n1, n2, n3); the
     result has shape (n, 6) with columns (u1, u2, u3, v1, v2, v3).
     Matches ``strains_from_loads`` row by row up to a few ulps (vectorized
-    powers round differently from libm); total up to the float64 maximum.
-    Rows whose squares or Q* would lose digits to underflow are scaled up
-    by a power of two u: F = u F(u gamma, u^2 Q*) from ``_scaled_factor``,
-    and the deviation of the scaled loads is divided by u last, so it is
-    rounded once. The scalar map hands such rows here.
+    powers round differently from libm): the same gate scale k per row and
+    the same ``_saturation``, so it is total up to the float64 maximum.
 
     Rows are mapped ``_BATCH_BLOCK`` at a time, column by column, so each
     block's temporaries stay in cache, with the scalar map's inward
@@ -365,34 +337,20 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     if loads.ndim != 2 or loads.shape[1] != 6:
         raise ValueError(f"loads must have shape (n, 6), got {loads.shape}")
     out = np.empty(loads.shape)
-    p, gamma = c.p, c.gamma
-    # the largest up-scale 2^cap keeping gamma and every strain bound times it finite
-    cap = max(1021 - math.frexp(min(max(gamma, *strain_bounds(params), 1.0), sys.float_info.max))[1], 0)
     for start in range(0, len(loads), _BATCH_BLOCK):
-        cols = loads[start : start + _BATCH_BLOCK].T
-        top = np.abs(cols[0])
-        for col in cols[1:]:
-            np.maximum(top, np.abs(col), out=top)
-        k = np.ldexp(1.0, -np.where(top > 1.0, np.frexp(top)[1], 0))  # _load_gate's k per row
+        cols = np.ascontiguousarray(loads[start : start + _BATCH_BLOCK].T)  # each column in one run
+        top = np.abs(cols).max(axis=0)
+        k = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], c.up))  # _load_gate's k per row
         scaled = cols * k
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # redone, or raises
-            g, qstar = gamma * k, _load_form(c, *scaled)
+            qstar = _load_form(c, *scaled)
             if not qstar.max() < math.inf:  # _load_gate's refusals; a non-finite load makes one
                 i = int((qstar < math.inf).argmin())
                 raise _load_error(cols[:, i], _UNBOUNDED if top[i] < math.inf else _NONFINITE)
-            up, u, f_up = slice(0), 1.0, 1.0  # no row scaled up
-            if qstar.min() < _TINY or top.min() < _TINY_ROOT:  # the rows of the scalar map's test
-                up = np.flatnonzero(((qstar < _TINY) | (top < _TINY_ROOT)) & (top > 0.0) & (top <= 1.0))
-                # up to a largest magnitude in [2^-33, 2^-32): normal squares, and Q*
-                # finite for every form weight up to 1/5e-324
-                u = np.ldexp(1.0, np.clip(-32 - np.frexp(top[up])[1], 0, cap))
-                scaled[:, up] = cols[:, up] * u
-                g[up], qstar[up] = gamma * u, _load_form(c, *scaled[:, up])
-                f_up = _scaled_factor(p, g[up], qstar[up]) * u  # F = u F(u gamma, u^2 Q*)
-            f = _saturating_factor(p, g, qstar)
-            f[up] = f_up
-            dev = np.array(_forward_dev(c, f, *scaled))
-            dev[:, up] /= u  # the deviation of the scaled loads, rounded once
+            r = np.sqrt(qstar)
+            rho = r + (qstar == 0.0)  # the scalar map's r or 1
+            tau = _saturation(c.p, r, c.gamma * k)[0] * rho
+            dev = np.array(_forward_dev(c, tau, rho, *scaled))
             q = _strain_form(c, *dev[:5], (1.0 + dev[5]) - 1.0)  # the scalar map's projection
             hit = np.flatnonzero(~(q <= 1.0 - c.margin))  # NaN included
             q = q[hit]
@@ -584,19 +542,19 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     Its load gradient reproduces the forward map (with the v3 slot shifted
     by -1). Closed forms for p = 1 and p = 2, free of cancellation where
     Q* << gamma^2 (within 2e-16 of 50-digit mpmath there); otherwise the
-    Legendre identity W* = F Q* - W(F^2 Q*), with 1 - Q^{p/2} = (gamma F)^p
-    passed to W exactly. Against 40-digit mpmath the relative error is
-    below 1e-14 for p in [0.05, 100] and Q* up to 1e300. The formulas run
-    at the power-of-two scale k of ``_load_gate``, W*(gamma, Q*) =
-    W*(k gamma, k^2 Q*)/k, so W* is finite wherever sqrt(Q*) is, and F
-    comes from ``_scaled_factor``. For p < 1, W ~ W* (gamma F)^p/(1 - p)
-    is below an ulp where (gamma F)^p < eps (1 - p), and is left out. Where
-    Q = F^2 Q* is subnormal (gamma >~ 1e150), the kernel gets gamma Q as
-    (gamma F)(F Q*), which keeps its digits.
+    Legendre identity W* = F Q* - W(Q), Q = tau^2, with tau and the exact
+    complement 1 - Q^{p/2} from ``_saturation``. Against 40-digit mpmath
+    the relative error is below 1e-14 for p in [0.05, 100] and Q* up to
+    1e300. The formulas run at the power-of-two scale k of ``_load_gate``,
+    W*(gamma, Q*) = W*(k gamma, k^2 Q*)/k, so W* is finite wherever
+    sqrt(Q*) is and keeps its digits at subnormal loads. For p < 1,
+    W ~ W* (gamma F)^p/(1 - p) is below an ulp where (gamma F)^p < eps (1 - p),
+    and is left out. Where Q is subnormal (gamma >~ 1e150), the kernel gets
+    gamma Q as (gamma F)(F Q*), which keeps its digits.
     Raises LoadOutOfRange where the gate does, or sqrt(Q*) overflows.
     """
     c = _constants(params)
-    k, _, _, qstar = _load_gate(c, loads)
+    k, _, qstar = _load_gate(c, loads)
     rt = math.sqrt(qstar)
     if not rt / k < math.inf:
         raise LoadOutOfRange(f"sqrt Q*(m, n) = {rt / k!r} is not finite")
@@ -612,16 +570,15 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
             return (rt - g * math.log1p(x) if x < math.inf else rt) / k
         # there g x s(x)/(2 + x) = rt s(x)/(2 + x)
         return rt * _log1p_series(x) / (2.0 + x) / k
-    f = _scaled_factor(p, c.gamma, qstar, k)
-    work = f * qstar
-    gf = g * f if g >= _TINY else c.gamma * (f * k)  # gamma F, where g may underflow
-    s = gf**p
+    f, tp = _saturation(p, rt, g)
+    work = f * qstar  # F Q* = tau sqrt(Q*)
+    s = (tp if rt > g else 1.0) / (1.0 + tp)  # 1 - Q^{p/2}
     if s < _EPS * (1.0 - p):  # p < 1: W/W* ~ s/(1 - p) is below an ulp, and B_x may overflow
         return work / k
     q = work * f
-    if q < _TINY:  # Q = F^2 Q* loses digits, and B_x = x^a z^b/(a g) is linear in x^a = Q:
+    if q < _TINY:  # Q = tau^2 loses digits, and B_x = x^a z^b/(a g) is linear in x^a = Q:
         # hand the kernel gamma Q as (gamma F)(F Q*), whose digits it keeps
-        return work / k - _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, gf * (work / k), s) / p
+        return work / k - _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, f * g * (work / k), s) / p
     return work / k - _stored_beta(c, q, s)
 
 

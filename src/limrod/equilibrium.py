@@ -47,7 +47,6 @@ from .constitutive import strains_from_loads_batch
 from .errors import (
     AngleOutOfRange,
     BelowThreshold,
-    BranchUnderflow,
     DegenerateCouple,
     LoadOutOfRange,
     NoBifurcationError,
@@ -170,10 +169,11 @@ class BalanceReport:
 # NoBifurcation verdict, and k = v3 - 1 = q/a (NaN, as zeta and a, where
 # there is no branch).
 _Branch = namedtuple("_Branch", "c thresh zeta a k", defaults=(math.nan,) * 3)
-# the root's clamp, which keeps theta in (0, pi/2) as a float: 1 - 2^-53 is
-# the largest float below 1, and 2^-52 the smallest power of two whose acos
-# lies below the float pi/2 (cos(theta) is about zeta at a large N)
-_X_MIN, _X_MAX = 2.0**-52, 1.0 - 2.0**-53
+# the root's clamp: 1 - 2^-53 is the largest float below 1, and the root,
+# about zeta/a at a large N, lies above the smallest normal float, since
+# zeta^2 > 0. theta, reported as a float, is clamped below the float pi/2.
+_X_MIN, _X_MAX = _TINY, 1.0 - 2.0**-53
+_THETA_MAX = math.nextafter(0.5 * math.pi, 0.0)
 _NEWTON_TOL = 2.0**-48  # a thrust stops once its Newton step is below this times x
 _NEWTON_STEPS = 100  # a cap that bisection alone would meet; Newton takes 4-5
 
@@ -302,28 +302,28 @@ def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
 def _sheared_tilt(branch: _Branch, thrust):
     """theta(N) = acos(x), x the root of the reduced equation, on a float N
     or, element by element, on an array: a float goes through the loop as
-    an array of one, and acos is libm's, so both give the same bits.
-    BranchUnderflow where beta^2 zeta^2 is below the normal range, for
-    every thrust (an empty array needs no angle)."""
-    c = branch.c
-    if not c.b2 * c.z2 >= _TINY and np.size(thrust):
-        raise BranchUnderflow(f"the sheared angle needs beta^2 zeta^2 = {c.b2 * c.z2!r} to be a normal float")
+    an array of one, and acos is libm's, so both give the same bits. theta
+    is clamped at the largest float below the float pi/2, which x below
+    about 6e-17 (zeta tiny, N large) would round to."""
     if isinstance(thrust, np.ndarray) and thrust.ndim:
-        return _libm(math.acos, _reduced_root(branch, thrust))
-    return math.acos(_reduced_root(branch, np.array([float(thrust)]))[0])
+        return np.minimum(_libm(math.acos, _reduced_root(branch, thrust)), _THETA_MAX)
+    return min(math.acos(_reduced_root(branch, np.array([float(thrust)]))[0]), _THETA_MAX)
 
 
-def _sheared_point(branch: _Branch, thrust: float, theta: float) -> BranchPoint:
-    """The sheared branch at thrust N and tilt theta = theta(N), s = 0 and
+def _sheared_point(branch: _Branch, thrust: float, x: float) -> BranchPoint:
+    """The sheared branch at thrust N and x = cos(theta(N)), s = 0 and
     psi0 = 0: the closed-form strains (0, 0, -iota k/beta^2,
     -tan(theta)/a, 0, 1 + k) with k = q/a, the twist +0 for an achiral set
     as on the trivial branch, and the thrust in the director frame,
-    (0, 0, 0, -N sin(theta), 0, N cos(theta)). The one place the branch's
-    point is formed."""
+    (0, 0, 0, -N sin(theta), 0, N cos(theta)). The strains and loads are
+    formed from x, with sin(theta) = sqrt((1 - x)(1 + x)), so that they keep
+    their digits where theta is clamped. The one place the branch's point
+    is formed."""
     c, k = branch.c, branch.k
-    strains = Strains(0.0, 0.0, 0.0 - c.iota * k / c.b2, -(math.tan(theta) / branch.a), 0.0, 1.0 + k)
-    loads = Loads(0.0, 0.0, 0.0, -thrust * math.sin(theta), 0.0, thrust * math.cos(theta))
-    return BranchPoint(thrust, theta, strains, loads, "sheared")
+    sin = math.sqrt((1.0 - x) * (1.0 + x))
+    strains = Strains(0.0, 0.0, 0.0 - c.iota * k / c.b2, -(sin / x / branch.a), 0.0, 1.0 + k)
+    loads = Loads(0.0, 0.0, 0.0, -thrust * sin, 0.0, thrust * x)
+    return BranchPoint(thrust, min(math.acos(x), _THETA_MAX), strains, loads, "sheared")
 
 
 def sheared_angle(params: MaterialParams, thrust: float) -> float:
@@ -458,8 +458,9 @@ def sheared_tensile_state(
     """
     pn = nondimensionalize(params)
     branch = _sheared_branch(pn, thrust)
-    pt = _sheared_point(branch, thrust, _sheared_tilt(branch, thrust))
-    st, sth, cth = pt.strains, math.sin(pt.theta), math.cos(pt.theta)
+    cth = float(_reduced_root(branch, np.array([float(thrust)]))[0])
+    pt = _sheared_point(branch, thrust, cth)
+    st, sth = pt.strains, math.sqrt((1.0 - cth) * (1.0 + cth))
     n = float(_reduced_norm(branch, np.array([_thrust_term(branch, thrust)]), np.array([cth]))[0][0])
     identity_residual = abs(cth - n) / n
     if identity_residual > 1e-8:
@@ -650,8 +651,8 @@ def branch_sweep(
     ]
     if not isinstance(branch.thresh, NoBifurcation):
         sheared = grid[grid > branch.thresh]
-        thetas = _sheared_tilt(branch, sheared).tolist()
-        points += map(partial(_sheared_point, branch), sheared.tolist(), thetas)
+        cosines = _reduced_root(branch, sheared).tolist()
+        points += map(partial(_sheared_point, branch), sheared.tolist(), cosines)
     points.sort(key=lambda pt: (pt.N, pt.branch))
     return points, branch.thresh
 

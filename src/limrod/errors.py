@@ -43,12 +43,6 @@ class BelowThreshold(RodModelError):
     """End thrust does not exceed the shearing bifurcation threshold."""
 
 
-class BranchUnderflow(RodModelError):
-    """The sheared angle cannot be found in floats: beta^2 zeta^2 is below
-    the smallest normal float, and the branch function's terms underflow
-    with it."""
-
-
 class NoBifurcationError(RodModelError):
     """The material constants admit no sheared tensile branch."""
 

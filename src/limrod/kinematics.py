@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _load_gate, _scaled_factor
+from .constitutive import Loads, Strains, _load_gate, _saturation
 from .errors import AngleOutOfRange, LoadOutOfRange, NonOrthonormalFrame, StrainOutOfRange
 from .material import MaterialParams, _constants, nondimensionalize
 
@@ -312,14 +312,14 @@ def frame_loads(loads: Loads, angles: EulerAngles, thrust: float) -> FrameLoads:
 
 def shear_factors(params: MaterialParams, loads: Loads) -> tuple[float, float]:
     """Scalar factors (u_factor, v_factor) in the normalized gauge such that
-    u_mu = u_factor * m_mu and v_mu = v_factor * n_mu: the saturating factor
-    F over alpha^2 and zeta^2, positive and finite, on the loads that
-    ``_load_gate`` prescales. Raises LoadOutOfRange, with the forward map's
+    u_mu = u_factor * m_mu and v_mu = v_factor * n_mu: the forward map's
+    ``_saturation`` F over alpha^2 and zeta^2, positive and finite, at the
+    scale of ``_load_gate``. Raises LoadOutOfRange, with the forward map's
     messages, where the gate does: a NaN or infinite component, or Q*
     overflowing."""
     c = _constants(nondimensionalize(params))
-    k, _, _, qstar = _load_gate(c, loads)
-    f = _scaled_factor(c.p, k, qstar) * k
+    k, _, qstar = _load_gate(c, loads)
+    f = _saturation(c.p, math.sqrt(qstar), k)[0] * k
     return f / c.a2, f / c.z2
 
 

@@ -98,8 +98,9 @@ class DerivedModuli:
 
 
 # a parameter set's validated constants as the kernels read them: squares,
-# det = beta^2 eta^2 - iota^2 and the forward map's projection margin
-_Constants = namedtuple("_Constants", "p gamma iota a2 b2 z2 e2 det margin")
+# det = beta^2 eta^2 - iota^2, the forward map's projection margin and the
+# load gate's largest up-scale exponent
+_Constants = namedtuple("_Constants", "p gamma iota a2 b2 z2 e2 det margin up")
 
 
 def _constants(params: MaterialParams) -> _Constants:
@@ -135,7 +136,15 @@ def _constants(params: MaterialParams) -> _Constants:
     margin = 64.0 * _EPS * (1.0 + e2 + grad)
     if not margin < 0.5:  # else the rescale's target 1 - 2 margin is <= 0
         raise DefinitenessViolation(f"projection margin {margin!r} must be < 1/2")
-    record = _Constants(params.p, params.gamma, params.iota, a2, b2, z2, e2, det, margin)
+    # The load gate scales loads by at most 2^up, so that loads below 1 in
+    # magnitude keep gamma 2^up and Q* (at most 8 times the largest inverse
+    # form weight, 1/a2, 1/z2, e2/det or b2/det) below 2^1024. The weights
+    # are bounded by binary exponents, since one may itself overflow; up is
+    # 0 where gamma or a weight leaves no room.
+    e = math.frexp
+    weight = max(2 - e(a2)[1], 2 - e(z2)[1], 1 + e(max(b2, e2))[1] - e(det)[1])
+    up = min(max(1021 - max(weight, e(params.gamma)[1]), 0), 1023)
+    record = _Constants(params.p, params.gamma, params.iota, a2, b2, z2, e2, det, margin, up)
     params.__dict__["_constants"] = record
     return record
 

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -104,14 +105,24 @@ class TestValidate:
         assert capsys.readouterr().err == ""
 
 
-    def test_angle_below_normal_is_an_error(self, tmp_path, capsys):
+    def test_angle_below_normal_matches_mpmath(self, tmp_path, capsys):
         # beta^2 zeta^2 underflows to 0: branch once wrote angles of 8.43e-8
-        # rad where the branch's are near pi/3, with exit 0
+        # rad where the branch's are near pi/3, with exit 0, and then refused
+        # the set with BranchUnderflow
         path = write_params(tmp_path, beta=1e-90, zeta=1e-90, eta=2.0, iota=0.0)
         out = tmp_path / "branch.csv"
         assert main(["branch", path, "--n-min", "0", "--n-max", "4e-180", "--count", "5",
-                     "--out", str(out)]) == 1
-        assert "BranchUnderflow" in capsys.readouterr().err and not out.exists()
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        sheared = [(float(r[0]), float(r[1])) for r in rows if r[-1] == "sheared"]
+        assert len(sheared) == 3
+        with mpmath.workdps(60):
+            z2 = mpmath.mpf(1e-90) ** 2
+            a = 1 - z2 / 4  # 1 - (zeta Y)^2, Y = 1/eta
+            for thrust, theta in sheared:
+                want = mpmath.sqrt(z2 * (1 + z2 / mpmath.mpf(thrust) ** 2) / (a * (a + z2)))
+                assert abs(math.cos(theta) - float(want)) <= 4e-16, thrust
 
 
 class TestEval:

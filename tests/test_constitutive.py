@@ -224,25 +224,29 @@ class TestForwardMap:
 
 
 def unblocked_forward_batch(params, loads):
-    """The batch forward map as whole-array passes, with the inward
-    projection re-evaluated over every row: the reference that the blocked
-    map must equal bit for bit on finite rows below 2^1023."""
+    """The batch forward map as whole-array passes, its polar form written
+    out (tau times the compliance applied to the loads over sqrt(Q*)), with
+    the inward projection re-evaluated over every row: the reference that
+    the blocked map must equal bit for bit on finite rows."""
     loads = np.asarray(loads, dtype=float)
     p = params.p
     det = params.twist_stretch_det
-    c = np.maximum(1.0, np.abs(loads).max(axis=1))
-    _, exponents = np.frexp(c)
-    c = np.ldexp(1.0, np.where(c > 1.0, exponents, 0))
-    m1, m2, m3, n1, n2, n3 = (loads / c[:, None]).T
-    qs = _load_form(_constants(params), m1, m2, m3, n1, n2, n3)
-    f = ((params.gamma / c) ** p + qs ** (0.5 * p)) ** (-1.0 / p)
+    _, exponents = np.frexp(np.abs(loads).max(axis=1))
+    k = np.ldexp(1.0, np.minimum(-exponents, _constants(params).up))
+    scaled = loads * k[:, None]
+    r = np.sqrt(_load_form(_constants(params), *scaled.T))
+    g = params.gamma * k
+    hi = np.maximum(r, g)
+    rho = np.where(r > 0.0, r, 1.0)
+    tau = (1.0 + (np.minimum(r, g) / hi) ** p) ** (-1.0 / p) / hi * rho
+    m1, m2, m3, n1, n2, n3 = (scaled / rho[:, None]).T
     dev = np.empty_like(loads)
-    dev[:, 0] = f * m1 / params.alpha**2
-    dev[:, 1] = f * m2 / params.alpha**2
-    dev[:, 2] = f * (params.eta**2 * m3 - params.iota * n3) / det
-    dev[:, 3] = f * n1 / params.zeta**2
-    dev[:, 4] = f * n2 / params.zeta**2
-    dev[:, 5] = f * (-params.iota * m3 + params.beta**2 * n3) / det
+    dev[:, 0] = tau * (m1 / params.alpha**2)
+    dev[:, 1] = tau * (m2 / params.alpha**2)
+    dev[:, 2] = tau * ((params.eta**2 * m3 - params.iota * n3) / det)
+    dev[:, 3] = tau * (n1 / params.zeta**2)
+    dev[:, 4] = tau * (n2 / params.zeta**2)
+    dev[:, 5] = tau * ((-params.iota * m3 + params.beta**2 * n3) / det)
     margin = _constants(params).margin
     for _ in range(4):
         dv3 = (1.0 + dev[:, 5]) - 1.0
@@ -347,7 +351,6 @@ class TestGammaPowerOverflow:
         [0.0, 0.0, 0.0, 0.0, 0.0, 1e20],
         [1e300, 0.0, 0.0, 0.0, 0.0, -1e300],
     ]
-    FITS = [False, False, True, True, True]  # (gamma k)^p finite at the loads' own scale k
 
     def test_scalar_against_mpmath(self):
         for row in self.ROWS:
@@ -364,10 +367,9 @@ class TestGammaPowerOverflow:
         for row, got in zip(self.ROWS, out):
             st = strains_from_loads(self.PARAMS, Loads(*row))
             np.testing.assert_allclose(got, st.as_array(), rtol=1e-12, atol=1e-300)
-        # rows whose (gamma k)^p fits keep the bits of the plain formula
-        with np.errstate(over="ignore"):
-            want = unblocked_forward_batch(self.PARAMS, self.ROWS)
-        assert np.array_equal(out[self.FITS].view(np.int64), want[self.FITS].view(np.int64))
+            dev, ref = got - [0, 0, 0, 0, 0, 1], reference_dev(self.PARAMS, row)
+            np.testing.assert_allclose(dev[:5], ref[:5], rtol=1e-12, atol=1e-300)
+            assert abs(dev[5] - ref[5]) <= 2.3e-16 + 1e-12 * abs(ref[5])  # v3 = 1 + (v3 - 1)
 
     def test_complementary_energy(self):
         # Q* = n3^2 beta^2/det is far below gamma^2, so W* = Q*/(2 gamma) to
@@ -423,6 +425,32 @@ class TestForwardRange:
                 tol = 1e-12 * np.abs(ref).max()  # saturated rows carry the projection
                 assert np.abs(dev[:5] - ref[:5]).max() <= tol, row
                 assert abs(dev[5] - ref[5]) <= 2.3e-16 + tol, row  # v3 = 1 + (v3 - 1)
+
+    UNPROJECTED = [
+        # Q = 0.99 under the couple sqrt(99) alpha, for large alpha
+        *(pytest.param(mk(alpha=alpha, eta=2.0), [math.sqrt(99.0) * alpha, 0, 0, 0, 0, 0],
+                       id=f"alpha-{alpha:g}") for alpha in (1e3, 1e6, 1e8, 1e100)),
+        # f m2 underflowed before the division by alpha^2: u2 was 7.31e-151
+        pytest.param(mk(2.6e-87, 1.0, 1.3e245, 0.8, 2.0, 0.3, 7.0), [0, 4.7e-79, 0, 0, 0, 0],
+                     id="f-m2-underflow"),
+        # the plain (gamma^p + Q*^{p/2})^{-1/p}, whose rounded exponent -1/p
+        # meets a logarithm near 700, was up to 1.9e-14 off in v3 - 1;
+        # complements above 1e-10, where the projection does not act
+        *(pytest.param(mk(gamma=gamma, eta=2.0, p=p), [0, 0, 0, 0, 0, ratio * gamma],
+                       id=f"gamma-{gamma:g}-p{p:g}-N{ratio:g}gamma")
+          for gamma in (3e164, 2.35e198, 1e250, 1e-200, 7e-150) for p in (0.5, 1.5, 3.0, 7.0)
+          for ratio in (1e-3, 0.1, 1.0, 10.0, 1e3) if ratio**p < 1e10),
+    ]
+
+    @pytest.mark.parametrize("params, row", UNPROJECTED)
+    def test_unprojected_rows_against_mpmath(self, params, row):
+        # below the projection band the map is F times the loads, to an ulp
+        ref = reference_dev(params, row)
+        for got in (strains_from_loads(params, Loads(*row)).as_array(),
+                    strains_from_loads_batch(params, [row])[0]):
+            dev = got - [0, 0, 0, 0, 0, 1]
+            assert np.abs(dev[:5] - ref[:5]).max() <= 1e-15 * np.abs(ref).max()
+            assert abs(dev[5] - ref[5]) <= 2.3e-16 + 1e-15 * np.abs(ref).max()  # v3 = 1 + (v3 - 1)
 
     def test_matches_shear_factors(self):
         params, loads = mk(alpha=1e-100, eta=2.0, p=4.0), Loads(1.0, 0, 0, 0, 0, 0)
@@ -502,15 +530,6 @@ class TestLengthUnit:
                 err = np.abs(dev * [c, c, c, 1, 1, 1] - want).max(axis=1)
                 assert (err <= 1e-14 * np.abs(want).max(axis=1)).all(), k
 
-    @pytest.mark.parametrize("alpha", [1e3, 1e6, 1e8, 1e100])
-    def test_large_alpha_against_mpmath(self, alpha):
-        # Q = 0.99 lies below the projection band: the map is F times the loads
-        params, row = mk(alpha=alpha, eta=2.0), [math.sqrt(99.0) * alpha, 0, 0, 0, 0, 0]
-        ref = reference_dev(params, row)
-        for got in (strains_from_loads(params, Loads(*row)).as_array(),
-                    strains_from_loads_batch(params, [row])[0]):
-            dev = got - [0, 0, 0, 0, 0, 1]
-            assert np.abs(dev - ref).max() <= 1e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("params", [mk(eta=1e7), mk(eta=2.0, iota=2.0 * (1.0 - 1e-14))],
                              ids=("eta-1e7", "iota-near-beta-eta"))
@@ -954,14 +973,22 @@ class TestBetaEnergies:
         value = complementary_energy(mk(gamma=1e-3, p=1.0), loads)
         assert value == pytest.approx(sys.float_info.max, rel=1e-15)
 
-    def test_p1_where_gamma_k_underflows(self):
+    @pytest.mark.parametrize("params, loads", [
         # at the loads' scale k = 2^-665, g = gamma k underflows to 0 and
-        # rt/g once divided by zero; W* = rt - gamma log(1 + rt/gamma)
-        params, loads = mk(gamma=1e-200, eta=2.0, p=1.0), Loads(0, 0, 0, 0, 0, 1e200)
+        # rt/g once divided by zero
+        (mk(gamma=1e-200, eta=2.0, p=1.0), Loads(0, 0, 0, 0, 0, 1e200)),
+        # Q* = 1e-340 underflows at unit scale: W* was 0.0
+        (mk(gamma=1e-300, eta=2.0, p=2.0), Loads(1e-170, 0, 0, 0, 0, 0)),
+    ], ids=("p1-gamma-k-underflows", "p2-qstar-underflows"))
+    def test_closed_forms_at_the_edges_of_the_scale(self, params, loads):
+        # W* = rt - gamma log(1 + rt/gamma) at p = 1, sqrt(gamma^2 + rt^2) - gamma at p = 2
         with mpmath.workdps(40):
-            rt = mpmath.mpf(1e200) / 2  # n3 beta/sqrt(det), det = 4
-            gamma = mpmath.mpf(1e-200)
-            ref = rt - gamma * mpmath.log1p(rt / gamma)
+            rt = mpmath.mpf(loads.m1) + mpmath.mpf(loads.n3) / 2  # n3 beta/sqrt(det), det = 4
+            gamma = mpmath.mpf(params.gamma)
+            if params.p == 1.0:
+                ref = rt - gamma * mpmath.log1p(rt / gamma)
+            else:
+                ref = mpmath.sqrt(gamma**2 + rt**2) - gamma
         assert abs(complementary_energy(params, loads) - ref) <= 1e-15 * ref
 
     def test_import_loads_no_scipy(self):

@@ -10,7 +10,6 @@ from limrod import (
     AngleOutOfRange,
     BelowThreshold,
     BranchPoint,
-    BranchUnderflow,
     DegenerateCouple,
     EquilibriumState,
     EulerAngles,
@@ -94,6 +93,30 @@ def mp_branch(params):
         return (mpmath.mpf(thrust) ** -p + g ** (p / 2)) ** (-1 / p) * b2 * x / det
 
     return thresh, 1 / (ratio - 1), f
+
+
+def mp_cos_p2(params, thrust):
+    """cos(theta) at p = 2 and 60 digits from the closed form
+    cos^2 = zeta^2 (1 + zeta^2/N^2)/(a (a + zeta^2)), a = 1 - (zeta Y)^2,
+    Y = 1/sqrt(eta^2 - (iota/beta)^2); N = inf gives the limit."""
+    with mpmath.workdps(60):
+        b, z, e, i = map(mpmath.mpf, (params.beta, params.zeta, params.eta, params.iota))
+        a = 1 - z * z / (e * e - (i / b) ** 2)
+        tail = 0 if thrust == math.inf else z * z / mpmath.mpf(thrust) ** 2
+        return float(mpmath.sqrt(z * z * (1 + tail) / (a * (a + z * z))))
+
+
+def mp_shear_amplitude(params, thrust):
+    """tan(theta)/a at 50 digits, x = cos(theta) = zeta y/a the root of the
+    reduced branch equation y = ||(zeta/N, sqrt(1 - a x^2))||_p."""
+    with mpmath.workdps(50):
+        b, z, e, i, p = map(mpmath.mpf, (params.beta, params.zeta, params.eta, params.iota, params.p))
+        a = 1 - z * z / (e * e - (i / b) ** 2)
+        y = mpmath.findroot(
+            lambda y: y - ((z / thrust) ** p + (1 - a * (z * y / a) ** 2) ** (p / 2)) ** (1 / p), 1
+        )
+        x = z * y / a
+        return float(mpmath.sqrt(1 - x * x) / (x * a))
 
 
 def mp_sheared_angle(params, thrust):
@@ -182,20 +205,21 @@ class TestShearThreshold:
         (1e-80, 1e-80, 0.0), (1e-90, 1e-90, 0.0), (1e-100, 1e-100, 3e-101), (1e-60, 1e-100, 0.0),
         (1e-160, 1.0, 0.0),
     ])
-    def test_angle_below_normal_raises(self, beta, zeta, iota):
-        # F beta^2 x, of order beta^2 zeta^2 at the root, underflows: the angle
-        # once came out 8.43e-8 where 50-digit mpmath gives pi/3 (at 1e-90)
+    def test_angle_below_normal_matches_mpmath(self, beta, zeta, iota):
+        # beta^2 zeta^2 is 0 or subnormal: the angle once came out 8.43e-8
+        # where 50-digit mpmath gives pi/3 (at 1e-90), and then raised
+        # BranchUnderflow; the reduced equation never reads beta^2 zeta^2
         params = MaterialParams(1.0, beta, 1.0, zeta, 2.0, iota, 2.0)
         thresh = shear_threshold(params)
-        message = "^the sheared angle needs beta\\^2 zeta\\^2 = .* to be a normal float$"
-        for call in (
-            lambda: sheared_angle(params, 2.0 * thresh),
-            lambda: sheared_angle(params, math.inf),
-            lambda: sheared_tensile_state(params, 2.0 * thresh, grid_h=0.1),
-            lambda: branch_sweep(params, 0.0, 4.0 * thresh, 5),
-        ):
-            with pytest.raises(BranchUnderflow, match=message):
-                call()
+        for thrust in (1.5 * thresh, 2.0 * thresh, 1e3 * thresh, math.inf):
+            want = mp_cos_p2(params, thrust)
+            assert abs(math.cos(sheared_angle(params, thrust)) - want) <= 4e-16, thrust
+        state = sheared_tensile_state(params, 2.0 * thresh, grid_h=0.1)
+        assert state.descriptor["identity_residual"] < 1e-14
+        points, _ = branch_sweep(params, 0.0, 4.0 * thresh, 5)
+        sheared = [pt for pt in points if pt.branch == "sheared"]
+        assert [pt.theta for pt in sheared] == [sheared_angle(params, pt.N) for pt in sheared]
+        assert len(sheared) == 3
         points, _ = branch_sweep(params, 0.0, thresh, 3)  # no sheared thrust, no angle
         assert [pt.branch for pt in points] == ["trivial"] * 3
 
@@ -325,6 +349,17 @@ class TestArrayBisection:
         points, _ = branch_sweep(params, 0.0, 1e300, 7)
         assert [pt.theta for pt in points if pt.branch == "sheared"] == [
             sheared_angle(params, pt.N) for pt in points if pt.branch == "sheared"]
+        # x = cos(theta) about zeta/a from N of order 1: the strains once came
+        # from the clamped theta, a shear amplitude of 3.53e15 at zeta = 1e-100
+        points, _ = branch_sweep(params, 0.0, 1.0, 5)
+        sheared = [pt for pt in points if pt.branch == "sheared"]
+        assert len(sheared) == 4
+        for pt in sheared:
+            assert -pt.strains.v1 == pytest.approx(mp_shear_amplitude(params, pt.N), rel=4e-16, abs=0.0)
+        if params.zeta >= 1e-150:  # else Q* of the loads (-1, 1e-155) overflows
+            state = sheared_tensile_state(params, 1.0, grid_h=0.1)
+            assert state.descriptor["strains"]["v_shear_amplitude"] == -sheared[-1].strains.v1
+            assert state.descriptor["identity_residual"] < 1e-14
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 100.0])
     def test_float_and_any_array_give_the_same_bits(self, p):

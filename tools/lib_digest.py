@@ -63,7 +63,12 @@ branches; no generator draw either. ``overflow edges`` digests
 2e-200 to 1e300, where N^-2 or A^2 overflows, and ``load_quad_form`` and
 ``strain_quad_form`` on those sets and a chiral demo at the loads
 (0, 0, 1e200, 0, 0, 1e200) and strains (0, 0, 1e200, 0, 0, -1e200), whose
-chiral term is inf - inf; no draw. ``reconstruct`` is digested by the
+chiral term is inf - inf; no draw. ``saturation edges`` digests both
+forward maps, ``complementary_energy`` and ``shear_factors`` where the
+saturation s = sqrt(Q*)/gamma is 0, 1, subnormal or infinite, for p in
+{0.001, 0.5, 100}, on pure tensions from 1e-3 to 1e3 gamma with gamma from
+7e-150 to 1e250 and p in {0.5, 1.5, 3, 7}, and on two rows that once lost
+digits to underflow; no draw. ``reconstruct`` is digested by the
 SHA-256 of the points and directors it builds from three constant and
 three varying seeded strain fields, from seeded start points and frames,
 at grid_h 1e-2 and 1e-3, drawn from a generator of its own.
@@ -437,6 +442,34 @@ def add_overflow_edges(add) -> None:
         add("overflow edges", lr.strain_quad_form, params, CHIRAL_HUGE_STRAINS)
 
 
+# s = sqrt(Q*)/gamma at 0 (zero loads), 1, subnormal (gamma = 1e300 under
+# 1e-10) and inf (gamma k underflows to 0 under 1e300) for p from 0.001 to
+# 100; gamma from 7e-150 to 1e250 under tensions N/gamma from 1e-3 to 1e3;
+# the row whose f m2 once underflowed; W* where Q* underflows at unit scale
+SATURATION_EDGES = [
+    (lr.MaterialParams(1.0, 1.0, gamma, 1.0, 2.0, 0.0, p), row)
+    for p in (0.001, 0.5, 100.0)
+    for gamma, row in ((1.0, [0.0] * 6), (1.0, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+                       (1e300, [1e-10, 0.0, 0.0, 0.0, 0.0, 0.0]), (5e-324, [0.0, 0.0, 0.0, 0.0, 0.0, 1e300]))
+] + [
+    (lr.MaterialParams(1.0, 1.0, gamma, 1.0, 2.0, 0.0, p), [0.0, 0.0, 0.0, 0.0, 0.0, ratio * gamma])
+    for gamma in (3e164, 2.35e198, 1e250, 1e-200, 7e-150) for p in (0.5, 1.5, 3.0, 7.0)
+    for ratio in (1e-3, 0.1, 1.0, 10.0, 1e3)
+] + [
+    (lr.MaterialParams(2.6e-87, 1.0, 1.3e245, 0.8, 2.0, 0.3, 7.0), [0.0, 4.7e-79, 0.0, 0.0, 0.0, 0.0]),
+    (lr.MaterialParams(1.0, 1.0, 1e-300, 1.0, 2.0, 0.0, 2.0), [1e-170, 0.0, 0.0, 0.0, 0.0, 0.0]),
+]
+
+
+def add_saturation_edges(add) -> None:
+    """The functions that read the saturating factor on the cases above."""
+    for params, row in SATURATION_EDGES:
+        ld = lr.Loads.from_array(row)
+        for fn in (lr.strains_from_loads, lr.complementary_energy, lr.shear_factors):
+            add("saturation edges", fn, params, ld)
+        add("saturation edges", lr.strains_from_loads_batch, params, np.array([row]))
+
+
 RECONSTRUCT_GRIDS = (1e-2, 1e-3)
 
 
@@ -537,6 +570,7 @@ def digest_records() -> dict[str, list[str]]:
     add_load_gate(add)
     add_beta_kernel(add)
     add_overflow_edges(add)
+    add_saturation_edges(add)
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
     for label, field, start, frame in reconstruct_fields(np.random.default_rng(SEED)):
