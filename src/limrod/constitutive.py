@@ -147,6 +147,10 @@ def _form_apply(c: _Constants, s, u1, u2, u3, v1, v2, dv3):
     )
 
 
+# Q* of loads below 1 in magnitude, as the load gate scales them, is at most
+# 8 times the largest inverse weight, 1/a2, 1/z2, e2/det or b2/det; from that
+# bound material._constants sets up = 0, no up-scale, where it leaves no room
+# below 2^1024, so a change of these weights must change up there.
 def _load_form(c: _Constants, m1, m2, m3, n1, n2, n3):
     return (
         (m1 * m1 + m2 * m2) / c.a2

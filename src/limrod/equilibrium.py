@@ -299,15 +299,14 @@ def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sheared_tilt(branch: _Branch, thrust):
-    """theta(N) = acos(x), x the root of the reduced equation, on a float N
-    or, element by element, on an array: a float goes through the loop as
-    an array of one, and acos is libm's, so both give the same bits. theta
-    is clamped at the largest float below the float pi/2, which x below
-    about 6e-17 (zeta tiny, N large) would round to."""
-    if isinstance(thrust, np.ndarray) and thrust.ndim:
-        return np.minimum(_libm(math.acos, _reduced_root(branch, thrust)), _THETA_MAX)
-    return min(math.acos(_reduced_root(branch, np.array([float(thrust)]))[0]), _THETA_MAX)
+def _root_at(branch: _Branch, thrust) -> float:
+    """x = cos(theta) at one thrust, the loop's bits for it in any sweep."""
+    return float(_reduced_root(branch, np.array([float(thrust)]))[0])
+
+
+def _tilt(x: float) -> float:
+    """theta = acos(x), clamped below the float pi/2 that x < 6e-17 rounds to."""
+    return min(math.acos(x), _THETA_MAX)
 
 
 def _sheared_point(branch: _Branch, thrust: float, x: float) -> BranchPoint:
@@ -323,7 +322,7 @@ def _sheared_point(branch: _Branch, thrust: float, x: float) -> BranchPoint:
     sin = math.sqrt((1.0 - x) * (1.0 + x))
     strains = Strains(0.0, 0.0, 0.0 - c.iota * k / c.b2, -(sin / x / branch.a), 0.0, 1.0 + k)
     loads = Loads(0.0, 0.0, 0.0, -thrust * sin, 0.0, thrust * x)
-    return BranchPoint(thrust, min(math.acos(x), _THETA_MAX), strains, loads, "sheared")
+    return BranchPoint(thrust, _tilt(x), strains, loads, "sheared")
 
 
 def sheared_angle(params: MaterialParams, thrust: float) -> float:
@@ -337,7 +336,7 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     NoBifurcationError when the material admits no sheared branch at all.
     An infinite N gives the limit angle.
     """
-    return _sheared_tilt(_sheared_branch(params, thrust), thrust)
+    return _tilt(_root_at(_sheared_branch(params, thrust), thrust))
 
 
 def sheared_angle_p2(params: MaterialParams, thrust: float) -> float:
@@ -449,18 +448,20 @@ def sheared_tensile_state(
     v3 - 1 = k = q/a and u3 = -iota k/beta^2, with q = (zeta Y)^2,
     Y = beta/sqrt(det) and a = 1 - q; the shear strains oscillate along
     the rod with amplitude tan(theta)/a at phase u3 s + psi0. The
-    centerline stays parallel to g3 while d3 tilts by theta. The
+    centerline stays parallel to g3, at the stretch v3/cos(theta) =
+    1/(a cos(theta)), while d3 tilts by theta. The
     descriptor's identity_residual is |x - n|/n at x = cos(theta), the
     reduced branch equation x = n = ||(s, t)||_p (``_Branch``), where x/n is
     the saturating factor at the branch loads over its closed form
     det k/(beta^2 N x). Past 1e-8 it raises ArithmeticError. A NaN or
-    infinite N raises LoadOutOfRange.
+    infinite N raises LoadOutOfRange, as does the load gate where Q* of
+    the thrust overflows (zeta below about 1e-154 at N of order 1).
     """
     pn = nondimensionalize(params)
     branch = _sheared_branch(pn, thrust)
-    cth = float(_reduced_root(branch, np.array([float(thrust)]))[0])
+    cth = _root_at(branch, thrust)
     pt = _sheared_point(branch, thrust, cth)
-    st, sth = pt.strains, math.sqrt((1.0 - cth) * (1.0 + cth))
+    st = pt.strains
     n = float(_reduced_norm(branch, np.array([_thrust_term(branch, thrust)]), np.array([cth]))[0][0])
     identity_residual = abs(cth - n) / n
     if identity_residual > 1e-8:
@@ -469,7 +470,7 @@ def sheared_tensile_state(
         )
     return _family_state(
         pn, grid_h, pt.theta, psi0, (0.0, st.u3), (0.0, 0.0, pt.loads.n1, pt.loads.n3),
-        lambda s, phi: np.outer(s, (0.0, 0.0, -st.v1 * sth + st.v3 * cth)),
+        lambda s, phi: np.outer(s, (0.0, 0.0, st.v3 / cth)),
         family="sheared", thrust=thrust, identity_residual=identity_residual,
         strains={"u3": st.u3, "v3": st.v3, "v_shear_amplitude": -st.v1},
     )

@@ -43,6 +43,7 @@ from limrod.constitutive import (
     _beta_memo,
     _incomplete_beta,
     _load_form,
+    _load_gate,
     _strain_form,
 )
 from limrod.material import _constants
@@ -427,9 +428,6 @@ class TestForwardRange:
                 assert abs(dev[5] - ref[5]) <= 2.3e-16 + tol, row  # v3 = 1 + (v3 - 1)
 
     UNPROJECTED = [
-        # Q = 0.99 under the couple sqrt(99) alpha, for large alpha
-        *(pytest.param(mk(alpha=alpha, eta=2.0), [math.sqrt(99.0) * alpha, 0, 0, 0, 0, 0],
-                       id=f"alpha-{alpha:g}") for alpha in (1e3, 1e6, 1e8, 1e100)),
         # f m2 underflowed before the division by alpha^2: u2 was 7.31e-151
         pytest.param(mk(2.6e-87, 1.0, 1.3e245, 0.8, 2.0, 0.3, 7.0), [0, 4.7e-79, 0, 0, 0, 0],
                      id="f-m2-underflow"),
@@ -450,7 +448,8 @@ class TestForwardRange:
                     strains_from_loads_batch(params, [row])[0]):
             dev = got - [0, 0, 0, 0, 0, 1]
             assert np.abs(dev[:5] - ref[:5]).max() <= 1e-15 * np.abs(ref).max()
-            assert abs(dev[5] - ref[5]) <= 2.3e-16 + 1e-15 * np.abs(ref).max()  # v3 = 1 + (v3 - 1)
+            ulp = 2.3e-16 if ref[5] else 0.0  # v3 = 1 + (v3 - 1)
+            assert abs(dev[5] - ref[5]) <= ulp + 1e-15 * np.abs(ref).max()
 
     def test_matches_shear_factors(self):
         params, loads = mk(alpha=1e-100, eta=2.0, p=4.0), Loads(1.0, 0, 0, 0, 0, 0)
@@ -467,6 +466,27 @@ class TestForwardRange:
             warnings.simplefilter("error")
             with pytest.raises(LoadOutOfRange, match=message):
                 strains_from_loads_batch(params, [[0.0] * 6, [1e-5, 0, 0, 0, 0, 0], [1e-6] * 6])
+
+    @pytest.mark.parametrize("params", [
+        *MATERIALS, mk(gamma=1e308, eta=2.0), mk(eta=1.0, iota=1.0 - 1e-6),
+        # inverse form weights from 2^1016 to 2^1022, about the cap's edge
+        *(mk(alpha=2.0**-j, eta=2.0) for j in (508, 509, 509.5, 510, 511)),
+        *(mk(zeta=2.0**-j, eta=2.0) for j in (508, 509, 509.5, 510, 511)),
+        *(mk(eta=2.0**-j) for j in (508, 509, 509.5, 510, 511)),
+        mk(alpha=1e-155, eta=2.0), mk(zeta=1e-155, eta=2.0),
+    ], ids=repr)
+    def test_up_scale_keeps_the_load_form_finite(self, params):
+        # material._constants caps the gate's up-scale 2^up from the weights
+        # of _load_form: loads whose plain Q* is finite keep a finite Q* and
+        # gamma k at the gate's scale k, for loads from 2^-1060 to 1, the
+        # chiral term adding
+        c = _constants(params)
+        signs = (1, -1, 1, 1, -1, -1 if c.iota > 0 else 1)
+        for j in (0, 1, 10, 100, 500, 900, 1000, 1022, 1060):
+            for row in ([x * 2.0**-j * (1.0 - 2.0**-53) for x in signs], [0, 0, 0, 2.0**-j, 0, 0]):
+                if _load_form(c, *row) < math.inf:
+                    k, _, qstar = _load_gate(c, Loads(*row))
+                    assert c.gamma * k < math.inf and qstar < math.inf
 
 
     @pytest.mark.parametrize("params, row", [
@@ -530,6 +550,15 @@ class TestLengthUnit:
                 err = np.abs(dev * [c, c, c, 1, 1, 1] - want).max(axis=1)
                 assert (err <= 1e-14 * np.abs(want).max(axis=1)).all(), k
 
+    @pytest.mark.parametrize("alpha", [1e3, 1e6, 1e8, 1e100])
+    def test_large_alpha_against_mpmath(self, alpha):
+        # Q = 0.99 lies below the projection band: the map is F times the loads
+        params, row = mk(alpha=alpha, eta=2.0), [math.sqrt(99.0) * alpha, 0, 0, 0, 0, 0]
+        ref = reference_dev(params, row)
+        for got in (strains_from_loads(params, Loads(*row)).as_array(),
+                    strains_from_loads_batch(params, [row])[0]):
+            dev = got - [0, 0, 0, 0, 0, 1]
+            assert np.abs(dev - ref).max() <= 1e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("params", [mk(eta=1e7), mk(eta=2.0, iota=2.0 * (1.0 - 1e-14))],
                              ids=("eta-1e7", "iota-near-beta-eta"))

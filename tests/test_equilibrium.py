@@ -42,7 +42,7 @@ from limrod import (
     trivial_tensile_state,
     write_branch_csv,
 )
-from limrod.equilibrium import _branch, _reduced_norm, _sheared_tilt, _thrust_term
+from limrod.equilibrium import _branch, _reduced_norm, _reduced_root, _sheared_point, _thrust_term
 from limrod.material import _constants, nondimensionalize
 
 from conftest import random_params
@@ -308,9 +308,17 @@ class TestShearedAngle:
             assert all(0.0 < a < limit + 1e-12 for a in angles)
 
 
+def sweep_angles(branch, thrusts):
+    """The angles branch_sweep forms at an array of sheared thrusts: one
+    _reduced_root call, each root through _sheared_point."""
+    thrusts = np.asarray(thrusts, dtype=float)
+    roots = _reduced_root(branch, thrusts).tolist()
+    return [_sheared_point(branch, n, x).theta for n, x in zip(thrusts.tolist(), roots)]
+
+
 class TestArrayBisection:
-    """_sheared_tilt on an array of thrusts, as branch_sweep calls it, against
-    the same function on each thrust as a float."""
+    """The Newton loop on an array of thrusts, as branch_sweep runs it,
+    against sheared_angle on each thrust as a float."""
 
     @pytest.mark.parametrize("iota", [0.0, 0.3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.0])
@@ -319,10 +327,8 @@ class TestArrayBisection:
         branch = _branch(params)
         near = branch.thresh * (1.0 + np.geomspace(1e-12, 1e-1, 12))
         thrusts = np.concatenate([near, np.geomspace(1.2 * branch.thresh, 1e300, 40)])
-        got = _sheared_tilt(branch, thrusts)
-        want = [_sheared_tilt(branch, thrust) for thrust in thrusts.tolist()]
-        assert got.tolist() == want
-        assert want == [sheared_angle(params, thrust) for thrust in thrusts.tolist()]
+        want = [sheared_angle(params, thrust) for thrust in thrusts.tolist()]
+        assert sweep_angles(branch, thrusts) == want
         assert all(0.0 < a <= b for a, b in zip(want, want[1:]))
 
     @pytest.mark.filterwarnings("error")
@@ -332,7 +338,7 @@ class TestArrayBisection:
         # bisects the scaled factor, the array goes one thrust at a time
         branch = _branch(params)
         thrusts = [branch.thresh * f for f in (1.5, 3.0, 1e10)] + [1.0, 1e300]
-        got = _sheared_tilt(branch, np.array(thrusts)).tolist()
+        got = sweep_angles(branch, thrusts)
         assert got == [sheared_angle(params, thrust) for thrust in thrusts]
         # numpy scalars, whose powers overflow to inf, and 0-d arrays alike
         assert got == [sheared_angle(params, np.float64(thrust)) for thrust in thrusts]
@@ -356,10 +362,13 @@ class TestArrayBisection:
         assert len(sheared) == 4
         for pt in sheared:
             assert -pt.strains.v1 == pytest.approx(mp_shear_amplitude(params, pt.N), rel=4e-16, abs=0.0)
-        if params.zeta >= 1e-150:  # else Q* of the loads (-1, 1e-155) overflows
+        if params.zeta >= 1e-150:
             state = sheared_tensile_state(params, 1.0, grid_h=0.1)
             assert state.descriptor["strains"]["v_shear_amplitude"] == -sheared[-1].strains.v1
             assert state.descriptor["identity_residual"] < 1e-14
+        else:  # Q* = n1^2/zeta^2 of the end loads overflows, and the load gate refuses
+            with pytest.raises(LoadOutOfRange, match=r"^loads map to strains whose Q\(u, v\) is not finite"):
+                sheared_tensile_state(params, 1.0, grid_h=0.1)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 100.0])
     def test_float_and_any_array_give_the_same_bits(self, p):
@@ -372,13 +381,13 @@ class TestArrayBisection:
         rng = np.random.default_rng(71)
         for picked in (np.arange(len(thrusts)), rng.permutation(len(thrusts)), rng.choice(len(thrusts), 5),
                        np.repeat(np.arange(3), 4)):
-            assert _sheared_tilt(branch, thrusts[picked]).tolist() == [want[i] for i in picked]
+            assert sweep_angles(branch, thrusts[picked]) == [want[i] for i in picked]
         for i, thrust in enumerate(thrusts.tolist()):
-            assert _sheared_tilt(branch, np.array([thrust])).tolist() == [want[i]]
+            assert sweep_angles(branch, [thrust]) == [want[i]]
 
     def test_empty(self, demo_params):
         # a sweep that lies wholly below the threshold
-        assert _sheared_tilt(_branch(demo_params), np.array([])).shape == (0,)
+        assert _reduced_root(_branch(demo_params), np.array([])).shape == (0,)
         points, _ = branch_sweep(demo_params, 0.0, 1.0, 5)
         assert [pt.branch for pt in points] == ["trivial"] * 5
 
@@ -387,7 +396,7 @@ class TestArrayBisection:
         params = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.3, p)
         branch = _branch(params)
         assert sheared_angle(params, math.inf) == pytest.approx(sheared_angle_limit(params), abs=1e-13)
-        assert _sheared_tilt(branch, np.array([math.inf])).tolist() == [sheared_angle(params, math.inf)]
+        assert sweep_angles(branch, [math.inf]) == [sheared_angle(params, math.inf)]
 
 
 def mp_sheared_cos(params, thrust):
@@ -415,7 +424,7 @@ class TestReducedEquation:
     def test_cos_matches_mpmath(self, p, iota):
         params = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, iota, p)
         thrusts = reduced_grid_thrusts(shear_threshold(params))
-        got = np.cos(_sheared_tilt(_branch(params), np.array(thrusts)))
+        got = _reduced_root(_branch(params), np.array(thrusts))
         for thrust, x in zip(thrusts, got):
             assert abs(x - mp_sheared_cos(params, thrust)) <= 1e-15, thrust
 
