@@ -124,7 +124,7 @@ def fmt(value) -> str:
     if isinstance(value, np.ndarray):
         digest = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()[:16]
         return f"array{value.shape}:{digest}"
-    if isinstance(value, (lr.Strains, lr.Loads, lr.EulerAngles, lr.MaterialParams)):
+    if isinstance(value, (lr.Strains, lr.Loads, lr.EulerAngles, lr.BranchPoint, lr.MaterialParams)):
         return repr(value)
     if isinstance(value, lr.EquilibriumState):
         cfg = value.configuration
