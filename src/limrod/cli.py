@@ -94,9 +94,10 @@ def cmd_branch(args: argparse.Namespace) -> int:
     if args.format == "csv":
         equilibrium.write_branch_csv(args.out, points, no_bifurcation=verdict)
     else:
+        columns = equilibrium.BRANCH_CSV_HEADER.split(",")
         payload = {
             "no_bifurcation": str(verdict) if verdict is not None else None,
-            "points": [equilibrium._branch_row(pt) for pt in points],
+            "points": [dict(zip(columns, equilibrium._branch_row(pt))) for pt in points],
         }
         Path(args.out).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

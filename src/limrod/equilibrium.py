@@ -33,12 +33,12 @@ than separate constructors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 BRANCH_CSV_HEADER = "N,theta,u3,v3,v_shear_amplitude,branch"
+_SHEARED_THETA = "sheared branch points need theta in (0, pi/2)"
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,11 @@ class ThrustLimits:
     stretch_compression: float
 
 
-@dataclass(frozen=True)
-class BranchPoint:
-    """One point (at s = 0, psi0 = 0) of a tensile equilibrium branch."""
+class BranchPoint(NamedTuple):
+    """One point (at s = 0, psi0 = 0) of a tensile equilibrium branch: a
+    tuple that equals only its own type and checks its branch and theta
+    however it is made (call, ``_make``, ``_replace``, pickle, copy). It
+    was a frozen dataclass: use ``_replace``/``_asdict`` for ``replace``/``asdict``."""
 
     N: float
     theta: float
@@ -110,15 +113,25 @@ class BranchPoint:
     loads: Loads
     branch: str
 
-    def __post_init__(self):
-        if self.branch == "trivial":
-            if self.theta != 0.0:
-                raise ValueError("trivial branch points have theta = 0")
-        elif self.branch == "sheared":
-            if not 0.0 < self.theta < 0.5 * math.pi:
-                raise ValueError("sheared branch points need theta in (0, pi/2)")
-        else:
-            raise ValueError(f"unknown branch {self.branch!r}")
+    __eq__, __ne__, __hash__ = Strains.__eq__, Strains.__ne__, tuple.__hash__
+
+    def __reduce__(self):  # every pickle protocol rebuilds through the check
+        return type(self), tuple(self)
+
+
+def _new_point(cls, N: float, theta: float, strains: Strains, loads: Loads, branch: str) -> BranchPoint:
+    if branch == "trivial" and theta != 0.0:
+        raise ValueError("trivial branch points have theta = 0")
+    if branch == "sheared" and not 0.0 < theta < 0.5 * math.pi:
+        raise ValueError(_SHEARED_THETA)
+    if branch not in ("trivial", "sheared"):
+        raise ValueError(f"unknown branch {branch!r}")
+    return tuple.__new__(cls, (N, theta, strains, loads, branch))
+
+
+# NamedTuple forbids both in its class body; _replace goes through _make
+BranchPoint.__new__ = staticmethod(_new_point)
+BranchPoint._make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 @dataclass(frozen=True)
@@ -299,30 +312,23 @@ def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
     return out
 
 
-def _root_at(branch: _Branch, thrust) -> float:
-    """x = cos(theta) at one thrust, the loop's bits for it in any sweep."""
-    return float(_reduced_root(branch, np.array([float(thrust)]))[0])
-
-
-def _tilt(x: float) -> float:
-    """theta = acos(x), clamped below the float pi/2 that x < 6e-17 rounds to."""
-    return min(math.acos(x), _THETA_MAX)
-
-
-def _sheared_point(branch: _Branch, thrust: float, x: float) -> BranchPoint:
-    """The sheared branch at thrust N and x = cos(theta(N)), s = 0 and
-    psi0 = 0: the closed-form strains (0, 0, -iota k/beta^2,
-    -tan(theta)/a, 0, 1 + k) with k = q/a, the twist +0 for an achiral set
-    as on the trivial branch, and the thrust in the director frame,
-    (0, 0, 0, -N sin(theta), 0, N cos(theta)). The strains and loads are
-    formed from x, with sin(theta) = sqrt((1 - x)(1 + x)), so that they keep
-    their digits where theta is clamped. The one place the branch's point
-    is formed."""
+def _sheared_rows(branch: _Branch, thrust: np.ndarray, x: np.ndarray) -> tuple:
+    """(theta, strain rows, load rows) of the sheared branch at s = 0,
+    psi0 = 0, thrusts N and x = cos(theta(N)): theta = acos(x) by libm,
+    clamped below the float pi/2 and checked as BranchPoint checks it, the
+    strains (0, 0, -iota k/beta^2, -tan(theta)/a, 0, 1 + k), k = q/a, and
+    the loads (0, 0, 0, -N sin(theta), 0, N x), from x with sin(theta) =
+    sqrt((1 - x)(1 + x)) so that they keep their digits where theta is
+    clamped. The sweep, the state and the angle (an array of one) read it."""
+    theta = np.minimum(_libm(math.acos, x), _THETA_MAX)
+    if not ((0.0 < theta) & (theta < 0.5 * math.pi)).all():
+        raise ValueError(_SHEARED_THETA)
     c, k = branch.c, branch.k
-    sin = math.sqrt((1.0 - x) * (1.0 + x))
-    strains = Strains(0.0, 0.0, 0.0 - c.iota * k / c.b2, -(sin / x / branch.a), 0.0, 1.0 + k)
-    loads = Loads(0.0, 0.0, 0.0, -thrust * sin, 0.0, thrust * x)
-    return BranchPoint(thrust, _tilt(x), strains, loads, "sheared")
+    sin = np.sqrt((1.0 - x) * (1.0 + x))
+    strains, loads = np.zeros((2, len(x), 6))
+    strains[:, 2], strains[:, 3], strains[:, 5] = 0.0 - c.iota * k / c.b2, -(sin / x / branch.a), 1.0 + k
+    loads[:, 3], loads[:, 5] = -thrust * sin, thrust * x
+    return theta, strains, loads
 
 
 def sheared_angle(params: MaterialParams, thrust: float) -> float:
@@ -336,7 +342,8 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     NoBifurcationError when the material admits no sheared branch at all.
     An infinite N gives the limit angle.
     """
-    return _tilt(_root_at(_sheared_branch(params, thrust), thrust))
+    branch, thrusts = _sheared_branch(params, thrust), np.array([float(thrust)])
+    return _sheared_rows(branch, thrusts, _reduced_root(branch, thrusts))[0].item()
 
 
 def sheared_angle_p2(params: MaterialParams, thrust: float) -> float:
@@ -449,8 +456,8 @@ def sheared_tensile_state(
     Y = beta/sqrt(det) and a = 1 - q; the shear strains oscillate along
     the rod with amplitude tan(theta)/a at phase u3 s + psi0. The
     centerline stays parallel to g3, at the stretch v3/cos(theta) =
-    1/(a cos(theta)), while d3 tilts by theta. The
-    descriptor's identity_residual is |x - n|/n at x = cos(theta), the
+    1/(a cos(theta)), while d3 tilts by theta. The descriptor's
+    identity_residual is |x - n|/n at x = cos(theta), the
     reduced branch equation x = n = ||(s, t)||_p (``_Branch``), where x/n is
     the saturating factor at the branch loads over its closed form
     det k/(beta^2 N x). Past 1e-8 it raises ArithmeticError. A NaN or
@@ -458,21 +465,21 @@ def sheared_tensile_state(
     the thrust overflows (zeta below about 1e-154 at N of order 1).
     """
     pn = nondimensionalize(params)
-    branch = _sheared_branch(pn, thrust)
-    cth = _root_at(branch, thrust)
-    pt = _sheared_point(branch, thrust, cth)
-    st = pt.strains
-    n = float(_reduced_norm(branch, np.array([_thrust_term(branch, thrust)]), np.array([cth]))[0][0])
+    branch, thrusts = _sheared_branch(pn, thrust), np.array([float(thrust)])
+    x = _reduced_root(branch, thrusts)
+    theta, strains, loads = _sheared_rows(branch, thrusts, x)
+    (u3, v1, v3), (n1, n3) = strains[0, [2, 3, 5]].tolist(), loads[0, [3, 5]].tolist()
+    cth, n = x.item(), _reduced_norm(branch, _thrust_term(branch, thrusts), x)[0].item()
     identity_residual = abs(cth - n) / n
     if identity_residual > 1e-8:
         raise ArithmeticError(
             f"sheared-branch identity violated: residual {identity_residual!r}"
         )
     return _family_state(
-        pn, grid_h, pt.theta, psi0, (0.0, st.u3), (0.0, 0.0, pt.loads.n1, pt.loads.n3),
-        lambda s, phi: np.outer(s, (0.0, 0.0, st.v3 / cth)),
+        pn, grid_h, theta.item(), psi0, (0.0, u3), (0.0, 0.0, n1, n3),
+        lambda s, phi: np.outer(s, (0.0, 0.0, v3 / cth)),
         family="sheared", thrust=thrust, identity_residual=identity_residual,
-        strains={"u3": st.u3, "v3": st.v3, "v_shear_amplitude": -st.v1},
+        strains={"u3": u3, "v3": v3, "v_shear_amplitude": -v1},
     )
 
 
@@ -645,17 +652,29 @@ def branch_sweep(
     branch = _branch(pn)
     scale = 1.0 if n_max - n_min < math.inf else 2.0
     grid = scale * np.linspace(n_min / scale, n_max / scale, count)
-    rows = np.column_stack([np.zeros((count, 5)), grid])  # the loads (0, 0, 0, 0, 0, N)
-    points = [
-        BranchPoint(thrust, 0.0, Strains._make(st), Loads(0.0, 0.0, 0.0, 0.0, 0.0, thrust), "trivial")
-        for thrust, st in zip(grid.tolist(), strains_from_loads_batch(pn, rows).tolist())
-    ]
+    loads = np.column_stack([np.zeros((count, 5)), grid])  # the loads (0, 0, 0, 0, 0, N)
+    # the columns N, theta, strains, loads and branch, trivial 1 and sheared 0 as the names sort
+    parts = [(grid, np.zeros(count), strains_from_loads_batch(pn, loads), loads, np.ones(count, int))]
     if not isinstance(branch.thresh, NoBifurcation):
         sheared = grid[grid > branch.thresh]
-        cosines = _reduced_root(branch, sheared).tolist()
-        points += map(partial(_sheared_point, branch), sheared.tolist(), cosines)
-    points.sort(key=lambda pt: (pt.N, pt.branch))
-    return points, branch.thresh
+        tilt, strains, loads = _sheared_rows(branch, sheared, _reduced_root(branch, sheared))
+        parts.append((sheared, tilt, strains, loads, np.zeros(len(sheared), int)))
+    thrust, theta, strains, loads, code = map(np.concatenate, zip(*parts))
+    order = np.lexsort((code, thrust))  # stable, so tied rows keep their order
+    new, names = tuple.__new__, ("sheared", "trivial")
+    return [
+        new(BranchPoint, (n, t, new(Strains, st), new(Loads, ld), names[b]))
+        for n, t, st, ld, b in zip(thrust[order].tolist(), theta[order].tolist(), zip(*_columns(strains[order])),
+                                   zip(*_columns(loads[order])), code[order].tolist())
+    ], branch.thresh
+
+
+def _columns(rows: np.ndarray) -> list:
+    """The columns of a 2-D float array as floats, one float repeated for a
+    column whose elements share one bit pattern (0.0 and -0.0 differ)."""
+    bits = rows.view(np.int64)
+    same = (bits == bits[0]).all(axis=0).tolist()
+    return [itertools.repeat(col[0].item()) if one else col.tolist() for col, one in zip(rows.T, same)]
 
 
 def write_branch_csv(
@@ -663,20 +682,16 @@ def write_branch_csv(
     points: list[BranchPoint],
     no_bifurcation: NoBifurcation | None = None,
 ) -> None:
-    """Emit a branch sweep as CSV (17 significant digits, byte-stable)."""
-    lines = []
-    if no_bifurcation is not None:
-        lines.append(f"# no bifurcation: {no_bifurcation}")
-    lines.append(BRANCH_CSV_HEADER)
-    for pt in points:
-        row = _branch_row(pt).values()
-        lines.append(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Emit a branch sweep as CSV (17 significant digits, byte-stable) with
+    one ``%.17g`` row template over all points, the bytes of ``f"{x:.17g}"``."""
+    head = [] if no_bifurcation is None else [f"# no bifurcation: {no_bifurcation}"]
+    cells = tuple(itertools.chain.from_iterable(map(_branch_row, points)))
+    body = ("%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" * len(points)) % cells
+    Path(path).write_text("\n".join(head + [BRANCH_CSV_HEADER, body]), encoding="utf-8")
 
 
-def _branch_row(pt: BranchPoint) -> dict:
-    """A row of the diagram, keyed by the columns BRANCH_CSV_HEADER names,
-    in its order: the CSV and the JSON table both write it."""
-    amplitude = math.hypot(pt.strains.v1, pt.strains.v2)
-    values = (pt.N, pt.theta, pt.strains.u3, pt.strains.v3, amplitude, pt.branch)
-    return dict(zip(BRANCH_CSV_HEADER.split(","), values))
+def _branch_row(pt: BranchPoint) -> tuple:
+    """A row of the diagram, in the order of the columns BRANCH_CSV_HEADER
+    names: the CSV and the JSON table both write it."""
+    st = pt.strains
+    return pt.N, pt.theta, st.u3, st.v3, math.hypot(st.v1, st.v2), pt.branch

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import re
 import warnings
 from pathlib import Path
 
@@ -42,7 +45,7 @@ from limrod import (
     trivial_tensile_state,
     write_branch_csv,
 )
-from limrod.equilibrium import _branch, _reduced_norm, _reduced_root, _sheared_point, _thrust_term
+from limrod.equilibrium import _branch, _reduced_norm, _reduced_root, _sheared_rows, _thrust_term
 from limrod.material import _constants, nondimensionalize
 
 from conftest import random_params
@@ -310,10 +313,9 @@ class TestShearedAngle:
 
 def sweep_angles(branch, thrusts):
     """The angles branch_sweep forms at an array of sheared thrusts: one
-    _reduced_root call, each root through _sheared_point."""
+    _reduced_root call, the roots through _sheared_rows."""
     thrusts = np.asarray(thrusts, dtype=float)
-    roots = _reduced_root(branch, thrusts).tolist()
-    return [_sheared_point(branch, n, x).theta for n, x in zip(thrusts.tolist(), roots)]
+    return _sheared_rows(branch, thrusts, _reduced_root(branch, thrusts))[0].tolist()
 
 
 class TestArrayBisection:
@@ -1031,15 +1033,91 @@ class TestDescriptorWireFormat:
         assert 0.0 < v_fac < 1e-100 and math.isfinite(v_fac)
 
 
+class TestBranchPointValue:
+    """BranchPoint is a five-field tuple that equals only its own type and
+    checks its branch and theta however it is made."""
+
+    VALUES = (2.0, 0.4, Strains.reference(), Loads.zero(), "sheared")
+
+    def test_equal_only_to_own_type(self):
+        pt = BranchPoint(*self.VALUES)
+        assert pt == BranchPoint(*self.VALUES) and not pt != BranchPoint(*self.VALUES)
+        assert pt != self.VALUES and self.VALUES != pt and not pt == self.VALUES
+        assert pt != pt._replace(N=3.0)
+
+    def test_equal_instances_hash_equal(self):
+        assert hash(BranchPoint(*self.VALUES)) == hash(BranchPoint(*self.VALUES)) == hash(self.VALUES)
+        assert len({BranchPoint(*self.VALUES), BranchPoint(*self.VALUES), self.VALUES}) == 2
+
+    def test_immutable_and_in_field_order(self):
+        pt = BranchPoint(*self.VALUES)
+        for name in BranchPoint._fields:
+            with pytest.raises(AttributeError):
+                setattr(pt, name, 0.5)
+        assert BranchPoint._fields == ("N", "theta", "strains", "loads", "branch")
+        assert tuple(pt) == self.VALUES and pt._asdict() == dict(zip(BranchPoint._fields, self.VALUES))
+        assert BranchPoint(**pt._asdict()) == pt
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_every_protocol_and_copy(self, protocol):
+        pt = BranchPoint(*self.VALUES)
+        for back in (pickle.loads(pickle.dumps(pt, protocol)), copy.copy(pt), copy.deepcopy(pt)):
+            assert type(back) is BranchPoint and back == pt
+        assert repr(pt) == (
+            "BranchPoint(N=2.0, theta=0.4, strains=Strains(u1=0.0, u2=0.0, u3=0.0, v1=0.0, v2=0.0, v3=1.0), "
+            "loads=Loads(m1=0.0, m2=0.0, m3=0.0, n1=0.0, n2=0.0, n3=0.0), branch='sheared')"
+        )
+
+    @pytest.mark.parametrize("theta, branch, message", [
+        (0.0, "sheared", r"need theta in \(0, pi/2\)"),
+        (math.pi / 2, "sheared", r"need theta in \(0, pi/2\)"),
+        (math.nan, "sheared", r"need theta in \(0, pi/2\)"),
+        (0.4, "trivial", "^trivial branch points have theta = 0$"),
+        (math.nan, "trivial", "^trivial branch points have theta = 0$"),
+        (0.0, "twisted", "^unknown branch 'twisted'$"),
+    ])
+    def test_checked_on_every_path(self, theta, branch, message):
+        good = BranchPoint(*self.VALUES)
+        bad = tuple.__new__(BranchPoint, (2.0, theta, *self.VALUES[2:4], branch))  # skips the check
+        paths = [
+            lambda: BranchPoint(2.0, theta, *self.VALUES[2:4], branch),
+            lambda: BranchPoint(N=2.0, theta=theta, strains=self.VALUES[2], loads=self.VALUES[3], branch=branch),
+            lambda: BranchPoint._make([2.0, theta, *self.VALUES[2:4], branch]),
+            lambda: good._replace(theta=theta, branch=branch),
+            *(lambda proto=proto: pickle.loads(pickle.dumps(bad, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)),
+            lambda: copy.copy(bad),
+            lambda: copy.deepcopy(bad),
+        ]
+        for make in paths:
+            with pytest.raises(ValueError, match=message):
+                make()
+
+    def test_make_and_replace_keep_their_contract(self):
+        assert BranchPoint._make(iter(self.VALUES)) == BranchPoint(*self.VALUES)
+        trivial = BranchPoint(*self.VALUES)._replace(theta=0.0, branch="trivial")
+        assert trivial == BranchPoint(2.0, 0.0, *self.VALUES[2:4], "trivial")
+        with pytest.raises(ValueError, match="unexpected field names"):
+            BranchPoint(*self.VALUES)._replace(psi=1.0)
+
+
 class TestBranchSweep:
-    def test_rows_and_ordering(self, demo_params):
-        points, thresh = branch_sweep(demo_params, 0.0, 3.0, 7)
+    # the second grid repeats each of its few distinct thrusts, all above
+    # the threshold: a tied thrust lists its sheared row, then its trivial
+    @pytest.mark.parametrize("n_min, n_max, count", [(0.0, 3.0, 7), (1e300, 1e300 * (1 + 1e-15), 601)])
+    def test_rows_and_ordering(self, demo_params, n_min, n_max, count):
+        points, thresh = branch_sweep(demo_params, n_min, n_max, count)
         assert not isinstance(thresh, NoBifurcation)
         trivial = [pt for pt in points if pt.branch == "trivial"]
         sheared = [pt for pt in points if pt.branch == "sheared"]
-        assert len(trivial) == 7
+        assert len(trivial) == count
         assert all(pt.N > thresh for pt in sheared)
         assert points == sorted(points, key=lambda pt: (pt.N, pt.branch))
+        states = {n: sheared_tensile_state(demo_params, n, grid_h=0.1).descriptor for n in {pt.N for pt in sheared}}
+        for pt in sheared:
+            state = states[pt.N]
+            assert state["theta"] == pt.theta and state["loads0"][3::2] == [pt.loads.n1, pt.loads.n3]
+            assert state["strains"] == {"u3": pt.strains.u3, "v3": pt.strains.v3, "v_shear_amplitude": -pt.strains.v1}
 
     def test_sweep_without_bifurcation(self, tmp_path):
         params = MaterialParams(1, 1, 1, 1, 1, 0, 2)
