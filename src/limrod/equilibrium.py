@@ -632,9 +632,9 @@ def branch_sweep(
 ) -> tuple[list[BranchPoint], float | NoBifurcation]:
     """Sample both tensile branches over a uniform thrust grid.
 
-    Returns the points sorted by (N, branch) together with the threshold
-    verdict; sheared points appear only for thrusts strictly above the
-    threshold. The trivial points' strains come from one
+    Returns the points sorted by (N, branch), a stable sort, together with
+    the threshold verdict; sheared points appear only for thrusts strictly
+    above the threshold. The trivial points' strains come from one
     ``strains_from_loads_batch`` call on the loads (0, 0, 0, 0, 0, N), so
     they may differ from ``strains_from_loads`` by a few ulps. One Newton
     loop solves the reduced branch equation at all sheared thrusts at once,
@@ -653,19 +653,20 @@ def branch_sweep(
     scale = 1.0 if n_max - n_min < math.inf else 2.0
     grid = scale * np.linspace(n_min / scale, n_max / scale, count)
     loads = np.column_stack([np.zeros((count, 5)), grid])  # the loads (0, 0, 0, 0, 0, N)
-    # the columns N, theta, strains, loads and branch, trivial 1 and sheared 0 as the names sort
-    parts = [(grid, np.zeros(count), strains_from_loads_batch(pn, loads), loads, np.ones(count, int))]
+    # one row per point: N, theta, the strains and the loads
+    table = np.column_stack([grid, np.zeros(count), strains_from_loads_batch(pn, loads), loads])
     if not isinstance(branch.thresh, NoBifurcation):
         sheared = grid[grid > branch.thresh]
         tilt, strains, loads = _sheared_rows(branch, sheared, _reduced_root(branch, sheared))
-        parts.append((sheared, tilt, strains, loads, np.zeros(len(sheared), int)))
-    thrust, theta, strains, loads, code = map(np.concatenate, zip(*parts))
-    order = np.lexsort((code, thrust))  # stable, so tied rows keep their order
+        table = np.concatenate([table, np.column_stack([sheared, tilt, strains, loads])])
+    code = table[:, 1] == 0.0  # the branch: sheared 0 and trivial 1, as the names sort
+    order = np.lexsort((code, table[:, 0]))  # stable, so tied rows keep their order
+    thrust, theta, *columns = _columns(table[order])
+    del table  # so that it does not add to the peak while the points are made
     new, names = tuple.__new__, ("sheared", "trivial")
     return [
         new(BranchPoint, (n, t, new(Strains, st), new(Loads, ld), names[b]))
-        for n, t, st, ld, b in zip(thrust[order].tolist(), theta[order].tolist(), zip(*_columns(strains[order])),
-                                   zip(*_columns(loads[order])), code[order].tolist())
+        for n, t, st, ld, b in zip(thrust, theta, zip(*columns[:6]), zip(*columns[6:]), code[order].tolist())
     ], branch.thresh
 
 
