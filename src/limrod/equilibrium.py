@@ -456,8 +456,8 @@ def sheared_tensile_state(
     Y = beta/sqrt(det) and a = 1 - q; the shear strains oscillate along
     the rod with amplitude tan(theta)/a at phase u3 s + psi0. The
     centerline stays parallel to g3, at the stretch v3/cos(theta) =
-    1/(a cos(theta)), while d3 tilts by theta. The descriptor's
-    identity_residual is |x - n|/n at x = cos(theta), the
+    1/(a cos(theta)), while d3 tilts by theta. The
+    descriptor's identity_residual is |x - n|/n at x = cos(theta), the
     reduced branch equation x = n = ||(s, t)||_p (``_Branch``), where x/n is
     the saturating factor at the branch loads over its closed form
     det k/(beta^2 N x). Past 1e-8 it raises ArithmeticError. A NaN or

@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import re
 import warnings
 from pathlib import Path
 
@@ -1057,16 +1056,16 @@ class TestBranchPointValue:
         assert BranchPoint._fields == ("N", "theta", "strains", "loads", "branch")
         assert tuple(pt) == self.VALUES and pt._asdict() == dict(zip(BranchPoint._fields, self.VALUES))
         assert BranchPoint(**pt._asdict()) == pt
+        assert repr(pt) == (
+            "BranchPoint(N=2.0, theta=0.4, strains=Strains(u1=0.0, u2=0.0, u3=0.0, v1=0.0, v2=0.0, v3=1.0), "
+            "loads=Loads(m1=0.0, m2=0.0, m3=0.0, n1=0.0, n2=0.0, n3=0.0), branch='sheared')"
+        )
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_every_protocol_and_copy(self, protocol):
         pt = BranchPoint(*self.VALUES)
         for back in (pickle.loads(pickle.dumps(pt, protocol)), copy.copy(pt), copy.deepcopy(pt)):
             assert type(back) is BranchPoint and back == pt
-        assert repr(pt) == (
-            "BranchPoint(N=2.0, theta=0.4, strains=Strains(u1=0.0, u2=0.0, u3=0.0, v1=0.0, v2=0.0, v3=1.0), "
-            "loads=Loads(m1=0.0, m2=0.0, m3=0.0, n1=0.0, n2=0.0, n3=0.0), branch='sheared')"
-        )
 
     @pytest.mark.parametrize("theta, branch, message", [
         (0.0, "sheared", r"need theta in \(0, pi/2\)"),
@@ -1102,15 +1101,17 @@ class TestBranchPointValue:
 
 
 class TestBranchSweep:
-    # the second grid repeats each of its few distinct thrusts, all above
-    # the threshold: a tied thrust lists its sheared row, then its trivial
-    @pytest.mark.parametrize("n_min, n_max, count", [(0.0, 3.0, 7), (1e300, 1e300 * (1 + 1e-15), 601)])
-    def test_rows_and_ordering(self, demo_params, n_min, n_max, count):
+    # the second grid repeats each of its 8 thrusts, all above the
+    # threshold: a tied thrust lists its sheared rows, then its trivial ones
+    @pytest.mark.parametrize("n_min, n_max, count, distinct", [
+        (0.0, 3.0, 7, 7), (1e300, 1e300 * (1 + 1e-15), 601, 8),
+    ])
+    def test_rows_and_ordering(self, demo_params, n_min, n_max, count, distinct):
         points, thresh = branch_sweep(demo_params, n_min, n_max, count)
         assert not isinstance(thresh, NoBifurcation)
         trivial = [pt for pt in points if pt.branch == "trivial"]
         sheared = [pt for pt in points if pt.branch == "sheared"]
-        assert len(trivial) == count
+        assert len(trivial) == count and len({pt.N for pt in trivial}) == distinct
         assert all(pt.N > thresh for pt in sheared)
         assert points == sorted(points, key=lambda pt: (pt.N, pt.branch))
         states = {n: sheared_tensile_state(demo_params, n, grid_h=0.1).descriptor for n in {pt.N for pt in sheared}}
