@@ -919,13 +919,10 @@ class TestBetaEnergies:
     def test_beta_series_is_bounded(self):
         # a NaN complement once kept the series loop from its stop test forever
         _beta_memo.cache_clear()
-        for _ in range(2):  # the head alone, then with rows
+        for fn in (_incomplete_beta, _incomplete_beta, unmemoised_incomplete_beta):
+            # the memo built by the call, the memo read, and the split computed anew
             with pytest.raises(ArithmeticError, match="series did not converge"):
-                _incomplete_beta(4.0, -1.0, 1.0, math.nan)
-        rows = []
-        with pytest.raises(ArithmeticError, match="series did not converge"):
-            unmemoised_incomplete_beta(4.0, -1.0, 1.0, math.nan, rows)
-        assert _beta_memo(4.0, -1.0)[1] == rows and len(rows) == 500
+                fn(4.0, -1.0, 1.0, math.nan)
 
     def test_nan_strains_raise(self):
         st = Strains(math.nan, 0, 0, 0, 0, 1)
@@ -1029,28 +1026,53 @@ class TestBetaEnergies:
         assert out.stdout.strip() == "[]"
 
 
-def unmemoised_incomplete_beta(a, b, xa, z, rows=None):
-    """The incomplete-beta kernel computing everything anew on each call:
-    the reference that the memoised kernel must equal bit for bit. Appends
-    the rows (k > a, b + k, z0^(b + k), coefficient) of the terms it sums
-    to ``rows``."""
+def unmemoised_incomplete_beta(a, b, xa, z):
+    """The incomplete-beta kernel computing its split anew on each call:
+    the reference that the memoised kernel must equal bit for bit."""
     x = 1.0 - z
     x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
     if x <= x0:
         return xa * z**b / (a * _beta_cf(a, b, x))
-    z0 = 1.0 - x0
-    log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
-    total, coef = x0**a * z0**b / (a * _beta_cf(a, b, x0)), 1.0
+    total, j = split_constant(a, b, x0)
+    coef = 1.0
+    zk = math.pow(z, b) if z or b > 0.0 else math.inf
     for k in range(500):
         e = b + k
-        if rows is not None:
-            rows.append((k > a, e, z0**e, coef))
-        term = coef * (log_ratio if e == 0.0 else z0**e * -math.expm1(-e * log_ratio) / e)
-        total += term
-        if k > a and abs(term) <= _EPS * total:
+        if k == j:
+            z0 = 1.0 - x0
+            log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
+            if e == 0.0:
+                term = -coef * log_ratio
+            elif abs(e * log_ratio) < 1.0:
+                term = -coef * z0**e * -math.expm1(-e * log_ratio) / e
+            else:
+                term = -coef * (z0**e - zk) / e
+        else:
+            term = coef * zk / e
+        total -= term
+        if k > a and abs(term) <= _EPS * abs(total):
             return total
         coef *= (k + 1.0 - a) / (k + 1.0)
+        zk *= z
     raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
+
+
+def split_constant(a, b, x0):
+    """(K, j) of the split B_x = K - sum_k c_k z^(b + k), computed anew: j is
+    the term with |b + j| < 1/4 (-1 if none), which K leaves out."""
+    z0 = 1.0 - x0
+    j = round(-b)
+    if j < 0 or abs(b + j) >= 0.25:
+        j = -1
+    total, coef = x0**a * z0**b / (a * _beta_cf(a, b, x0)), 1.0
+    for k in range(500):
+        if k != j:
+            term = coef * z0 ** (b + k) / (b + k)
+            total += term
+            if k > a and abs(term) <= _EPS * abs(total):
+                return total, j
+        coef *= (k + 1.0 - a) / (k + 1.0)
+    return math.nan, j
 
 
 def beta_outcome(fn, a, b, z):
@@ -1064,12 +1086,14 @@ def beta_outcome(fn, a, b, z):
 
 class TestBetaKernelMemo:
     """The incomplete-beta kernel with its per-exponent memo against the
-    kernel that computes everything anew, bit for bit; the memo's rows are
-    built lazily, bounded in number and safe to grow from two threads."""
+    kernel that computes its split anew, bit for bit; the memo holds two
+    numbers per exponent, is bounded in size and safe to fill from two
+    threads."""
 
-    # 1/3 and 1/2 reach the e = b + k = 0 log rows; 0.05 and 0.5 raise
-    # OverflowError or ArithmeticError near z = 0
-    P_MEMO = (0.05, 1.0 / 3.0, 0.5, 0.75, 1.5, 3.0, 4.0, 7.0, 100.0)
+    # 1/3 and 1/2 reach the log term, b + j = 0, and 0.9 the expm1 term,
+    # b = -1/9; 0.75 has b = -1/3, outside the near-log threshold of 1/4;
+    # 0.05 and 0.5 raise OverflowError or ArithmeticError near z = 0
+    P_MEMO = (0.05, 1.0 / 3.0, 0.5, 0.75, 0.9, 1.5, 3.0, 4.0, 7.0, 100.0)
     Z_GRID = [10.0**-e for e in (300, 200, 100, 50, 30, 20, 16, 12, 9, 6, 4, 3, 2)] + [
         j / 20.0 for j in range(1, 20)
     ] + [0.0, 5e-324, 1.0]
@@ -1087,25 +1111,20 @@ class TestBetaKernelMemo:
         zs = self.Z_GRID if order == "rising" else self.Z_GRID[::-1]
         for z in zs:
             want = beta_outcome(unmemoised_incomplete_beta, a, b, z)
-            # the first series call at p, the one that adds rows, a warm one
-            for _ in range(3):
+            for _ in range(2):  # the call that fills the memo, then one that reads it
                 assert beta_outcome(_incomplete_beta, a, b, z) == want, (p, z)
 
-    def test_fresh_exponent_builds_only_the_rows_it_uses(self):
-        a, b = self.fresh(2.7)  # z0 = 0.484
-        used = {}
-        for z in (0.48, 0.05, 0.3, 1e-3):  # 38, 39, 40 and 39 terms
-            used[z] = []
-            unmemoised_incomplete_beta(a, b, 1.0, z, used[z])
-        _incomplete_beta(a, b, 1.0, 0.48)
-        head, rows, coef = _beta_memo(a, b)  # the first series call: B_{x0} alone
-        assert head is not None and rows == [] and coef == 1.0
-        for z in (0.48, 0.05, 0.3):  # each adds the rows it reaches, no more
-            _incomplete_beta(a, b, 1.0, z)
-            assert _beta_memo(a, b)[1] == used[z]
+    @pytest.mark.parametrize("p, j", [(1.0 / 3.0, 2), (0.5, 1), (0.9, 0), (0.75, -1), (3.0, -1)])
+    def test_memo_holds_two_numbers_per_exponent(self, p, j):
+        a, b = self.fresh(p)
+        x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
+        _incomplete_beta(a, b, 1.0, 0.9)  # the continued fraction alone fills nothing
+        assert _beta_memo.cache_info().currsize == 0
         _incomplete_beta(a, b, 1.0, 1e-3)
-        assert _beta_memo(a, b)[1] == used[0.3]
-        assert [len(used[z]) for z in used] == [38, 39, 40, 39]
+        assert _beta_memo.cache_info().currsize == 1
+        assert _beta_memo(a, b, x0) == split_constant(a, b, x0) and _beta_memo(a, b, x0)[1] == j
+        if b > 0.0:  # at z = 0 the split is K alone: the complete B(a, b)
+            assert _incomplete_beta(a, b, 1.0, 0.0) == _beta_memo(a, b, x0)[0]
 
     def test_memo_is_bounded(self):
         _beta_memo.cache_clear()
@@ -1117,15 +1136,14 @@ class TestBetaKernelMemo:
         info = _beta_memo.cache_info()
         assert info.maxsize is not None and info.currsize == info.maxsize <= 512
 
-    def test_threads_grow_one_set_of_rows(self):
-        # threads that extend the rows of one exponent at once, each to its
-        # own depth, leave rows equal to those of one thread, each built once
+    def test_threads_racing_on_a_fresh_exponent_agree(self):
+        # threads that meet an exponent at once may each compute its split;
+        # every call still returns the bits of the split computed anew
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for p in (1.5, 2.7, 4.0, 7.0):
+            for p in (1.0 / 3.0, 1.5, 2.7, 4.0, 7.0):
                 a, b = self.fresh(p)
-                _incomplete_beta(a, b, 1.0, 0.05)  # the head, no rows
                 zs = (1e-300, 1e-12, 1e-6, 1e-3, 0.02, 0.05)
                 want = {z: beta_outcome(unmemoised_incomplete_beta, a, b, z) for z in zs}
                 got, start = {}, threading.Barrier(len(zs), timeout=30)
@@ -1141,11 +1159,49 @@ class TestBetaKernelMemo:
                     t.join(timeout=60)
                     assert not t.is_alive()
                 assert got == {z: [w] * 3 for z, w in want.items()}
-                rows = []
-                unmemoised_incomplete_beta(a, b, 1.0, 1e-300, rows)
-                assert _beta_memo(a, b)[1] == rows
+                assert _beta_memo.cache_info().currsize == 1
         finally:
             sys.setswitchinterval(switch)
+
+
+def beta_reference(a, b, z):
+    """B_x(a, b) at x = 1 - z to 80 digits, by DLMF 8.17.4 at the kernel's
+    switch x0: B_{x0}(a, b) + B_{z0}(b, a) - B_z(b, a), with
+    B_t(b, a) = t^b F(b, 1 - a; b + 1; t)/b. At an integer b <= 0, where
+    B_t(b, a) has a pole, b moves by 1e-40: the difference is analytic in b."""
+    with mpmath.workdps(80):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        x0 = mpmath.mpf(min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0))))
+        c = b_ + mpmath.mpf(10) ** -40 if b == round(b) else b_
+
+        def lower(t):
+            return t**c / c * mpmath.hyp2f1(c, 1 - a_, c + 1, t)
+
+        return mpmath.betainc(a_, b_, 0, x0) + lower(1 - x0) - lower(mpmath.mpf(z))
+
+
+class TestBetaKernelAccuracy:
+    """The series branch of the incomplete-beta kernel against mpmath where
+    the split B_x = K - sum_k c_k z^{b+k} is hard: p next to 1/3, 1/2 and 1,
+    where b + k is near 0; z just below the switch z0, where K and the sum
+    cancel; z down to 1e-300; saturated states like those of the bench."""
+
+    P = (1 / 3 - 1e-3, 1 / 3, 1 / 3 + 1e-4, 0.5 - 1e-4, 0.5, 0.5 + 1e-3, 1 - 1e-3, 1 + 1e-4,
+         1.5, 3.0, 4.0, 7.0)
+
+    @pytest.mark.parametrize("p", P)
+    def test_against_mpmath(self, p):
+        a, b = 2.0 / p, 1.0 - 1.0 / p
+        z0 = 1.0 - min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
+        for z in (1e-300, 1e-150, 1e-30, 1.5e-9, 1e-3, 0.99 * z0, z0 * (1 - 1e-9),
+                  math.nextafter(z0, 0.0)):
+            ref = beta_reference(a, b, z)
+            if ref > sys.float_info.max:
+                with pytest.raises(OverflowError):
+                    _incomplete_beta(a, b, (1.0 - z) ** a, z)
+                continue
+            got = _incomplete_beta(a, b, (1.0 - z) ** a, z)
+            assert abs(got - ref) <= 5e-15 * ref, (p, z, float(abs(got - ref) / ref))
 
 
 class TestStrainBounds:
