@@ -18,8 +18,9 @@ its temporary directory. Then loads whose Q*^{p/2} overflows, and a
 negative number in scientific notation; a ``branch`` with an infinite
 bound, one with a NaN bound and one from -1e308 to 1e308, whose span
 overflows; and error cases:
-non-finite inputs, out-of-range inputs and malformed or too short
-configuration CSVs handed to ``check``.
+non-finite inputs, out-of-range inputs, and malformed or too short
+configuration CSVs handed to ``check``, with one whose row has a d3 of
+length 2 and one whose row has a left-handed frame.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -106,6 +107,11 @@ def _cut(line: str, start: int, stop: int | None, *extra: str) -> str:
     return ",".join([*line.split(",")[start:stop], *extra])
 
 
+def _scale_d3(line: str, factor: float) -> str:
+    """The row with its d3 components times ``factor``."""
+    return _cut(line, 0, 10, *(repr(factor * float(x)) for x in line.split(",")[10:]))
+
+
 # kind -> malformed (or odd but valid) variant of a good CSV's lines
 BAD_CSVS = {
     "columns": lambda ls: _with_line6(ls, _cut(ls[5], 0, 12)),
@@ -124,6 +130,8 @@ BAD_CSVS = {
     "no final newline": lambda ls: "\n".join(ls),
     "leading blank": lambda ls: "\n" + "\n".join(ls) + "\n",
     "two rows": lambda ls: "\n".join([ls[0], ls[1], ls[-1]]) + "\n",  # s = 0 and 1
+    "non-unit d3": lambda ls: _with_line6(ls, _scale_d3(ls[5], 2.0)),
+    "left-handed": lambda ls: _with_line6(ls, _scale_d3(ls[5], -1.0)),
 }
 
 
