@@ -51,7 +51,7 @@ from .errors import (
     LoadOutOfRange,
     NoBifurcationError,
 )
-from .kinematics import Configuration, _check_finite, _derivative, _euler_directors, _libm, darboux_components
+from .kinematics import Configuration, _check_finite, _darboux, _derivative, _euler_directors, _libm
 from .material import MaterialParams, _constants, nondimensionalize
 
 __all__ = [
@@ -603,14 +603,15 @@ def state_from_configuration(params: MaterialParams, config: Configuration) -> E
     ``loads_from_strains_batch`` maps them to loads in one call, bit for
     bit as the scalar inverse map would row by row. Raises
     StrainOutOfRange, naming Q of the first bad sample, if the geometry is
-    constitutively impossible. The derived loads carry the O(h^2)
-    discretization error of the stencils.
+    constitutively impossible. The frames are not checked again: the
+    Configuration checked them when it was built. The derived loads carry
+    the O(h^2) discretization error of the stencils.
     """
     pn = nondimensionalize(params)
     h = config.h
     dr = _derivative(config.points, h)
     v = np.einsum("ni,nki->nk", dr, config.directors)
-    u = darboux_components(config.directors, h)
+    u = _darboux(config.directors, h)
     loads = loads_from_strains_batch(pn, np.concatenate([u, v], axis=1))
     descriptor = {
         "family": "reconstructed",

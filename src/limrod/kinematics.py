@@ -95,17 +95,23 @@ def _check_finite(what: str, error: type = AngleOutOfRange, **values: float) -> 
             raise error(f"{what} {name} must be finite, got {value!r}")
 
 
+def _cross(a, b) -> list:
+    """a x b of vectors given as component rows, by the arithmetic of ``np.cross``."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
 def _check_frames(dirs: np.ndarray, not_orthonormal: str, not_right_handed: str = "") -> None:
     """Raise NonOrthonormalFrame, with the message given, if a frame of
     ``dirs`` (n, 3, 3) fails orthonormality or, where a message for it is
-    given, right-handedness. The tests are written "not <=" so that NaN
-    fails them."""
-    gram = np.einsum("nij,nkj->nik", dirs, dirs)
-    if not np.abs(gram - np.eye(3)).max() <= _ORTHO_TOL:
+    given, right-handedness. Each test is one max over component columns,
+    written "not <=" so that a NaN anywhere fails it."""
+    d1, d2, d3 = (dirs[:, k].T for k in range(3))
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    gram = [dot(d1, d1) - 1.0, dot(d2, d2) - 1.0, dot(d3, d3) - 1.0,
+            dot(d1, d2), dot(d1, d3), dot(d2, d3)]
+    if not np.abs(gram).max() <= _ORTHO_TOL:
         raise NonOrthonormalFrame(not_orthonormal)
-    if not_right_handed and not (
-        np.abs(np.cross(dirs[:, 0], dirs[:, 1]) - dirs[:, 2]).max() <= _ORTHO_TOL
-    ):
+    if not_right_handed and not np.abs(np.subtract(_cross(d1, d2), d3)).max() <= _ORTHO_TOL:
         raise NonOrthonormalFrame(not_right_handed)
 
 
@@ -170,8 +176,9 @@ def directors_from_euler(angles: EulerAngles) -> Frame:
 class Configuration:
     """Uniformly sampled configuration: s grid, centerline points, directors.
 
-    ``directors[i, k]`` is d_{k+1} at sample i. Arrays are frozen after
-    validation and safe to share.
+    ``directors[i, k]`` is d_{k+1} at sample i. Every frame is checked
+    here, once: NonOrthonormalFrame if one is not orthonormal or not
+    right-handed. Arrays are frozen after validation and safe to share.
     """
 
     s: np.ndarray
@@ -246,14 +253,21 @@ def darboux_components(frames: np.ndarray, h: float) -> np.ndarray:
 
     Uses u = (1/2) sum_k d_k x d_k' with second-order difference stencils,
     so the result carries an O(h^2) discretization error. Returns shape
-    (n, 3). Raises NonOrthonormalFrame if any sample fails the tolerance.
+    (n, 3). Checks every frame: NonOrthonormalFrame if one fails the tolerance.
     """
     dirs = np.asarray(frames, dtype=float)
     if dirs.ndim != 3 or dirs.shape[1:] != (3, 3) or dirs.shape[0] < 3:
         raise ValueError("need at least three frame samples of shape (3, 3)")
     _check_frames(dirs, "frame samples are not orthonormal")
+    return _darboux(dirs, h)
+
+
+def _darboux(dirs: np.ndarray, h: float) -> np.ndarray:
+    """``darboux_components`` of frames already checked. The sum over k of
+    d_k x d_k' runs in k order, as ``np.cross(dirs, rates).sum(axis=1)``."""
     rates = _derivative(dirs, h)
-    u = 0.5 * np.cross(dirs, rates).sum(axis=1)
+    c1, c2, c3 = (_cross(dirs[:, k].T, rates[:, k].T) for k in range(3))
+    u = 0.5 * np.stack([a + b + c for a, b, c in zip(c1, c2, c3)], axis=1)
     return np.einsum("ni,nki->nk", u, dirs)
 
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import re
@@ -23,11 +24,14 @@ from limrod import (
     directors_from_euler,
     frame_loads,
     helical_state,
+    loads_from_strains_batch,
+    nondimensionalize,
     pure_twist_state,
     read_configuration_csv,
     reconstruct,
     shear_factors,
     sheared_tensile_state,
+    state_from_configuration,
     strains_from_euler,
     strains_from_loads,
     trivial_tensile_state,
@@ -36,6 +40,7 @@ from limrod import (
 from limrod.kinematics import (
     CSV_HEADER,
     _CSV_CHUNK,
+    _derivative,
     _euler_directors,
     _gauss_samples,
     _magnus_generators,
@@ -285,6 +290,62 @@ def test_malformed_frames_raise(build, message):
         build()
 
 
+N_STACK, MID = 9, 4  # a stack of frames and the sample spoiled in it
+
+
+def frame_stack() -> np.ndarray:
+    """A smooth right-handed stack of N_STACK frames, (N_STACK, 3, 3)."""
+    t = np.linspace(0.0, 1.0, N_STACK)
+    return _euler_directors(0.8 * t, 0.7, 2.0 * t)
+
+
+def frame_checks(dirs: np.ndarray) -> dict:
+    """The three checked entry points on ``dirs``, each by its orthonormality message."""
+    return {
+        "a sampled frame is not orthonormal": lambda: Configuration(
+            s=np.linspace(0.0, 1.0, N_STACK), points=np.zeros((N_STACK, 3)), directors=dirs),
+        "frame samples are not orthonormal": lambda: darboux_components(dirs, 1.0 / (N_STACK - 1)),
+        "directors are not orthonormal": lambda: Frame(*dirs[MID]),
+    }
+
+
+class TestFrameChecks:
+    """A bad sample anywhere in the stack fails the check, NaN and
+    infinities in any entry included, with the caller's message."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k, j", list(itertools.product(range(3), range(3))))
+    def test_nonfinite_entry_is_refused(self, k, j, value):
+        dirs = frame_stack()
+        dirs[MID, k, j] = value
+        for message, build in frame_checks(dirs).items():
+            with pytest.raises(NonOrthonormalFrame, match=f"^{message}$"):
+                build()
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("excess, refused", [(2e-8, True), (5e-9, False)])
+    def test_tolerance_edge(self, k, excess, refused):
+        # |d_k|^2 - 1, a diagonal Gram entry, against the tolerance 1e-8
+        dirs = frame_stack()
+        dirs[MID, k] *= math.sqrt(1.0 + excess)
+        for message, build in frame_checks(dirs).items():
+            if refused:
+                with pytest.raises(NonOrthonormalFrame, match=f"^{message}$"):
+                    build()
+            else:
+                build()
+
+    def test_left_handed_sample_is_refused(self):
+        dirs = frame_stack()
+        dirs[MID, 2] *= -1.0
+        checks = frame_checks(dirs)
+        with pytest.raises(NonOrthonormalFrame, match="^a sampled frame is not right-handed$"):
+            checks["a sampled frame is not orthonormal"]()
+        with pytest.raises(NonOrthonormalFrame, match="^frame is not right-handed$"):
+            checks["directors are not orthonormal"]()
+        checks["frame samples are not orthonormal"]()  # darboux_components checks orthonormality only
+
+
 class TestDarboux:
     def test_constant_frame(self):
         frames = np.tile(np.eye(3), (9, 1, 1))
@@ -309,6 +370,24 @@ class TestDarboux:
         frames[2, 0, 0] = 1.1
         with pytest.raises(NonOrthonormalFrame):
             darboux_components(frames, 0.25)
+
+    @pytest.mark.parametrize("build", [
+        lambda p: helical_state(p, 1.0, theta=0.9, psi0=0.3, grid_h=1e-4),
+        lambda p: helical_state(p, 1.0, theta=0.5 * math.pi, psi0=0.3, grid_h=1e-4),
+        lambda p: pure_twist_state(p, 1.0, theta=0.4, psi0=0.3, grid_h=1e-4),
+        lambda p: sheared_tensile_state(p, 2.0, psi0=0.3, grid_h=1e-4),
+    ], ids=["helix", "bend", "twist", "sheared"])
+    def test_bits_of_the_array_formulas(self, demo_params, build):
+        # u = (1/2) sum_k d_k x d_k' as numpy's cross and axis sum give it,
+        # and the recovered loads as the batch inverse map of (u, v)
+        config = build(demo_params).configuration
+        d, h = config.directors, config.h
+        u = darboux_components(d, h)
+        expected = np.einsum("ni,nki->nk", 0.5 * np.cross(d, _derivative(d, h)).sum(axis=1), d)
+        assert bit_equal(u, expected)
+        v = np.einsum("ni,nki->nk", _derivative(config.points, h), d)
+        loads = loads_from_strains_batch(nondimensionalize(demo_params), np.concatenate([u, v], axis=1))
+        assert bit_equal(state_from_configuration(demo_params, config).loads, loads)
 
     def test_matches_euler_strain_relations_along_path(self):
         # smooth angle path: darboux components agree with the closed-form
