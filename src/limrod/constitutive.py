@@ -520,10 +520,24 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
     1 - Q rather than 1 minus the rounded sqrt(Q); otherwise the exact reduction
     W = (gamma/p) B(Q^{p/2}; 2/p, 1 - 1/p) to an incomplete beta function.
     Against 80-digit mpmath the relative error is below 5e-15 for p in
-    [0.05, 100] and Q up to 1 - 1e-12.
+    [0.05, 100] and Q up to 1 - 1e-12. Raises StrainOutOfRange, naming the
+    strains, where W exceeds the float64 range (gamma near the float64
+    maximum, or Q next to 1 at small p), or where the power z^b of the
+    series does, z = 1 - Q^{p/2} and b = 1 - 1/p: for gamma < 1 - p, W may
+    still be finite there.
     """
     c = _constants(params)
-    q = _domain_q(c, strains)
+    try:
+        w = _stored_energy(c, _domain_q(c, strains))
+    except OverflowError:
+        raise StrainOutOfRange(f"the stored energy's series overflows at {strains}") from None
+    if not w < math.inf:
+        raise StrainOutOfRange(f"the stored energy overflows at {strains}")
+    return w
+
+
+def _stored_energy(c: _Constants, q: float) -> float:
+    """``stored_energy`` at Q, which may come out infinite or raise OverflowError."""
     if q == 0.0:
         return 0.0
     g, p = c.gamma, c.p

@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -992,6 +993,26 @@ class TestBetaEnergies:
             rt = mpmath.sqrt(mpmath.mpf(strain_quad_form(params, st)))
             ref = -rt - mpmath.log(1 - rt)
         assert abs(stored_energy(params, st) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("p, gamma, delta", [
+        # z ~ (p/2)(1 - Q), and z^b = z^-19 in the beta series raised a bare
+        # OverflowError; W ~ gamma z^b/(1 - p) overflows with it at gamma = 1
+        (0.05, 1.0, 2.2e-15), (0.05, 1.0, 1e-15), (0.05, 1.0, 2.3e-16),
+        # W is gamma times its value at gamma = 1, which exceeds 1 here: the
+        # closed form (p = 1) and the beta form returned inf
+        (1.0, sys.float_info.max, 1e-15), (1.5, sys.float_info.max, 1e-15), (0.5, 1e300, 1e-15),
+    ])
+    def test_stored_overflow_raises(self, p, gamma, delta):
+        st = Strains(math.sqrt(1.0 - delta), 0, 0, 0, 0, 1)
+        with pytest.raises(StrainOutOfRange, match=re.escape(f"overflows at {st}")):
+            stored_energy(mk(gamma=gamma, p=p), st)
+
+    @pytest.mark.parametrize("delta", (1e-14, 5e-15))
+    def test_stored_finite_next_to_the_overflow(self, delta):
+        # W ~ 3e296 and 1e302 at p = 0.05, a factor 1e12 and 1e6 below the range
+        params, st = mk(p=0.05), Strains(math.sqrt(1.0 - delta), 0, 0, 0, 0, 1)
+        ref = self.ref_stored(strain_quad_form(params, st), 0.05)
+        assert abs(stored_energy(params, st) - ref) <= 1e-13 * ref
 
     def test_p1_where_load_over_gamma_overflows(self):
         # rt/g overflows at unit scale: g log1p(rt/g) was inf and W* -inf
