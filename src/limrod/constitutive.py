@@ -527,8 +527,9 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
     still be finite there.
     """
     c = _constants(params)
+    q = _domain_q(c, strains)
     try:
-        w = _stored_energy(c, _domain_q(c, strains))
+        w = _stored_energy(c, q)
     except OverflowError:
         raise StrainOutOfRange(f"the stored energy's series overflows at {strains}") from None
     if not w < math.inf:
