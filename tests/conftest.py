@@ -24,6 +24,11 @@ os.environ.setdefault(
 P_GRID = (1.0, 2.0, 3.0, 4.0)
 
 
+def mk(alpha=1.0, beta=1.0, gamma=1.0, zeta=1.0, eta=1.0, iota=0.0, p=2.0, ref_length=1.0):
+    """A parameter set with unit defaults, in MaterialParams' field order."""
+    return MaterialParams(alpha, beta, gamma, zeta, eta, iota, p, ref_length)
+
+
 def random_params(
     rng: np.random.Generator,
     p: float | None = None,

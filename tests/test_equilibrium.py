@@ -4,7 +4,6 @@ import pickle
 import warnings
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +46,7 @@ from limrod import (
 from limrod.equilibrium import _branch, _reduced_norm, _reduced_root, _sheared_rows, _thrust_term
 from limrod.material import _constants, nondimensionalize
 
+import oracle
 from conftest import random_params
 
 # oracle-frozen values for the demo set (beta=1, iota=0, eta=2, zeta=1, p=2):
@@ -80,51 +80,6 @@ THRESHOLD_EDGE_SETS = [
     MaterialParams(1.0, 1.0, 1.0, zeta, 1.0, 0.0, p)
     for zeta, p in ((1e-100, 1.5), (1e-50, 3.0), (1e-20, 1.5), (1e-20, 3.0), (1e-20, 7.0))
 ] + [MaterialParams(1.0, 1.0, 1.0, 1e-150, 5e6, 0.0, 2.0), MaterialParams(1.0, 1e-160, 1.0, 1.0, 2.0, 0.0, 2.0)]
-
-
-def mp_branch(params):
-    """(threshold, k, branch function of (N, x)) of a normalised set at
-    50 digits, from the closed forms."""
-    b, z, e, i, p = map(mpmath.mpf, (params.beta, params.zeta, params.eta, params.iota, params.p))
-    b2, z2, det = b * b, z * z, b * b * e * e - i * i
-    ratio = det / (b2 * z2)
-    thresh = ((ratio - 1) ** p * (b2 / det) ** p - (b / mpmath.sqrt(det)) ** p) ** (-1 / p)
-
-    def f(thrust, x):
-        g = (1 - x * x) / z2 + b2 * x * x / det
-        return (mpmath.mpf(thrust) ** -p + g ** (p / 2)) ** (-1 / p) * b2 * x / det
-
-    return thresh, 1 / (ratio - 1), f
-
-
-def mp_cos_p2(params, thrust):
-    """cos(theta) at p = 2 and 60 digits from the closed form
-    cos^2 = zeta^2 (1 + zeta^2/N^2)/(a (a + zeta^2)), a = 1 - (zeta Y)^2,
-    Y = 1/sqrt(eta^2 - (iota/beta)^2); N = inf gives the limit."""
-    with mpmath.workdps(60):
-        b, z, e, i = map(mpmath.mpf, (params.beta, params.zeta, params.eta, params.iota))
-        a = 1 - z * z / (e * e - (i / b) ** 2)
-        tail = 0 if thrust == math.inf else z * z / mpmath.mpf(thrust) ** 2
-        return float(mpmath.sqrt(z * z * (1 + tail) / (a * (a + z * z))))
-
-
-def mp_shear_amplitude(params, thrust):
-    """tan(theta)/a at 50 digits, x = cos(theta) = zeta y/a the root of the
-    reduced branch equation y = ||(zeta/N, sqrt(1 - a x^2))||_p."""
-    with mpmath.workdps(50):
-        b, z, e, i, p = map(mpmath.mpf, (params.beta, params.zeta, params.eta, params.iota, params.p))
-        a = 1 - z * z / (e * e - (i / b) ** 2)
-        y = mpmath.findroot(
-            lambda y: y - ((z / thrust) ** p + (1 - a * (z * y / a) ** 2) ** (p / 2)) ** (1 / p), 1
-        )
-        x = z * y / a
-        return float(mpmath.sqrt(1 - x * x) / (x * a))
-
-
-def mp_sheared_angle(params, thrust):
-    with mpmath.workdps(50):
-        _, k, f = mp_branch(params)
-        return float(mpmath.acos(mpmath.findroot(lambda x: f(thrust, x) - k, (0, 1), solver="anderson")))
 
 
 def bifurcating_params(rng, max_tries=200):
@@ -187,9 +142,7 @@ class TestShearThreshold:
         # (ratio - 1)^p once raised a raw OverflowError; the threshold is a
         # normal float, about zeta^2 (abs=0: approx's default 1e-12 would
         # pass any threshold this small)
-        with mpmath.workdps(50):
-            want = float(mp_branch(params)[0])
-        assert shear_threshold(params) == pytest.approx(want, rel=4e-16, abs=0.0)
+        assert shear_threshold(params) == pytest.approx(oracle.branch(params)[0], rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0])
     @pytest.mark.parametrize("beta, zeta, iota", [
@@ -199,9 +152,7 @@ class TestShearThreshold:
         # beta^2 zeta^2 is 0 or subnormal: ratio = det/(beta^2 zeta^2) once
         # raised a raw ZeroDivisionError, or lost digits (9.99988867e-161 at 1e-80)
         params = MaterialParams(1.0, beta, 1.0, zeta, 2.0, iota, p)
-        with mpmath.workdps(50):
-            want = float(mp_branch(params)[0])
-        assert shear_threshold(params) == pytest.approx(want, rel=4e-16, abs=0.0)
+        assert shear_threshold(params) == pytest.approx(oracle.branch(params)[0], rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("beta, zeta, iota", [
         (1e-80, 1e-80, 0.0), (1e-90, 1e-90, 0.0), (1e-100, 1e-100, 3e-101), (1e-60, 1e-100, 0.0),
@@ -214,7 +165,7 @@ class TestShearThreshold:
         params = MaterialParams(1.0, beta, 1.0, zeta, 2.0, iota, 2.0)
         thresh = shear_threshold(params)
         for thrust in (1.5 * thresh, 2.0 * thresh, 1e3 * thresh, math.inf):
-            want = mp_cos_p2(params, thrust)
+            want = oracle.cos_p2(params, thrust)
             assert abs(math.cos(sheared_angle(params, thrust)) - want) <= 4e-16, thrust
         state = sheared_tensile_state(params, 2.0 * thresh, grid_h=0.1)
         assert state.descriptor["identity_residual"] < 1e-14
@@ -230,7 +181,7 @@ class TestShearThreshold:
         # beta^2 zeta^2 = 2^-1022 scale: the smallest products the angle takes
         params = MaterialParams(1.0, 2.0**-256, 1.0, scale**0.5 * 2.0**-255, 2.0, 0.0, 2.0)
         thrust = 2.0 * shear_threshold(params)
-        assert sheared_angle(params, thrust) == pytest.approx(mp_sheared_angle(params, thrust), abs=1e-14)
+        assert sheared_angle(params, thrust) == pytest.approx(oracle.sheared_angle(params, thrust), abs=1e-14)
 
     @pytest.mark.parametrize("params, bifurcates", [
         # zeta > 1: (ratio - 1)^p overflows although X = (ratio - 1) beta^2/det
@@ -243,12 +194,8 @@ class TestShearThreshold:
         (MaterialParams(1, 1, 1, 2, 1e4, 0.3, 300), True),
     ], ids=repr)
     def test_large_power_beyond_float_range(self, params, bifurcates):
-        with mpmath.workdps(50):
-            b, z, e, i, p = map(mpmath.mpf, (params.beta, params.zeta, params.eta, params.iota, params.p))
-            det = b * b * e * e - i * i
-            gap = ((det / (b * b * z * z) - 1) * b * b / det) ** p - (b / mpmath.sqrt(det)) ** p
-            assert (gap > 0) == bifurcates
-            want = float(mp_branch(params)[0]) if bifurcates else None
+        want = oracle.branch(params)[0]
+        assert (want is not None) == bifurcates
         verdict = shear_threshold(params)
         if bifurcates:
             assert verdict == pytest.approx(want, rel=4e-16)
@@ -345,7 +292,7 @@ class TestArrayBisection:
         assert got == [sheared_angle(params, np.float64(thrust)) for thrust in thrusts]
         assert got == [sheared_angle(params, np.array(thrust)) for thrust in thrusts]
         for thrust, theta in zip(thrusts, got):
-            assert theta == pytest.approx(mp_sheared_angle(params, thrust), abs=1e-14)
+            assert theta == pytest.approx(oracle.sheared_angle(params, thrust), abs=1e-14)
             if params.p == 2.0:  # the closed form: N^-2 once raised a raw OverflowError
                 assert math.cos(sheared_angle_p2(params, thrust)) == pytest.approx(math.cos(theta), abs=1e-14)
         limit = sheared_angle_limit(params)
@@ -362,7 +309,7 @@ class TestArrayBisection:
         sheared = [pt for pt in points if pt.branch == "sheared"]
         assert len(sheared) == 4
         for pt in sheared:
-            assert -pt.strains.v1 == pytest.approx(mp_shear_amplitude(params, pt.N), rel=4e-16, abs=0.0)
+            assert -pt.strains.v1 == pytest.approx(oracle.shear_amplitude(params, pt.N), rel=4e-16, abs=0.0)
         if params.zeta >= 1e-150:
             state = sheared_tensile_state(params, 1.0, grid_h=0.1)
             assert state.descriptor["strains"]["v_shear_amplitude"] == -sheared[-1].strains.v1
@@ -400,13 +347,6 @@ class TestArrayBisection:
         assert sweep_angles(branch, [math.inf]) == [sheared_angle(params, math.inf)]
 
 
-def mp_sheared_cos(params, thrust):
-    """cos(theta) at 50 digits, the root of the library's branch function."""
-    with mpmath.workdps(50):
-        _, k, f = mp_branch(params)
-        return mpmath.findroot(lambda x: f(thrust, x) - k, (0, 1), solver="anderson")
-
-
 REDUCED_EXPONENTS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 12.0, 100.0]
 
 
@@ -427,7 +367,7 @@ class TestReducedEquation:
         thrusts = reduced_grid_thrusts(shear_threshold(params))
         got = _reduced_root(_branch(params), np.array(thrusts))
         for thrust, x in zip(thrusts, got):
-            assert abs(x - mp_sheared_cos(params, thrust)) <= 1e-15, thrust
+            assert abs(x - oracle.sheared_cos(params, thrust)) <= 1e-15, thrust
 
     @pytest.mark.parametrize("iota", [0.0, 0.3])
     @pytest.mark.parametrize("p", REDUCED_EXPONENTS)

@@ -18,7 +18,7 @@ from limrod import (
 )
 from limrod.constitutive import _one_minus_qp
 
-from conftest import P_GRID, random_params, random_strains, strain_form_matrix
+from conftest import P_GRID, mk, random_params, random_strains, strain_form_matrix
 
 
 def hessian_entrywise(params: MaterialParams, strains: Strains) -> np.ndarray:
@@ -49,10 +49,6 @@ def hessian_entrywise(params: MaterialParams, strains: Strains) -> np.ndarray:
     h[5, 5] = c * (s * e2 + r * w6 * w6)
     h[2, 5] = h[5, 2] = c * (s * params.iota + r * w3 * w6)
     return params.gamma * h
-
-
-def mk(alpha=1.0, beta=1.0, gamma=1.0, zeta=1.0, eta=1.0, iota=0.0, p=2.0):
-    return MaterialParams(alpha, beta, gamma, zeta, eta, iota, p)
 
 
 class TestReferenceState:

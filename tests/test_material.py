@@ -28,11 +28,7 @@ from limrod import (
 )
 from limrod.material import _constants
 
-from conftest import random_params
-
-
-def mk(alpha=1.0, beta=1.0, gamma=1.0, zeta=1.0, eta=1.0, iota=0.0, p=2.0, ref_length=1.0):
-    return MaterialParams(alpha, beta, gamma, zeta, eta, iota, p, ref_length)
+from conftest import mk, random_params
 
 
 class TestValidate:
