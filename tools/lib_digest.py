@@ -72,6 +72,10 @@ digits to underflow; no draw. ``reconstruct`` is digested by the
 SHA-256 of the points and directors it builds from three constant and
 three varying seeded strain fields, from seeded start points and frames,
 at grid_h 1e-2 and 1e-3, drawn from a generator of its own.
+``check_balance`` runs on every state a constructor above returns, and on
+``state_from_configuration`` of demo and each configuration the writer
+digest gets; neither draws. ``symmetry_transform`` gets its three kinds,
+rotations at drawn angles, on strains drawn from a generator of its own.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -498,6 +502,19 @@ def reconstruct_fields(rng: np.random.Generator) -> list:
     return cases
 
 
+def add_symmetry_transforms(add, rng: np.random.Generator) -> None:
+    """The three kinds on 200 strains with components from 1e-3 to 1e3 in
+    size, three in ten of them zero, rotated by an angle in [-2 pi, 2 pi]."""
+    for _ in range(200):
+        row = rng.normal(size=6) * 10.0 ** rng.uniform(-3.0, 3.0, 6)
+        row[rng.uniform(size=6) < 0.3] = 0.0
+        strains = lr.Strains.from_array(row)
+        add("symmetry_transform", lr.symmetry_transform, strains, "rotation",
+            float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi)))
+        for kind in ("flip", "flip_reflect"):
+            add("symmetry_transform", lr.symmetry_transform, strains, kind)
+
+
 def configuration_sha256(config: lr.Configuration) -> str:
     return hashlib.sha256(config.points.tobytes() + config.directors.tobytes()).hexdigest()
 
@@ -516,6 +533,8 @@ def digest_records() -> dict[str, list[str]]:
     def add(label: str, fn, *args) -> object:
         text, result = call(fn, *args)
         rec.setdefault(label, []).append(f"{fmt(args)} -> {text}")
+        if isinstance(result, lr.EquilibriumState):
+            add("check_balance", lr.check_balance, result)
         return result
 
     for params in materials(rng):
@@ -571,12 +590,16 @@ def digest_records() -> dict[str, list[str]]:
     add_beta_kernel(add)
     add_overflow_edges(add)
     add_saturation_edges(add)
+    demo = lr.load_params(ROOT / "params" / "demo.json")
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
+        recovered = call(lambda: lr.check_balance(lr.state_from_configuration(demo, config)))[0]
+        rec["check_balance"].append(f"recovered {label} -> {recovered}")
     for label, field, start, frame in reconstruct_fields(np.random.default_rng(SEED)):
         for grid_h in RECONSTRUCT_GRIDS:
             text = call(lambda: configuration_sha256(lr.reconstruct(field, start, frame, grid_h)))[0]
             rec.setdefault("reconstruct", []).append(f"{label} at {grid_h!r} -> {text}")
+    add_symmetry_transforms(add, np.random.default_rng(SEED))
     return rec
 
 
