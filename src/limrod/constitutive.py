@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -96,6 +96,18 @@ class Strains(NamedTuple):
     @classmethod
     def reference(cls) -> "Strains":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def _checked_tuple(cls: type, new: Callable) -> None:
+    """Route every way of making the named tuple ``cls`` (call, ``_make``,
+    ``_replace``, pickle, copy) through ``new(cls, *fields)``, which checks
+    the fields and returns ``tuple.__new__(cls, fields)``, and give it the
+    type-strict equality of Strains. NamedTuple forbids ``__new__`` and
+    ``_make`` in a class body, so they are set here."""
+    cls.__new__ = staticmethod(new)
+    cls._make = classmethod(lambda c, iterable: c(*iterable))
+    cls.__reduce__ = lambda self: (type(self), tuple(self))
+    cls.__eq__, cls.__ne__, cls.__hash__ = Strains.__eq__, Strains.__ne__, tuple.__hash__
 
 
 class Loads(NamedTuple):
@@ -682,20 +694,15 @@ def symmetry_transform(strains: Strains, kind: str, angle: float = 0.0) -> Strai
     For "rotation" and "flip" the action on the deviation coincides with
     the action on the raw tangent components, because both matrices fix e3.
     """
-    u = np.array([strains.u1, strains.u2, strains.u3])
-    dv = np.array([strains.v1, strains.v2, strains.v3 - 1.0])
+    u1, u2, u3, v1, v2, v3 = map(float, strains)
+    dv3 = v3 - 1.0
     if kind == "rotation":
         c, s = math.cos(angle), math.sin(angle)
-        rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-        u, dv = rot @ u, rot @ dv
+        u1, u2, v1, v2 = c * u1 + s * u2, c * u2 - s * u1, c * v1 + s * v2, c * v2 - s * v1
     elif kind == "flip":
-        flip = np.array([1.0, -1.0, 1.0])
-        u, dv = flip * u, flip * dv
+        u2, v2 = -u2, -v2
     elif kind == "flip_reflect":
-        u = np.array([1.0, -1.0, 1.0]) * u
-        dv = np.array([-1.0, 1.0, -1.0]) * dv
+        u2, v1, dv3 = -u2, -v1, -dv3
     else:
         raise ValueError(f"unknown symmetry kind {kind!r}")
-    return Strains(
-        float(u[0]), float(u[1]), float(u[2]), float(dv[0]), float(dv[1]), float(1.0 + dv[2])
-    )
+    return Strains(u1, u2, u3, v1, v2, 1.0 + dv3)

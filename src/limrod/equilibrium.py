@@ -42,8 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .constitutive import _TINY, Loads, Strains, _load_gate, loads_from_strains_batch, strains_from_loads
-from .constitutive import strains_from_loads_batch
+from .constitutive import _TINY, Loads, Strains, _checked_tuple, _load_gate, loads_from_strains_batch
+from .constitutive import strains_from_loads, strains_from_loads_batch
 from .errors import (
     AngleOutOfRange,
     BelowThreshold,
@@ -113,11 +113,6 @@ class BranchPoint(NamedTuple):
     loads: Loads
     branch: str
 
-    __eq__, __ne__, __hash__ = Strains.__eq__, Strains.__ne__, tuple.__hash__
-
-    def __reduce__(self):  # every pickle protocol rebuilds through the check
-        return type(self), tuple(self)
-
 
 def _new_point(cls, N: float, theta: float, strains: Strains, loads: Loads, branch: str) -> BranchPoint:
     if branch == "trivial" and theta != 0.0:
@@ -129,9 +124,7 @@ def _new_point(cls, N: float, theta: float, strains: Strains, loads: Loads, bran
     return tuple.__new__(cls, (N, theta, strains, loads, branch))
 
 
-# NamedTuple forbids both in its class body; _replace goes through _make
-BranchPoint.__new__ = staticmethod(_new_point)
-BranchPoint._make = classmethod(lambda cls, iterable: cls(*iterable))
+_checked_tuple(BranchPoint, _new_point)
 
 
 @dataclass(frozen=True)
@@ -560,38 +553,23 @@ def helical_state(
 # balance verification
 
 
-def check_balance(
-    state: EquilibriumState,
-    body_force: Callable[[float], np.ndarray] | None = None,
-    body_couple: Callable[[float], np.ndarray] | None = None,
-) -> BalanceReport:
-    """Max-norm residuals of n' + f = 0 and m' + r' x n + l = 0.
+def check_balance(state: EquilibriumState) -> BalanceReport:
+    """Max-norm residuals of n' = 0 and m' + r' x n = 0, the balance laws
+    of a rod held by end loads alone.
 
     Derivatives are central differences; residuals are evaluated only at
     samples whose full difference stencils stay clear of the one-sided
-    endpoint stencils (i.e. samples 2..n-2), so the report converges at
-    second order for smooth fields. Body loads default to zero.
+    endpoint stencils (i.e. samples 2..n-3), so the report converges at
+    second order for smooth fields.
     """
     cfg = state.configuration
     h = cfg.h
     if len(cfg.s) < 5:
         raise ValueError("need at least five samples to evaluate residuals")
     n_vec, m_vec = state.spatial_loads()
-    dn = _derivative(n_vec, h)[1:-1]
-    dm = _derivative(m_vec, h)[1:-1]
-    dr = _derivative(cfg.points, h)[1:-1]
-    s_mid = cfg.s[1:-1]
-    f = np.zeros_like(dn)
-    l = np.zeros_like(dm)
-    if body_force is not None:
-        f = np.array([body_force(float(si)) for si in s_mid], dtype=float)
-    if body_couple is not None:
-        l = np.array([body_couple(float(si)) for si in s_mid], dtype=float)
-    force_res = dn + f
-    couple_res = dm + np.cross(dr, n_vec[1:-1]) + l
-    # trim samples whose stencil touches the one-sided endpoint values
-    force_max = float(np.abs(force_res[1:-1]).max())
-    couple_max = float(np.abs(couple_res[1:-1]).max())
+    dn, dm, dr = (_derivative(x, h)[2:-2] for x in (n_vec, m_vec, cfg.points))
+    force_max = float(np.abs(dn).max())
+    couple_max = float(np.abs(dm + np.cross(dr, n_vec[2:-2])).max())
     return BalanceReport(force_residual=force_max, couple_residual=couple_max, h=h)
 
 

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constitutive import Loads, Strains, _load_gate, _saturation
+from .constitutive import Loads, Strains, _checked_tuple, _load_gate, _saturation
 from .errors import AngleOutOfRange, LoadOutOfRange, NonOrthonormalFrame, StrainOutOfRange
 from .material import MaterialParams, _constants, nondimensionalize
 
@@ -67,11 +67,6 @@ class EulerAngles(NamedTuple):
     theta: float
     psi: float
 
-    __eq__, __ne__, __hash__ = Strains.__eq__, Strains.__ne__, tuple.__hash__
-
-    def __reduce__(self):  # every pickle protocol rebuilds through the check
-        return type(self), tuple(self)
-
 
 def _check_theta(theta: float) -> None:
     if not 0.0 <= theta <= math.pi:
@@ -83,9 +78,7 @@ def _new_angles(cls, phi: float, theta: float, psi: float) -> EulerAngles:
     return tuple.__new__(cls, (phi, theta, psi))
 
 
-# NamedTuple forbids both in its class body; _replace goes through _make
-EulerAngles.__new__ = staticmethod(_new_angles)
-EulerAngles._make = classmethod(lambda cls, iterable: cls(*iterable))
+_checked_tuple(EulerAngles, _new_angles)
 
 
 def _check_finite(what: str, error: type = AngleOutOfRange, **values: float) -> None:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import warnings
@@ -24,6 +25,7 @@ from limrod import (
     Strains,
     branch_sweep,
     check_balance,
+    complementary_energy,
     helical_state,
     load_params,
     loads_from_strains,
@@ -935,19 +937,35 @@ class TestLoadsBeyondOverflow:
         assert np.abs(res).max() <= 1e-12 * thrust
 
 
-class TestBodyLoads:
-    def test_body_force_enters_force_residual(self, demo_params):
-        state = trivial_tensile_state(demo_params, 0.0, grid_h=0.01)
-        rep = check_balance(state, body_force=lambda s: np.array([0.0, 0.0, 0.25]))
-        assert rep.force_residual == pytest.approx(0.25, abs=1e-12)
-        assert rep.couple_residual < 1e-12
+class TestBranchEnergy:
+    """H = W*(m, n) + n3 of the director loads is the first integral whose
+    negative is the potential energy per unit length under a dead end
+    thrust. At N = N_c (1 + eps) the sheared branch has the larger H, so the
+    lower energy, by a gap of order eps^2: a supercritical pitchfork. The
+    gap keeps about 1e-16 H / eps^2 of relative accuracy, so eps stops at
+    1e-4."""
 
-    def test_body_couple_enters_couple_residual(self, demo_params):
-        state = trivial_tensile_state(demo_params, 0.0, grid_h=0.01)
-        rep = check_balance(state, body_couple=lambda s: np.array([0.1 * s, 0.0, 0.0]))
-        assert rep.force_residual < 1e-12
-        # residual is sampled on the interior, so max |l| is at s just below 1
-        assert rep.couple_residual == pytest.approx(0.1 * 0.98, abs=1e-3)
+    EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+    @staticmethod
+    def first_integral(params, state):
+        loads = Loads.from_array(state.descriptor["loads0"])
+        return complementary_energy(params, loads) + loads.n3
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_sheared_branch_lies_lower_by_order_eps_squared(self, demo_params, p):
+        params = dataclasses.replace(demo_params, p=p)
+        thresh = shear_threshold(params)
+        ratios = []
+        for eps in self.EPSILONS:
+            thrust = thresh * (1.0 + eps)
+            gap = (self.first_integral(params, sheared_tensile_state(params, thrust, grid_h=0.1))
+                   - self.first_integral(params, trivial_tensile_state(params, thrust, grid_h=0.1)))
+            assert gap > 0.0, eps
+            ratios.append(gap / eps**2)
+        # gap / eps^2 settles: each step is smaller than the one before
+        steps = np.abs(np.diff(ratios))
+        assert (steps[1:] < steps[:-1]).all(), ratios
 
 
 class TestDescriptorWireFormat:
