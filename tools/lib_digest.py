@@ -594,7 +594,7 @@ def digest_records() -> dict[str, list[str]]:
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
         recovered = call(lambda: lr.check_balance(lr.state_from_configuration(demo, config)))[0]
-        rec["check_balance"].append(f"recovered {label} -> {recovered}")
+        rec.setdefault("check_balance", []).append(f"recovered {label} -> {recovered}")
     for label, field, start, frame in reconstruct_fields(np.random.default_rng(SEED)):
         for grid_h in RECONSTRUCT_GRIDS:
             text = call(lambda: configuration_sha256(lr.reconstruct(field, start, frame, grid_h)))[0]
