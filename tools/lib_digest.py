@@ -63,9 +63,13 @@ branches; no generator draw either. ``overflow edges`` digests
 2e-200 to 1e300, where N^-2 or A^2 overflows, and ``load_quad_form`` and
 ``strain_quad_form`` on those sets and a chiral demo at the loads
 (0, 0, 1e200, 0, 0, 1e200) and strains (0, 0, 1e200, 0, 0, -1e200), whose
-chiral term is inf - inf; no draw. ``saturation edges`` digests both
-forward maps, ``complementary_energy`` and ``shear_factors`` where the
-saturation s = sqrt(Q*)/gamma is 0, 1, subnormal or infinite, for p in
+chiral term is inf - inf; no draw. ``angle range`` digests the three
+angles at the first float above N_c and at N_c (1 + 1e-15) on demo and a
+chiral p = 2 set, ``sheared_angle_p2`` there at N in {1, 1e300}, and
+``sheared_angle_limit`` at zeta in {1e-16, 1e-17}; no draw either.
+``saturation edges`` digests both forward maps,
+``complementary_energy`` and ``shear_factors`` where the saturation
+s = sqrt(Q*)/gamma is 0, 1, subnormal or infinite, for p in
 {0.001, 0.5, 100}, on pure tensions from 1e-3 to 1e3 gamma with gamma from
 7e-150 to 1e250 and p in {0.5, 1.5, 3, 7}, and on two rows that once lost
 digits to underflow; no draw. ``reconstruct`` is digested by the
@@ -446,6 +450,29 @@ def add_overflow_edges(add) -> None:
         add("overflow edges", lr.strain_quad_form, params, CHIRAL_HUGE_STRAINS)
 
 
+# a chiral p = 2 set whose closed-form cos(theta) rounds above 1 next to N_c
+CHIRAL_EDGE = lr.MaterialParams(0.8895393463967457, 1.0232317510318143, 1.0, 1.1615233365135196,
+                                3.111239905681986, -0.15490800805271226, 2.0)
+
+
+def add_angle_range(add) -> None:
+    """The three angles where theta reaches the ends of (0, pi/2): at the
+    first float above N_c and at N_c (1 + 1e-15) on demo and the chiral
+    edge set, the closed form there at N in {1, 1e300}, and the limit at
+    zeta in {1e-16, 1e-17}, where arccos of cos(theta) rounds to pi/2."""
+    demo = lr.load_params(ROOT / "params" / "demo.json")
+    for params in (demo, CHIRAL_EDGE):
+        thresh = lr.shear_threshold(params)
+        for thrust in (math.nextafter(thresh, INF), thresh * (1.0 + 1e-15)):
+            add("angle range", lr.sheared_angle, params, thrust)
+            add("angle range", lr.sheared_angle_p2, params, thrust)
+        for thrust in (1.0, 1e300):
+            add("angle range", lr.sheared_angle_p2, params, thrust)
+        add("angle range", lr.sheared_angle_limit, params)
+    for zeta in (1e-16, 1e-17):
+        add("angle range", lr.sheared_angle_limit, lr.MaterialParams(1.0, 1.0, 1.0, zeta, 1.0, 0.0, 2.0))
+
+
 # s = sqrt(Q*)/gamma at 0 (zero loads), 1, subnormal (gamma = 1e300 under
 # 1e-10) and inf (gamma k underflows to 0 under 1e300) for p from 0.001 to
 # 100; gamma from 7e-150 to 1e250 under tensions N/gamma from 1e-3 to 1e3;
@@ -589,6 +616,7 @@ def digest_records() -> dict[str, list[str]]:
     add_load_gate(add)
     add_beta_kernel(add)
     add_overflow_edges(add)
+    add_angle_range(add)
     add_saturation_edges(add)
     demo = lr.load_params(ROOT / "params" / "demo.json")
     for label, config in csv_configurations():
