@@ -104,8 +104,7 @@ class ThrustLimits:
 class BranchPoint(NamedTuple):
     """One point (at s = 0, psi0 = 0) of a tensile equilibrium branch: a
     tuple that equals only its own type and checks its branch and theta
-    however it is made (call, ``_make``, ``_replace``, pickle, copy). It
-    was a frozen dataclass: use ``_replace``/``_asdict`` for ``replace``/``asdict``."""
+    however it is made (call, ``_make``, ``_replace``, pickle, copy)."""
 
     N: float
     theta: float
@@ -283,26 +282,23 @@ def _reduced_root(branch: _Branch, thrust: np.ndarray) -> np.ndarray:
     The loop starts from the p = 2 closed form, exact at p = 2 and at
     N = inf, clamps each step to [_X_MIN, _X_MAX] and bisects the bracket
     [lo, hi] that the signs of h keep where a step would still leave it.
-    A thrust is frozen once its step is below 2^-48 x, so it gets the same
-    bits alone or inside any array."""
+    A mask freezes a thrust once its step is below 2^-48 x, and N = inf
+    (s = 0) from the start, so it gets the same bits alone or in any array."""
     a = branch.a
     s = _thrust_term(branch, thrust)
     x = np.clip(_angle_cos(branch, s), _X_MIN, _X_MAX)
     lo, hi = np.full_like(x, _X_MIN), np.full_like(x, _X_MAX)
-    out, todo = np.empty_like(x), np.arange(len(x))
+    live = s > 0.0
     for _ in range(_NEWTON_STEPS):
+        if not live.any():
+            break
         n, w = _reduced_norm(branch, s, x)
         h = x - n
         lo, hi = np.where(h < 0.0, x, lo), np.where(h > 0.0, x, hi)
         new = np.clip(x - h / (1.0 + w * n * (a * x / (1.0 - a * x * x))), _X_MIN, _X_MAX)
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        done = np.abs(new - x) <= _NEWTON_TOL * new
-        out[todo[done]] = new[done]
-        todo, s, x, lo, hi = (v[~done] for v in (todo, s, new, lo, hi))
-        if not len(todo):
-            break
-    out[todo] = x
-    return out
+        x, live = np.where(live, new, x), live & (np.abs(new - x) > _NEWTON_TOL * new)
+    return x
 
 
 def _sheared_rows(branch: _Branch, thrust: np.ndarray, x: np.ndarray) -> tuple:
@@ -333,7 +329,7 @@ def sheared_angle(params: MaterialParams, thrust: float) -> float:
     50-digit mpmath in cos(theta) for p from 0.5 to 100. Raises
     BelowThreshold for N <= threshold, LoadOutOfRange for a NaN N and
     NoBifurcationError when the material admits no sheared branch at all.
-    An infinite N gives the limit angle.
+    An infinite N gives ``sheared_angle_limit`` bit for bit.
     """
     branch, thrusts = _sheared_branch(params, thrust), np.array([float(thrust)])
     return _sheared_rows(branch, thrusts, _reduced_root(branch, thrusts))[0].item()
@@ -345,19 +341,21 @@ def sheared_angle_p2(params: MaterialParams, thrust: float) -> float:
         cos theta = ||(s, t0)||_2/sqrt(1 + zeta t0),
         s = zeta^2/(a N), t0 = zeta/a,
 
-    the root of the reduced branch equation at p = 2.
+    the root of the reduced branch equation at p = 2, clamped as the
+    Newton loop clamps it; ``_sheared_rows`` forms theta, as every angle.
     """
     pn = nondimensionalize(params)
     if pn.p != 2.0:
         raise ValueError("closed form requires p = 2")
-    branch = _sheared_branch(pn, thrust)
-    return math.acos(_angle_cos(branch, _thrust_term(branch, thrust)))
+    branch, thrusts = _sheared_branch(pn, thrust), np.array([float(thrust)])
+    x = np.clip(_angle_cos(branch, _thrust_term(branch, thrusts)), _X_MIN, _X_MAX)
+    return _sheared_rows(branch, thrusts, x)[0].item()
 
 
 def sheared_angle_limit(params: MaterialParams) -> float:
     """Limit of the sheared angle as the thrust grows unbounded, the same
-    for every p: arccos{ t0/sqrt(1 + zeta t0) } with t0 = zeta/a."""
-    return math.acos(_angle_cos(_sheared_branch(nondimensionalize(params)), 0.0))
+    for every p: arccos{ t0/sqrt(1 + zeta t0) }, t0 = zeta/a: ``sheared_angle`` at N = inf."""
+    return sheared_angle(params, math.inf)
 
 
 def thrust_strain_limits(params: MaterialParams) -> ThrustLimits:

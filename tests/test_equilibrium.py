@@ -224,6 +224,19 @@ class TestShearedAngle:
         a7 = sheared_angle(demo_params, THRESH * (1 + 1e-7))
         assert a7 < a6 < 1e-2
 
+    @pytest.mark.parametrize("params", [
+        MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.0, 2.0),
+        MaterialParams(0.8895393463967457, 1.0232317510318143, 1.0, 1.1615233365135196, 3.111239905681986,
+                       -0.15490800805271226, 2.0),
+    ], ids=["demo", "chiral"])
+    def test_closed_form_at_the_first_float_above_the_threshold(self, params):
+        # the plain arccos of the closed form's cos(theta) gave 0 on demo and
+        # failed on the chiral set, whose cos(theta) rounds above 1
+        thrust = math.nextafter(shear_threshold(params), math.inf)
+        theta = sheared_angle_p2(params, thrust)
+        assert 0.0 < theta < 0.5 * math.pi
+        assert theta == sheared_angle(params, thrust) == 2.0**-26  # arccos(1 - 2^-53)
+
     def test_limit_angle(self, demo_params):
         assert sheared_angle_limit(demo_params) == pytest.approx(THETA_LIMIT, abs=1e-14)
         assert sheared_angle(demo_params, 1e8) == pytest.approx(THETA_LIMIT, abs=1e-6)
@@ -296,9 +309,11 @@ class TestArrayBisection:
         for thrust, theta in zip(thrusts, got):
             assert theta == pytest.approx(oracle.sheared_angle(params, thrust), abs=1e-14)
             if params.p == 2.0:  # the closed form: N^-2 once raised a raw OverflowError
-                assert math.cos(sheared_angle_p2(params, thrust)) == pytest.approx(math.cos(theta), abs=1e-14)
+                closed = sheared_angle_p2(params, thrust)
+                assert math.cos(closed) == pytest.approx(math.cos(theta), abs=1e-14)
+                assert closed < 0.5 * math.pi  # arccos(cos theta) once rounded to pi/2 itself
         limit = sheared_angle_limit(params)
-        assert math.cos(limit) == pytest.approx(math.cos(sheared_angle(params, math.inf)), abs=1e-14)
+        assert limit == sheared_angle(params, math.inf) and limit < 0.5 * math.pi
         state = sheared_tensile_state(params, 2.0 * branch.thresh, grid_h=0.1)
         assert state.descriptor["identity_residual"] < 1e-14
         # cos(theta) about zeta near 1e300: theta is clamped below the float pi/2
@@ -322,11 +337,15 @@ class TestArrayBisection:
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 100.0])
     def test_float_and_any_array_give_the_same_bits(self, p):
-        # each thrust is frozen once it converges, so its angle cannot depend
-        # on the thrusts that share its array, their number or their order
+        # each thrust is frozen once it converges, and N = inf from the start,
+        # so its angle cannot depend on the thrusts that share its array,
+        # their number or their order
         params = MaterialParams(0.8, 1.3, 1.0, 0.7, 1.9, 0.3, p)
         branch = _branch(params)
-        thrusts = branch.thresh * np.concatenate([1.0 + np.geomspace(1e-12, 1.0, 7), np.geomspace(3.0, 1e200, 9)])
+        thrusts = np.concatenate([
+            branch.thresh * np.concatenate([1.0 + np.geomspace(1e-12, 1.0, 7), np.geomspace(3.0, 1e200, 9)]),
+            [math.inf, math.nextafter(branch.thresh, math.inf)],
+        ])
         want = [sheared_angle(params, thrust) for thrust in thrusts.tolist()]
         rng = np.random.default_rng(71)
         for picked in (np.arange(len(thrusts)), rng.permutation(len(thrusts)), rng.choice(len(thrusts), 5),
@@ -342,10 +361,13 @@ class TestArrayBisection:
         assert [pt.branch for pt in points] == ["trivial"] * 5
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.0])
-    def test_infinite_thrust_keeps_the_limit_angle(self, p):
-        params = MaterialParams(1.0, 1.0, 1.0, 1.0, 2.0, 0.3, p)
+    @pytest.mark.parametrize("base", [(1.0, 1.0, 1.0, 1.0, 2.0, 0.3), (0.8, 1.3, 1.0, 0.5, 1.9, 0.0)],
+                             ids=["chiral", "achiral"])
+    def test_infinite_thrust_keeps_the_limit_angle(self, base, p):
+        # the second set's Newton steps once moved the limit by an ulp
+        params = MaterialParams(*base, p)
         branch = _branch(params)
-        assert sheared_angle(params, math.inf) == pytest.approx(sheared_angle_limit(params), abs=1e-13)
+        assert sheared_angle(params, math.inf) == sheared_angle_limit(params)
         assert sweep_angles(branch, [math.inf]) == [sheared_angle(params, math.inf)]
 
 
@@ -952,9 +974,10 @@ class TestBranchEnergy:
         loads = Loads.from_array(state.descriptor["loads0"])
         return complementary_energy(params, loads) + loads.n3
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
-    def test_sheared_branch_lies_lower_by_order_eps_squared(self, demo_params, p):
-        params = dataclasses.replace(demo_params, p=p)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.0])
+    @pytest.mark.parametrize("iota", [0.0, 0.3, -0.5])
+    def test_sheared_branch_lies_lower_by_order_eps_squared(self, demo_params, iota, p):
+        params = dataclasses.replace(demo_params, iota=iota, p=p)
         thresh = shear_threshold(params)
         ratios = []
         for eps in self.EPSILONS:
