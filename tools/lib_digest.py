@@ -67,6 +67,9 @@ chiral term is inf - inf; no draw. ``angle range`` digests the three
 angles at the first float above N_c and at N_c (1 + 1e-15) on demo and a
 chiral p = 2 set, ``sheared_angle_p2`` there at N in {1, 1e300}, and
 ``sheared_angle_limit`` at zeta in {1e-16, 1e-17}; no draw either.
+``sheared saturation`` digests ``sheared_tensile_state`` on demo with
+p = 4 at N in {1e4, 1e5, 1e8}, where its strains reach Q = 1 to rounding,
+and ``loads_from_strains`` of the strains its descriptor holds; no draw.
 ``saturation edges`` digests both forward maps,
 ``complementary_energy`` and ``shear_factors`` where the saturation
 s = sqrt(Q*)/gamma is 0, 1, subnormal or infinite, for p in
@@ -501,6 +504,23 @@ def add_saturation_edges(add) -> None:
         add("saturation edges", lr.strains_from_loads_batch, params, np.array([row]))
 
 
+def add_sheared_saturation(rec: dict) -> None:
+    """``sheared_tensile_state`` on demo at p = 4 where its closed-form
+    strains reach Q = 1 to rounding, and ``loads_from_strains`` of the
+    strains its descriptor holds at s = 0. Recorded under one label of
+    their own, so the states add no ``check_balance`` case."""
+    params = dataclasses.replace(lr.load_params(ROOT / "params" / "demo.json"), p=4.0)
+    for thrust in (1e4, 1e5, 1e8):
+        args = (params, thrust, 0.0, GRID_H)
+        text, state = call(lr.sheared_tensile_state, *args)
+        rec.setdefault("sheared saturation", []).append(f"{fmt(args)} -> {text}")
+        if state is not None:
+            st = state.descriptor["strains"]
+            strains = lr.Strains(0.0, 0.0, st["u3"], -st["v_shear_amplitude"], 0.0, st["v3"])
+            text = call(lr.loads_from_strains, params, strains)[0]
+            rec["sheared saturation"].append(f"{fmt((params, strains))} -> {text}")
+
+
 RECONSTRUCT_GRIDS = (1e-2, 1e-3)
 
 
@@ -618,6 +638,7 @@ def digest_records() -> dict[str, list[str]]:
     add_overflow_edges(add)
     add_angle_range(add)
     add_saturation_edges(add)
+    add_sheared_saturation(rec)
     demo = lr.load_params(ROOT / "params" / "demo.json")
     for label, config in csv_configurations():
         rec.setdefault("write_configuration_csv", []).append(f"{label} -> {call(csv_sha256, config)[0]}")
