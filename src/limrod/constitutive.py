@@ -41,10 +41,11 @@ import sys
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import LoadOutOfRange, StrainOutOfRange
 from .material import MaterialParams, _constants, _Constants
+
+np = lazy_numpy(globals())  # numpy itself from the first array call
 
 __all__ = [
     "Strains",
@@ -241,17 +242,18 @@ def _strain_error(values) -> StrainOutOfRange:
 
 def _saturation(p: float, r, g) -> tuple:
     """(F, t^p): the saturating factor F = (g^p + r^p)^{-1/p} of the forward
-    map at sqrt(Q*) = r and gamma = g, in polar form, on floats or arrays,
-    the one place F is written. With s = r/g, t = min(s, 1/s) and
-    d = (1 + t^p)^{-1/p}, F = d/max(r, g), so tau = F r = min(s, 1) d,
-    gamma F = F g = min(1/s, 1) d, and the complement 1 - Q^{p/2} =
-    (gamma F)^p = 1/(1 + s^p) is t^p/(1 + t^p) where s > 1, else
-    1/(1 + t^p), with no subtraction. Both powers see operands in [0, 2],
-    so none overflows for any r and g, not both 0."""
-    if isinstance(r, np.ndarray):
-        lo, hi = np.minimum(r, g), np.maximum(r, g)
-    else:
+    map at sqrt(Q*) = r and gamma = g, in polar form, on a float r (numpy
+    scalars included) or an array r, the one place F is written. With
+    s = r/g, t = min(s, 1/s) and d = (1 + t^p)^{-1/p}, F = d/max(r, g), so
+    tau = F r = min(s, 1) d, gamma F = F g = min(1/s, 1) d, and the
+    complement 1 - Q^{p/2} = (gamma F)^p = 1/(1 + s^p) is t^p/(1 + t^p)
+    where s > 1, else 1/(1 + t^p), with no subtraction. Both powers see
+    operands in [0, 2], so none overflows for any r and g, not both 0.
+    The float test leaves a scalar call numpy-free."""
+    if isinstance(r, float):
         lo, hi = (r, g) if r < g else (g, r)
+    else:
+        lo, hi = np.minimum(r, g), np.maximum(r, g)
     tp = (lo / hi) ** p
     return (1.0 + tp) ** (-1.0 / p) / hi, tp
 

@@ -40,8 +40,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .constitutive import _TINY, Loads, Strains, _checked_tuple, _load_gate, loads_from_strains_batch
 from .constitutive import strains_from_loads, strains_from_loads_batch
 from .errors import (
@@ -53,6 +52,8 @@ from .errors import (
 )
 from .kinematics import Configuration, _check_finite, _darboux, _derivative, _euler_directors, _libm
 from .material import MaterialParams, _constants, nondimensionalize
+
+np = lazy_numpy(globals())  # numpy itself from the first array call
 
 __all__ = [
     "NoBifurcation",

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .constitutive import Loads, Strains, _checked_tuple, _load_gate, _saturation
 from .errors import AngleOutOfRange, LoadOutOfRange, NonOrthonormalFrame, StrainOutOfRange
 from .material import MaterialParams, _constants, nondimensionalize
+
+np = lazy_numpy(globals())  # numpy itself from the first array call
 
 __all__ = [
     "EulerAngles",
@@ -387,14 +388,14 @@ def reduced_residual(
     )
 
 
-_GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # Gauss nodes of a unit step
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)  # Gauss nodes of a unit step
 
 
 def _gauss_samples(strain_field: Callable[[float], Strains], s_grid: np.ndarray) -> np.ndarray:
     """The field at the two Gauss points of each step, sampled once in
     increasing s: shape (n, 4, 3), rows u1, v1, u2, v2."""
     n = len(s_grid) - 1
-    nodes = (s_grid[:-1, None] + _GAUSS / n).ravel()
+    nodes = (s_grid[:-1, None] + np.divide(_GAUSS, n)).ravel()
     samples = itertools.chain.from_iterable(map(strain_field, nodes.tolist()))
     return np.fromiter(samples, float, 12 * n).reshape(n, 4, 3)
 

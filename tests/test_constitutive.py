@@ -967,11 +967,96 @@ class TestBetaEnergies:
 
     def test_import_loads_no_scipy(self):
         code = "import sys, limrod; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        env = dict(os.environ, PYTHONPATH=str(Path(limrod.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+        assert run_fresh(code) == "[]"
+
+    def test_scalar_paths_load_no_numpy(self):
+        # numpy loads at the first array call, and then binds every module's np
+        code = """if True:
+            import sys
+            from dataclasses import replace
+            import limrod
+            from limrod import cli
+
+            DEMO = sys.argv[1]
+
+            def steps():
+                yield "import"
+                params = limrod.validate(limrod.load_params(DEMO))
+                yield "load_params + validate"
+                limrod.shear_threshold(params)
+                yield "shear_threshold"
+                for p in (1.0, 2.0, 3.0):
+                    pp, loads = replace(params, p=p), limrod.Loads(0.3, -0.2, 0.5, 0.1, 0.2, 2.0)
+                    strains = limrod.strains_from_loads(pp, loads)
+                    limrod.loads_from_strains(pp, strains)
+                    limrod.stored_energy(pp, strains)
+                    limrod.complementary_energy(pp, loads)
+                    limrod.strain_bounds(pp)
+                    yield f"scalar maps, energies and bounds at p = {p}"
+                for argv in (["validate"], ["eval", "forward", "0", "0", "0", "0", "0", "1"],
+                             ["eval", "inverse", "0", "0", "0", "0.1", "0", "1.1"]):
+                    argv.insert(1, DEMO)
+                    assert cli.main(argv) == 0, argv
+                    yield " ".join(argv[:1] + argv[2:3])
+
+            for step in steps():
+                assert "numpy" not in sys.modules, step
+            params = limrod.load_params(DEMO)
+            assert limrod.stored_energy_hessian(params, limrod.Strains.reference()).shape == (6, 6)
+            assert limrod.strains_from_loads_batch(params, [[0.0] * 5 + [1.0]]).shape == (1, 6)
+            import numpy
+            for module in (limrod.constitutive, limrod.kinematics, limrod.equilibrium):
+                assert module.np is numpy, module.__name__
+            print("ok")
+        """
+        assert run_fresh(code, str(PARAMS_DIR / "demo.json")).splitlines()[-1] == "ok"
+
+    def test_concurrent_first_array_call(self):
+        # eight threads make their first array call at once; a numpy seen
+        # half loaded (as the stdlib's LazyLoader leaves it) fails a call
+        code = """if True:
+            import sys, threading
+            import limrod
+
+            params = limrod.load_params(sys.argv[1])
+            st = limrod.Strains(0.1, 0.0, 0.2, 0.1, 0.0, 1.1)
+            calls = (lambda: limrod.stored_energy_hessian(params, st), st.as_array,
+                     lambda: limrod.strains_from_loads_batch(params, [[0.0] * 5 + [1.0]] * 3))
+            start, failed = threading.Barrier(8, timeout=30), []
+
+            def run(i):
+                start.wait()
+                try:
+                    calls[i % 3]()
+                except Exception as exc:
+                    failed.append(repr(exc))
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(t.is_alive() for t in threads)
+            print(failed)
+        """
+        for _ in range(4):
+            assert run_fresh(code, str(PARAMS_DIR / "demo.json")) == "[]"
+
+
+def run_fresh(code: str, *argv: str) -> str:
+    """The stripped standard output of ``code`` run with ``argv`` by a fresh
+    interpreter that imports this limrod."""
+    env = dict(os.environ, PYTHONPATH=str(Path(limrod.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
 
 
 def unmemoised_incomplete_beta(a, b, xa, z):
