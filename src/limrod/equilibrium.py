@@ -173,8 +173,11 @@ class BalanceReport:
 # x = cos(theta) reduces to x = ||(s, t)||_p with s = zeta^2/(a N) and
 # t = (zeta/a) sqrt(1 - a x^2). thresh is the threshold thrust or the
 # NoBifurcation verdict, and k = v3 - 1 = q/a (NaN, as zeta and a, where
-# there is no branch).
-_Branch = namedtuple("_Branch", "c thresh zeta a k", defaults=(math.nan,) * 3)
+# there is no branch). The sheared strains have Q = (t/x)^2, so their
+# complement 1 - Q^{p/2} is (s/x)^p: edge is the s/x below which
+# Q > 1 - margin, and cap the shear amplitude at Q = 1 - 2 margin,
+# sqrt(1 - 2 margin - r^2)/zeta, r^2 being Q of the twist and dilatation.
+_Branch = namedtuple("_Branch", "c thresh zeta a k edge cap", defaults=(math.nan,) * 5)
 # the root's clamp: 1 - 2^-53 is the largest float below 1, and the root,
 # about zeta/a at a large N, lies above the smallest normal float, since
 # zeta^2 > 0. theta, reported as a float, is clamped below the float pi/2.
@@ -217,7 +220,9 @@ def _branch(params: MaterialParams) -> _Branch:
                 f"requires 1/(ratio - 1) < beta/sqrt(det) ({gap})"
             ),
         ))
-    return _Branch(c, zeta * (zeta / (a * (1.0 - r**p) ** (1.0 / p))), zeta, a, q / a)
+    edge = (-math.expm1(0.5 * p * math.log1p(-c.margin))) ** (1.0 / p)
+    cap = math.sqrt(max(1.0 - 2.0 * c.margin - r * r, 0.0)) / zeta
+    return _Branch(c, zeta * (zeta / (a * (1.0 - r**p) ** (1.0 / p))), zeta, a, q / a, edge, cap)
 
 
 def shear_threshold(params: MaterialParams) -> float | NoBifurcation:
@@ -309,14 +314,20 @@ def _sheared_rows(branch: _Branch, thrust: np.ndarray, x: np.ndarray) -> tuple:
     strains (0, 0, -iota k/beta^2, -tan(theta)/a, 0, 1 + k), k = q/a, and
     the loads (0, 0, 0, -N sin(theta), 0, N x), from x with sin(theta) =
     sqrt((1 - x)(1 + x)) so that they keep their digits where theta is
-    clamped. The sweep, the state and the angle (an array of one) read it."""
+    clamped. Where Q of the strains lies within the margin of 1 (s/x at
+    most ``edge``), rounding can carry it to 1, so the shear amplitude
+    alone is projected to ``cap``, as the forward map projects its strains,
+    and v3 = 1 + k stays exact. The sweep, the state and the angle (an
+    array of one) read it."""
     theta = np.minimum(_libm(math.acos, x), _THETA_MAX)
     if not ((0.0 < theta) & (theta < 0.5 * math.pi)).all():
         raise ValueError(_SHEARED_THETA)
     c, k = branch.c, branch.k
     sin = np.sqrt((1.0 - x) * (1.0 + x))
+    near = _thrust_term(branch, thrust) / x <= branch.edge  # Q within the margin of 1
     strains, loads = np.zeros((2, len(x), 6))
-    strains[:, 2], strains[:, 3], strains[:, 5] = 0.0 - c.iota * k / c.b2, -(sin / x / branch.a), 1.0 + k
+    strains[:, 2], strains[:, 5] = 0.0 - c.iota * k / c.b2, 1.0 + k
+    strains[:, 3] = -np.where(near, branch.cap, sin / x / branch.a)
     loads[:, 3], loads[:, 5] = -thrust * sin, thrust * x
     return theta, strains, loads
 
@@ -446,7 +457,9 @@ def sheared_tensile_state(
     Twist and dilatation are N-independent constants of the material:
     v3 - 1 = k = q/a and u3 = -iota k/beta^2, with q = (zeta Y)^2,
     Y = beta/sqrt(det) and a = 1 - q; the shear strains oscillate along
-    the rod with amplitude tan(theta)/a at phase u3 s + psi0. The
+    the rod with amplitude tan(theta)/a at phase u3 s + psi0, projected
+    to Q = 1 - 2 margin where Q lies within the forward map's margin of 1
+    (``_sheared_rows``), so that the inverse map takes the strains. The
     centerline stays parallel to g3, at the stretch v3/cos(theta) =
     1/(a cos(theta)), while d3 tilts by theta. The
     descriptor's identity_residual is |x - n|/n at x = cos(theta), the

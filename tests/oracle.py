@@ -143,11 +143,17 @@ def cos_p2(params, thrust):
         return float(mpmath.sqrt(z2 * (1 + z2 / mpmath.mpf(thrust) ** 2) / (a * (a + z2))))
 
 
-def shear_amplitude(params, thrust):
+def shear_amplitude(params, thrust, margin=0.0):
     """tan(theta)/a as a float, x = cos(theta) = zeta y/a from the root y of
-    the reduced branch equation y = ||(zeta/N, sqrt(1 - a x^2))||_p."""
+    the reduced branch equation y = ||(zeta/N, sqrt(1 - a x^2))||_p; where
+    Q of the branch strains exceeds 1 - margin, the amplitude that gives
+    Q = 1 - 2 margin, with the twist and dilatation held."""
     with mpmath.workdps(DPS):
         z, p, a = mpmath.mpf(params.zeta), mpmath.mpf(params.p), _shear_a(params)
         y = mpmath.findroot(lambda y: y - ((z / thrust) ** p + (1 - a * (z * y / a) ** 2) ** (p / 2)) ** (1 / p), 1)
         x = z * y / a
-        return float(mpmath.sqrt(1 - x * x) / (x * a))
+        amplitude = mpmath.sqrt(1 - x * x) / (x * a)
+        held = (z * z / a) ** 2 / (mpmath.mpf(params.eta) ** 2 - (mpmath.mpf(params.iota) / params.beta) ** 2)
+        if 1 - held - (z * amplitude) ** 2 < margin:
+            amplitude = mpmath.sqrt(1 - 2 * mpmath.mpf(margin) - held) / z
+        return float(amplitude)

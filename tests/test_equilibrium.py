@@ -321,12 +321,15 @@ class TestArrayBisection:
         assert [pt.theta for pt in points if pt.branch == "sheared"] == [
             sheared_angle(params, pt.N) for pt in points if pt.branch == "sheared"]
         # x = cos(theta) about zeta/a from N of order 1: the strains once came
-        # from the clamped theta, a shear amplitude of 3.53e15 at zeta = 1e-100
+        # from the clamped theta, a shear amplitude of 3.53e15 at zeta = 1e-100;
+        # Q is within the margin of 1 there, so the amplitude is projected
         points, _ = branch_sweep(params, 0.0, 1.0, 5)
         sheared = [pt for pt in points if pt.branch == "sheared"]
         assert len(sheared) == 4
+        margin = _constants(params).margin
         for pt in sheared:
-            assert -pt.strains.v1 == pytest.approx(oracle.shear_amplitude(params, pt.N), rel=4e-16, abs=0.0)
+            want = oracle.shear_amplitude(params, pt.N, margin)
+            assert -pt.strains.v1 == pytest.approx(want, rel=4e-16, abs=0.0)
         if params.zeta >= 1e-150:
             state = sheared_tensile_state(params, 1.0, grid_h=0.1)
             assert state.descriptor["strains"]["v_shear_amplitude"] == -sheared[-1].strains.v1
@@ -475,14 +478,22 @@ class TestTrivialBranch:
 class TestShearedBranch:
     def test_dilatation_constant_along_branch(self, demo_params):
         # eta/zeta = 1e5: v3 - 1 = k near 1e-10, and a projection margin of
-        # 1.4e-4 in the forward map, whose saturated strains it rescales
+        # 1.4e-4 in the forward map, whose saturated strains it rescales.
+        # Demo at p = 4 from N = 1e4 and at p = 2 from 1e8: Q of the closed
+        # form is within the margin of 1, and rounded to 1 + 2.2e-16 at p = 4,
+        # which the inverse map refused; the shear amplitude alone is projected
         wide = MaterialParams(1, 1, 1, 1, 1e5, 0, 2)
-        for params, k in ((demo_params, 1 / 3), (wide, 1 / (1e10 - 1))):
-            for thrust in (1.8, 2.0, 5.0, 100.0, 1e6):
+        quartic = dataclasses.replace(demo_params, p=4.0)
+        for params, k in ((demo_params, 1 / 3), (wide, 1 / (1e10 - 1)), (quartic, 1 / 3)):
+            for thrust in (1.8, 2.0, 5.0, 100.0, 1e4, 1e5, 1e6, 1e8):
                 state = sheared_tensile_state(params, thrust, grid_h=0.01)
-                assert state.descriptor["strains"]["v3"] - 1 == pytest.approx(k, abs=1e-12)
-                assert state.descriptor["strains"]["u3"] == 0.0
+                st = state.descriptor["strains"]
+                assert st["v3"] - 1 == pytest.approx(k, abs=1e-12)
+                assert st["u3"] == 0.0
                 assert state.descriptor["identity_residual"] < 1e-12
+                strains = Strains(0.0, 0.0, st["u3"], -st["v_shear_amplitude"], 0.0, st["v3"])
+                assert strain_quad_form(params, strains) <= 1.0 - _constants(params).margin
+                loads_from_strains(params, strains)
 
     def test_shear_amplitude_at_2(self, demo_params):
         state = sheared_tensile_state(demo_params, 2.0, grid_h=0.01)
