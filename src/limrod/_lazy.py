@@ -7,8 +7,9 @@ class _LazyNumpy:
     """The ``np`` of the modules that import numpy lazily, until one of them
     reads an attribute of it. That read imports numpy and binds each such
     module's global ``np`` to numpy itself, so every later ``np.`` lookup
-    is a plain global lookup. A concurrent first read is safe: ``import``
-    holds numpy's module lock, so no thread sees it half loaded."""
+    is a plain global lookup. Concurrent first reads are safe: each
+    ``import numpy`` after the first waits on numpy's module lock until it
+    is fully loaded, so no thread sees a half-loaded numpy."""
 
     def __init__(self) -> None:
         self.namespaces: list[dict] = []

@@ -495,6 +495,19 @@ class TestShearedBranch:
                 assert strain_quad_form(params, strains) <= 1.0 - _constants(params).margin
                 loads_from_strains(params, strains)
 
+    def test_dilatation_alone_within_the_margin_of_the_limit(self):
+        # eta 1e-15 above the golden ratio: Q of the dilatation alone, r^2,
+        # lies within two margins of 1, so no shear amplitude reaches the
+        # projection's Q = 1 - 2 margin; it projects to 0, not to the square
+        # root of a negative number
+        params = MaterialParams(1, 1, 1, 1, (1 + math.sqrt(5)) / 2 + 1e-15, 0, 2)
+        thresh = shear_threshold(params)
+        for thrust in (2.0 * thresh, 1e300):
+            st = sheared_tensile_state(params, thrust, grid_h=0.1).descriptor["strains"]
+            strains = Strains(0.0, 0.0, st["u3"], -st["v_shear_amplitude"], 0.0, st["v3"])
+            assert strain_quad_form(params, strains) < 1.0
+            loads_from_strains(params, strains)
+
     def test_shear_amplitude_at_2(self, demo_params):
         state = sheared_tensile_state(demo_params, 2.0, grid_h=0.01)
         amp = state.descriptor["strains"]["v_shear_amplitude"]

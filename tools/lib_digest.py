@@ -68,8 +68,9 @@ angles at the first float above N_c and at N_c (1 + 1e-15) on demo and a
 chiral p = 2 set, ``sheared_angle_p2`` there at N in {1, 1e300}, and
 ``sheared_angle_limit`` at zeta in {1e-16, 1e-17}; no draw either.
 ``sheared saturation`` digests ``sheared_tensile_state`` on demo with
-p = 4 at N in {1e4, 1e5, 1e8}, where its strains reach Q = 1 to rounding,
-and ``loads_from_strains`` of the strains its descriptor holds; no draw.
+p = 4 at N in {1e4, 1e5, 1e8}, where Q of its closed-form strains lies
+within the margin of 1, and ``loads_from_strains`` of the strains its
+descriptor holds; no draw.
 ``saturation edges`` digests both forward maps,
 ``complementary_energy`` and ``shear_factors`` where the saturation
 s = sqrt(Q*)/gamma is 0, 1, subnormal or infinite, for p in
@@ -505,8 +506,8 @@ def add_saturation_edges(add) -> None:
 
 
 def add_sheared_saturation(rec: dict) -> None:
-    """``sheared_tensile_state`` on demo at p = 4 where its closed-form
-    strains reach Q = 1 to rounding, and ``loads_from_strains`` of the
+    """``sheared_tensile_state`` on demo at p = 4 where Q of its closed-form
+    strains lies within the margin of 1, and ``loads_from_strains`` of the
     strains its descriptor holds at s = 0. Recorded under one label of
     their own, so the states add no ``check_balance`` case."""
     params = dataclasses.replace(lr.load_params(ROOT / "params" / "demo.json"), p=4.0)
