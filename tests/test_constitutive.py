@@ -993,11 +993,10 @@ class TestBetaEnergies:
                     limrod.complementary_energy(pp, loads)
                     limrod.strain_bounds(pp)
                     yield f"scalar maps, energies and bounds at p = {p}"
-                for argv in (["validate"], ["eval", "forward", "0", "0", "0", "0", "0", "1"],
-                             ["eval", "inverse", "0", "0", "0", "0.1", "0", "1.1"]):
-                    argv.insert(1, DEMO)
+                for argv in (["validate", DEMO], ["eval", DEMO, "forward", "0", "0", "0", "0", "0", "1"],
+                             ["eval", DEMO, "inverse", "0", "0", "0", "0.1", "0", "1.1"]):
                     assert cli.main(argv) == 0, argv
-                    yield " ".join(argv[:1] + argv[2:3])
+                    yield f"cli {argv}"
 
             for step in steps():
                 assert "numpy" not in sys.modules, step
