@@ -84,6 +84,10 @@ at grid_h 1e-2 and 1e-3, drawn from a generator of its own.
 ``state_from_configuration`` of demo and each configuration the writer
 digest gets; neither draws. ``symmetry_transform`` gets its three kinds,
 rotations at drawn angles, on strains drawn from a generator of its own.
+``namespace`` records each public name of ``limrod`` with its object's
+type, ``__module__`` and ``__qualname__`` (a module by its ``__name__``),
+and the names ``from limrod import *`` binds; it runs first, before any
+other call reads a name of the package.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
@@ -110,6 +114,7 @@ import hashlib
 import math
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -574,9 +579,23 @@ def csv_sha256(config: lr.Configuration) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def namespace_records() -> list[str]:
+    """Each public name of the package with its object's type, module and
+    qualified name (a module by its name), then the names ``import *`` binds."""
+    lines = []
+    for name in sorted(n for n in dir(lr) if not n.startswith("_")):
+        obj = getattr(lr, name)
+        where = obj.__name__ if isinstance(obj, types.ModuleType) else f"{obj.__module__} {obj.__qualname__}"
+        lines.append(f"{name}: {type(obj).__name__} {where}")
+    star: dict = {}
+    exec("from limrod import *", star)
+    lines.append(f"import * -> {sorted(n for n in star if n != '__builtins__')}")
+    return lines
+
+
 def digest_records() -> dict[str, list[str]]:
     rng = np.random.default_rng(SEED)
-    rec: dict[str, list[str]] = {}
+    rec: dict[str, list[str]] = {"namespace": namespace_records()}
 
     def add(label: str, fn, *args) -> object:
         text, result = call(fn, *args)
