@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import equilibrium, kinematics, material
+from . import material  # equilibrium and kinematics load in the commands that use them
 from .constitutive import (
     Loads,
     Strains,
@@ -38,6 +38,7 @@ def _load_and_validate(path: str) -> material.MaterialParams:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import equilibrium
     params = material.load_params(args.params)
     for name in ("alpha", "beta", "gamma", "zeta", "eta", "iota", "p", "ref_length"):
         print(f"{name} = {_fmt(getattr(params, name))}")
@@ -84,6 +85,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
+    from . import equilibrium
     params = _load_and_validate(args.params)
     finite = math.isfinite(args.n_min) and math.isfinite(args.n_max)  # else branch_sweep names the bound
     if finite and not (args.n_min < args.n_max and args.count >= 2):
@@ -107,6 +109,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
 
 
 def cmd_state(args: argparse.Namespace) -> int:
+    from . import equilibrium, kinematics
     params = _load_and_validate(args.params)
     if not 0.0 < args.grid_h <= 0.1:
         print("error: --grid-h must lie in (0, 0.1]", file=sys.stderr)
@@ -136,6 +139,7 @@ def cmd_state(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import equilibrium, kinematics
     params = _load_and_validate(args.params)
     config = kinematics.read_configuration_csv(args.state_csv)
     state = equilibrium.state_from_configuration(params, config)

@@ -1047,6 +1047,105 @@ class TestBetaEnergies:
             assert run_fresh(code, str(PARAMS_DIR / "demo.json")) == "[]"
 
 
+class TestLazyNamespace:
+    """``import limrod`` loads errors and material; each other submodule
+    loads at the first read of a name it defines, and binds that name in
+    the package. Each test runs in a fresh interpreter."""
+
+    def test_setup_loads_errors_and_material_alone(self):
+        code = """if True:
+            import sys, limrod
+            limrod.validate(limrod.load_params(sys.argv[1]))
+            print(sorted(m for m in sys.modules if m.startswith("limrod")), "numpy" in sys.modules)
+        """
+        out = run_fresh(code, str(PARAMS_DIR / "demo.json"))
+        assert out == "['limrod', 'limrod.errors', 'limrod.material'] False"
+
+    def test_names_resolve_to_their_submodules_objects(self):
+        code = """if True:
+            import importlib, sys, types, limrod
+
+            public = sorted(n for n in dir(limrod) if not n.startswith("_"))
+            star = {}
+            exec("from limrod import *", star)
+            assert public == sorted(limrod.__all__) == sorted(set(star) - {"__builtins__"}), public
+            for name in public:
+                obj = getattr(limrod, name)
+                if isinstance(obj, types.ModuleType):
+                    assert obj is importlib.import_module(f"limrod.{name}"), name
+                else:
+                    assert obj is getattr(sys.modules[obj.__module__], name), name
+                assert vars(limrod)[name] is obj, name  # bound: later reads are plain lookups
+            print(len(public), sorted(n for n in public if isinstance(getattr(limrod, n), types.ModuleType)))
+        """
+        modules = ["constitutive", "equilibrium", "errors", "kinematics", "material"]
+        assert run_fresh(code) == f"68 {modules}"
+
+    def test_submodule_as_first_attribute(self):
+        code = """if True:
+            import limrod
+            frame = limrod.kinematics.directors_from_euler(limrod.kinematics.EulerAngles(0, 0, 0))
+            print(frame.d3.tolist())
+        """
+        assert run_fresh(code) == "[0.0, 0.0, 1.0]"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'limrod' has no attribute 'no_such_name'$"):
+            limrod.no_such_name
+        assert not hasattr(limrod, "no_such_name")
+
+    def test_eval_loads_no_shape_module(self):
+        code = """if True:
+            import sys
+            from limrod import cli
+
+            demo = sys.argv[1]
+            for argv in (["eval", demo, "forward", "0", "0", "0", "0", "0", "1"],
+                         ["eval", demo, "inverse", "0", "0", "0", "0.1", "0", "1.1"]):
+                assert cli.main(argv) == 0, argv
+                assert "limrod.equilibrium" not in sys.modules, argv
+                assert "limrod.kinematics" not in sys.modules, argv
+            print("ok")
+        """
+        assert run_fresh(code, str(PARAMS_DIR / "demo.json")).splitlines()[-1] == "ok"
+
+    def test_concurrent_first_reads(self):
+        # eight threads first-read eight deferred names, of all three
+        # submodules, at once
+        code = """if True:
+            import sys, threading
+            import limrod
+
+            names = ("Loads", "kinematics", "branch_sweep", "Configuration", "equilibrium",
+                     "stored_energy", "EulerAngles", "constitutive")
+            start, failed, got = threading.Barrier(8, timeout=30), [], {}
+
+            def run(name):
+                start.wait()
+                try:
+                    got[name] = getattr(limrod, name)
+                except Exception as exc:
+                    failed.append(repr(exc))
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(name,)) for name in names]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(t.is_alive() for t in threads)
+            assert got["Loads"] is limrod.constitutive.Loads and got["kinematics"] is limrod.kinematics
+            assert got["branch_sweep"] is limrod.equilibrium.branch_sweep
+            print(failed)
+        """
+        for _ in range(4):
+            assert run_fresh(code) == "[]"
+
+
 def run_fresh(code: str, *argv: str) -> str:
     """The stripped standard output of ``code`` run with ``argv`` by a fresh
     interpreter that imports this limrod."""
