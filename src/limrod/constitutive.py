@@ -583,7 +583,8 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     sqrt(Q*) is and keeps its digits at subnormal loads. For p < 1,
     W ~ W* (gamma F)^p/(1 - p) is below an ulp where (gamma F)^p < eps (1 - p),
     and is left out. Where Q is subnormal (gamma >~ 1e150), the kernel gets
-    gamma Q as (gamma F)(F Q*), which keeps its digits.
+    gamma Q as (gamma F)(F Q*), which keeps its digits; where F is too
+    (p << 1), gamma F, and W* = F Q* (1 - B/p) with F Q* formed unscaled.
     Raises LoadOutOfRange where the gate does, or sqrt(Q*) overflows.
     """
     c = _constants(params)
@@ -611,6 +612,11 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     q = work * f
     if q < _TINY:  # Q = tau^2 loses digits, and B_x = x^a z^b/(a g) is linear in x^a = Q:
         # hand the kernel gamma Q as (gamma F)(F Q*), whose digits it keeps
+        if f < _TINY:  # F too: F Q*/k = d (r/k)(r/h) with h = max(r, g), d = F h, and the
+            # kernel, linear in gamma Q, gets gamma F = d g/h alone and scales by F Q*/k
+            d, hi = (1.0 + tp) ** (-1.0 / p), max(rt, g)
+            beta = _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, d * (g / hi), s)
+            return d * (rt / k) * (rt / hi) * (1.0 - beta / p)
         return work / k - _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, f * g * (work / k), s) / p
     return work / k - _stored_beta(c, q, s)
 

@@ -965,6 +965,14 @@ class TestBetaEnergies:
         ref = oracle.complementary_energy(oracle.load_form(params, loads), params.p, params.gamma)
         assert abs(complementary_energy(params, loads) - ref) <= 1e-15 * ref
 
+    def test_where_the_factor_underflows(self):
+        # F ~ 1e-454 lies below the float range even at the gate's scale, so
+        # W* = F Q* - W ~ 8e-255 was 0.0; W is a third of F Q* here
+        params, loads = MaterialParams(1, 1, 1e200, 1, 1, 0, 0.001), Loads(0, 0, 0, 0, 0, 1e100)
+        ref = oracle.complementary_energy(oracle.load_form(params, loads), params.p, params.gamma)
+        # 1/p = 1000 amplifies the rounding of F's base 1 + t^p
+        assert abs(complementary_energy(params, loads) - ref) <= 1e-13 * ref
+
     def test_import_loads_no_scipy(self):
         code = "import sys, limrod; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         assert run_fresh(code) == "[]"
