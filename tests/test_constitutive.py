@@ -1083,7 +1083,9 @@ class TestLazyNamespace:
                     assert obj is importlib.import_module(f"limrod.{name}"), name
                 else:
                     assert obj is getattr(sys.modules[obj.__module__], name), name
-                assert vars(limrod)[name] is obj, name  # bound: later reads are plain lookups
+                assert vars(limrod)[name] is obj, name
+            # bound, and the hook gone, so later reads are specialised lookups
+            assert "__getattr__" not in vars(limrod)
             print(len(public), sorted(n for n in public if isinstance(getattr(limrod, n), types.ModuleType)))
         """
         modules = ["constitutive", "equilibrium", "errors", "kinematics", "material"]
@@ -1093,9 +1095,27 @@ class TestLazyNamespace:
         code = """if True:
             import limrod
             frame = limrod.kinematics.directors_from_euler(limrod.kinematics.EulerAngles(0, 0, 0))
-            print(frame.d3.tolist())
+            print(frame.d3.tolist(), limrod.Frame is limrod.kinematics.Frame)
         """
-        assert run_fresh(code) == "[0.0, 0.0, 1.0]"
+        assert run_fresh(code) == "[0.0, 0.0, 1.0] True"
+
+    def test_hook_leaves_once_every_submodule_is_read(self):
+        # CPython does not specialise attribute reads of a module with a
+        # __getattr__; one name of each deferred submodule binds them all
+        code = """if True:
+            import limrod
+
+            left = []
+            for name in ("Loads", "Frame", "branch_sweep"):
+                left.append("__getattr__" in vars(limrod))
+                getattr(limrod, name)
+            left.append("__getattr__" in vars(limrod))
+            try:
+                limrod.no_such_name
+            except AttributeError as exc:
+                print(left, exc)
+        """
+        assert run_fresh(code) == "[True, True, True, False] module 'limrod' has no attribute 'no_such_name'"
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="^module 'limrod' has no attribute 'no_such_name'$"):
