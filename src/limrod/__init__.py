@@ -77,6 +77,8 @@ def __getattr__(name: str):
     bound = globals()
     bound[home] = module
     bound.update((n, getattr(module, n)) for n in _DEFERRED[home])
+    # once every name is bound no read reaches the hook; a read that missed
+    # a name just before looks the hook up in the same C step, under the GIL
     if bound.keys() >= _HOME.keys():
         bound.pop("__getattr__", None)
     return bound[name]

@@ -86,8 +86,8 @@ digest gets; neither draws. ``symmetry_transform`` gets its three kinds,
 rotations at drawn angles, on strains drawn from a generator of its own.
 ``namespace`` records each public name of ``limrod`` with its object's
 type, ``__module__`` and ``__qualname__`` (a module by its ``__name__``),
-and the names ``from limrod import *`` binds; it runs first, before any
-other call reads a name of the package.
+and the names ``from limrod import *`` binds, before the functions above
+are called.
 
 Run it from the repository root with the package to test on the path, and
 compare two checkouts with diff:
