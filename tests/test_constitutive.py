@@ -1029,28 +1029,7 @@ class TestBetaEnergies:
             st = limrod.Strains(0.1, 0.0, 0.2, 0.1, 0.0, 1.1)
             calls = (lambda: limrod.stored_energy_hessian(params, st), st.as_array,
                      lambda: limrod.strains_from_loads_batch(params, [[0.0] * 5 + [1.0]] * 3))
-            start, failed = threading.Barrier(8, timeout=30), []
-
-            def run(i):
-                start.wait()
-                try:
-                    calls[i % 3]()
-                except Exception as exc:
-                    failed.append(repr(exc))
-
-            old = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-            finally:
-                sys.setswitchinterval(old)
-            assert not any(t.is_alive() for t in threads)
-            print(failed)
-        """
+        """ + AT_ONCE
         for _ in range(4):
             assert run_fresh(code, str(PARAMS_DIR / "demo.json")) == "[]"
 
@@ -1146,32 +1125,43 @@ class TestLazyNamespace:
 
             names = ("Loads", "kinematics", "branch_sweep", "Configuration", "equilibrium",
                      "stored_energy", "EulerAngles", "constitutive")
-            start, failed, got = threading.Barrier(8, timeout=30), [], {}
-
-            def run(name):
-                start.wait()
-                try:
-                    got[name] = getattr(limrod, name)
-                except Exception as exc:
-                    failed.append(repr(exc))
-
-            old = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                threads = [threading.Thread(target=run, args=(name,)) for name in names]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-            finally:
-                sys.setswitchinterval(old)
-            assert not any(t.is_alive() for t in threads)
-            assert got["Loads"] is limrod.constitutive.Loads and got["kinematics"] is limrod.kinematics
-            assert got["branch_sweep"] is limrod.equilibrium.branch_sweep
-            print(failed)
-        """
+            calls = tuple((lambda name=name: getattr(limrod, name)) for name in names)
+        """ + AT_ONCE + """
+assert limrod.Loads is limrod.constitutive.Loads and limrod.Frame is limrod.kinematics.Frame
+assert limrod.branch_sweep is limrod.equilibrium.branch_sweep
+"""
         for _ in range(4):
             assert run_fresh(code) == "[]"
+
+
+# The tail of a fresh interpreter's code: eight threads, released at once
+# with a short switch interval, each run calls[i % len(calls)]; prints the
+# exceptions they raised.
+AT_ONCE = """
+start, failed = threading.Barrier(8, timeout=30), []
+
+
+def run(i):
+    start.wait()
+    try:
+        calls[i % len(calls)]()
+    except Exception as exc:
+        failed.append(repr(exc))
+
+
+old = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(old)
+assert not any(t.is_alive() for t in threads)
+print(failed)
+"""
 
 
 def run_fresh(code: str, *argv: str) -> str:
