@@ -76,7 +76,12 @@ descriptor holds; no draw.
 s = sqrt(Q*)/gamma is 0, 1, subnormal or infinite, for p in
 {0.001, 0.5, 100}, on pure tensions from 1e-3 to 1e3 gamma with gamma from
 7e-150 to 1e250 and p in {0.5, 1.5, 3, 7}, and on two rows that once lost
-digits to underflow; no draw. ``reconstruct`` is digested by the
+digits to underflow; no draw. ``batch blocks`` digests ``strains_from_loads_batch`` on multi-block inputs of
+16383, 16384, 16385, 3 16384 + 17 and 2^17 rows, with saturated rows (Q* up
+to about 1e300) at both edges of each 16384-row block, on demo and chiral
+sets with p in {1, 3, 7}, and on one input whose second and third blocks
+each hold a refusal, a NaN row and a row whose Q* overflows (alpha =
+1e-160); its rows come from a generator of its own. ``reconstruct`` is digested by the
 SHA-256 of the points and directors it builds from three constant and
 three varying seeded strain fields, from seeded start points and frames,
 at grid_h 1e-2 and 1e-3, drawn from a generator of its own.
@@ -510,6 +515,42 @@ def add_saturation_edges(add) -> None:
         add("saturation edges", lr.strains_from_loads_batch, params, np.array([row]))
 
 
+BATCH_ROWS = 16384  # the blocks whose edges get saturated rows, fixed here
+BATCH_SIZES = (BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1, 3 * BATCH_ROWS + 17, 2**17)
+BATCH_MATERIALS = [lr.MaterialParams(1.3, 0.8, 1.0, 0.7, 2.0, 0.5, p) for p in (1.0, 3.0, 7.0)]
+TINY_ALPHA = lr.MaterialParams(1e-160, 1.0, 1.0, 1.0, 2.0, 0.0, 2.0)  # m1 alone makes Q* overflow
+
+
+def batch_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n load rows from 1e-4 to 1e4 in size, one component in twenty a
+    signed zero, and three saturated rows, Q* up to about 1e300, at each
+    edge of every block of ``BATCH_ROWS``."""
+    rows = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-4.0, 4.0, (n, 1))
+    zeros = rng.uniform(size=(n, 6)) < 0.05
+    rows[zeros] = np.copysign(0.0, rng.uniform(-1.0, 1.0, zeros.sum()))
+    edges = sorted({i for lo in range(0, n, BATCH_ROWS) for hi in [min(n, lo + BATCH_ROWS)]
+                    for i in (lo, lo + 1, lo + 2, hi - 3, hi - 2, hi - 1) if lo <= i < hi})
+    rows[edges] *= 10.0 ** rng.uniform(20.0, 150.0, (len(edges), 1))
+    return rows
+
+
+def add_batch_blocks(add) -> None:
+    """The batch forward map on the multi-block inputs above, and on one
+    whose second block holds a NaN row and whose third a row with Q*
+    beyond the float range; a generator of its own."""
+    rng = np.random.default_rng(SEED)
+    demo = lr.load_params(ROOT / "params" / "demo.json")
+    for n in BATCH_SIZES:
+        rows = batch_rows(rng, n)
+        for params in [demo] + BATCH_MATERIALS:
+            add("batch blocks", lr.strains_from_loads_batch, params, rows)
+    rows = batch_rows(rng, 3 * BATCH_ROWS + 17)
+    rows[:, :2] = 0.0  # the couples that alpha weighs
+    rows[BATCH_ROWS + 4321, 2] = NAN
+    rows[2 * BATCH_ROWS + 99, 0] = 1.0
+    add("batch blocks", lr.strains_from_loads_batch, TINY_ALPHA, rows)
+
+
 def add_sheared_saturation(rec: dict) -> None:
     """``sheared_tensile_state`` on demo at p = 4 where Q of its closed-form
     strains lies within the margin of 1, and ``loads_from_strains`` of the
@@ -658,6 +699,7 @@ def digest_records() -> dict[str, list[str]]:
     add_overflow_edges(add)
     add_angle_range(add)
     add_saturation_edges(add)
+    add_batch_blocks(add)
     add_sheared_saturation(rec)
     demo = lr.load_params(ROOT / "params" / "demo.json")
     for label, config in csv_configurations():
