@@ -37,6 +37,7 @@ field order above (``as_array``/``from_array``).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
-_BATCH_BLOCK = 8192  # rows per pass of the batch forward map
+_BATCH_BLOCK = 16384  # rows per pass of the batch forward map
 _NONFINITE, _UNBOUNDED = "are not all finite", "map to strains whose Q(u, v) is not finite"
 _TINY = sys.float_info.min  # below it a float has lost digits to underflow
 
@@ -344,38 +345,73 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     block's temporaries stay in cache, with the scalar map's inward
     projection: Q once per block, and one rescale of each saturated row.
     Per row the arithmetic is that of a single whole-array pass, bit for bit.
+    Where there is more than one block and the process may run on more than
+    one CPU, a thread pool maps the blocks, one worker per CPU up to one per
+    block (numpy leaves the interpreter lock in its loops); the bits do not
+    depend on the number of workers.
     Raises ValueError for any other shape, and the scalar map's
-    LoadOutOfRange for a block's first row that ``_load_gate`` refuses,
-    with the gate's message, else its first row whose Q is not finite.
+    LoadOutOfRange for the first block, in row order, that fails: for its
+    first row that ``_load_gate`` refuses, with the gate's message, else its
+    first row whose Q is not finite.
     """
     c = _constants(params)
     loads = np.asarray(loads, dtype=float)
     if loads.ndim != 2 or loads.shape[1] != 6:
         raise ValueError(f"loads must have shape (n, 6), got {loads.shape}")
     out = np.empty(loads.shape)
-    for start in range(0, len(loads), _BATCH_BLOCK):
+
+    def block(start: int) -> None:  # each call writes its own rows of out
         cols = np.ascontiguousarray(loads[start : start + _BATCH_BLOCK].T)  # each column in one run
-        top = np.abs(cols).max(axis=0)
-        k = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], c.up))  # _load_gate's k per row
-        scaled = cols * k
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # redone, or raises
-            qstar = _load_form(c, *scaled)
-            if not qstar.max() < math.inf:  # _load_gate's refusals; a non-finite load makes one
-                i = int((qstar < math.inf).argmin())
-                raise _load_error(cols[:, i], _UNBOUNDED if top[i] < math.inf else _NONFINITE)
-            r = np.sqrt(qstar)
-            rho = r + (qstar == 0.0)  # the scalar map's r or 1
-            tau = _saturation(c.p, r, c.gamma * k)[0] * rho
-            dev = np.array(_forward_dev(c, tau, rho, *scaled))
-            q = _strain_form(c, *dev[:5], (1.0 + dev[5]) - 1.0)  # the scalar map's projection
-            hit = np.flatnonzero(~(q <= 1.0 - c.margin))  # NaN included
-            q = q[hit]
-            if not (q < math.inf).all():
-                raise _load_error(cols[:, hit[(q < math.inf).argmin()]], _UNBOUNDED)
-            dev[:, hit] *= np.sqrt((1.0 - 2.0 * c.margin) / q)
-        dev[5] += 1.0
-        out[start : start + len(top)] = dev.T
+        np.stack(_forward_block(c, cols), axis=1, out=out[start : start + cols.shape[1]])
+
+    starts = range(0, len(loads), _BATCH_BLOCK)
+    workers = min(_cpus(), len(starts))
+    if workers < 2:
+        for start in starts:
+            block(start)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(block, starts):  # in block order, so the first failing block raises
+            pass
     return out
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _forward_block(c: _Constants, cols: np.ndarray) -> tuple:
+    """The batch forward map on one block of loads, given as its six
+    columns: the six columns of the strains. numpy keeps an error state
+    per thread, so the block sets its own."""
+    top = np.abs(cols).max(axis=0)
+    k = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], c.up))  # _load_gate's k per row
+    scaled = cols * k
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # redone, or raises
+        qstar = _load_form(c, *scaled)
+        if not qstar.max() < math.inf:  # _load_gate's refusals; a non-finite load makes one
+            i = int((qstar < math.inf).argmin())
+            raise _load_error(cols[:, i], _UNBOUNDED if top[i] < math.inf else _NONFINITE)
+        r = np.sqrt(qstar)
+        rho = r + (qstar == 0.0)  # the scalar map's r or 1
+        tau = _saturation(c.p, r, c.gamma * k)[0] * rho
+        dev = list(_forward_dev(c, tau, rho, *scaled))  # six columns, not copied into one array
+        q = _strain_form(c, *dev[:5], (1.0 + dev[5]) - 1.0)  # the scalar map's projection
+        hit = np.flatnonzero(~(q <= 1.0 - c.margin))  # NaN included
+        q = q[hit]
+        if not (q < math.inf).all():
+            raise _load_error(cols[:, hit[(q < math.inf).argmin()]], _UNBOUNDED)
+        scale = np.sqrt((1.0 - 2.0 * c.margin) / q)
+        for col in dev:
+            col[hit] *= scale
+    dev[5] += 1.0
+    return dev
 
 
 def loads_from_strains(params: MaterialParams, strains: Strains) -> Loads:
