@@ -319,6 +319,92 @@ class TestForwardBatchBlocks:
             with pytest.raises(ValueError, match=r"^loads must have shape \(n, 6\), got "):
                 strains_from_loads_batch(mk(), bad)
 
+    @staticmethod
+    def with_cpus(monkeypatch, count):
+        """The batch map with ``count`` CPUs open to the process, and the
+        threads its blocks ran on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        ran_on = set()
+
+        def block(c, cols):
+            ran_on.add(threading.get_ident())
+            return forward_block(c, cols)
+
+        forward_block = limrod.constitutive._forward_block
+        monkeypatch.setattr(limrod.constitutive, "_forward_block", block)
+        return ran_on
+
+    @pytest.mark.parametrize("p", (1.0, 3.0, 7.0))
+    def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, p):
+        rng = np.random.default_rng(int(11 * p))
+        params = random_params(rng, p=p, normalized=False)
+        loads = self.load_rows(rng, 5 * B + 3)
+        want = unblocked_forward_batch(params, loads).view(np.int64)
+        for count in (1, 2, 5):
+            ran_on = self.with_cpus(monkeypatch, count)
+            got = strains_from_loads_batch(params, loads)
+            assert np.array_equal(got.view(np.int64), want), count
+            # one CPU maps every block in the calling thread, more leave it to a pool
+            assert (threading.get_ident() in ran_on) == (count == 1), count
+
+    @pytest.mark.parametrize("count", (1, 2, 5))
+    def test_the_lower_failing_block_raises(self, monkeypatch, count):
+        # a NaN row and a row whose Q* overflows (m1 with alpha = 1e-160), in
+        # the second and the third block, either way round
+        self.with_cpus(monkeypatch, count)
+        params = mk(alpha=1e-160, eta=2.0)
+        loads = np.tile([0.0, 0.0, 0.3, -0.2, 0.5, 1.25], (3 * B + 17, 1))
+        nan_row, overflow_row = [0.0, 0.0, math.nan, 0.0, 0.0, 1.0], [1.0, 0.0, 0.3, 0.0, 0.0, 1.0]
+        for first, second, message in ((nan_row, overflow_row, "are not all finite"),
+                                       (overflow_row, nan_row, "map to strains whose Q")):
+            rows = loads.copy()
+            rows[B + 7], rows[2 * B + 3] = first, second
+            with pytest.raises(LoadOutOfRange, match=f"^loads {message}") as batch:
+                strains_from_loads_batch(params, rows)
+            assert str(batch.value).endswith(f"{Loads(*first)}")
+            with pytest.raises(LoadOutOfRange) as scalar:
+                strains_from_loads(params, Loads(*first))
+            assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("count", (1, 2))
+    def test_no_warning_leaves_a_worker(self, monkeypatch, count):
+        # numpy's error state belongs to a thread: a worker that did not set
+        # its own would warn of overflow on these rows
+        self.with_cpus(monkeypatch, count)
+        big = sys.float_info.max
+        loads = np.tile([[big, -big, big, 0.0, big, -big], [0.0] * 6, [1e-310, 0, 0, 0, 0, 1e300],
+                         [0.3, -0.2, 0.5, 0.1, 0.0, 1.25]], (B, 1))
+        for params in (mk(eta=2.0, iota=0.5, zeta=0.7, p=7.0), mk(gamma=1e16, eta=2.0, p=20.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = strains_from_loads_batch(params, loads)
+            assert np.isfinite(out).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LoadOutOfRange, match="^loads map to strains whose Q"):
+                strains_from_loads_batch(mk(alpha=1e-160), loads)
+
+    def test_concurrent_callers_agree(self):
+        # eight callers at once, each with its own pool, from the first use
+        # of the pool on; then one caller alone on one CPU
+        code = """if True:
+            import sys, threading
+            import numpy as np
+            import limrod
+
+            params = limrod.load_params(sys.argv[1])
+            rng = np.random.default_rng(5)
+            n = 3 * limrod.constitutive._BATCH_BLOCK + 17
+            loads = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-4.0, 30.0, (n, 1))
+            got = []
+            calls = (lambda: got.append(limrod.strains_from_loads_batch(params, loads)),)
+        """ + AT_ONCE + """
+limrod.constitutive._cpus = lambda: 1
+want = limrod.strains_from_loads_batch(params, loads).view(np.int64)
+assert len(got) == 8 and all(np.array_equal(g.view(np.int64), want) for g in got)
+"""
+        assert run_fresh(code, str(PARAMS_DIR / "demo.json")) == "[]"
+
 
 class TestGammaPowerOverflow:
     """gamma^p beyond the float range, which ``validate`` accepts (gamma =
@@ -1117,6 +1203,26 @@ class TestLazyNamespace:
             print("ok")
         """
         assert run_fresh(code, str(PARAMS_DIR / "demo.json")).splitlines()[-1] == "ok"
+
+    def test_thread_pool_loads_at_the_first_multi_block_call(self):
+        # set-up, eval and a one-block batch call leave concurrent.futures unloaded
+        code = """if True:
+            import os, sys
+            import limrod
+            from limrod import cli
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            demo = sys.argv[1]
+            params = limrod.validate(limrod.load_params(demo))
+            assert cli.main(["eval", demo, "forward", "0", "0", "0", "0", "0", "1"]) == 0
+            loaded = ["concurrent.futures" in sys.modules]
+            for n in (1, limrod.constitutive._BATCH_BLOCK, limrod.constitutive._BATCH_BLOCK + 1):
+                limrod.strains_from_loads_batch(params, [[0.0] * 5 + [1.0]] * n)
+                loaded.append("concurrent.futures" in sys.modules)
+            print(loaded)
+        """
+        out = run_fresh(code, str(PARAMS_DIR / "demo.json"))
+        assert out.splitlines()[-1] == "[False, False, False, True]"
 
     def test_concurrent_first_reads(self):
         # eight threads first-read eight deferred names, of all three
