@@ -499,7 +499,7 @@ def _beta_memo(a: float, b: float, x0: float) -> tuple[float, int]:
     return math.nan, j
 
 
-def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
+def _incomplete_beta(a: float, b: float, xa: float, z: float, e: int = 0) -> float:
     """B_x(a, b) = integral_0^x t^{a-1} (1 - t)^{b-1} dt at x = 1 - z, given the
     exact complement z and xa = x^a (so nothing cancels near x = 1 or
     underflows at large a). The continued fraction up to x0 = (a + 1)/(a + b + 2)
@@ -513,18 +513,45 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
     coef_j (z0^e - z^e)/e, a log where e = 0. So b <= 0, where B_x diverges
     at x = 1, needs no Gamma-function poles. Against 80-digit mpmath the
     relative error is below 4e-15 for p = 2/a in [0.25, 10] and 8e-15 up
-    to p = 100, for z from 1e-300 up."""
+    to p = 100, for z from 1e-300 up.
+
+    Where z^b alone leaves the float range, the fraction forms x^a z^b at
+    a power-of-two scale, as it does where x^a = xa 2^e comes with an
+    exponent e != 0 (x^a below the float range; the series does not read
+    x^a); it raises OverflowError where xa is 0 or the product overflows.
+    There the series sums at the scale of z^b, and raises where B_x
+    overflows."""
     x = 1.0 - z
     x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
     if x <= x0:
-        return xa * z**b / (a * _beta_cf(a, b, x))
+        if not e:
+            try:
+                return xa * z**b / (a * _beta_cf(a, b, x))
+            except OverflowError:  # z^b alone
+                if not xa:
+                    raise
+        n = 4  # z^b = m^n 2^{n ez}, z^{b/n} in the float range, and x^a = mx 2^{ex + e}
+        while abs(b * math.log2(z)) > 1000.0 * n:
+            n *= 2
+        m, ez = math.frexp(z ** (b / n))
+        mx, ex = math.frexp(xa)
+        return math.ldexp(mx * m**n / (a * _beta_cf(a, b, x)), ex + e + n * ez)
     total, j = _beta_memo(a, b, x0)
-    coef = 1.0
-    # z^{b+k}; math.pow raises OverflowError where z^b does; B_1 diverges for b <= 0
-    zk = math.pow(z, b) if z or b > 0.0 else math.inf
+    coef, scale = 1.0, 0
+    # z^{b+k}; B_1 diverges for b <= 0
+    try:
+        zk = math.pow(z, b) if z or b > 0.0 else math.inf
+    except OverflowError:
+        m, ez = math.frexp(math.pow(z, 0.5 * b))
+        zk, scale = m * m, 2 * ez
+        total = math.ldexp(total, -scale)
     for k in range(500):
         e = b + k
-        if k == j:  # (z0^e - z^e)/e, by expm1 where z^e is near z0^e
+        if k != j:
+            term = coef * zk / e
+        elif scale:  # c_j (z0^e - z^e)/e, below 1e84 c_j, is under an ulp of this sum
+            term = 0.0
+        else:  # (z0^e - z^e)/e, by expm1 where z^e is near z0^e
             z0 = 1.0 - x0
             log_ratio = math.log(z0 / z) if z > 0.0 else math.inf
             if e == 0.0:
@@ -533,11 +560,9 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float) -> float:
                 term = -coef * z0**e * -math.expm1(-e * log_ratio) / e
             else:
                 term = -coef * (z0**e - zk) / e
-        else:
-            term = coef * zk / e
         total -= term
         if k > a and abs(term) <= _EPS * abs(total):
-            return total
+            return math.ldexp(total, scale) if scale else total  # OverflowError where B_x is not finite
         coef *= (k + 1.0 - a) / (k + 1.0)
         zk *= z
     raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
@@ -575,9 +600,10 @@ def stored_energy(params: MaterialParams, strains: Strains) -> float:
     b = 1 - 1/p shows through z^b: 8.7e-15 at p = 0.2, 1.8e-14 at 0.1 and
     3.7e-14 at 0.05. Raises StrainOutOfRange, naming the
     strains, where W exceeds the float64 range (gamma near the float64
-    maximum, or Q next to 1 at small p), or where the power z^b of the
-    series does, z = 1 - Q^{p/2} and b = 1 - 1/p: for gamma < 1 - p, W may
-    still be finite there.
+    maximum, or Q next to 1 at small p), or where B does: for gamma < p,
+    W may still be finite there. Where the power z^b of the series alone
+    overflows, z = 1 - Q^{p/2} and b = 1 - 1/p, the series runs at a
+    power-of-two scale.
     """
     c = _constants(params)
     q = _domain_q(c, strains)
@@ -620,8 +646,9 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     W ~ W* (gamma F)^p/(1 - p) is below an ulp where (gamma F)^p < eps (1 - p),
     and is left out. Where Q is subnormal (gamma >~ 1e150), the kernel gets
     gamma Q as (gamma F)(F Q*), which keeps its digits; where F is too
-    (p << 1), gamma F, and W* = F Q* (1 - B/p) with F Q* formed unscaled.
-    Raises LoadOutOfRange where the gate does, or sqrt(Q*) overflows.
+    (p << 1), or gamma Q underflows, gamma F, and W* = F Q* (1 - B/p) with
+    F Q* formed unscaled; gamma F goes by its binary exponent where it is
+    subnormal. Raises LoadOutOfRange where the gate does, or sqrt(Q*) overflows.
     """
     c = _constants(params)
     k, _, qstar = _load_gate(c, loads)
@@ -648,12 +675,20 @@ def complementary_energy(params: MaterialParams, loads: Loads) -> float:
     q = work * f
     if q < _TINY:  # Q = tau^2 loses digits, and B_x = x^a z^b/(a g) is linear in x^a = Q:
         # hand the kernel gamma Q as (gamma F)(F Q*), whose digits it keeps
-        if f < _TINY:  # F too: F Q*/k = d (r/k)(r/h) with h = max(r, g), d = F h, and the
-            # kernel, linear in gamma Q, gets gamma F = d g/h alone and scales by F Q*/k
-            d, hi = (1.0 + tp) ** (-1.0 / p), max(rt, g)
-            beta = _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, d * (g / hi), s)
-            return d * (rt / k) * (rt / hi) * (1.0 - beta / p)
-        return work / k - _incomplete_beta(2.0 / p, 1.0 - 1.0 / p, f * g * (work / k), s) / p
+        a, b = 2.0 / p, 1.0 - 1.0 / p
+        gq = f * g * (work / k)
+        if f >= _TINY and gq >= _TINY:
+            return work / k - _incomplete_beta(a, b, gq, s) / p
+        # F or gamma Q too: F Q*/k = d (r/k)(r/h) with h = max(r, g), d = F h, and the
+        # kernel, linear in gamma Q, gets gamma F = d g/h alone and scales by F Q*/k
+        d, hi = (1.0 + tp) ** (-1.0 / p), max(rt, g)
+        gf = d * (g / hi)
+        if gf >= _TINY:
+            beta = _incomplete_beta(a, b, gf, s)
+        else:  # gamma F as well: it goes by its binary exponent
+            (md, ed), (mh, eh) = math.frexp(d), math.frexp(g / hi)
+            beta = _incomplete_beta(a, b, md * mh, s, ed + eh)
+        return d * (rt / k) * (rt / hi) * (1.0 - beta / p)
     return work / k - _stored_beta(c, q, s)
 
 

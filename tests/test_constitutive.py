@@ -1026,12 +1026,25 @@ class TestBetaEnergies:
         with pytest.raises(StrainOutOfRange, match=re.escape(f"overflows at {st}")):
             stored_energy(mk(gamma=gamma, p=p), st)
 
-    @pytest.mark.parametrize("delta", (1e-14, 5e-15))
-    def test_stored_finite_next_to_the_overflow(self, delta):
-        # W ~ 3e296 and 1e302 at p = 0.05, a factor 1e12 and 1e6 below the range
-        params, st = mk(p=0.05), Strains(math.sqrt(1.0 - delta), 0, 0, 0, 0, 1)
-        ref = oracle.stored_energy(strain_quad_form(params, st), 0.05)
+    @pytest.mark.parametrize("gamma, delta", [(1.0, 1e-14), (1.0, 5e-15), (1e-3, 2.2e-15)],
+                             ids=("1e-14", "5e-15", "gamma-1e-3-2.2e-15"))
+    def test_stored_finite_next_to_the_overflow(self, gamma, delta):
+        # W ~ 3e296 and 1e302 at p = 0.05, a factor 1e12 and 1e6 below the range;
+        # at gamma = 1e-3, W ~ 7.6e305 although z^-19 in the series overflows,
+        # where StrainOutOfRange was raised
+        params, st = mk(gamma=gamma, p=0.05), Strains(math.sqrt(1.0 - delta), 0, 0, 0, 0, 1)
+        ref = oracle.stored_energy(strain_quad_form(params, st), 0.05, gamma)
         assert abs(stored_energy(params, st) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("n3", (1e5, 1e10, 1e20, 1e40, 1e90, 1e200))
+    def test_complementary_where_gamma_q_underflows(self, n3):
+        # at p = 0.001, gamma Q ~ 1e-583 underflows to 0: from n3 = 1e20 on,
+        # z^b ~ 1e311 (z ~ 0.49, b = -999) raised a bare OverflowError, and
+        # below, W* came out as F Q*, half as large again as it is
+        params, loads = MaterialParams(1, 1, 1, 1, 1, 0, 0.001), Loads(0, 0, 0, 0, 0, n3)
+        ref = oracle.complementary_energy(oracle.load_form(params, loads), params.p, params.gamma)
+        # 1/p = 1000 amplifies the rounding of F's base 1 + t^p
+        assert abs(complementary_energy(params, loads) - ref) <= 1e-13 * ref
 
     def test_p1_where_load_over_gamma_overflows(self):
         # rt/g overflows at unit scale: g log1p(rt/g) was inf and W* -inf
