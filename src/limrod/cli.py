@@ -18,7 +18,7 @@ from . import material  # equilibrium and kinematics load in the commands that u
 from .constitutive import (
     Loads,
     Strains,
-    load_quad_form,
+    _load_gate,
     loads_from_strains,
     strain_quad_form,
     strains_from_loads,
@@ -72,7 +72,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.direction == "forward":
         loads = Loads(*c)
         st = strains_from_loads(params, loads)
-        print(f"Qstar = {_fmt(load_quad_form(params, loads))}")
+        k, _, qstar = _load_gate(material._constants(params), loads)  # finite where Q* is not
+        print(f"sqrt_Qstar = {_fmt(math.sqrt(qstar) / k)}")
         for name in ("u1", "u2", "u3", "v1", "v2", "v3"):
             print(f"{name} = {_fmt(getattr(st, name))}")
     else:

@@ -128,7 +128,7 @@ class TestEval:
         assert main(["eval", demo_file, "forward", "0", "0", "0", "0", "0", "0"]) == 0
         report = parse_report(capsys.readouterr().out)
         assert [report[k] for k in ("u1", "u2", "u3", "v1", "v2", "v3")] == [0, 0, 0, 0, 0, 1]
-        assert report["Qstar"] == 0.0
+        assert report["sqrt_Qstar"] == 0.0
 
     def test_forward_inverse_round_trip(self, demo_file, capsys):
         loads = ["0.3", "-0.2", "0.5", "0.1", "0.0", "1.25"]
@@ -139,6 +139,14 @@ class TestEval:
         back = parse_report(capsys.readouterr().out)
         for key, expected in zip(("m1", "m2", "m3", "n1", "n2", "n3"), loads):
             assert back[key] == pytest.approx(float(expected), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("n3", ["1.5", "1e300", "-1e300", "1e-320"])
+    def test_forward_prints_the_root_of_the_load_form(self, demo_file, capsys, n3):
+        # Q* = (n3/eta)^2 overflowed to inf at 1e300, next to finite strains
+        assert main(["eval", demo_file, "forward", "0", "0", "0", "0", "0", n3]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["sqrt_Qstar"] == abs(float(n3)) / DEMO["eta"]
+        assert math.isfinite(report["v3"]) and "Qstar" not in report
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_forward_non_finite_exits_1(self, demo_file, capsys, value):
