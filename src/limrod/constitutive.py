@@ -362,7 +362,9 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
 
     def block(start: int) -> None:  # each call writes its own rows of out
         cols = np.ascontiguousarray(loads[start : start + _BATCH_BLOCK].T)  # each column in one run
-        np.stack(_forward_block(c, cols), axis=1, out=out[start : start + cols.shape[1]])
+        rows = out[start : start + cols.shape[1]]
+        for j, col in enumerate(_forward_block(c, cols)):
+            rows[:, j] = col
 
     starts = range(0, len(loads), _BATCH_BLOCK)
     workers = min(_cpus(), len(starts))
@@ -499,7 +501,7 @@ def _beta_memo(a: float, b: float, x0: float) -> tuple[float, int]:
     return math.nan, j
 
 
-def _incomplete_beta(a: float, b: float, xa: float, z: float, e: int = 0) -> float:
+def _incomplete_beta(a: float, b: float, xa: float, z: float, xa_exp: int = 0) -> float:
     """B_x(a, b) = integral_0^x t^{a-1} (1 - t)^{b-1} dt at x = 1 - z, given the
     exact complement z and xa = x^a (so nothing cancels near x = 1 or
     underflows at large a). The continued fraction up to x0 = (a + 1)/(a + b + 2)
@@ -516,26 +518,25 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float, e: int = 0) -> flo
     to p = 100, for z from 1e-300 up.
 
     Where z^b alone leaves the float range, the fraction forms x^a z^b at
-    a power-of-two scale, as it does where x^a = xa 2^e comes with an
-    exponent e != 0 (x^a below the float range; the series does not read
-    x^a); it raises OverflowError where xa is 0 or the product overflows.
-    There the series sums at the scale of z^b, and raises where B_x
-    overflows."""
+    a power-of-two scale, as it does where x^a = xa 2^xa_exp comes with an
+    exponent (x^a below the float range; the series does not read x^a),
+    and raises OverflowError where xa is 0 or the product overflows; the
+    series sums at the scale of z^b, and raises where B_x overflows."""
     x = 1.0 - z
     x0 = min(0.9, max(0.5, (a + 1.0) / (a + b + 2.0)))
     if x <= x0:
-        if not e:
+        if not xa_exp:
             try:
                 return xa * z**b / (a * _beta_cf(a, b, x))
             except OverflowError:  # z^b alone
                 if not xa:
                     raise
-        n = 4  # z^b = m^n 2^{n ez}, z^{b/n} in the float range, and x^a = mx 2^{ex + e}
+        n = 4  # z^b = m^n 2^{n ez}, z^{b/n} in the float range, and x^a = mx 2^{ex + xa_exp}
         while abs(b * math.log2(z)) > 1000.0 * n:
             n *= 2
         m, ez = math.frexp(z ** (b / n))
         mx, ex = math.frexp(xa)
-        return math.ldexp(mx * m**n / (a * _beta_cf(a, b, x)), ex + e + n * ez)
+        return math.ldexp(mx * m**n / (a * _beta_cf(a, b, x)), ex + xa_exp + n * ez)
     total, j = _beta_memo(a, b, x0)
     coef, scale = 1.0, 0
     # z^{b+k}; B_1 diverges for b <= 0
