@@ -371,12 +371,11 @@ def strains_from_loads_batch(params: MaterialParams, loads: np.ndarray) -> np.nd
     if workers < 2:
         for start in starts:
             block(start)
-        return out
-    from concurrent.futures import ThreadPoolExecutor
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(block, starts):  # in block order, so the first failing block raises
-            pass
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(block, starts))  # in block order, so the first failing block raises
     return out
 
 
@@ -388,7 +387,7 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _forward_block(c: _Constants, cols: np.ndarray) -> tuple:
+def _forward_block(c: _Constants, cols: np.ndarray) -> list:
     """The batch forward map on one block of loads, given as its six
     columns: the six columns of the strains. numpy keeps an error state
     per thread, so the block sets its own."""
@@ -531,20 +530,16 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float, xa_exp: int = 0) -
             except OverflowError:  # z^b alone
                 if not xa:
                     raise
-        n = 4  # z^b = m^n 2^{n ez}, z^{b/n} in the float range, and x^a = mx 2^{ex + xa_exp}
-        while abs(b * math.log2(z)) > 1000.0 * n:
-            n *= 2
-        m, ez = math.frexp(z ** (b / n))
-        mx, ex = math.frexp(xa)
-        return math.ldexp(mx * m**n / (a * _beta_cf(a, b, x)), ex + xa_exp + n * ez)
+        m, ez = _binary_power(z, b)
+        mx, ex = math.frexp(xa)  # x^a = mx 2^{ex + xa_exp}
+        return math.ldexp(mx * m / (a * _beta_cf(a, b, x)), ex + xa_exp + ez)
     total, j = _beta_memo(a, b, x0)
     coef, scale = 1.0, 0
     # z^{b+k}; B_1 diverges for b <= 0
     try:
         zk = math.pow(z, b) if z or b > 0.0 else math.inf
     except OverflowError:
-        m, ez = math.frexp(math.pow(z, 0.5 * b))
-        zk, scale = m * m, 2 * ez
+        zk, scale = _binary_power(z, b)
         total = math.ldexp(total, -scale)
     for k in range(500):
         e = b + k
@@ -567,6 +562,17 @@ def _incomplete_beta(a: float, b: float, xa: float, z: float, xa_exp: int = 0) -
         coef *= (k + 1.0 - a) / (k + 1.0)
         zk *= z
     raise ArithmeticError(f"incomplete beta series did not converge at a={a!r}, b={b!r}, z={z!r}")
+
+
+def _binary_power(z: float, b: float) -> tuple[float, int]:
+    """(m, e) with z^b = m 2^e and m in [2^-n, 1) for z > 0, where z^b may
+    leave the float range: z^{b/n}, in range, to the n-th power, its binary
+    exponent kept apart; n = 2 unless |b log2 z| > 2000."""
+    n = 2
+    while abs(b * math.log2(z)) > 1000.0 * n:
+        n *= 2
+    m, e = math.frexp(z ** (b / n))
+    return m**n, n * e
 
 
 def _log1p_series(x: float) -> float:
